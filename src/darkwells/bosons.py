@@ -30,8 +30,6 @@ __all__ = [
     "flat_approximation",
     "state_overlap",
     "distribution_rows",
-    "distribution_to_json_dict",
-    "write_distribution_csv",
 ]
 
 
@@ -316,20 +314,3 @@ def distribution_rows(dist: FockDistribution) -> list:
     """(count, probability) float rows sorted by count."""
     return [(m, float(p)) for m, p in sorted(dist.probabilities.items())]
 
-
-def distribution_to_json_dict(dist: FockDistribution) -> dict:
-    rows = distribution_rows(dist)
-    return {
-        "counts": [m for m, _ in rows],
-        "probabilities": [p for _, p in rows],
-    }
-
-
-def write_distribution_csv(path, dist: FockDistribution, header_lines=()) -> None:
-    """Two-column CSV (m, P_m) with 17-significant-digit probabilities."""
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("m,probability\n")
-        for m, p in distribution_rows(dist):
-            fh.write(f"{m},{p:.17g}\n")

@@ -14,6 +14,7 @@ rendering everything twice and comparing bytes.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import hashlib
 import json
@@ -163,14 +164,12 @@ def _parse_number(sections, section, key, default=None, kind=float, required=Fal
     try:
         if kind is int:
             return int(raw)
-        if kind is complex:
-            return complex(raw)
-        value = float(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(
             f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}"
         ) from None
-    if not math.isfinite(value):
+    if not cmath.isfinite(value):
         raise ConfigError(f"{section}.{key}: value must be finite, got {raw!r}")
     return value
 
@@ -221,6 +220,27 @@ def _width_kwargs(sections) -> dict:
     return kwargs
 
 
+def _resolved_model(model) -> dict:
+    """Resolved-parameter record of a built model, for the manifest."""
+    pair = model.base if isinstance(model, ParallelWellPair) else model
+    resolved = {
+        "model.E1": pair.E1,
+        "model.E2": pair.E2,
+        "model.omega1": pair.omega1,
+        "model.omega2": pair.omega2,
+        "model.rho": pair.rho,
+        "model.gamma1": pair.gamma1,
+        "model.gamma2": pair.gamma2,
+        "model.epsilon": pair.epsilon,
+    }
+    if pair.lambda_cutoff is not None:
+        resolved["model.lambda_cutoff"] = pair.lambda_cutoff
+    if isinstance(model, ParallelWellPair):
+        resolved["model.yprime"] = model.yprime
+        resolved["model.U"] = model.U
+    return resolved
+
+
 def _model_from_width_kwargs(kwargs):
     """Build the model and the resolved-parameter record from width keys."""
     gamma1 = kwargs["gamma1"]
@@ -244,22 +264,7 @@ def _model_from_width_kwargs(kwargs):
             model = ParallelWellPair(base=pair, yprime=kwargs["yprime"], U=kwargs["u"])
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
-    resolved = {
-        "model.E1": pair.E1,
-        "model.E2": pair.E2,
-        "model.omega1": pair.omega1,
-        "model.omega2": pair.omega2,
-        "model.rho": pair.rho,
-        "model.gamma1": pair.gamma1,
-        "model.gamma2": pair.gamma2,
-        "model.epsilon": pair.epsilon,
-    }
-    if pair.lambda_cutoff is not None:
-        resolved["model.lambda_cutoff"] = pair.lambda_cutoff
-    if isinstance(model, ParallelWellPair):
-        resolved["model.yprime"] = model.yprime
-        resolved["model.U"] = model.U
-    return model, resolved
+    return model, _resolved_model(model)
 
 
 def _resolve_model(sections):
@@ -297,22 +302,7 @@ def _resolve_model(sections):
             raise
         except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
-        resolved = {
-            "model.E1": pair.E1,
-            "model.E2": pair.E2,
-            "model.omega1": pair.omega1,
-            "model.omega2": pair.omega2,
-            "model.rho": pair.rho,
-            "model.gamma1": pair.gamma1,
-            "model.gamma2": pair.gamma2,
-            "model.epsilon": pair.epsilon,
-        }
-        if pair.lambda_cutoff is not None:
-            resolved["model.lambda_cutoff"] = pair.lambda_cutoff
-        if isinstance(model, ParallelWellPair):
-            resolved["model.yprime"] = model.yprime
-            resolved["model.U"] = model.U
-        return model, resolved
+        return model, _resolved_model(model)
     return _model_from_width_kwargs(_width_kwargs(sections))
 
 
@@ -427,6 +417,13 @@ def _run_oracle_compare(scenario):
     resolved.update(res_init)
     resolved.update(res_grid)
     n_levels = _parse_number(scenario.sections, "oracle", "n_levels", default=2000, kind=int)
+    if n_levels < 10:
+        raise ConfigError(f"oracle.n_levels: need at least 10 levels, got {n_levels}")
+    if n_levels % 2:
+        raise ConfigError(
+            f"oracle.n_levels: must be even to keep the reservoir grid symmetric, "
+            f"got {n_levels}"
+        )
     cutoff = _parse_number(scenario.sections, "oracle", "cutoff", default=None)
     method = _parse_choice(
         scenario.sections, "oracle", "method", ("auto", "dense", "chebyshev"), "auto"

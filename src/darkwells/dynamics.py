@@ -6,9 +6,12 @@ for the well amplitudes and a closed linear master equation for the
 reduced density matrix ``sigma``.  The convention for the coherence is
 ``sigma12 = b1 * conj(b2)``.
 
-The module provides the closed-form amplitude propagator, the fixed-step
-master-equation integrator, the fully analytic solution for the symmetric
-case, trapped-fraction asymptotics, and the dwell time of the long-lived
+One closed-form propagator ``U(t) = exp(-i H_eff t)``, vectorized over
+times, drives both the amplitudes (``b(t) = U b(0)``) and the reduced
+state, whose master equation has the exact solution
+``sigma(t) = U sigma(0) U^dagger`` for pure and mixed starts alike.  The
+module also provides the fully analytic solution for the symmetric case,
+trapped-fraction asymptotics, and the dwell time of the long-lived
 superposition for slightly misaligned levels.
 """
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NoBoundStateError, WellPair, derive
+from .model import NoBoundStateError, WellPair
 from .rotation import dark_state, rotate
 
 __all__ = [
@@ -40,7 +43,6 @@ __all__ = [
     "slow_decay_rate",
     "fit_decay_rate",
     "format_float",
-    "write_sigma_csv",
 ]
 
 _NORM_TOL = 1e-9
@@ -149,29 +151,41 @@ def effective_hamiltonian(pair: WellPair) -> np.ndarray:
     )
 
 
-def _propagator(pair: WellPair, t: float) -> np.ndarray:
-    """Closed-form exp(-i H_eff t) for a 2x2 H_eff, overflow safe.
+def _propagators(pair: WellPair, times) -> np.ndarray:
+    """Closed-form exp(-i H_eff t) for every t, shape ``times.shape + (2, 2)``.
 
     Written in terms of the two eigen-exponentials exp(-i lambda_pm t),
     which decay for any passive system, so no intermediate cosh blowup
     occurs at large t.
     """
+    times = np.asarray(times, dtype=float)
     h = effective_hamiltonian(pair)
     half_tr = 0.5 * (h[0, 0] + h[1, 1])
     m = h - half_tr * np.eye(2)
     mu = cmath.sqrt(m[0, 0] * m[0, 0] + m[0, 1] * m[1, 0])
-    if abs(mu) * t < 1e-6:
-        # series in (mu t); the overall decay sits in exp(-i tr t / 2)
-        z2 = (mu * t) ** 2
-        cos_term = 1.0 - z2 / 2.0 + z2 * z2 / 24.0
-        sinc_term = t * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
-        scale = cmath.exp(-1j * half_tr * t)
-        return scale * (cos_term * np.eye(2) - 1j * sinc_term * m)
-    e_minus = cmath.exp(-1j * (half_tr - mu) * t)
-    e_plus = cmath.exp(-1j * (half_tr + mu) * t)
-    cos_term = 0.5 * (e_minus + e_plus)
-    sin_term = (e_minus - e_plus) / (2.0 * mu)
-    return cos_term * np.eye(2) - sin_term * m
+    # U = cos_term * 1 - sin_term * m
+    cos_term = np.empty(times.shape, dtype=complex)
+    sin_term = np.empty(times.shape, dtype=complex)
+    series = abs(mu) * times < 1e-6
+    # series in (mu t); the overall decay sits in exp(-i tr t / 2)
+    ts = times[series]
+    z2 = (mu * ts) ** 2
+    scale = np.exp(-1j * half_tr * ts)
+    cos_term[series] = scale * (1.0 - z2 / 2.0 + z2 * z2 / 24.0)
+    sin_term[series] = 1j * scale * ts * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
+    ts = times[~series]
+    e_minus = np.exp(-1j * (half_tr - mu) * ts)
+    e_plus = np.exp(-1j * (half_tr + mu) * ts)
+    cos_term[~series] = 0.5 * (e_minus + e_plus)
+    sin_term[~series] = (e_minus - e_plus) / (2.0 * mu)
+    return cos_term[..., None, None] * np.eye(2) - sin_term[..., None, None] * m
+
+
+def _check_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.size and times.min() < 0.0:
+        raise ValueError("backward evolution of a decaying system is not supported")
+    return times
 
 
 def _check_unit_norm(c1: complex, c2: complex) -> None:
@@ -189,117 +203,64 @@ def evolve_amplitudes(pair: WellPair, initial, t: float) -> np.ndarray:
     Returns ``(b1(t), b2(t))``.  The lost norm is the emission probability;
     nothing ever returns from the wide-band reservoir.
     """
-    c1, c2 = complex(initial[0]), complex(initial[1])
-    _check_unit_norm(c1, c2)
-    if t < 0.0:
-        raise ValueError("backward evolution of a decaying system is not supported")
-    return _propagator(pair, float(t)) @ np.array([c1, c2])
+    return amplitude_trajectory(pair, initial, [t])[0]
+
 
 def amplitude_trajectory(pair: WellPair, initial, times) -> np.ndarray:
     """Stack of ``evolve_amplitudes`` results, shape (len(times), 2)."""
     c1, c2 = complex(initial[0]), complex(initial[1])
     _check_unit_norm(c1, c2)
-    vec = np.array([c1, c2])
-    times = np.asarray(times, dtype=float)
-    if times.size and times.min() < 0.0:
-        raise ValueError("backward evolution of a decaying system is not supported")
-    return np.stack([_propagator(pair, float(t)) @ vec for t in times])
-
-
-def _master_matrix(pair: WellPair) -> np.ndarray:
-    """Generator of (sigma11, sigma22, Re sigma12, Im sigma12)."""
-    d = derive(pair)
-    g = math.sqrt(d.gamma1 * d.gamma2)
-    if d.eta12 is not None:
-        g *= d.eta12
-    eps = d.epsilon
-    half_width = 0.5 * (d.gamma1 + d.gamma2)
-    return np.array(
-        [
-            [-d.gamma1, 0.0, -g, 0.0],
-            [0.0, -d.gamma2, -g, 0.0],
-            [-0.5 * g, -0.5 * g, -half_width, eps],
-            [0.0, 0.0, -eps, -half_width],
-        ]
-    )
+    return _propagators(pair, _check_times(times)) @ np.array([c1, c2])
 
 
 def master_rhs(pair: WellPair, sigma) -> tuple[float, float, complex]:
     """Right-hand side of the reduced master equation.
 
     ``sigma`` is ``(sigma11, sigma22, sigma12)``; returns the derivatives
-    in the same layout.  The emitted weight needs no equation of its own:
+    ``-i (H_eff sigma - sigma H_eff^dagger)`` in the same layout.  The
+    emitted weight needs no equation of its own:
     ``sigma00 = 1 - sigma11 - sigma22`` always.
     """
-    s11, s22, s12 = sigma
-    x = np.array([float(s11), float(s22), complex(s12).real, complex(s12).imag])
-    dx = _master_matrix(pair) @ x
-    return float(dx[0]), float(dx[1]), complex(dx[2], dx[3])
+    h = effective_hamiltonian(pair)
+    s = _sigma_matrix(sigma)
+    ds = -1j * (h @ s - s @ h.conj().T)
+    return float(ds[0, 0].real), float(ds[1, 1].real), complex(ds[0, 1])
 
 
-def default_master_step(pair: WellPair) -> float:
-    """Pinned integrator step: dt = 0.01 / max(gamma2_prime, |eps|)."""
-    d = derive(pair)
-    scale = d.gamma1 + d.gamma2
-    if d.epsilon != 0.0:
-        scale = max(scale, abs(d.epsilon))
-    return 0.01 / scale
-
-
-def _rk4_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of x' = A x as a matrix.
-
-    For a linear autonomous system RK4 is exactly the degree-4 Taylor
-    polynomial of exp(hA); applying its matrix power reproduces the
-    fixed-step loop to the last bit while costing O(log n) products.
-    """
-    ha = h * a
-    term = np.eye(a.shape[0])
-    out = term.copy()
-    for k in (1.0, 2.0, 3.0, 4.0):
-        term = term @ ha / k
-        out += term
-    return out
-
-
-def _coerce_sigma(initial) -> np.ndarray:
+def _sigma_matrix(initial) -> np.ndarray:
     if isinstance(initial, SingleParticleState):
         s11, s22, s12 = initial.sigma11, initial.sigma22, initial.sigma12
     else:
         s11, s22, s12 = initial
     s12 = complex(s12)
-    return np.array([float(s11), float(s22), s12.real, s12.imag])
+    return np.array([[float(s11), s12], [s12.conjugate(), float(s22)]])
 
 
-def evolve_master(
-    pair: WellPair, initial, t: float, dt: float | None = None
-) -> SingleParticleState:
-    """Integrate the master equation with fixed-step classical RK4.
-
-    ``initial`` is a :class:`SingleParticleState` or a
-    ``(sigma11, sigma22, sigma12)`` triple.  The step defaults to
-    ``0.01 / max(gamma1+gamma2, |eps|)`` and is shrunk to divide ``t``
-    exactly; a requested step with ``dt * (gamma1+gamma2) > 0.5`` is
-    refused rather than silently producing garbage.
-    """
-    if t < 0.0:
-        raise ValueError("backward evolution of a decaying system is not supported")
-    if dt is None:
-        dt = default_master_step(pair)
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    d = derive(pair)
-    if dt * (d.gamma1 + d.gamma2) > 0.5:
-        raise ValueError(
-            f"step dt = {dt} is too large: dt * (gamma1 + gamma2) = "
-            f"{dt * (d.gamma1 + d.gamma2)} exceeds 0.5"
+def _evolve_sigma(pair: WellPair, initial, times) -> list[SingleParticleState]:
+    """``U sigma0 U^dagger`` at every time, each point validated as a state."""
+    times = _check_times(times)
+    u = _propagators(pair, times)
+    sigma = u @ _sigma_matrix(initial) @ u.conj().swapaxes(-1, -2)
+    return [
+        SingleParticleState.from_sigma(s11, s22, s12, t=t)
+        for s11, s22, s12, t in zip(
+            sigma[:, 0, 0].real.tolist(),
+            sigma[:, 1, 1].real.tolist(),
+            sigma[:, 0, 1].tolist(),
+            times.tolist(),
         )
-    x = _coerce_sigma(initial)
-    if t > 0.0:
-        n_steps = max(1, math.ceil(t / dt - 1e-12))
-        step = _rk4_step_matrix(_master_matrix(pair), t / n_steps)
-        x = np.linalg.matrix_power(step, n_steps) @ x
-    return SingleParticleState.from_sigma(x[0], x[1], complex(x[2], x[3]), t=t)
+    ]
+
+
+def evolve_master(pair: WellPair, initial, t: float) -> SingleParticleState:
+    """Exact reduced state at time ``t``: ``sigma(t) = U sigma(0) U^dagger``.
+
+    ``U = exp(-i H_eff t)`` is the closed-form amplitude propagator, so
+    genuinely mixed states evolve exactly as well.  ``initial`` is a
+    :class:`SingleParticleState` or a ``(sigma11, sigma22, sigma12)``
+    triple.
+    """
+    return _evolve_sigma(pair, initial, [t])[0]
 
 
 @dataclass(frozen=True)
@@ -317,10 +278,10 @@ class Trajectory:
         return self.sigma11 + self.sigma22
 
 
-def master_trajectory(pair: WellPair, initial, times, dt: float | None = None) -> Trajectory:
+def master_trajectory(pair: WellPair, initial, times) -> Trajectory:
     """Sample :func:`evolve_master` on a grid of times (each from t = 0)."""
     times = np.asarray(times, dtype=float)
-    states = [evolve_master(pair, initial, float(t), dt=dt) for t in times]
+    states = _evolve_sigma(pair, initial, times)
     return Trajectory(
         times=times,
         sigma11=np.array([s.sigma11 for s in states]),
@@ -330,33 +291,6 @@ def master_trajectory(pair: WellPair, initial, times, dt: float | None = None) -
     )
 
 
-def _sigma_symmetric_scalar(gamma: float, eps: float, t: float):
-    """Closed-form sigma for gamma1 = gamma2, eta = +1, left start."""
-    om = cmath.sqrt(gamma * gamma - eps * eps)
-    e0 = math.exp(-gamma * t)
-    z = om * t
-    if abs(z) < 1e-5:
-        # series in (om t)^2; exact at om = 0 (critical alignment eps = gamma)
-        z2 = z * z
-        s22 = 0.25 * gamma * gamma * e0 * t * t * (1.0 + z2 / 12.0)
-        s12 = 0.5 * gamma * e0 * (
-            0.5j * eps * t * t * (1.0 + z2 / 12.0) - t * (1.0 + z2 / 6.0)
-        )
-    else:
-        e_minus = cmath.exp(-(gamma - om) * t)
-        e_plus = cmath.exp(-(gamma + om) * t)
-        om2 = om * om
-        s22 = gamma * gamma * (e_minus + e_plus - 2.0 * e0) / (4.0 * om2)
-        s12 = -(gamma / (2.0 * om2)) * (
-            1j * eps * e0
-            - 0.5j * eps * (e_minus + e_plus)
-            + 0.5 * om * (e_minus - e_plus)
-        )
-    s22 = float(s22.real) if isinstance(s22, complex) else float(s22)
-    s11 = s22 + e0
-    return s11, s22, complex(s12)
-
-
 def analytic_sigma_symmetric(gamma: float, eps: float, t):
     """Exact reduced state for equal widths and positive coupling sign.
 
@@ -364,21 +298,37 @@ def analytic_sigma_symmetric(gamma: float, eps: float, t):
     in the first well.  ``t`` may be a scalar or an array; returns
     ``(sigma11, sigma22, sigma12)`` with matching shape.  The negative-sign
     case follows by flipping the sign of ``sigma12`` (covered by the
-    integrator, not by this formula).
+    propagator, not by this formula).
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    if np.ndim(t) == 0:
-        return _sigma_symmetric_scalar(gamma, eps, float(t))
     ts = np.asarray(t, dtype=float)
-    out11 = np.empty(ts.shape)
-    out22 = np.empty(ts.shape)
-    out12 = np.empty(ts.shape, dtype=complex)
-    for idx, tv in np.ndenumerate(ts):
-        out11[idx], out22[idx], out12[idx] = _sigma_symmetric_scalar(
-            gamma, eps, float(tv)
-        )
-    return out11, out22, out12
+    om = cmath.sqrt(gamma * gamma - eps * eps)
+    e0 = np.exp(-gamma * ts)
+    s22 = np.empty(ts.shape)
+    s12 = np.empty(ts.shape, dtype=complex)
+    series = np.abs(om * ts) < 1e-5
+    # series in (om t)^2; exact at om = 0 (critical alignment eps = gamma)
+    tq, eq = ts[series], e0[series]
+    z2 = (om * tq) ** 2
+    s22[series] = (0.25 * gamma * gamma * eq * tq * tq * (1.0 + z2 / 12.0)).real
+    s12[series] = 0.5 * gamma * eq * (
+        0.5j * eps * tq * tq * (1.0 + z2 / 12.0) - tq * (1.0 + z2 / 6.0)
+    )
+    tq, eq = ts[~series], e0[~series]
+    e_minus = np.exp(-(gamma - om) * tq)
+    e_plus = np.exp(-(gamma + om) * tq)
+    om2 = om * om
+    s22[~series] = (gamma * gamma * (e_minus + e_plus - 2.0 * eq) / (4.0 * om2)).real
+    s12[~series] = -gamma * (
+        1j * eps * eq
+        - 0.5j * eps * (e_minus + e_plus)
+        + 0.5 * om * (e_minus - e_plus)
+    ) / (2.0 * om2)
+    s11 = s22 + e0
+    if ts.ndim == 0:
+        return float(s11), float(s22), complex(s12)
+    return s11, s22, s12
 
 
 def asymptotic_probs(pair: WellPair, initial) -> tuple[float, float]:
@@ -468,27 +418,3 @@ def fit_decay_rate(times, values) -> float:
         raise ValueError("decay fit requires strictly positive values")
     slope = np.polyfit(times, np.log(values), 1)[0]
     return -float(slope)
-
-
-def write_sigma_csv(path, times, sigma11, sigma22, sigma12, sigma00, header_lines=()):
-    """Write a trajectory as CSV with 17-digit floats and LF endings.
-
-    Fixed column layout ``t, sigma11, sigma22, re_sigma12, im_sigma12,
-    sigma00``.  ``header_lines`` are emitted first as ``#`` comments
-    (manifest hash and friends).
-    """
-    sigma12 = np.asarray(sigma12, dtype=complex)
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("t,sigma11,sigma22,re_sigma12,im_sigma12,sigma00\n")
-        for k in range(len(times)):
-            row = (
-                times[k],
-                sigma11[k],
-                sigma22[k],
-                sigma12[k].real,
-                sigma12[k].imag,
-                sigma00[k],
-            )
-            fh.write(",".join(format_float(float(v)) for v in row) + "\n")

@@ -3,9 +3,11 @@
 Each oracle recomputes a result through a different algorithm and, where
 possible, different arithmetic than the library code: a literal stage-by-
 stage RK4 integrator with its own right-hand side, ``expm`` of the literal
-effective Hamiltonian, determinant-based fermionic expansions, and an iterated-operator polynomial expansion over
-Z[sqrt(y)] for the boson rotations.  Agreement between library and oracle
-then checks the physics, not a shared code path.
+4x4 master-equation generator, ``expm`` of the literal 2x2 effective
+Hamiltonian, determinant-based fermionic expansions, and an
+iterated-operator polynomial expansion over Z[sqrt(y)] for the boson
+rotations.  Agreement between library and oracle then checks the physics,
+not a shared code path.
 """
 
 from __future__ import annotations
@@ -50,6 +52,30 @@ def rk4_literal(gamma1, gamma2, eta, eps, sigma0, t, n_steps):
         s22 += h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
         s12 += h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
     return s11, s22, s12
+
+
+def master_generator_sigma(gamma1, gamma2, eta, eps, sigma0, t):
+    """Reduced state from ``expm`` of the literal 4x4 master generator.
+
+    The generator acts on ``(sigma11, sigma22, Re sigma12, Im sigma12)``
+    and is written from the same rates as :func:`master_rhs_reference`;
+    ``scipy.linalg.expm`` of ``t`` times it is applied to ``sigma0 =
+    (sigma11, sigma22, sigma12)``.  Returns ``(sigma11, sigma22, sigma12)``.
+    """
+    mix = eta * math.sqrt(gamma1 * gamma2)
+    half_width = 0.5 * (gamma1 + gamma2)
+    generator = np.array(
+        [
+            [-gamma1, 0.0, -mix, 0.0],
+            [0.0, -gamma2, -mix, 0.0],
+            [-0.5 * mix, -0.5 * mix, -half_width, eps],
+            [0.0, 0.0, -eps, -half_width],
+        ]
+    )
+    s12 = complex(sigma0[2])
+    x0 = np.array([float(sigma0[0]), float(sigma0[1]), s12.real, s12.imag])
+    x = expm(t * generator) @ x0
+    return float(x[0]), float(x[1]), complex(x[2], x[3])
 
 
 def effective_hamiltonian_sigma(gamma1, gamma2, eta, eps, amplitudes, t):

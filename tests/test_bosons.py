@@ -9,7 +9,6 @@ from darkwells.bosons import (
     FockDistribution,
     SurdAmplitude,
     distribution_rows,
-    distribution_to_json_dict,
     emission_distribution,
     equal_fill_even_distribution,
     flat_approximation,
@@ -18,7 +17,6 @@ from darkwells.bosons import (
     retained_state_split,
     rotate_fock,
     state_overlap,
-    write_distribution_csv,
 )
 from darkwells.fermions import two_electron_asymptotic
 from darkwells.model import NoBoundStateError, WellPair
@@ -241,17 +239,9 @@ def test_rotation_argument_validation():
         state_overlap(wells, rotate_fock(1, 0, 1))
 
 
-def test_distribution_serialization(tmp_path):
+def test_distribution_serialization():
     dist = emission_distribution(rotate_fock(1, 1, Fraction(1, 4)))
-    doc = distribution_to_json_dict(dist)
-    assert doc["counts"] == [0, 1, 2]
-    assert doc["probabilities"][1] == pytest.approx(9.0 / 25.0)
-    assert distribution_rows(dist)[0] == (0, 8.0 / 25.0)
-    path = tmp_path / "law.csv"
-    write_distribution_csv(path, dist, header_lines=["x y"])
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    lines = raw.decode().splitlines()
-    assert lines[0] == "# x y"
-    assert lines[1] == "m,probability"
-    assert lines[2].split(",") == ["0", f"{8.0 / 25.0:.17g}"]
+    rows = distribution_rows(dist)
+    assert [m for m, _ in rows] == [0, 1, 2]
+    assert rows[1][1] == pytest.approx(9.0 / 25.0)
+    assert rows[0] == (0, 8.0 / 25.0)

@@ -1,7 +1,10 @@
+import ast
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import runpy
 import shutil
 import subprocess
@@ -262,6 +265,20 @@ def test_config_error_paths(tmp_path, capsys):
     err = run_expecting(2, ["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert "sweep.values" in err
 
+    for key in ("b1", "b2"):
+        cfg = write_config(tmp_path, f"[initial]\n{key} = nan\n", name="nan.ini")
+        err = run_expecting(2, ["evolve", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert f"initial.{key}" in err
+
+    for n_levels in (401, 4):
+        cfg = write_config(
+            tmp_path, f"[oracle]\nn_levels = {n_levels}\n", name="levels.ini"
+        )
+        err = run_expecting(
+            2, ["oracle-compare", "--config", cfg, "--out", str(tmp_path / "x.csv")]
+        )
+        assert "oracle.n_levels" in err
+
     err = run_expecting(
         2, ["evolve", "--config", str(tmp_path / "missing.ini"), "--out", "x.csv"]
     )
@@ -402,3 +419,21 @@ def test_console_script_writes_same_bytes_as_api(tmp_path):
     cli_lines = out_cli.read_text().splitlines()
     # data identical; manifests differ only through the recorded output path
     assert api_lines[1:] == cli_lines[1:]
+
+
+def test_exported_names_resolve():
+    # stale entries left behind by deletions: __all__ names and the
+    # package's re-exports must all point at something real
+    for info in pkgutil.iter_modules(darkwells.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"darkwells.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"darkwells.{info.name}.__all__: {name}"
+    tree = ast.parse(Path(darkwells.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"darkwells.{node.module}")
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"darkwells.{node.module}: {alias.name}"
+                assert hasattr(darkwells, alias.asname or alias.name)

@@ -1,0 +1,97 @@
+"""Property tests of the exact wide-band propagator over random well pairs.
+
+Draws are derandomized with a fixed example count, so every run checks the
+same cases.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from darkwells.dynamics import amplitude_trajectory, asymptotic_probs, master_trajectory
+from darkwells.model import WellPair
+from darkwells.rotation import dark_state
+
+PROPERTY = settings(max_examples=80, derandomize=True, database=None, deadline=None)
+TOL = 1e-12
+
+widths = st.floats(0.05, 5.0)
+signs = st.sampled_from([1, -1])
+time_grids = st.lists(st.floats(0.0, 30.0), min_size=1, max_size=20).map(sorted)
+
+
+@st.composite
+def pairs(draw, aligned=False):
+    eps = 0.0 if aligned else draw(st.floats(-3.0, 3.0))
+    return WellPair.from_widths(
+        draw(widths), draw(widths), eta=draw(signs), epsilon=eps
+    )
+
+
+@st.composite
+def amplitudes(draw):
+    parts = draw(
+        st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+            lambda v: sum(x * x for x in v) > 1e-2
+        )
+    )
+    vec = np.array([complex(parts[0], parts[1]), complex(parts[2], parts[3])])
+    return vec / np.linalg.norm(vec)
+
+
+def projector(a):
+    return np.outer(a, a.conj())
+
+
+def triple(sigma):
+    return float(sigma[0, 0].real), float(sigma[1, 1].real), complex(sigma[0, 1])
+
+
+def occupation(pair, a, times):
+    return np.sum(np.abs(amplitude_trajectory(pair, a, times)) ** 2, axis=1)
+
+
+@PROPERTY
+@given(pair=pairs(), a=amplitudes(), b=amplitudes(), w=st.floats(0.0, 1.0),
+       times=time_grids)
+def test_master_trace_positivity_and_monotone_emission(pair, a, b, w, times):
+    # w = 1 is a pure start, anything else a genuine mixture of a and b
+    sigma0 = w * projector(a) + (1.0 - w) * projector(b)
+    traj = master_trajectory(pair, triple(sigma0), times)
+    np.testing.assert_allclose(
+        traj.sigma11 + traj.sigma22 + traj.sigma00, 1.0, rtol=0.0, atol=TOL
+    )
+    # linearity: the mixture keeps what its pure components keep
+    kept = w * occupation(pair, a, times) + (1.0 - w) * occupation(pair, b, times)
+    np.testing.assert_allclose(traj.occupation, kept, rtol=0.0, atol=TOL)
+    assert np.all(np.abs(traj.sigma12) ** 2 <= traj.sigma11 * traj.sigma22 + TOL)
+    assert np.all(np.diff(traj.sigma00) >= -TOL)
+
+
+@PROPERTY
+@given(pair=pairs(aligned=True), a=amplitudes(), times=time_grids)
+def test_dark_population_is_invariant_for_aligned_levels(pair, a, times):
+    d = dark_state(pair)
+    dark = master_trajectory(pair, triple(projector(d.astype(complex))), times)
+    np.testing.assert_allclose(dark.sigma11, d[0] ** 2, rtol=0.0, atol=TOL)
+    np.testing.assert_allclose(dark.sigma22, d[1] ** 2, rtol=0.0, atol=TOL)
+    np.testing.assert_allclose(dark.sigma12, d[0] * d[1], rtol=0.0, atol=TOL)
+    traj = master_trajectory(pair, triple(projector(a)), times)
+    population = (
+        d[0] ** 2 * traj.sigma11
+        + d[1] ** 2 * traj.sigma22
+        + 2.0 * d[0] * d[1] * traj.sigma12.real
+    )
+    np.testing.assert_allclose(
+        population, abs(d[0] * a[0] + d[1] * a[1]) ** 2, rtol=0.0, atol=TOL
+    )
+
+
+@PROPERTY
+@given(pair=pairs(aligned=True), a=amplitudes())
+def test_asymptotic_probs_match_long_time_propagation(pair, a):
+    t_long = 80.0 / (pair.gamma1 + pair.gamma2)
+    p_trapped, p_emitted = asymptotic_probs(pair, a)
+    traj = master_trajectory(pair, triple(projector(a)), [t_long])
+    assert traj.occupation[0] == pytest.approx(p_trapped, abs=TOL)
+    assert traj.sigma00[0] == pytest.approx(p_emitted, abs=TOL)
