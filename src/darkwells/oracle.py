@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DIM = 12000
+_MAX_FOCK_DIM = 250_000
 
 
 def default_cutoff(pair: WellPair) -> float:
@@ -411,7 +412,9 @@ class FockSpace:
 
     States are index tuples: strictly increasing for fermions,
     non-decreasing for bosons.  Enumeration is lexicographic, so basis
-    order is reproducible across runs and platforms.
+    order is reproducible across runs and platforms, and a state's index
+    is its rank in the combinatorial number system.  Spaces larger than
+    ``_MAX_FOCK_DIM`` are refused before anything is enumerated.
     """
 
     def __init__(self, n_modes: int, n_particles: int, statistics: str):
@@ -419,6 +422,8 @@ class FockSpace:
             raise ValueError(f"statistics must be 'fermi' or 'bose', got {statistics!r}")
         if n_particles < 1:
             raise ValueError("need at least one particle")
+        if n_modes < 1:
+            raise ValueError(f"need at least one mode, got {n_modes}")
         if statistics == "fermi" and n_particles > n_modes:
             raise ValueError(
                 f"cannot place {n_particles} fermions in {n_modes} modes"
@@ -426,6 +431,11 @@ class FockSpace:
         self.n_modes = int(n_modes)
         self.n_particles = int(n_particles)
         self.statistics = statistics
+        # bosons occupy the strictly increasing slots mode_i + i
+        self._slots = self.n_modes + (self.n_particles - 1 if statistics == "bose" else 0)
+        dim = math.comb(self._slots, self.n_particles)
+        if dim > _MAX_FOCK_DIM:
+            raise ValueError(f"Fock dimension {dim} exceeds the cap {_MAX_FOCK_DIM}")
         if statistics == "fermi":
             self.states = list(combinations(range(n_modes), n_particles))
         else:
@@ -437,20 +447,89 @@ class FockSpace:
         return len(self.states)
 
     @cached_property
+    def _modes(self) -> np.ndarray:
+        """(size, n_particles) sorted modes of each basis state."""
+        return np.array(self.states, dtype=np.int64)
+
+    @cached_property
+    def _binomials(self) -> np.ndarray:
+        """``C(x, k)`` for x < slots, k <= n_particles, clipped at the size.
+
+        Ranks of basis states only read entries no larger than the size,
+        so clipping changes nothing they use and keeps the table in int64.
+        """
+        n, size = self.n_particles, self.size
+        table = [[min(math.comb(x, k), size) for k in range(n + 1)] for x in range(self._slots)]
+        return np.array(table, dtype=np.int64)
+
+    def _rank(self, modes: np.ndarray) -> np.ndarray:
+        """Basis index of each row of sorted modes.
+
+        Lexicographic rank of a strictly increasing ``c`` among the
+        ``C(S, N)`` subsets of ``S`` slots: ``C(S, N) - 1 - sum_i C(S - 1 -
+        c_i, N - i)`` (Lin, PRB 42, 6561 (1990)).
+        """
+        n = self.n_particles
+        if self.statistics == "bose":
+            modes = modes + np.arange(n)
+        terms = self._binomials[self._slots - 1 - modes, np.arange(n, 0, -1)]
+        return self.size - 1 - terms.sum(axis=1)
+
+    @cached_property
     def occupation_matrix(self) -> np.ndarray:
         """(size, n_modes) occupation numbers, small unsigned ints."""
-        occ = np.zeros((self.size, self.n_modes), dtype=np.uint8)
-        for i, state in enumerate(self.states):
-            for m in state:
-                occ[i, m] += 1
+        occ = np.zeros((self.size, self.n_modes), dtype=np.min_scalar_type(self.n_particles))
+        rows = np.repeat(np.arange(self.size), self.n_particles)
+        np.add.at(occ, (rows, self._modes.ravel()), 1)
         return occ
 
     def mode_counts(self, first_modes: int) -> np.ndarray:
         """Particles among the first ``first_modes`` modes, per basis state."""
-        counts = np.zeros(self.size, dtype=np.int64)
-        for i, state in enumerate(self.states):
-            counts[i] = sum(1 for m in state if m < first_modes)
-        return counts
+        return np.count_nonzero(self._modes < first_modes, axis=1)
+
+
+def _hops(space: FockSpace, t: np.ndarray):
+    """Every nonzero ``t[q, p] <target| a_q^dagger a_p |source>`` on ``space``.
+
+    ``t`` is an (n_modes, n_modes) one-body matrix with zero diagonal.
+    Returns the arrays ``(source, target, p, q, value)``.  Fermion signs
+    are ``(-1)^(pos + ins)``: ``p`` sits at position ``pos`` of the source
+    tuple and ``q`` enters the remaining tuple at index ``ins``.  Boson
+    factors are ``sqrt(n_p (n_q + 1))``, with each occupied mode hopping
+    once however many particles hold it.
+    """
+    fermi = space.statistics == "fermi"
+    modes = space._modes
+    columns = sp.csc_matrix(t)  # column p lists the q with t[q, p] != 0
+    per_column = np.diff(columns.indptr)
+    parts = []
+    for pos in range(space.n_particles):
+        if fermi or pos == 0:
+            source = np.arange(space.size)
+        else:
+            source = np.flatnonzero(modes[:, pos] != modes[:, pos - 1])
+        counts = per_column[modes[source, pos]]
+        source = np.repeat(source, counts)
+        p = modes[source, pos]
+        # the k-th copy of a row reads entry k of column p
+        first_copy = np.repeat(np.cumsum(counts) - counts, counts)
+        entry = columns.indptr[p] + np.arange(source.size) - first_copy
+        q = columns.indices[entry]
+        value = columns.data[entry]
+        held = modes[source]
+        n_q = np.count_nonzero(held == q[:, None], axis=1)
+        if fermi:
+            free = n_q == 0
+            source, p, q, value, held = source[free], p[free], q[free], value[free], held[free]
+            ins = np.count_nonzero(held < q[:, None], axis=1) - (p < q)
+            value = np.where((pos + ins) % 2, -value, value)
+        else:
+            n_p = np.count_nonzero(held == p[:, None], axis=1)
+            value = value * np.sqrt(n_p * (n_q + 1.0))
+        rest = np.delete(held, pos, axis=1)
+        target = space._rank(np.sort(np.column_stack((rest, q)), axis=1))
+        parts.append((source, target, p, q, value))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def dot_mode_count(model: WellPair | ParallelWellPair) -> int:
@@ -459,37 +538,21 @@ def dot_mode_count(model: WellPair | ParallelWellPair) -> int:
 
 
 def _one_body_terms(model: WellPair | ParallelWellPair, res: DiscretizedReservoir):
-    """Mode energies and the dot-reservoir hop list for the Fock builder.
+    """Mode energies, dot-reservoir amplitudes and the same-site mode pairs.
 
     Mode layout: wells first (well1[, well1'], well2[, well2']), then the
-    reservoir levels in energy order.
+    reservoir levels in energy order.  The amplitude block is (n_dots,
+    n_levels).  In the parallel model a well's two levels share a site and
+    pay ``U`` when both are filled; those mode pairs come third.
     """
-    pair = model.base if isinstance(model, ParallelWellPair) else model
-    coup = reservoir_couplings(pair, res)
-    n_dots = dot_mode_count(model)
     if isinstance(model, ParallelWellPair):
-        energies = np.concatenate(
-            ([pair.E1, pair.E1, pair.E2, pair.E2], res.energies)
-        )
-        dot_amps = [
-            coup[:, 0],
-            model.yprime * coup[:, 0],
-            coup[:, 1],
-            model.yprime * coup[:, 1],
-        ]
+        pair, scales, sites = model.base, (1.0, model.yprime), [(0, 1), (2, 3)]
     else:
-        energies = np.concatenate(([pair.E1, pair.E2], res.energies))
-        dot_amps = [coup[:, 0], coup[:, 1]]
-    partners: list[list[tuple[int, float]]] = [[] for _ in range(n_dots + res.n_levels)]
-    for d in range(n_dots):
-        amps = dot_amps[d]
-        for r in range(res.n_levels):
-            amp = float(amps[r])
-            if amp == 0.0:
-                continue
-            partners[d].append((n_dots + r, amp))
-            partners[n_dots + r].append((d, amp))
-    return energies, partners
+        pair, scales, sites = model, (1.0,), []
+    coup = reservoir_couplings(pair, res)
+    wells = [energy for energy in (pair.E1, pair.E2) for _ in scales]
+    block = np.array([s * coup[:, j] for j in (0, 1) for s in scales])
+    return np.concatenate((wells, res.energies)), block, sites
 
 
 def build_fock_hamiltonian(
@@ -504,58 +567,29 @@ def build_fock_hamiltonian(
     this basis.  Fermionic signs follow the mode order of the basis
     tuples.
     """
-    n_dots = dot_mode_count(model)
-    if space.n_modes != n_dots + res.n_levels:
+    energies, block, sites = _one_body_terms(model, res)
+    if space.n_modes != energies.size:
         raise ValueError(
-            f"space has {space.n_modes} modes, model needs {n_dots + res.n_levels}"
+            f"space has {space.n_modes} modes, model needs {energies.size}"
         )
-    energies, partners = _one_body_terms(model, res)
-    u_value = model.U if isinstance(model, ParallelWellPair) else 0.0
-    fermi = space.statistics == "fermi"
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for idx, state in enumerate(space.states):
-        diag = float(sum(energies[m] for m in state))
-        if u_value != 0.0:
-            # pairs (well, well') share a site and pay U when both are filled
-            for w in range(0, n_dots, 2):
-                n_a = state.count(w)
-                n_b = state.count(w + 1)
-                diag += u_value * n_a * n_b
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(diag)
-        seen: set[int] = set()
-        for pos, m in enumerate(state):
-            if m in seen:
-                continue
-            seen.add(m)
-            for q, amp in partners[m]:
-                if fermi:
-                    if q in state:
-                        continue
-                    rest = state[:pos] + state[pos + 1 :]
-                    ins = 0
-                    while ins < len(rest) and rest[ins] < q:
-                        ins += 1
-                    target = rest[:ins] + (q,) + rest[ins:]
-                    sign = -1.0 if (pos + ins) % 2 else 1.0
-                    rows.append(space.index[target])
-                    cols.append(idx)
-                    vals.append(sign * amp)
-                else:
-                    n_m = state.count(m)
-                    n_q = state.count(q)
-                    rest = list(state)
-                    rest.remove(m)
-                    rest.append(q)
-                    rest.sort()
-                    target = tuple(rest)
-                    rows.append(space.index[target])
-                    cols.append(idx)
-                    vals.append(amp * math.sqrt(n_m * (n_q + 1)))
-    h = sp.coo_matrix((vals, (rows, cols)), shape=(space.size, space.size))
+    modes = space._modes
+    diag = energies[modes].sum(axis=1)
+    for a, b in sites:
+        n_a, n_b = (np.count_nonzero(modes == m, axis=1) for m in (a, b))
+        diag += model.U * n_a * n_b
+    n_dots = block.shape[0]
+    t = np.zeros((space.n_modes, space.n_modes))
+    t[:n_dots, n_dots:] = block
+    t[n_dots:, :n_dots] = block.T
+    source, target, _, _, value = _hops(space, t)
+    states = np.arange(space.size)
+    h = sp.coo_matrix(
+        (
+            np.concatenate((diag, value)),
+            (np.concatenate((states, target)), np.concatenate((states, source))),
+        ),
+        shape=(space.size, space.size),
+    )
     return h.tocsr()
 
 
@@ -565,19 +599,8 @@ def fock_spectral_bounds(
     n_particles: int,
 ) -> tuple[float, float]:
     """Rigorous many-body spectral enclosure for the Chebyshev propagator."""
-    energies, _ = _one_body_terms(model, res)
-    pair = model.base if isinstance(model, ParallelWellPair) else model
-    coup = reservoir_couplings(pair, res)
-    if isinstance(model, ParallelWellPair):
-        col = np.concatenate(
-            (
-                coup[:, 0] ** 2 * (1.0 + model.yprime**2),
-                coup[:, 1] ** 2 * (1.0 + model.yprime**2),
-            )
-        )
-    else:
-        col = np.concatenate((coup[:, 0] ** 2, coup[:, 1] ** 2))
-    off_norm = math.sqrt(float(col.sum()))
+    energies, block, _ = _one_body_terms(model, res)
+    off_norm = math.sqrt(float(np.sum(block**2)))
     e_lo = float(energies.min()) - off_norm
     e_hi = float(energies.max()) + off_norm
     u_value = model.U if isinstance(model, ParallelWellPair) else 0.0
@@ -632,46 +655,18 @@ def reduced_quantities(
     """
     psi = np.asarray(psi, dtype=complex)
     weights = np.abs(psi) ** 2
-    occ = space.occupation_matrix.astype(float).T @ weights
-    dots = space.mode_counts(n_dot_modes)
-    res_counts = space.n_particles - dots
+    occ = np.bincount(
+        space._modes.ravel(),
+        weights=np.repeat(weights, space.n_particles),
+        minlength=space.n_modes,
+    )
+    res_counts = space.n_particles - space.mode_counts(n_dot_modes)
     probs = np.bincount(res_counts, weights=weights, minlength=space.n_particles + 1)
-    rdm = np.zeros((n_dot_modes, n_dot_modes), dtype=complex)
-    for p in range(n_dot_modes):
-        rdm[p, p] = occ[p]
-    fermi = space.statistics == "fermi"
-    for idx, state in enumerate(space.states):
-        if psi[idx] == 0.0:
-            continue
-        seen: set[int] = set()
-        for pos, q in enumerate(state):
-            if q >= n_dot_modes or q in seen:
-                continue
-            seen.add(q)
-            for p in range(n_dot_modes):
-                if p == q:
-                    continue
-                # contribution <state - q + p| a_p^dag a_q |state>, which by
-                # the rdm[x, y] = <a_y^dag a_x> convention lands in rdm[q, p]
-                if fermi:
-                    if p in state:
-                        continue
-                    rest = state[:pos] + state[pos + 1 :]
-                    ins = 0
-                    while ins < len(rest) and rest[ins] < p:
-                        ins += 1
-                    target = rest[:ins] + (p,) + rest[ins:]
-                    sign = -1.0 if (pos + ins) % 2 else 1.0
-                    rdm[q, p] += sign * psi[space.index[target]].conjugate() * psi[idx]
-                else:
-                    n_q = state.count(q)
-                    n_p = state.count(p)
-                    rest = list(state)
-                    rest.remove(q)
-                    rest.append(p)
-                    rest.sort()
-                    factor = math.sqrt(n_q * (n_p + 1))
-                    rdm[q, p] += factor * psi[space.index[tuple(rest)]].conjugate() * psi[idx]
+    rdm = np.diag(occ[:n_dot_modes]).astype(complex)
+    t = np.zeros((space.n_modes, space.n_modes))
+    t[:n_dot_modes, :n_dot_modes] = 1.0 - np.eye(n_dot_modes)
+    source, target, p, q, value = _hops(space, t)
+    np.add.at(rdm, (p, q), value * psi[target].conj() * psi[source])
     return ReducedQuantities(
         mode_occupations=occ,
         reservoir_count_probs=probs,

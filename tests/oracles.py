@@ -4,10 +4,11 @@ Each oracle recomputes a result through a different algorithm and, where
 possible, different arithmetic than the library code: a literal stage-by-
 stage RK4 integrator with its own right-hand side, ``expm`` of the literal
 4x4 master-equation generator, ``expm`` of the literal 2x2 effective
-Hamiltonian, determinant-based fermionic expansions, and an
+Hamiltonian, determinant-based fermionic expansions, an
 iterated-operator polynomial expansion over Z[sqrt(y)] for the boson
-rotations.  Agreement between library and oracle then checks the physics,
-not a shared code path.
+rotations, and literal second quantization on occupation vectors for the
+many-body Hamiltonian and reduced quantities.  Agreement between library
+and oracle then checks the physics, not a shared code path.
 """
 
 from __future__ import annotations
@@ -187,3 +188,101 @@ def permutation_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def _occupation_vectors(n_modes, n_particles, max_per_mode):
+    """Every occupation vector with the given total, by recursion over modes."""
+    if n_modes == 0:
+        return [()] if n_particles == 0 else []
+    out = []
+    for n in range(min(n_particles, max_per_mode) + 1):
+        for rest in _occupation_vectors(n_modes - 1, n_particles - n, max_per_mode):
+            out.append((n,) + rest)
+    return out
+
+
+def _hop(occ, q, p, fermi):
+    """``a_q^dagger a_p |occ>`` as (amplitude, occupation), or None if it vanishes.
+
+    Fermions: each operator on mode ``m`` carries the Jordan-Wigner sign
+    ``(-1)^(sum_{k<m} n_k)``; bosons: ``sqrt(n_p)`` then ``sqrt(n_q + 1)``.
+    """
+    occ = list(occ)
+    if occ[p] == 0:
+        return None
+    amp = (-1) ** sum(occ[:p]) if fermi else math.sqrt(occ[p])
+    occ[p] -= 1
+    if fermi and occ[q]:
+        return None
+    amp *= (-1) ** sum(occ[:q]) if fermi else math.sqrt(occ[q] + 1)
+    occ[q] += 1
+    return amp, tuple(occ)
+
+
+def fock_hamiltonian_reference(model, res, n_particles, statistics):
+    """Dense many-body Hamiltonian by literal second quantization.
+
+    ``model`` is a two-well pair, or a parallel model (it has ``base``,
+    ``yprime`` and ``U``).  The modes are rebuilt from the fields: wells
+    (well1[, well1'], well2[, well2']) coupled to every level of the
+    uniform grid ``-cutoff + (k + 1/2) spacing`` with amplitude ``omega_j
+    sqrt(rho spacing)``, times ``yprime`` for a primed well, which pays
+    ``U n n'`` with its partner.  Returns ``(basis, h)``: the occupation
+    vectors and the matrix ``<basis[i]| H |basis[j]>``.
+    """
+    parallel = hasattr(model, "base")
+    pair = model.base if parallel else model
+    g = math.sqrt(pair.rho * res.spacing)
+    if parallel:
+        wells = [
+            (pair.E1, pair.omega1 * g),
+            (pair.E1, model.yprime * pair.omega1 * g),
+            (pair.E2, pair.omega2 * g),
+            (pair.E2, model.yprime * pair.omega2 * g),
+        ]
+        u_pairs = [(0, 1, model.U), (2, 3, model.U)]
+    else:
+        wells = [(pair.E1, pair.omega1 * g), (pair.E2, pair.omega2 * g)]
+        u_pairs = []
+    levels = [-res.cutoff + res.spacing * (k + 0.5) for k in range(res.n_levels)]
+    energies = [e for e, _ in wells] + levels
+    n_dots, n_modes = len(wells), len(energies)
+    fermi = statistics == "fermi"
+    basis = _occupation_vectors(n_modes, n_particles, 1 if fermi else n_particles)
+    where = {occ: i for i, occ in enumerate(basis)}
+    h = np.zeros((len(basis), len(basis)))
+    for i, occ in enumerate(basis):
+        h[i, i] = sum(e * n for e, n in zip(energies, occ))
+        h[i, i] += sum(u * occ[a] * occ[b] for a, b, u in u_pairs)
+        for d, (_, amp) in enumerate(wells):
+            for r in range(n_dots, n_modes):
+                for q, p in ((d, r), (r, d)):
+                    hop = _hop(occ, q, p, fermi)
+                    if hop is not None:
+                        h[where[hop[1]], i] += amp * hop[0]
+    return basis, h
+
+
+def fock_reduced_reference(basis, psi, n_dot_modes, statistics):
+    """Occupations, P(m particles beyond the dots) and ``<a_q^dagger a_p>``.
+
+    ``psi`` holds the amplitudes on the occupation vectors ``basis``;
+    every dot-block entry ``rdm[p, q]`` is summed from the literal
+    operator ``a_q^dagger a_p``, diagonal included.
+    """
+    fermi = statistics == "fermi"
+    where = {occ: i for i, occ in enumerate(basis)}
+    n_particles = sum(basis[0])
+    occupations = np.zeros(len(basis[0]))
+    probs = np.zeros(n_particles + 1)
+    rdm = np.zeros((n_dot_modes, n_dot_modes), dtype=complex)
+    for i, occ in enumerate(basis):
+        weight = abs(psi[i]) ** 2
+        occupations += weight * np.array(occ)
+        probs[n_particles - sum(occ[:n_dot_modes])] += weight
+        for p in range(n_dot_modes):
+            for q in range(n_dot_modes):
+                hop = _hop(occ, q, p, fermi)
+                if hop is not None:
+                    rdm[p, q] += np.conj(psi[where[hop[1]]]) * hop[0] * psi[i]
+    return occupations, probs, rdm

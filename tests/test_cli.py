@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -437,3 +438,20 @@ def test_exported_names_resolve():
             for alias in node.names:
                 assert hasattr(module, alias.name), f"darkwells.{node.module}: {alias.name}"
                 assert hasattr(darkwells, alias.asname or alias.name)
+
+
+def test_benchmark_trace_hooks_name_real_attributes():
+    # perfbench/tracing.py wraps these attributes by name and silently skips
+    # a missing one, so a rename would zero its per-layer metrics unnoticed
+    import darkwells.oracle
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, spans in (
+        (darkwells.cli, tracing.CLI_SPANS),
+        (darkwells.oracle, tracing.ORACLE_SPANS),
+    ):
+        missing = sorted(name for name in spans if not hasattr(module, name))
+        assert not missing, f"{module.__name__} lacks {missing}"

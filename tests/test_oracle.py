@@ -25,6 +25,7 @@ from darkwells.oracle import (
     slater_reservoir_distribution,
 )
 from darkwells.rotation import check_constant_ratio, dark_state
+from oracles import fock_hamiltonian_reference, fock_reduced_reference
 
 
 def test_reservoir_grid_geometry():
@@ -224,6 +225,29 @@ def test_fock_space_enumeration():
         FockSpace(3, 0, "bose")
     with pytest.raises(ValueError):
         FockSpace(3, 1, "maxwell")
+    with pytest.raises(ValueError, match="mode"):
+        FockSpace(0, 1, "bose")
+    # dimension ~4.2e18: refused from math.comb, before any enumeration
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        FockSpace(10**5, 4, "fermi")
+
+
+@pytest.mark.parametrize(
+    "n_modes, n_particles, statistics",
+    [(14, 3, "fermi"), (14, 3, "bose"), (6, 6, "fermi"), (1, 4, "bose"), (2, 256, "bose")],
+)
+def test_fock_rank_round_trips(n_modes, n_particles, statistics):
+    space = FockSpace(n_modes, n_particles, statistics)
+    np.testing.assert_array_equal(space._rank(space._modes), np.arange(space.size))
+
+
+def test_boson_occupations_do_not_wrap():
+    space = FockSpace(2, 256, "bose")
+    psi = fock_basis_state(space, [0] * 256)
+    np.testing.assert_array_equal(space.occupation_matrix[space.index[(0,) * 256]], [256, 0])
+    red = reduced_quantities(space, psi, 1)
+    np.testing.assert_array_equal(red.mode_occupations, [256, 0])
+    np.testing.assert_array_equal(red.dot_rdm, [[256]])
 
 
 def test_fock_basis_state_lookup():
@@ -257,6 +281,29 @@ def test_fock_hamiltonian_is_hermitian():
         assert gap < 1e-12
     with pytest.raises(ValueError, match="modes"):
         build_fock_hamiltonian(model, res, FockSpace(10, 2, "fermi"))
+
+
+@pytest.mark.parametrize("statistics", ["fermi", "bose"])
+@pytest.mark.parametrize("n_particles", [1, 2, 3])
+@pytest.mark.parametrize("parallel", [False, True])
+def test_fock_operators_match_second_quantization(parallel, n_particles, statistics):
+    base = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    model = ParallelWellPair(base=base, yprime=0.7, U=1.5) if parallel else base
+    res = DiscretizedReservoir.uniform(10, 4.0)
+    n_dots = dot_mode_count(model)
+    space = FockSpace(n_dots + 10, n_particles, statistics)
+    basis, want = fock_hamiltonian_reference(model, res, n_particles, statistics)
+    order = [space.index[tuple(m for m, n in enumerate(occ) for _ in range(n))] for occ in basis]
+    h = build_fock_hamiltonian(model, res, space).toarray()[np.ix_(order, order)]
+    np.testing.assert_allclose(h, want, rtol=0, atol=1e-13)
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=space.size) + 1j * rng.normal(size=space.size)
+    psi /= np.linalg.norm(psi)
+    red = reduced_quantities(space, psi, n_dots)
+    occ, probs, rdm = fock_reduced_reference(basis, psi[order], n_dots, statistics)
+    np.testing.assert_allclose(red.mode_occupations, occ, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(red.reservoir_count_probs, probs, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(red.dot_rdm, rdm, rtol=0, atol=1e-13)
 
 
 def test_fock_spectral_bounds_enclose_spectrum():
