@@ -1,5 +1,7 @@
 """Two distant wells, one shared continuum: dark states and their dynamics."""
 
+import importlib
+
 from .model import (
     DegenerateSystemError,
     DerivedParams,
@@ -40,25 +42,6 @@ from .dynamics import (
     master_trajectory,
     slow_decay_rate,
 )
-from .oracle import (
-    DiscretizedReservoir,
-    FockSpace,
-    OracleRun,
-    ReducedQuantities,
-    build_fock_hamiltonian,
-    build_single_particle_hamiltonian,
-    chebyshev_propagate,
-    convergence_report,
-    default_cutoff,
-    evolve_exact,
-    evolve_fock,
-    fock_basis_state,
-    reduced_quantities,
-    reservoir_couplings,
-    single_particle_trajectory,
-    slater_dot_rdm,
-    slater_reservoir_distribution,
-)
 from .fermions import (
     EffectiveSingleParticle,
     FermionAsymptoticState,
@@ -86,3 +69,31 @@ from .bosons import (
 )
 
 __version__ = "0.1.0"
+
+# The brute-force oracle loads scipy.sparse and scipy.special; its names are
+# imported on first use (PEP 562) so the analytic tiers start without them.
+_ORACLE_EXPORTS = frozenset((
+    "DiscretizedReservoir",
+    "FockSpace",
+    "OracleRun",
+    "ReducedQuantities",
+    "build_fock_hamiltonian",
+    "build_single_particle_hamiltonian",
+    "chebyshev_propagate",
+    "convergence_report",
+    "default_cutoff",
+    "evolve_exact",
+    "evolve_fock",
+    "fock_basis_state",
+    "reduced_quantities",
+    "reservoir_couplings",
+    "single_particle_trajectory",
+    "slater_dot_rdm",
+    "slater_reservoir_distribution",
+))
+
+
+def __getattr__(name):
+    if name in _ORACLE_EXPORTS:
+        return getattr(importlib.import_module(".oracle", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -51,7 +51,6 @@ from .fermions import (
     two_electron_parallel_asymptotic,
 )
 from .model import ParallelWellPair, WellPair, derive
-from .oracle import convergence_report, single_particle_trajectory
 from .rotation import dark_state
 
 __all__ = ["ConfigError", "Scenario", "RunResult", "load_config", "render", "run", "main"]
@@ -410,7 +409,20 @@ def _run_dwell(scenario):
     return columns, rows, resolved, {}
 
 
+def single_particle_trajectory(*args, **kwargs):
+    """Forward to :func:`darkwells.oracle.single_particle_trajectory`.
+
+    The oracle loads scipy.sparse and scipy.special, so it is imported on
+    the first oracle run instead of with the CLI.
+    """
+    from .oracle import single_particle_trajectory as run
+
+    return run(*args, **kwargs)
+
+
 def _run_oracle_compare(scenario):
+    from .oracle import DEFAULT_MAX_DIM, convergence_report
+
     pair, resolved = _single_particle_model(scenario.sections)
     (b1, b2), res_init = _resolve_initial(scenario.sections)
     times, res_grid = _resolve_grid(scenario.sections, default_t_max=8.0 / (pair.gamma1 + pair.gamma2))
@@ -428,6 +440,12 @@ def _run_oracle_compare(scenario):
     method = _parse_choice(
         scenario.sections, "oracle", "method", ("auto", "dense", "chebyshev"), "auto"
     )
+    if method == "dense" and n_levels + 2 > DEFAULT_MAX_DIM:
+        raise ConfigError(
+            f"oracle.n_levels: the dense method is capped at dimension "
+            f"{DEFAULT_MAX_DIM}, and n_levels + 2 = {n_levels + 2} exceeds it; "
+            "use method = chebyshev or auto"
+        )
     resolved.update({"oracle.n_levels": n_levels, "oracle.method": method})
     if cutoff is not None:
         resolved["oracle.cutoff"] = cutoff

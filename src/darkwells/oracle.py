@@ -60,6 +60,9 @@ __all__ = [
 
 DEFAULT_MAX_DIM = 12000
 _MAX_FOCK_DIM = 250_000
+# output times evolved per batched product in evolve_exact; bounds the
+# temporaries beyond the output to O(_TIME_BLOCK * dim)
+_TIME_BLOCK = 64
 
 
 def default_cutoff(pair: WellPair) -> float:
@@ -184,6 +187,14 @@ def _check_norm(psi: np.ndarray) -> None:
         raise ValueError(f"initial vector has norm {norm}; normalize it first")
 
 
+def _check_dense_cap(dim: int, max_dim: int) -> None:
+    if dim > max_dim:
+        raise ValueError(
+            f"dimension {dim} exceeds the dense cap {max_dim}; use "
+            "chebyshev_propagate (sparse) or raise max_dim deliberately"
+        )
+
+
 def evolve_exact(
     h: np.ndarray,
     psi0: np.ndarray,
@@ -196,17 +207,14 @@ def evolve_exact(
     Validates Hermiticity, refuses dimensions above ``max_dim`` (dense
     eigen-solves beyond that are a resource mistake, use the Chebyshev
     path), and verifies the norm is preserved to ``norm_tol`` at every
-    requested time.
+    requested time.  The eigenbasis is applied to blocks of output times
+    in one matrix product each.
     """
     h = np.asarray(h)
     dim = h.shape[0]
     if h.ndim != 2 or h.shape[1] != dim:
         raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
-    if dim > max_dim:
-        raise ValueError(
-            f"dimension {dim} exceeds the dense cap {max_dim}; use "
-            "chebyshev_propagate (sparse) or raise max_dim deliberately"
-        )
+    _check_dense_cap(dim, max_dim)
     scale = float(np.abs(h).max())
     if float(np.abs(h - h.conj().T).max()) > 1e-12 * max(1.0, scale):
         raise ValueError("Hamiltonian is not Hermitian")
@@ -216,11 +224,23 @@ def evolve_exact(
     evals, evecs = np.linalg.eigh(h)
     coeff = evecs.conj().T @ psi0
     out = np.empty((times.size, dim), dtype=complex)
-    for k, t in enumerate(times):
-        out[k] = evecs @ (np.exp(-1j * evals * t) * coeff)
-        drift = abs(float(np.linalg.norm(out[k])) - 1.0)
-        if drift > norm_tol:
-            raise RuntimeError(f"norm drifted by {drift} at t = {t}")
+    for start in range(0, times.size, _TIME_BLOCK):
+        block = slice(start, start + _TIME_BLOCK)
+        phases = np.exp(-1j * np.outer(times[block], evals)) * coeff
+        if np.iscomplexobj(evecs):
+            out[block] = phases @ evecs.T
+        else:
+            # two real products: a complex one would cast evecs every block
+            rows = out[block]
+            rows.real = phases.real @ evecs.T
+            rows.imag = phases.imag @ evecs.T
+        drift = np.abs(np.linalg.norm(out[block], axis=1) - 1.0)
+        failed = np.flatnonzero(drift > norm_tol)
+        if failed.size:
+            k = failed[0]
+            raise RuntimeError(
+                f"norm drifted by {float(drift[k])} at t = {times[start + k]}"
+            )
     return out
 
 
@@ -238,8 +258,12 @@ def _hermitian_bounds(h) -> tuple[float, float]:
     return float(diag.min()) - off_norm, float(diag.max()) + off_norm
 
 
-def _chebyshev_step(h_scaled, psi, a: float, tol: float = 1e-16) -> np.ndarray:
-    """Apply exp(-i * a * h_scaled) with spec(h_scaled) in [-1, 1]."""
+def _chebyshev_step(h2, psi, a: float, tol: float = 1e-16) -> np.ndarray:
+    """Apply exp(-i * a * h_scaled) with spec(h_scaled) in [-1, 1].
+
+    ``h2`` is ``2 * h_scaled``, the recurrence's factor folded in, and
+    complex, so no product upcasts it.  ``psi`` is left untouched.
+    """
     if a == 0.0:
         return psi.copy()
     k_max = int(math.ceil(a + 50.0 + 8.0 * a ** (1.0 / 3.0)))
@@ -247,17 +271,23 @@ def _chebyshev_step(h_scaled, psi, a: float, tol: float = 1e-16) -> np.ndarray:
     # truncate once the Bessel tail is dead
     significant = np.flatnonzero(np.abs(coeffs) > tol)
     k_max = int(significant[-1]) if significant.size else 0
-    phi_prev = psi.astype(complex)
-    out = coeffs[0] * phi_prev
+    out = coeffs[0] * psi
     if k_max == 0:
         return out
-    phi = h_scaled @ phi_prev
+    phi_prev = psi.copy()
+    phi = h2 @ phi_prev
+    phi *= 0.5
+    term = np.empty_like(out)
     factor = -2.0j
-    out = out + factor * coeffs[1] * phi
+    np.multiply(phi, factor * coeffs[1], out=term)
+    out += term
     for k in range(2, k_max + 1):
-        phi_prev, phi = phi, 2.0 * (h_scaled @ phi) - phi_prev
+        # T_k = 2 h T_{k-1} - T_{k-2}, written over T_{k-2}
+        np.subtract(h2 @ phi, phi_prev, out=phi_prev)
+        phi_prev, phi = phi, phi_prev
         factor *= -1j
-        out = out + factor * coeffs[k] * phi
+        np.multiply(phi, factor * coeffs[k], out=term)
+        out += term
     return out
 
 
@@ -292,9 +322,9 @@ def chebyshev_propagate(
     half = 0.5 * (e_max - e_min) * (1.0 + 1e-12) + 1e-300
     dim = h.shape[0]
     if sp.issparse(h):
-        h_scaled = (h - sp.identity(dim, format="csr") * center) * (1.0 / half)
+        h2 = ((h - sp.identity(dim, format="csr") * center) * (2.0 / half)).astype(complex)
     else:
-        h_scaled = (np.asarray(h, dtype=complex) - center * np.eye(dim)) / half
+        h2 = (np.asarray(h, dtype=complex) - center * np.eye(dim)) / (0.5 * half)
     psi = np.asarray(psi0, dtype=complex)
     norm0 = np.linalg.norm(psi, axis=0)
     check_norm = bool(np.all(np.abs(norm0 - 1.0) < 1e-9))
@@ -303,9 +333,9 @@ def chebyshev_propagate(
     for k, t in enumerate(times):
         dt = t - t_now
         if dt > 0.0:
-            psi = _chebyshev_step(h_scaled, psi, half * dt)
+            psi = _chebyshev_step(h2, psi, half * dt)
             if center != 0.0:
-                psi = psi * np.exp(-1j * center * dt)
+                psi *= np.exp(-1j * center * dt)
             t_now = t
         out[k] = psi
         if check_norm:
@@ -364,6 +394,7 @@ def single_particle_trajectory(
     if method == "auto":
         method = "dense" if dim <= 1500 else "chebyshev"
     if method == "dense":
+        _check_dense_cap(dim, max_dim)
         h = build_single_particle_hamiltonian(pair, res)
         states = evolve_exact(h, psi0, times, max_dim=max_dim)
     elif method == "chebyshev":

@@ -4,7 +4,8 @@ Each oracle recomputes a result through a different algorithm and, where
 possible, different arithmetic than the library code: a literal stage-by-
 stage RK4 integrator with its own right-hand side, ``expm`` of the literal
 4x4 master-equation generator, ``expm`` of the literal 2x2 effective
-Hamiltonian, determinant-based fermionic expansions, an
+Hamiltonian, ``expm`` of a whole Hamiltonian at each output time for the
+oracle's propagators, determinant-based fermionic expansions, an
 iterated-operator polynomial expansion over Z[sqrt(y)] for the boson
 rotations, and literal second quantization on occupation vectors for the
 many-body Hamiltonian and reduced quantities.  Agreement between library
@@ -93,6 +94,21 @@ def effective_hamiltonian_sigma(gamma1, gamma2, eta, eps, amplitudes, t):
     )
     a1, a2 = expm(-1j * t * h_eff) @ np.asarray(amplitudes, dtype=complex)
     return abs(a1) ** 2, abs(a2) ** 2, complex(a1 * np.conj(a2))
+
+
+def expm_propagate(h, psi0, times):
+    """States ``expm(-i h t) @ psi0`` at each time, one ``expm`` per time.
+
+    ``h`` is a dense array or anything with ``toarray()``; ``psi0`` is a
+    vector or a (dim, k) orbital stack.  No eigenbasis, step or expansion
+    is shared between times.  Returns shape ``(len(times),) + psi0.shape``.
+    """
+    h = np.asarray(h.toarray() if hasattr(h, "toarray") else h, dtype=complex)
+    psi0 = np.asarray(psi0, dtype=complex)
+    out = np.empty((len(times),) + psi0.shape, dtype=complex)
+    for k, t in enumerate(times):
+        out[k] = expm(-1j * t * h) @ psi0
+    return out
 
 
 def fermion_expansion_oracle(vectors, n_modes):

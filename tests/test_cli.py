@@ -440,6 +440,44 @@ def test_exported_names_resolve():
                 assert hasattr(darkwells, alias.asname or alias.name)
 
 
+def test_oracle_is_imported_lazily():
+    # the analytic kinds must start without the oracle's scipy.sparse and
+    # scipy.special; the package still serves the oracle names on demand
+    src = str(Path(darkwells.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "import {module}\n"
+        "heavy = ('darkwells.oracle', 'scipy.sparse', 'scipy.special')\n"
+        "print(sorted(name for name in heavy if name in sys.modules))\n"
+        "import darkwells\n"
+        "served = {{name: getattr(darkwells, name) for name in darkwells._ORACLE_EXPORTS}}\n"
+        "import darkwells.oracle as oracle\n"
+        "print(len(served), all(served[name] is getattr(oracle, name) for name in served))\n"
+    )
+    for module in ("darkwells.cli", "darkwells"):
+        out = subprocess.run(
+            [sys.executable, "-c", probe.format(module=module)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.split("\n")[:2] == ["[]", "17 True"], (module, out.stdout)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        darkwells.no_such_name
+
+
+def test_dense_oracle_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
+    import darkwells.oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Hamiltonian built before the cap was checked")
+
+    monkeypatch.setattr(darkwells.oracle, "build_single_particle_hamiltonian", refuse)
+    cfg = write_config(tmp_path, "[oracle]\nn_levels = 20000\nmethod = dense\n")
+    assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "oracle.n_levels" in capsys.readouterr().err
+
+
 def test_benchmark_trace_hooks_name_real_attributes():
     # perfbench/tracing.py wraps these attributes by name and silently skips
     # a missing one, so a rename would zero its per-layer metrics unnoticed

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from darkwells.dynamics import analytic_sigma_symmetric
 from darkwells.model import ParallelWellPair, WellPair
@@ -25,7 +26,7 @@ from darkwells.oracle import (
     slater_reservoir_distribution,
 )
 from darkwells.rotation import check_constant_ratio, dark_state
-from oracles import fock_hamiltonian_reference, fock_reduced_reference
+from oracles import expm_propagate, fock_hamiltonian_reference, fock_reduced_reference
 
 
 def test_reservoir_grid_geometry():
@@ -108,6 +109,65 @@ def test_chebyshev_matches_dense_eigensolve():
     # dense input and explicit bounds take the same path
     che2 = chebyshev_propagate(dense, psi0, times, bounds=(-12.0, 12.0))
     np.testing.assert_allclose(che2, ref, atol=1e-11)
+
+
+# non-uniform, with t = 0, a repeated time (dt = 0) and more times than one
+# batched block of evolve_exact
+_REFERENCE_TIMES = np.concatenate(([0.0, 0.35, 0.35], np.linspace(0.5, 3.0, 70) ** 1.5))
+
+
+def _random_hermitian(rng, dim, complex_entries):
+    a = rng.standard_normal((dim, dim))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal((dim, dim))
+    return 0.5 * (a + a.conj().T)
+
+
+@pytest.mark.parametrize("complex_entries", [True, False], ids=["complex_h", "real_h"])
+def test_propagators_match_expm_reference(complex_entries):
+    # complex h takes evolve_exact's complex-eigenvector branch; real h
+    # with a complex start takes the two real products
+    rng = np.random.default_rng(11)
+    dim = 20
+    h = _random_hermitian(rng, dim, complex_entries)
+    psi0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi0 /= np.linalg.norm(psi0)
+    ref = expm_propagate(h, psi0, _REFERENCE_TIMES)
+    exact = evolve_exact(h, psi0, _REFERENCE_TIMES)
+    assert exact.shape == (_REFERENCE_TIMES.size, dim) and exact.flags.c_contiguous
+    np.testing.assert_allclose(exact, ref, rtol=0, atol=1e-12)
+    for h_in in (h, sp.csr_matrix(h)):
+        che = chebyshev_propagate(h_in, psi0, _REFERENCE_TIMES)
+        np.testing.assert_allclose(che, ref, rtol=0, atol=1e-12)
+
+
+def test_propagators_match_expm_reference_on_sparse_orbital_stack():
+    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    res = DiscretizedReservoir.uniform(40, 6.0)
+    h = build_single_particle_hamiltonian(pair, res, sparse=True)
+    dim = 42
+    rng = np.random.default_rng(5)
+    stack, _ = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
+    ref = expm_propagate(h, stack, _REFERENCE_TIMES)
+    che = chebyshev_propagate(h, stack, _REFERENCE_TIMES)
+    np.testing.assert_allclose(che, ref, rtol=0, atol=1e-12)
+    for col in range(2):
+        exact = evolve_exact(h.toarray(), stack[:, col], _REFERENCE_TIMES)
+        np.testing.assert_allclose(exact, ref[:, :, col], rtol=0, atol=1e-12)
+
+
+def test_propagators_empty_times_and_first_failing_time():
+    h = _random_hermitian(np.random.default_rng(2), 6, True)
+    psi0 = np.zeros(6, dtype=complex)
+    psi0[2] = 1.0
+    assert evolve_exact(h, psi0, []).shape == (0, 6)
+    assert chebyshev_propagate(h, psi0, []).shape == (0, 6)
+    # every time fails a negative tolerance; the first one is reported
+    times = [0.0, 0.5, 1.0]
+    with pytest.raises(RuntimeError, match=r"at t = 0\.0$"):
+        evolve_exact(h, psi0, times, norm_tol=-1.0)
+    with pytest.raises(RuntimeError, match=r"at t = 0\.0$"):
+        chebyshev_propagate(h, psi0, times, norm_tol=-1.0)
 
 
 def test_chebyshev_is_deterministic():
@@ -206,6 +266,22 @@ def test_trajectory_method_selection():
         single_particle_trajectory(pair, (1.0, 0.0), [0.5], n_levels=32, method="magic")
     with pytest.raises(ValueError, match="normalized"):
         single_particle_trajectory(pair, (1.0, 1.0), [0.5], n_levels=32)
+
+
+def test_dense_cap_refuses_before_building(monkeypatch):
+    import darkwells.oracle as oracle_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Hamiltonian built before the cap was checked")
+
+    monkeypatch.setattr(oracle_module, "build_single_particle_hamiltonian", refuse)
+    pair = WellPair.from_widths(1.0, 1.0)
+    with pytest.raises(ValueError, match="dense cap 1000"):
+        single_particle_trajectory(
+            pair, (1.0, 0.0), [0.5], n_levels=2000, method="dense", max_dim=1000
+        )
+    with pytest.raises(ValueError, match="dense cap 20"):
+        single_particle_trajectory(pair, (1.0, 0.0), [0.5], n_levels=32, max_dim=20)
 
 
 def test_fock_space_enumeration():
