@@ -70,8 +70,8 @@ from .bosons import (
 
 __version__ = "0.1.0"
 
-# The brute-force oracle loads scipy.sparse and scipy.special; its names are
-# imported on first use (PEP 562) so the analytic tiers start without them.
+# The brute-force oracle loads scipy.sparse; its names are imported on first
+# use (PEP 562) so the analytic tiers start without it.
 _ORACLE_EXPORTS = frozenset((
     "DiscretizedReservoir",
     "FockSpace",

@@ -55,6 +55,16 @@ from .rotation import dark_state
 
 __all__ = ["ConfigError", "Scenario", "RunResult", "load_config", "render", "run", "main"]
 
+# Requests past these caps are refused before anything is allocated; each
+# would spend memory or time out of proportion to any use of the answer.
+_MAX_GRID_POINTS = 100_000
+_MAX_ORACLE_LEVELS = 100_000
+# Chebyshev degree, about half-bandwidth * t_max: one sparse product per order
+_MAX_CHEBYSHEV_DEGREE = 100_000
+# entries of the (n_points x dim) dense oracle output or of the
+# (n_points x degree) Bessel table of a Chebyshev run
+_MAX_ORACLE_ENTRIES = 5_000_000
+
 KINDS = (
     "evolve",
     "asymptotic",
@@ -335,6 +345,10 @@ def _resolve_grid(sections, default_t_max):
         raise ConfigError(f"grid.t_max: must be positive, got {t_max}")
     if n_points < 2:
         raise ConfigError(f"grid.n_points: need at least 2 points, got {n_points}")
+    if n_points > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid.n_points: {n_points} points exceed the cap of {_MAX_GRID_POINTS}"
+        )
     times = np.linspace(0.0, t_max, n_points)
     resolved = {"grid.t_max": t_max, "grid.n_points": n_points}
     return times, resolved
@@ -412,16 +426,57 @@ def _run_dwell(scenario):
 def single_particle_trajectory(*args, **kwargs):
     """Forward to :func:`darkwells.oracle.single_particle_trajectory`.
 
-    The oracle loads scipy.sparse and scipy.special, so it is imported on
-    the first oracle run instead of with the CLI.
+    The oracle loads scipy.sparse, so it is imported on the first oracle
+    run instead of with the CLI.
     """
     from .oracle import single_particle_trajectory as run
 
     return run(*args, **kwargs)
 
 
+def _check_oracle_work(pair, times, n_levels, cutoff, method):
+    """Refuse an oracle run whose arrays or Chebyshev degree pass the caps."""
+    from .oracle import (
+        AUTO_DENSE_MAX_DIM,
+        DEFAULT_MAX_DIM,
+        DiscretizedReservoir,
+        single_particle_bounds,
+    )
+
+    if n_levels > _MAX_ORACLE_LEVELS:
+        raise ConfigError(
+            f"oracle.n_levels: {n_levels} levels exceed the cap of {_MAX_ORACLE_LEVELS}"
+        )
+    dim = n_levels + 2
+    if method == "dense" and dim > DEFAULT_MAX_DIM:
+        raise ConfigError(
+            f"oracle.n_levels: the dense method is capped at dimension "
+            f"{DEFAULT_MAX_DIM}, and n_levels + 2 = {dim} exceeds it; "
+            "use method = chebyshev or auto"
+        )
+    if method == "dense" or (method == "auto" and dim <= AUTO_DENSE_MAX_DIM):
+        if times.size * dim > _MAX_ORACLE_ENTRIES:
+            raise ConfigError(
+                f"grid.n_points: {times.size} points of dimension {dim} exceed "
+                f"the cap of {_MAX_ORACLE_ENTRIES} stored amplitudes"
+            )
+        return
+    lo, hi = single_particle_bounds(pair, DiscretizedReservoir.for_pair(pair, n_levels, cutoff))
+    degree = 0.5 * (hi - lo) * float(times[-1])
+    if degree > _MAX_CHEBYSHEV_DEGREE:
+        raise ConfigError(
+            f"grid.t_max: needs a Chebyshev degree of about {degree:.3g}, "
+            f"above the cap of {_MAX_CHEBYSHEV_DEGREE}"
+        )
+    if times.size * degree > _MAX_ORACLE_ENTRIES:
+        raise ConfigError(
+            f"grid.t_max: {times.size} points at a Chebyshev degree of about "
+            f"{degree:.3g} exceed the cap of {_MAX_ORACLE_ENTRIES} Bessel coefficients"
+        )
+
+
 def _run_oracle_compare(scenario):
-    from .oracle import DEFAULT_MAX_DIM, convergence_report
+    from .oracle import convergence_report
 
     pair, resolved = _single_particle_model(scenario.sections)
     (b1, b2), res_init = _resolve_initial(scenario.sections)
@@ -440,12 +495,7 @@ def _run_oracle_compare(scenario):
     method = _parse_choice(
         scenario.sections, "oracle", "method", ("auto", "dense", "chebyshev"), "auto"
     )
-    if method == "dense" and n_levels + 2 > DEFAULT_MAX_DIM:
-        raise ConfigError(
-            f"oracle.n_levels: the dense method is capped at dimension "
-            f"{DEFAULT_MAX_DIM}, and n_levels + 2 = {n_levels + 2} exceeds it; "
-            "use method = chebyshev or auto"
-        )
+    _check_oracle_work(pair, times, n_levels, cutoff, method)
     resolved.update({"oracle.n_levels": n_levels, "oracle.method": method})
     if cutoff is not None:
         resolved["oracle.cutoff"] = cutoff

@@ -11,8 +11,10 @@ Two propagators are provided: a dense eigen-decomposition
 (:func:`evolve_exact`, the reference contract for moderate dimensions) and
 a Chebyshev polynomial expansion of ``exp(-iHt)``
 (:func:`chebyshev_propagate`) whose cost scales with the sparse structure,
-used for large grids and for many-body Fock vectors.  Both are fully
-deterministic and norm checked.
+used for large grids and for many-body Fock vectors.  The expansion is
+built once per call, up to the degree the latest time needs, and every
+requested time is read from it with Bessel weights from one table.  Both
+are fully deterministic and norm checked.
 
 A finite band is faithful only for a finite while: the discrete spectrum
 revives after the recurrence time ``2 pi / spacing``, and the band edges
@@ -28,10 +30,10 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import jv
 
 from .dynamics import Trajectory
 from .model import ParallelWellPair, WellPair, derive
@@ -41,8 +43,10 @@ __all__ = [
     "default_cutoff",
     "reservoir_couplings",
     "build_single_particle_hamiltonian",
+    "single_particle_bounds",
     "evolve_exact",
     "chebyshev_propagate",
+    "ChebyshevProjection",
     "OracleRun",
     "single_particle_trajectory",
     "convergence_report",
@@ -59,10 +63,22 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DIM = 12000
+# method="auto" runs the dense propagator up to this dimension
+AUTO_DENSE_MAX_DIM = 1500
 _MAX_FOCK_DIM = 250_000
 # output times evolved per batched product in evolve_exact; bounds the
 # temporaries beyond the output to O(_TIME_BLOCK * dim)
 _TIME_BLOCK = 64
+# Bessel coefficients at or below this are dropped from the expansion
+_CHEBYSHEV_TOL = 1e-16
+# Miller's recurrence rescales a column to 1 once it passes this; one step
+# grows it by at most 2 m / a + 1, below 1e158 for a > _BESSEL_TINY and
+# m < 5e7, so nothing overflows
+_BESSEL_RESCALE = 1e100
+_BESSEL_TINY = 1e-150
+# relative padding of computed spectral enclosures against rounding in
+# eigvalsh and in the assembled matrix entries (both ~ n eps)
+_BOUNDS_MARGIN = 1e-10
 
 
 def default_cutoff(pair: WellPair) -> float:
@@ -181,6 +197,21 @@ def build_single_particle_hamiltonian(
     return h
 
 
+def single_particle_bounds(pair: WellPair, res: DiscretizedReservoir) -> tuple[float, float]:
+    """Rigorous spectral enclosure of the single-particle Hamiltonian.
+
+    Read from the model without building H: the diagonal range widened by
+    the norm of the dot-reservoir block, which is at most its Frobenius
+    norm ``sqrt(sum_j c1_j^2 + c2_j^2)`` (Weyl).  Known before anything is
+    allocated, so callers can size a Chebyshev run in advance.
+    """
+    coup = reservoir_couplings(pair, res)
+    off_norm = math.sqrt(float(np.sum(coup**2)))
+    lo = min(pair.E1, pair.E2, float(res.energies[0]))
+    hi = max(pair.E1, pair.E2, float(res.energies[-1]))
+    return lo - off_norm, hi + off_norm
+
+
 def _check_norm(psi: np.ndarray) -> None:
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-9:
@@ -258,37 +289,53 @@ def _hermitian_bounds(h) -> tuple[float, float]:
     return float(diag.min()) - off_norm, float(diag.max()) + off_norm
 
 
-def _chebyshev_step(h2, psi, a: float, tol: float = 1e-16) -> np.ndarray:
-    """Apply exp(-i * a * h_scaled) with spec(h_scaled) in [-1, 1].
+def _bessel_table(a) -> np.ndarray:
+    """``J_k(a_j)`` for every ``a_j >= 0`` and ``k = 0 .. m``, shape (m + 1, len(a)).
 
-    ``h2`` is ``2 * h_scaled``, the recurrence's factor folded in, and
-    complex, so no product upcasts it.  ``psi`` is left untouched.
+    Miller's backward recurrence ``J_{k-1} = (2k / a) J_k - J_{k+1}``, started
+    from ``(0, 1)`` at an order ``m`` far enough above ``max(a)`` that the
+    start error has died out by the orders that matter, and normalized by
+    ``J_0 + 2 sum_k J_2k = 1`` (Abramowitz & Stegun 9.12.28).  A column is
+    rescaled to 1 whenever it passes ``_BESSEL_RESCALE``, so small ``a``
+    cannot overflow; the high orders this pushes to zero are negligible.
+    Columns with ``a <= _BESSEL_TINY`` are ``J_0 = 1``, ``J_1 = a / 2`` to
+    double precision and zero beyond, and skip the recurrence.
     """
-    if a == 0.0:
-        return psi.copy()
-    k_max = int(math.ceil(a + 50.0 + 8.0 * a ** (1.0 / 3.0)))
-    coeffs = jv(np.arange(k_max + 1), a)
-    # truncate once the Bessel tail is dead
-    significant = np.flatnonzero(np.abs(coeffs) > tol)
-    k_max = int(significant[-1]) if significant.size else 0
-    out = coeffs[0] * psi
-    if k_max == 0:
-        return out
-    phi_prev = psi.copy()
-    phi = h2 @ phi_prev
-    phi *= 0.5
-    term = np.empty_like(out)
-    factor = -2.0j
-    np.multiply(phi, factor * coeffs[1], out=term)
-    out += term
-    for k in range(2, k_max + 1):
-        # T_k = 2 h T_{k-1} - T_{k-2}, written over T_{k-2}
-        np.subtract(h2 @ phi, phi_prev, out=phi_prev)
-        phi_prev, phi = phi, phi_prev
-        factor *= -1j
-        np.multiply(phi, factor * coeffs[k], out=term)
-        out += term
-    return out
+    a = np.asarray(a, dtype=float)
+    a_max = float(a.max()) if a.size else 0.0
+    m = int(math.ceil(a_max + 50.0 + 8.0 * a_max ** (1.0 / 3.0)))
+    table = np.zeros((m + 1, a.size))
+    small = a <= _BESSEL_TINY
+    table[0, small] = 1.0
+    table[1, small] = 0.5 * a[small]
+    live = np.flatnonzero(~small)
+    if live.size:
+        sub = np.zeros((m + 1, live.size))
+        two_over_a = 2.0 / a[live]
+        f_next = np.zeros(live.size)
+        f = sub[m] = np.ones(live.size)
+        for k in range(m, 0, -1):
+            f_prev = (k * two_over_a) * f - f_next
+            big = np.flatnonzero(np.abs(f_prev) > _BESSEL_RESCALE)
+            if big.size:
+                scale = np.abs(f_prev[big])
+                sub[k:, big] /= scale
+                f_prev[big] /= scale
+                f[big] /= scale
+            sub[k - 1] = f_prev
+            f_next, f = f, f_prev
+        sub /= sub[0] + 2.0 * sub[2::2].sum(axis=0)
+        table[:, live] = sub
+    return table
+
+
+class ChebyshevProjection(NamedTuple):
+    """Selected rows of a Chebyshev run, plus the state at the last time."""
+
+    amplitudes: np.ndarray
+    final_state: np.ndarray
+    degree: int
+    truncation_bound: float
 
 
 def chebyshev_propagate(
@@ -297,22 +344,41 @@ def chebyshev_propagate(
     times,
     bounds: tuple[float, float] | None = None,
     norm_tol: float = 1e-10,
-) -> np.ndarray:
-    """Propagate under a Hermitian ``h`` by Chebyshev expansion.
+    rows=None,
+):
+    """Propagate under a Hermitian ``h`` by one Chebyshev expansion.
 
     Works for dense or sparse ``h`` and for single vectors or orbital
     stacks (dim x k).  ``times`` must be non-decreasing and start at or
-    after zero; the state is advanced stepwise between requested times.
-    ``bounds`` is an (E_min, E_max) spectral enclosure; by default a
-    rigorous diagonal-plus-offdiagonal-norm bound is used.  Deterministic:
-    coefficients are Bessel functions, no randomized estimators anywhere.
-    Norm preservation to ``norm_tol`` is enforced for normalized input.
+    after zero.  ``T_k(h_s) psi0`` is built once, up to the degree ``K``
+    that the latest time needs, and every output time is read from that
+    one sequence: ``psi(t) = exp(-i c t) sum_k (2 - delta_k0) (-i)^k
+    J_k(half t) T_k psi0`` (Tal-Ezer & Kosloff, JCP 81, 3967 (1984)), with
+    ``h_s = (h - c) / half``.  ``K`` is the last order at which some time's
+    Bessel coefficient exceeds 1e-16; an earlier time stops at its own last
+    such order.  ``bounds`` is an (E_min, E_max)
+    spectral enclosure; by default a rigorous diagonal-plus-offdiagonal-norm
+    bound is used.  Deterministic: no randomized estimators anywhere.
+
+    Without ``rows`` the result is the full state at every time, shape
+    ``(len(times),) + psi0.shape``, and for normalized input the norm is
+    checked to ``norm_tol`` at every time.  With ``rows`` only those rows
+    are kept: the result is a :class:`ChebyshevProjection` whose
+    ``amplitudes`` have shape ``(len(times), len(rows)) + psi0.shape[1:]``,
+    whose ``final_state`` is the full state at the last time (the only
+    norm checked), and which carries the degree ``K`` and the truncation
+    bound ``2 max_t sum_{k > K_t} |J_k(half t)|`` read from the Bessel
+    table, where ``K_t <= K`` is the last order time ``t`` takes.
     """
     times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return np.empty((0,) + np.shape(psi0), dtype=complex)
-    if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
+    psi = np.asarray(psi0, dtype=complex)
+    if times.size and (times[0] < 0.0 or np.any(np.diff(times) < 0.0)):
         raise ValueError("times must be non-decreasing and non-negative")
+    if times.size == 0:
+        out = np.empty((0,) + psi.shape, dtype=complex)
+        if rows is None:
+            return out
+        return ChebyshevProjection(out[:, rows], psi.copy(), 0, 0.0)
     if bounds is None:
         bounds = _hermitian_bounds(h)
     e_min, e_max = bounds
@@ -325,35 +391,83 @@ def chebyshev_propagate(
         h2 = ((h - sp.identity(dim, format="csr") * center) * (2.0 / half)).astype(complex)
     else:
         h2 = (np.asarray(h, dtype=complex) - center * np.eye(dim)) / (0.5 * half)
-    psi = np.asarray(psi0, dtype=complex)
-    norm0 = np.linalg.norm(psi, axis=0)
-    check_norm = bool(np.all(np.abs(norm0 - 1.0) < 1e-9))
-    out = np.empty((times.size,) + psi.shape, dtype=complex)
-    t_now = 0.0
-    for k, t in enumerate(times):
-        dt = t - t_now
-        if dt > 0.0:
-            psi = _chebyshev_step(h2, psi, half * dt)
-            if center != 0.0:
-                psi *= np.exp(-1j * center * dt)
-            t_now = t
-        out[k] = psi
-        if check_norm:
-            drift = float(np.max(np.abs(np.linalg.norm(psi, axis=0) - 1.0)))
-            if drift > norm_tol:
-                raise RuntimeError(f"norm drifted by {drift} at t = {t}")
+    table = _bessel_table(half * times)
+    orders = np.arange(table.shape[0])
+    significant = np.abs(table) > _CHEBYSHEV_TOL
+    # each time's last significant order, made non-decreasing over the
+    # times; a time takes no terms past its own
+    reach = np.maximum.accumulate(orders[-1] - np.argmax(significant[::-1], axis=0))
+    degree = int(reach[-1])
+    first_time = np.searchsorted(reach, orders)
+    tail = 2.0 * float((np.abs(table) * (orders[:, None] > reach)).sum(axis=0).max())
+    # (2 - delta_k0) (-i)^k, exact: multiplying by -i only swaps and negates
+    weights = 2.0 * np.array([1.0, -1j, -1.0, 1j])[np.arange(degree + 1) % 4]
+    weights[0] = 1.0
+    coeffs = table[: degree + 1].T * weights
+    coeffs *= np.exp(-1j * center * times)[:, None]
+    if rows is None:
+        out = np.zeros((times.size,) + psi.shape, dtype=complex)
+        flat = out.reshape(times.size, -1)
+        kept = None
+    else:
+        kept = np.empty((degree + 1, len(rows)) + psi.shape[1:], dtype=complex)
+        final = np.zeros_like(psi)
+        term = np.empty_like(psi)
+    phi_prev = psi.copy()
+    phi = psi
+    for k in range(degree + 1):
+        if k == 1:
+            phi = h2 @ phi_prev
+            phi *= 0.5
+        elif k > 1:
+            # T_k = 2 h T_{k-1} - T_{k-2}, written over T_{k-2}
+            np.subtract(h2 @ phi, phi_prev, out=phi_prev)
+            phi_prev, phi = phi, phi_prev
+        if kept is None:
+            j = first_time[k]
+            flat[j:] += np.multiply.outer(coeffs[j:, k], phi.ravel())
+        else:
+            kept[k] = phi[rows]
+            np.multiply(phi, coeffs[-1, k], out=term)
+            final += term
+    if kept is not None:
+        drift = float(np.max(np.abs(np.linalg.norm(final, axis=0) - 1.0)))
+        if _is_normalized(psi) and drift > norm_tol:
+            raise RuntimeError(f"norm drifted by {drift} at t = {times[-1]}")
+        amplitudes = np.tensordot(coeffs, kept, axes=1)
+        return ChebyshevProjection(amplitudes, final, degree, tail)
+    if _is_normalized(psi):
+        norms = np.linalg.norm(out, axis=1)
+        drift = np.abs(norms - 1.0).reshape(times.size, -1).max(axis=1)
+        failed = np.flatnonzero(drift > norm_tol)
+        if failed.size:
+            k = failed[0]
+            raise RuntimeError(f"norm drifted by {float(drift[k])} at t = {times[k]}")
     return out
+
+
+def _is_normalized(psi: np.ndarray) -> bool:
+    """Every column of ``psi`` has unit norm, so norm drift can be checked."""
+    return bool(np.all(np.abs(np.linalg.norm(psi, axis=0) - 1.0) < 1e-9))
 
 
 @dataclass(frozen=True)
 class OracleRun:
-    """A finite-reservoir trajectory plus its honesty metadata."""
+    """A finite-reservoir trajectory plus its honesty metadata.
+
+    ``max_norm_drift`` is the largest drift over all times for dense runs
+    and the drift at the last time for Chebyshev runs.
+    ``chebyshev_degree`` and ``truncation_bound`` describe the expansion
+    and are ``None`` for dense runs.
+    """
 
     trajectory: Trajectory
     reservoir: DiscretizedReservoir
     method: str
     max_norm_drift: float
     recurrence_exceeded: bool
+    chebyshev_degree: int | None = None
+    truncation_bound: float | None = None
 
 
 def single_particle_trajectory(
@@ -369,10 +483,11 @@ def single_particle_trajectory(
 
     ``initial`` are the (well1, well2) amplitudes of a normalized state
     with nothing yet in the reservoir.  ``method`` is ``"dense"`` (eigen
-    decomposition), ``"chebyshev"``, or ``"auto"`` (dense up to dimension
-    1500, Chebyshev beyond).  Requesting times past half the recurrence
-    time triggers a warning: beyond it the discrete band begins to feed
-    the wells back and no longer emulates a continuum.
+    decomposition), ``"chebyshev"`` (one expansion that keeps only the two
+    well rows, with the norm checked at the last time), or ``"auto"``
+    (dense up to dimension 1500, Chebyshev beyond).  Requesting times past
+    half the recurrence time triggers a warning: beyond it the discrete
+    band begins to feed the wells back and no longer emulates a continuum.
     """
     res = DiscretizedReservoir.for_pair(pair, n_levels, cutoff)
     times = np.asarray(times, dtype=float)
@@ -392,20 +507,24 @@ def single_particle_trajectory(
     psi0[0] = c1
     psi0[1] = c2
     if method == "auto":
-        method = "dense" if dim <= 1500 else "chebyshev"
+        method = "dense" if dim <= AUTO_DENSE_MAX_DIM else "chebyshev"
+    degree = bound = None
     if method == "dense":
         _check_dense_cap(dim, max_dim)
         h = build_single_particle_hamiltonian(pair, res)
         states = evolve_exact(h, psi0, times, max_dim=max_dim)
+        b1, b2 = states[:, 0], states[:, 1]
+        drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0), initial=0.0))
     elif method == "chebyshev":
         h = build_single_particle_hamiltonian(pair, res, sparse=True)
-        states = chebyshev_propagate(h, psi0, times)
+        run = chebyshev_propagate(
+            h, psi0, times, bounds=single_particle_bounds(pair, res), rows=[0, 1]
+        )
+        b1, b2 = run.amplitudes[:, 0], run.amplitudes[:, 1]
+        drift = abs(float(np.linalg.norm(run.final_state)) - 1.0) if times.size else 0.0
+        degree, bound = run.degree, run.truncation_bound
     else:
         raise ValueError(f"unknown method {method!r}")
-    norms = np.linalg.norm(states, axis=1)
-    drift = float(np.max(np.abs(norms - 1.0))) if times.size else 0.0
-    b1 = states[:, 0]
-    b2 = states[:, 1]
     s11 = np.abs(b1) ** 2
     s22 = np.abs(b2) ** 2
     traj = Trajectory(
@@ -421,6 +540,8 @@ def single_particle_trajectory(
         method=method,
         max_norm_drift=drift,
         recurrence_exceeded=recurrence_exceeded,
+        chebyshev_degree=degree,
+        truncation_bound=bound,
     )
 
 
@@ -435,6 +556,8 @@ def convergence_report(run: OracleRun) -> dict:
         "max_norm_drift": run.max_norm_drift,
         "recurrence_exceeded": run.recurrence_exceeded,
         "method": run.method,
+        "chebyshev_degree": run.chebyshev_degree,
+        "truncation_bound": run.truncation_bound,
     }
 
 
@@ -472,6 +595,7 @@ class FockSpace:
         else:
             self.states = list(combinations_with_replacement(range(n_modes), n_particles))
         self.index = {state: i for i, state in enumerate(self.states)}
+        self._dot_hop_cache = {}
 
     @property
     def size(self) -> int:
@@ -517,6 +641,18 @@ class FockSpace:
     def mode_counts(self, first_modes: int) -> np.ndarray:
         """Particles among the first ``first_modes`` modes, per basis state."""
         return np.count_nonzero(self._modes < first_modes, axis=1)
+
+    def _dot_hops(self, n_dot_modes: int):
+        """:func:`_hops` of the dot-dot ones matrix, cached per ``n_dot_modes``.
+
+        They depend only on the space, and the dot RDM of every state on it
+        reads them.
+        """
+        if n_dot_modes not in self._dot_hop_cache:
+            t = np.zeros((self.n_modes, self.n_modes))
+            t[:n_dot_modes, :n_dot_modes] = 1.0 - np.eye(n_dot_modes)
+            self._dot_hop_cache[n_dot_modes] = _hops(self, t)
+        return self._dot_hop_cache[n_dot_modes]
 
 
 def _hops(space: FockSpace, t: np.ndarray):
@@ -628,18 +764,34 @@ def fock_spectral_bounds(
     model: WellPair | ParallelWellPair,
     res: DiscretizedReservoir,
     n_particles: int,
+    statistics: str = "bose",
 ) -> tuple[float, float]:
-    """Rigorous many-body spectral enclosure for the Chebyshev propagator."""
+    """Rigorous many-body spectral enclosure for the Chebyshev propagator.
+
+    From the eigenvalues ``e`` of the (n_modes x n_modes) one-body matrix:
+    ``N`` fermions span the sums of the lowest and of the highest ``N``
+    values, ``N`` bosons ``N e_min`` to ``N e_max``.  The bosonic range
+    contains the fermionic one, so the default holds for either
+    statistics.  Interacting models add ``U`` times at most ``N^2 / 2``
+    same-well pairs, and a relative margin covers rounding.
+    """
     energies, block, _ = _one_body_terms(model, res)
-    off_norm = math.sqrt(float(np.sum(block**2)))
-    e_lo = float(energies.min()) - off_norm
-    e_hi = float(energies.max()) + off_norm
+    n_dots = block.shape[0]
+    one_body = np.diag(energies)
+    one_body[:n_dots, n_dots:] = block
+    one_body[n_dots:, :n_dots] = block.T
+    evals = np.linalg.eigvalsh(one_body)
+    if statistics == "fermi":
+        e_lo, e_hi = float(evals[:n_particles].sum()), float(evals[-n_particles:].sum())
+    else:
+        e_lo, e_hi = n_particles * float(evals[0]), n_particles * float(evals[-1])
     u_value = model.U if isinstance(model, ParallelWellPair) else 0.0
     # statistics-agnostic: at most N^2/2 same-well pairs pay U
     pair_cap = 0.5 * n_particles * n_particles
-    u_lo = pair_cap * min(0.0, u_value)
-    u_hi = pair_cap * max(0.0, u_value)
-    return n_particles * e_lo + u_lo - 1.0, n_particles * e_hi + u_hi + 1.0
+    e_lo += pair_cap * min(0.0, u_value)
+    e_hi += pair_cap * max(0.0, u_value)
+    pad = _BOUNDS_MARGIN * (n_particles * float(np.abs(evals).max()) + pair_cap * abs(u_value))
+    return e_lo - pad, e_hi + pad
 
 
 def fock_basis_state(space: FockSpace, modes) -> np.ndarray:
@@ -662,7 +814,7 @@ def evolve_fock(
 ) -> np.ndarray:
     """Exact many-body evolution against the explicit reservoir."""
     h = build_fock_hamiltonian(model, res, space)
-    bounds = fock_spectral_bounds(model, res, space.n_particles)
+    bounds = fock_spectral_bounds(model, res, space.n_particles, space.statistics)
     return chebyshev_propagate(h, psi0, times, bounds=bounds, norm_tol=norm_tol)
 
 
@@ -694,9 +846,7 @@ def reduced_quantities(
     res_counts = space.n_particles - space.mode_counts(n_dot_modes)
     probs = np.bincount(res_counts, weights=weights, minlength=space.n_particles + 1)
     rdm = np.diag(occ[:n_dot_modes]).astype(complex)
-    t = np.zeros((space.n_modes, space.n_modes))
-    t[:n_dot_modes, :n_dot_modes] = 1.0 - np.eye(n_dot_modes)
-    source, target, p, q, value = _hops(space, t)
+    source, target, p, q, value = space._dot_hops(n_dot_modes)
     np.add.at(rdm, (p, q), value * psi[target].conj() * psi[source])
     return ReducedQuantities(
         mode_occupations=occ,

@@ -478,6 +478,41 @@ def test_dense_oracle_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert "oracle.n_levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, text, key",
+    [
+        ("evolve", "[grid]\nn_points = {points}\n", "grid.n_points"),
+        ("oracle-compare", "[oracle]\nn_levels = {levels}\n", "oracle.n_levels"),
+        # dense output: 30 000 points of dimension 202
+        ("oracle-compare", "[grid]\nn_points = 30000\n[oracle]\nn_levels = 200\n",
+         "grid.n_points"),
+        # Chebyshev degree ~ 45 * t_max at gamma1 = gamma2 = 1: 450 000
+        ("oracle-compare",
+         "[grid]\nt_max = 1e4\nn_points = 2\n[oracle]\nn_levels = 2000\n",
+         "grid.t_max: needs a Chebyshev degree"),
+        # Bessel table: 1000 points at degree ~ 45 000
+        ("oracle-compare",
+         "[grid]\nt_max = 1000.0\nn_points = 1000\n[oracle]\nn_levels = 2000\n",
+         "grid.t_max: .* Bessel coefficients"),
+    ],
+    ids=["grid_points", "oracle_levels", "dense_output", "chebyshev_degree", "bessel_table"],
+)
+def test_oversized_requests_are_refused_before_building(tmp_path, monkeypatch, kind, text, key):
+    import darkwells.oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Hamiltonian built before the caps were checked")
+
+    monkeypatch.setattr(darkwells.oracle, "build_single_particle_hamiltonian", refuse)
+    config = text.format(
+        points=darkwells.cli._MAX_GRID_POINTS + 1, levels=darkwells.cli._MAX_ORACLE_LEVELS + 2
+    )
+    cfg = write_config(tmp_path, "[model]\ngamma1 = 1.0\ngamma2 = 1.0\n" + config)
+    scenario = build_scenario(kind, load_config(cfg), out=str(tmp_path / "x.csv"))
+    with pytest.raises(ConfigError, match=key):
+        render(scenario)
+
+
 def test_benchmark_trace_hooks_name_real_attributes():
     # perfbench/tracing.py wraps these attributes by name and silently skips
     # a missing one, so a rename would zero its per-layer metrics unnoticed

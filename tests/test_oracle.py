@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import jv
 
 from darkwells.dynamics import analytic_sigma_symmetric
 from darkwells.model import ParallelWellPair, WellPair
 from darkwells.oracle import (
     DiscretizedReservoir,
+    _bessel_table,
     FockSpace,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
@@ -21,6 +23,7 @@ from darkwells.oracle import (
     fock_spectral_bounds,
     reduced_quantities,
     reservoir_couplings,
+    single_particle_bounds,
     single_particle_trajectory,
     slater_dot_rdm,
     slater_reservoir_distribution,
@@ -168,6 +171,54 @@ def test_propagators_empty_times_and_first_failing_time():
         evolve_exact(h, psi0, times, norm_tol=-1.0)
     with pytest.raises(RuntimeError, match=r"at t = 0\.0$"):
         chebyshev_propagate(h, psi0, times, norm_tol=-1.0)
+
+
+def test_bessel_table_matches_scipy():
+    # a = 0 and a = 1e-8 take the short and the rescaled paths; orders run past a
+    a = np.concatenate(([0.0, 1e-8], np.linspace(0.3, 300.0, 97)))
+    table = _bessel_table(a)
+    assert table.shape == (table.shape[0], a.size) and table.shape[0] > 350
+    ref = jv(np.arange(table.shape[0])[:, None], a[None, :])
+    np.testing.assert_allclose(table, ref, rtol=0, atol=1e-13)
+    assert table[0, 0] == 1.0 and not np.any(table[1:, 0])
+
+
+def test_projected_chebyshev_matches_expm_reference():
+    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    res = DiscretizedReservoir.uniform(40, 6.0)
+    h = build_single_particle_hamiltonian(pair, res, sparse=True)
+    evals = np.linalg.eigvalsh(h.toarray())
+    lo, hi = single_particle_bounds(pair, res)
+    assert lo <= evals[0] and evals[-1] <= hi
+    psi0 = np.zeros(42, dtype=complex)
+    psi0[0], psi0[1] = 0.6, 0.8j
+    ref = expm_propagate(h, psi0, _REFERENCE_TIMES)
+    run = chebyshev_propagate(h, psi0, _REFERENCE_TIMES, rows=[0, 1])
+    assert run.amplitudes.shape == (_REFERENCE_TIMES.size, 2)
+    np.testing.assert_allclose(run.amplitudes, ref[:, :2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run.final_state, ref[-1], rtol=0, atol=1e-12)
+    assert run.degree > 0 and 0.0 <= run.truncation_bound < 1e-14
+    oracle = single_particle_trajectory(
+        pair, (0.6, 0.8j), _REFERENCE_TIMES, n_levels=40, cutoff=6.0, method="chebyshev"
+    )
+    np.testing.assert_allclose(
+        oracle.trajectory.sigma11, np.abs(ref[:, 0]) ** 2, rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        oracle.trajectory.sigma12, ref[:, 0] * ref[:, 1].conj(), rtol=0, atol=1e-12
+    )
+    report = convergence_report(oracle)
+    assert report["chebyshev_degree"] > 0 and report["truncation_bound"] < 1e-14
+    assert report["max_norm_drift"] < 1e-12
+    dense = single_particle_trajectory(
+        pair, (0.6, 0.8j), _REFERENCE_TIMES, n_levels=40, cutoff=6.0, method="dense"
+    )
+    assert dense.chebyshev_degree is None and dense.truncation_bound is None
+    # only the last time's full state is checked, so that is where it fails
+    with pytest.raises(RuntimeError, match=rf"at t = {_REFERENCE_TIMES[-1]}$"):
+        chebyshev_propagate(h, psi0, _REFERENCE_TIMES, norm_tol=-1.0, rows=[0, 1])
+    empty = chebyshev_propagate(h, psi0, [], rows=[0, 1])
+    assert empty.amplitudes.shape == (0, 2) and empty.degree == 0
 
 
 def test_chebyshev_is_deterministic():
@@ -380,6 +431,11 @@ def test_fock_operators_match_second_quantization(parallel, n_particles, statist
     np.testing.assert_allclose(red.mode_occupations, occ, rtol=0, atol=1e-13)
     np.testing.assert_allclose(red.reservoir_count_probs, probs, rtol=0, atol=1e-13)
     np.testing.assert_allclose(red.dot_rdm, rdm, rtol=0, atol=1e-13)
+    # the second call reads the space's cached dot hops
+    assert space._dot_hops(n_dots) is space._dot_hops(n_dots)
+    again = reduced_quantities(space, psi, n_dots)
+    for first, second in zip(vars(red).values(), vars(again).values()):
+        np.testing.assert_array_equal(second, first)
 
 
 def test_fock_spectral_bounds_enclose_spectrum():
@@ -391,6 +447,26 @@ def test_fock_spectral_bounds_enclose_spectrum():
     evals = np.linalg.eigvalsh(h)
     lo, hi = fock_spectral_bounds(model, res, 2)
     assert lo < evals.min() and evals.max() < hi
+
+
+@pytest.mark.parametrize(
+    "u_value, n_particles, statistics",
+    [(None, 2, "fermi"), (None, 3, "fermi"), (None, 2, "bose"), (2.0, 2, "fermi"), (-2.0, 2, "fermi")],
+    ids=["fermi2", "fermi3", "bose2", "parallel_u+2", "parallel_u-2"],
+)
+def test_tight_fock_bounds_enclose_reference_spectrum(u_value, n_particles, statistics):
+    base = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    model = base if u_value is None else ParallelWellPair(base=base, yprime=0.7, U=u_value)
+    res = DiscretizedReservoir.uniform(10, 4.0)
+    _, h = fock_hamiltonian_reference(model, res, n_particles, statistics)
+    evals = np.linalg.eigvalsh(h)
+    lo, hi = fock_spectral_bounds(model, res, n_particles, statistics)
+    assert lo <= evals[0] and evals[-1] <= hi
+    if u_value is None:
+        assert hi - lo <= 1.01 * (evals[-1] - evals[0])
+    # the default, bosonic enclosure holds for either statistics
+    lo_any, hi_any = fock_spectral_bounds(model, res, n_particles)
+    assert lo_any <= lo and hi <= hi_any
 
 
 def test_two_fermion_evolution_matches_determinant_formalism():
