@@ -4,11 +4,14 @@ Scenarios are described by a flat INI config (section headers, key=value
 pairs, no nesting).  Every run writes the requested data file plus a JSON
 manifest recording all resolved parameters and component versions; the
 manifest's SHA-256 is stamped into a header comment of each output so a
-data file can always be traced to the exact run that produced it.  All
-floats are rendered with 17 significant digits and LF endings, and the
-package uses no random numbers anywhere, so identical configs produce
-byte-identical outputs; ``--seedless`` makes the run verify that claim by
-rendering everything twice and comparing bytes.
+data file can always be traced to the exact run that produced it.  Each
+scenario runner returns named columns (float, int or string arrays) and one
+renderer writes them as CSV, with floats at 17 significant digits, or as
+JSON, with floats as Python's shortest round-trip ``repr``; both spellings
+are exact, and lines end in LF.  The package uses no random numbers
+anywhere, so identical configs produce byte-identical outputs;
+``--seedless`` makes the run verify that claim by rendering everything
+twice and comparing bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -36,12 +40,11 @@ from .bosons import (
 )
 from .dynamics import (
     SingleParticleState,
-    Trajectory,
+    _evolve_sigma,
     asymptotic_probs,
     dwell_time,
-    evolve_master,
+    evolve_master,  # not called here; perfbench/tracing.py wraps it by name
     fit_decay_rate,
-    format_float,
     master_trajectory,
 )
 from .fermions import (
@@ -50,7 +53,7 @@ from .fermions import (
     two_electron_asymptotic,
     two_electron_parallel_asymptotic,
 )
-from .model import ParallelWellPair, WellPair, derive
+from .model import ParallelWellPair, WellPair
 from .rotation import dark_state
 
 __all__ = ["ConfigError", "Scenario", "RunResult", "load_config", "render", "run", "main"]
@@ -64,6 +67,9 @@ _MAX_CHEBYSHEV_DEGREE = 100_000
 # entries of the (n_points x dim) dense oracle output or of the
 # (n_points x degree) Bessel table of a Chebyshev run
 _MAX_ORACLE_ENTRIES = 5_000_000
+# Sweep points per batched evaluation: the transient arrays stay this size
+# however large sweep.max_points is.
+_SWEEP_BLOCK = 16
 
 KINDS = (
     "evolve",
@@ -354,22 +360,6 @@ def _resolve_grid(sections, default_t_max):
     return times, resolved
 
 
-def _trajectory_rows(traj: Trajectory):
-    columns = ["t", "sigma11", "sigma22", "re_sigma12", "im_sigma12", "sigma00"]
-    rows = [
-        [
-            float(traj.times[k]),
-            float(traj.sigma11[k]),
-            float(traj.sigma22[k]),
-            float(traj.sigma12[k].real),
-            float(traj.sigma12[k].imag),
-            float(traj.sigma00[k]),
-        ]
-        for k in range(len(traj.times))
-    ]
-    return columns, rows
-
-
 def _run_evolve(scenario):
     pair, resolved = _single_particle_model(scenario.sections)
     (b1, b2), res_init = _resolve_initial(scenario.sections)
@@ -378,8 +368,15 @@ def _run_evolve(scenario):
     resolved.update(res_grid)
     initial = SingleParticleState.from_amplitudes(b1, b2)
     traj = master_trajectory(pair, initial, times)
-    columns, rows = _trajectory_rows(traj)
-    return columns, rows, resolved, {}
+    columns = {
+        "t": traj.times,
+        "sigma11": traj.sigma11,
+        "sigma22": traj.sigma22,
+        "re_sigma12": traj.sigma12.real,
+        "im_sigma12": traj.sigma12.imag,
+        "sigma00": traj.sigma00,
+    }
+    return columns, resolved, {}
 
 
 def _run_asymptotic(scenario):
@@ -392,35 +389,23 @@ def _run_asymptotic(scenario):
     state = SingleParticleState.from_amplitudes(
         overlap * dark[0], overlap * dark[1], t=math.inf
     )
-    columns = [
-        "p_trapped",
-        "p_emitted",
-        "sigma11",
-        "sigma22",
-        "re_sigma12",
-        "im_sigma12",
-        "sigma00",
-    ]
-    rows = [
-        [
-            p0,
-            p1,
-            state.sigma11,
-            state.sigma22,
-            state.sigma12.real,
-            state.sigma12.imag,
-            state.sigma00,
-        ]
-    ]
-    return columns, rows, resolved, {}
+    columns = {
+        "p_trapped": np.array([p0]),
+        "p_emitted": np.array([p1]),
+        "sigma11": np.array([state.sigma11]),
+        "sigma22": np.array([state.sigma22]),
+        "re_sigma12": np.array([state.sigma12.real]),
+        "im_sigma12": np.array([state.sigma12.imag]),
+        "sigma00": np.array([state.sigma00]),
+    }
+    return columns, resolved, {}
 
 
 def _run_dwell(scenario):
     pair, resolved = _single_particle_model(scenario.sections)
     tau = dwell_time(pair)
-    columns = ["tau", "rate"]
-    rows = [[tau, 1.0 / tau]]
-    return columns, rows, resolved, {}
+    columns = {"tau": np.array([tau]), "rate": np.array([1.0 / tau])}
+    return columns, resolved, {}
 
 
 def single_particle_trajectory(*args, **kwargs):
@@ -505,19 +490,15 @@ def _run_oracle_compare(scenario):
         pair, (b1, b2), times, n_levels=n_levels, cutoff=cutoff, method=method
     )
     err = np.abs(oracle_run.trajectory.sigma11 - reference.sigma11)
-    columns = ["t", "sigma11_reference", "sigma11_oracle", "abs_error"]
-    rows = [
-        [
-            float(times[k]),
-            float(reference.sigma11[k]),
-            float(oracle_run.trajectory.sigma11[k]),
-            float(err[k]),
-        ]
-        for k in range(len(times))
-    ]
+    columns = {
+        "t": times,
+        "sigma11_reference": reference.sigma11,
+        "sigma11_oracle": oracle_run.trajectory.sigma11,
+        "abs_error": err,
+    }
     extra = {"oracle": convergence_report(oracle_run)}
     extra["oracle"]["max_abs_error_sigma11"] = float(err.max())
-    return columns, rows, resolved, extra
+    return columns, resolved, extra
 
 
 def _run_fermions(scenario):
@@ -540,26 +521,26 @@ def _run_fermions(scenario):
         else:
             branches = [three_electron_asymptotic(model)]
     payload = branches_to_json(branches)
-    columns = [
-        "reservoir_count",
-        "probability",
-        "occupation",
-        "re_amplitude",
-        "im_amplitude",
+    rows = [
+        (
+            branch["reservoir_count"],
+            branch["probability"],
+            "".join(str(bit) for bit in term["occupation"]),
+            term["amplitude"][0],
+            term["amplitude"][1],
+        )
+        for branch in payload
+        for term in branch["terms"]
     ]
-    rows = []
-    for branch in payload:
-        for term in branch["terms"]:
-            rows.append(
-                [
-                    branch["reservoir_count"],
-                    branch["probability"],
-                    "".join(str(bit) for bit in term["occupation"]),
-                    term["amplitude"][0],
-                    term["amplitude"][1],
-                ]
-            )
-    return columns, rows, resolved, {"branches": payload}
+    counts, probs, occupations, re_amps, im_amps = list(zip(*rows)) or [()] * 5
+    columns = {
+        "reservoir_count": np.array(counts, dtype=np.int64),
+        "probability": np.array(probs, dtype=float),
+        "occupation": np.array(occupations, dtype=str),
+        "re_amplitude": np.array(re_amps, dtype=float),
+        "im_amplitude": np.array(im_amps, dtype=float),
+    }
+    return columns, resolved, {"branches": payload}
 
 
 def _run_bosons(scenario):
@@ -588,9 +569,12 @@ def _run_bosons(scenario):
         y = _parse_number(scenario.sections, "bosons", "y", default=1.0)
         resolved.update({"bosons.n_retained": n_retained, "bosons.y": y})
         dist = retained_state_split(n_retained, y)
-    columns = ["m", "probability"]
-    rows = [[m, p] for m, p in distribution_rows(dist)]
-    return columns, rows, resolved, {}
+    counts, probs = zip(*distribution_rows(dist))
+    columns = {
+        "m": np.array(counts, dtype=np.int64),
+        "probability": np.array(probs, dtype=float),
+    }
+    return columns, resolved, {}
 
 
 def _sweep_values(sections, key):
@@ -620,24 +604,13 @@ def _sweep_point_model(base_kwargs, assignments):
     return model
 
 
-def _sweep_report(pair, report, sections):
-    d = derive(pair)
-    total = d.gamma1 + d.gamma2
+def _sweep_block(pairs, report, times, initial):
+    """Report values of a block of sweep points from one batched evolution."""
+    s11, s22, _, _ = _evolve_sigma(pairs, initial, times)
     if report == "sigma11_asymptotic":
-        t_long = _parse_number(sections, "sweep", "t_max", default=60.0 / total)
-        state = evolve_master(pair, SingleParticleState.from_amplitudes(1.0, 0.0), t_long)
-        return state.sigma11
-    if report == "p_trapped":
-        return asymptotic_probs(pair, (1.0, 0.0))[0]
-    # Decay fit: sample the occupation after the fast bright transient has
-    # died (12 / Gamma'2) over two predicted lifetimes and fit a single
-    # exponential.  The prediction fixes only the fit window, not the value.
-    tau_pred = dwell_time(pair)
-    t0 = 12.0 / total
-    times = np.linspace(t0, t0 + 2.0 * tau_pred, 48)
-    traj = master_trajectory(pair, SingleParticleState.from_amplitudes(1.0, 0.0), times)
-    rate = fit_decay_rate(times, traj.occupation)
-    return 1.0 / rate if report == "fitted_tau" else rate
+        return s11[:, 0].tolist()
+    rates = [fit_decay_rate(t, occ) for t, occ in zip(times, s11 + s22)]
+    return [1.0 / rate for rate in rates] if report == "fitted_tau" else rates
 
 
 def _run_sweep(scenario):
@@ -668,6 +641,9 @@ def _run_sweep(scenario):
     base_kwargs = _width_kwargs(sections)
     if base_kwargs.get("yprime") is not None and axis1 != "yprime" and axis2 != "yprime":
         raise ConfigError("model.yprime: sweeps run single-particle models only")
+    t_long = _parse_number(sections, "sweep", "t_max", default=None)
+    if t_long is not None and t_long <= 0.0:
+        raise ConfigError(f"sweep.t_max: must be positive, got {t_long}")
     resolved = {
         "sweep.axis": axis1,
         "sweep.values": values1,
@@ -677,21 +653,41 @@ def _run_sweep(scenario):
     if axis2 is not None:
         resolved["sweep.axis2"] = axis2
         resolved["sweep.values2"] = values2
-    columns = [axis1] + ([axis2] if axis2 else []) + [report]
-    rows = []
-    for v1 in values1:
-        inner = values2 if values2 else [None]
-        for v2 in inner:
-            assignments = [(axis1, v1)]
-            if axis2 is not None:
-                assignments.append((axis2, v2))
-            model = _sweep_point_model(base_kwargs, assignments)
-            if isinstance(model, ParallelWellPair):
-                raise ConfigError("sweep.axis: parallel-level sweeps are not supported")
-            value = _sweep_report(model, report, sections)
-            row = [v1] + ([v2] if axis2 is not None else []) + [float(value)]
-            rows.append(row)
-    return columns, rows, resolved, {}
+    # Every point's model and scalar prerequisites come first, in grid
+    # order, so the first bad point raises; the evolutions then run batched.
+    grid = [(v1, v2) for v1 in values1 for v2 in (values2 if values2 else [None])]
+    pairs, times, values = [], [], []
+    for v1, v2 in grid:
+        assignments = [(axis1, v1)]
+        if axis2 is not None:
+            assignments.append((axis2, v2))
+        pair = _sweep_point_model(base_kwargs, assignments)
+        if isinstance(pair, ParallelWellPair):
+            raise ConfigError("sweep.axis: parallel-level sweeps are not supported")
+        pairs.append(pair)
+        total = pair.gamma1 + pair.gamma2
+        if report == "p_trapped":
+            values.append(asymptotic_probs(pair, (1.0, 0.0))[0])
+        elif report == "sigma11_asymptotic":
+            times.append([60.0 / total if t_long is None else t_long])
+        else:
+            # Decay fit: sample the occupation after the fast bright
+            # transient has died (12 / Gamma'2) over two predicted lifetimes
+            # and fit a single exponential.  The prediction fixes only the
+            # fit window, not the value.
+            tau_pred = dwell_time(pair)
+            t0 = 12.0 / total
+            times.append(np.linspace(t0, t0 + 2.0 * tau_pred, 48))
+    if report != "p_trapped":
+        left = SingleParticleState.from_amplitudes(1.0, 0.0)
+        for start in range(0, len(pairs), _SWEEP_BLOCK):
+            block = slice(start, start + _SWEEP_BLOCK)
+            values += _sweep_block(pairs[block], report, np.array(times[block]), left)
+    columns = {axis1: np.array([v1 for v1, _ in grid])}
+    if axis2 is not None:
+        columns[axis2] = np.array([v2 for _, v2 in grid])
+    columns[report] = np.array(values, dtype=float)
+    return columns, resolved, {}
 
 
 _RUNNERS = {
@@ -705,28 +701,7 @@ _RUNNERS = {
 }
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return format_float(float(value))
-
-
-def _render_csv(digest: str, columns, rows) -> bytes:
-    lines = [f"# manifest-sha256 {digest}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return ("\n".join(lines) + "\n").encode()
-
-
 def _json_safe(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -736,23 +711,56 @@ def _json_safe(value):
     return str(value)
 
 
-def _render_json(digest: str, manifest, columns, rows, extra) -> bytes:
+# CSV spelling per column dtype kind: float, int, string
+_CSV_CELL = {"f": "%.17g", "i": "%d", "U": "%s"}
+
+
+def _json_cells(column: np.ndarray) -> list:
+    """Each cell spelled as ``json.dumps`` spells it inside a list."""
+    if column.dtype.kind == "U":
+        return [json.dumps(value) for value in column.tolist()]
+    # floats and ints hold no ", ", so one encoder call spells them all
+    return json.dumps(column.tolist())[1:-1].split(", ")
+
+
+def _render_table(fmt: str, digest: str, manifest, columns, extra) -> bytes:
+    """Write named columns as a CSV table or as a JSON payload.
+
+    ``columns`` maps each name to a float, int or string array, all of one
+    length.  CSV floats take 17 significant digits.  The JSON bytes are
+    those of ``json.dumps(payload, indent=2, sort_keys=True)`` with the
+    rows as nested lists, but no row list is built.
+    """
+    arrays = list(columns.values())
+    n_rows = len(arrays[0])
+    if fmt == "csv":
+        row = ",".join(_CSV_CELL[a.dtype.kind] for a in arrays)
+        lines = [f"# manifest-sha256 {digest}", ",".join(columns)]
+        lines += [row % cells for cells in zip(*(a.tolist() for a in arrays))]
+        return ("\n".join(lines) + "\n").encode()
     payload = {
         "manifest_sha256": digest,
         "manifest": manifest,
-        "columns": columns,
-        "rows": _json_safe(rows),
+        "columns": list(columns),
+        "rows": [],
     }
     for key, value in extra.items():
         payload[key] = _json_safe(value)
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if n_rows:
+        # json.dumps nests a row list two levels deep and its cells three
+        row = "    [\n      " + ",\n      ".join(["%s"] * len(arrays)) + "\n    ]"
+        rows = ",\n".join(row % cells for cells in zip(*map(_json_cells, arrays)))
+        # a top-level key sits alone after a newline and two spaces
+        text = text.replace('\n  "rows": []', '\n  "rows": [\n' + rows + "\n  ]", 1)
+    return (text + "\n").encode()
 
 
 def render(scenario: Scenario) -> RunResult:
     """Compute a scenario's outputs in memory without touching the disk."""
     runner = _RUNNERS[scenario.kind]
     try:
-        columns, rows, resolved, extra = runner(scenario)
+        columns, resolved, extra = runner(scenario)
     except ConfigError:
         raise
     except (ValueError, RuntimeError) as exc:
@@ -772,10 +780,7 @@ def render(scenario: Scenario) -> RunResult:
         manifest[key] = _json_safe(value)
     manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
     digest = hashlib.sha256(manifest_bytes).hexdigest()
-    if scenario.fmt == "csv":
-        data = _render_csv(digest, columns, rows)
-    else:
-        data = _render_json(digest, manifest, columns, rows, extra)
+    data = _render_table(scenario.fmt, digest, manifest, columns, extra)
     files = {
         scenario.out: data,
         scenario.out + ".manifest.json": manifest_bytes,
@@ -820,7 +825,9 @@ def build_scenario(kind, config, out=None, fmt=None, seedless=False) -> Scenario
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="darkwells",
         description="Deterministic simulations of two wells coupled through "

@@ -42,7 +42,6 @@ __all__ = [
     "dwell_time",
     "slow_decay_rate",
     "fit_decay_rate",
-    "format_float",
 ]
 
 _NORM_TOL = 1e-9
@@ -50,11 +49,6 @@ _NORM_TOL = 1e-9
 
 class InfiniteDwellTimeError(ValueError):
     """Aligned levels support a true bound state: the dwell time diverges."""
-
-
-def format_float(x: float) -> str:
-    """Render a float with 17 significant digits (round-trip exact)."""
-    return f"{x:.17g}"
 
 
 @dataclass(frozen=True)
@@ -151,33 +145,55 @@ def effective_hamiltonian(pair: WellPair) -> np.ndarray:
     )
 
 
-def _propagators(pair: WellPair, times) -> np.ndarray:
-    """Closed-form exp(-i H_eff t) for every t, shape ``times.shape + (2, 2)``.
+def _propagators(pairs, times) -> np.ndarray:
+    """Closed-form exp(-i H_eff t) for a stack of pairs, each on its own times.
 
-    Written in terms of the two eigen-exponentials exp(-i lambda_pm t),
-    which decay for any passive system, so no intermediate cosh blowup
-    occurs at large t.
+    ``times`` has one leading entry per pair (``times[k]`` is the grid of
+    ``pairs[k]``); the result has shape ``times.shape + (2, 2)``.  Written
+    in terms of the two eigen-exponentials exp(-i lambda_pm t), which decay
+    for any passive system, so no intermediate cosh blowup occurs at large
+    t.
     """
     times = np.asarray(times, dtype=float)
-    h = effective_hamiltonian(pair)
-    half_tr = 0.5 * (h[0, 0] + h[1, 1])
-    m = h - half_tr * np.eye(2)
-    mu = cmath.sqrt(m[0, 0] * m[0, 0] + m[0, 1] * m[1, 0])
+    # per pair: |mu|, mu, 2 mu, and the exponents -i tr/2, -i (tr/2 -+ mu)
+    abs_mu = np.empty(len(pairs))
+    coef = np.empty((5, len(pairs)), dtype=complex)
+    m = np.empty((len(pairs), 2, 2), dtype=complex)
+    for k, pair in enumerate(pairs):
+        h = effective_hamiltonian(pair)
+        half_tr = 0.5 * (h[0, 0] + h[1, 1])
+        m[k] = h - half_tr * np.eye(2)
+        # cmath, not numpy: the complex square root must match to the last bit
+        mu = cmath.sqrt(m[k, 0, 0] * m[k, 0, 0] + m[k, 0, 1] * m[k, 1, 0])
+        abs_mu[k] = abs(mu)
+        coef[:, k] = (
+            mu,
+            2.0 * mu,
+            -1j * half_tr,
+            -1j * (half_tr - mu),
+            -1j * (half_tr + mu),
+        )
+    per_pair = (slice(None),) + (None,) * (times.ndim - 1)
+    mu, two_mu, decay, minus, plus = (
+        np.broadcast_to(c[per_pair], times.shape) for c in coef
+    )
     # U = cos_term * 1 - sin_term * m
     cos_term = np.empty(times.shape, dtype=complex)
     sin_term = np.empty(times.shape, dtype=complex)
-    series = abs(mu) * times < 1e-6
+    series = abs_mu[per_pair] * times < 1e-6
     # series in (mu t); the overall decay sits in exp(-i tr t / 2)
     ts = times[series]
-    z2 = (mu * ts) ** 2
-    scale = np.exp(-1j * half_tr * ts)
+    z2 = (mu[series] * ts) ** 2
+    scale = np.exp(decay[series] * ts)
     cos_term[series] = scale * (1.0 - z2 / 2.0 + z2 * z2 / 24.0)
     sin_term[series] = 1j * scale * ts * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
-    ts = times[~series]
-    e_minus = np.exp(-1j * (half_tr - mu) * ts)
-    e_plus = np.exp(-1j * (half_tr + mu) * ts)
-    cos_term[~series] = 0.5 * (e_minus + e_plus)
-    sin_term[~series] = (e_minus - e_plus) / (2.0 * mu)
+    rest = ~series
+    ts = times[rest]
+    e_minus = np.exp(minus[rest] * ts)
+    e_plus = np.exp(plus[rest] * ts)
+    cos_term[rest] = 0.5 * (e_minus + e_plus)
+    sin_term[rest] = (e_minus - e_plus) / two_mu[rest]
+    m = m[per_pair]
     return cos_term[..., None, None] * np.eye(2) - sin_term[..., None, None] * m
 
 
@@ -210,7 +226,7 @@ def amplitude_trajectory(pair: WellPair, initial, times) -> np.ndarray:
     """Stack of ``evolve_amplitudes`` results, shape (len(times), 2)."""
     c1, c2 = complex(initial[0]), complex(initial[1])
     _check_unit_norm(c1, c2)
-    return _propagators(pair, _check_times(times)) @ np.array([c1, c2])
+    return _propagators([pair], _check_times(times)[None])[0] @ np.array([c1, c2])
 
 
 def master_rhs(pair: WellPair, sigma) -> tuple[float, float, complex]:
@@ -236,20 +252,36 @@ def _sigma_matrix(initial) -> np.ndarray:
     return np.array([[float(s11), s12], [s12.conjugate(), float(s22)]])
 
 
-def _evolve_sigma(pair: WellPair, initial, times) -> list[SingleParticleState]:
-    """``U sigma0 U^dagger`` at every time, each point validated as a state."""
+def _evolve_sigma(pairs, initial, times):
+    """``U sigma0 U^dagger`` for every pair and time, validated as states.
+
+    ``times`` is laid out as for :func:`_propagators`.  Returns the arrays
+    ``(sigma11, sigma22, sigma12, sigma00)`` of shape ``times.shape``, with
+    :meth:`SingleParticleState.from_sigma`'s clamp of ``sigma00`` and its
+    checks applied to the whole stack at once; the first failing point, in
+    pair-then-time order, raises that method's own error.
+    """
     times = _check_times(times)
-    u = _propagators(pair, times)
+    u = _propagators(pairs, times)
     sigma = u @ _sigma_matrix(initial) @ u.conj().swapaxes(-1, -2)
-    return [
-        SingleParticleState.from_sigma(s11, s22, s12, t=t)
-        for s11, s22, s12, t in zip(
-            sigma[:, 0, 0].real.tolist(),
-            sigma[:, 1, 1].real.tolist(),
-            sigma[:, 0, 1].tolist(),
-            times.tolist(),
+    s11 = sigma[..., 0, 0].real
+    s22 = sigma[..., 1, 1].real
+    s12 = sigma[..., 0, 1]
+    s00 = 1.0 - s11 - s22
+    s00[(s00 >= -_NORM_TOL) & (s00 < 0.0)] = 0.0
+    bad = np.zeros(times.shape, dtype=bool)
+    for p in (s11, s22, s00):
+        bad |= ~((p >= -_NORM_TOL) & (p <= 1.0 + _NORM_TOL))
+    bad |= np.abs(s11 + s22 + s00 - 1.0) > 1e-8
+    bound = s11 * s22
+    bad |= np.abs(s12) ** 2 > bound + 1e-9 * (bound + 1.0)
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        SingleParticleState.from_sigma(
+            float(s11[k]), float(s22[k]), complex(s12[k]), t=float(times[k])
         )
-    ]
+        raise ValueError(f"invalid reduced state at t = {float(times[k])}")
+    return s11, s22, s12, s00
 
 
 def evolve_master(pair: WellPair, initial, t: float) -> SingleParticleState:
@@ -260,7 +292,10 @@ def evolve_master(pair: WellPair, initial, t: float) -> SingleParticleState:
     :class:`SingleParticleState` or a ``(sigma11, sigma22, sigma12)``
     triple.
     """
-    return _evolve_sigma(pair, initial, [t])[0]
+    s11, s22, s12, _ = _evolve_sigma([pair], initial, [[t]])
+    return SingleParticleState.from_sigma(
+        float(s11[0, 0]), float(s22[0, 0]), complex(s12[0, 0]), t=float(t)
+    )
 
 
 @dataclass(frozen=True)
@@ -281,13 +316,9 @@ class Trajectory:
 def master_trajectory(pair: WellPair, initial, times) -> Trajectory:
     """Sample :func:`evolve_master` on a grid of times (each from t = 0)."""
     times = np.asarray(times, dtype=float)
-    states = _evolve_sigma(pair, initial, times)
+    s11, s22, s12, s00 = _evolve_sigma([pair], initial, times[None])
     return Trajectory(
-        times=times,
-        sigma11=np.array([s.sigma11 for s in states]),
-        sigma22=np.array([s.sigma22 for s in states]),
-        sigma12=np.array([s.sigma12 for s in states], dtype=complex),
-        sigma00=np.array([s.sigma00 for s in states]),
+        times=times, sigma11=s11[0], sigma22=s22[0], sigma12=s12[0], sigma00=s00[0]
     )
 
 

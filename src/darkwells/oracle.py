@@ -772,8 +772,11 @@ def fock_spectral_bounds(
     ``N`` fermions span the sums of the lowest and of the highest ``N``
     values, ``N`` bosons ``N e_min`` to ``N e_max``.  The bosonic range
     contains the fermionic one, so the default holds for either
-    statistics.  Interacting models add ``U`` times at most ``N^2 / 2``
-    same-well pairs, and a relative margin covers rounding.
+    statistics.  Interacting models add ``U`` times the most same-well
+    pairs ``N`` particles can form: ``U n_a n_b`` summed over the two
+    wells is at most ``floor(N^2 / 4)`` for bosons (and so for the
+    default), and at most ``min(N // 2, 2)`` for fermions, whose
+    occupations are 0 or 1.  A relative margin covers rounding.
     """
     energies, block, _ = _one_body_terms(model, res)
     n_dots = block.shape[0]
@@ -783,11 +786,11 @@ def fock_spectral_bounds(
     evals = np.linalg.eigvalsh(one_body)
     if statistics == "fermi":
         e_lo, e_hi = float(evals[:n_particles].sum()), float(evals[-n_particles:].sum())
+        pair_cap = min(n_particles // 2, 2)
     else:
         e_lo, e_hi = n_particles * float(evals[0]), n_particles * float(evals[-1])
+        pair_cap = n_particles * n_particles // 4
     u_value = model.U if isinstance(model, ParallelWellPair) else 0.0
-    # statistics-agnostic: at most N^2/2 same-well pairs pay U
-    pair_cap = 0.5 * n_particles * n_particles
     e_lo += pair_cap * min(0.0, u_value)
     e_hi += pair_cap * max(0.0, u_value)
     pad = _BOUNDS_MARGIN * (n_particles * float(np.abs(evals).max()) + pair_cap * abs(u_value))

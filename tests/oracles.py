@@ -8,13 +8,15 @@ Hamiltonian, ``expm`` of a whole Hamiltonian at each output time for the
 oracle's propagators, determinant-based fermionic expansions, an
 iterated-operator polynomial expansion over Z[sqrt(y)] for the boson
 rotations, and literal second quantization on occupation vectors for the
-many-body Hamiltonian and reduced quantities.  Agreement between library
-and oracle then checks the physics, not a shared code path.
+many-body Hamiltonian and reduced quantities, and a row-list writer for
+the CLI's output files.  Agreement between library and oracle then checks
+the physics, not a shared code path.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -302,3 +304,32 @@ def fock_reduced_reference(basis, psi, n_dot_modes, statistics):
                 if hop is not None:
                     rdm[p, q] += np.conj(psi[where[hop[1]]]) * hop[0] * psi[i]
     return occupations, probs, rdm
+
+
+def render_rows_reference(fmt, digest, manifest, columns, rows, extra):
+    """Output file bytes written from row lists, cell by cell.
+
+    CSV: a digest comment, the header and one line per row, with strings
+    as they are, ints through ``str`` and floats through
+    ``format(x, ".17g")``.  JSON: ``json.dumps(payload, indent=2,
+    sort_keys=True)`` with the rows as nested lists.
+    """
+    if fmt == "csv":
+        def cell(value):
+            if isinstance(value, str):
+                return value
+            if isinstance(value, int):
+                return str(value)
+            return format(value, ".17g")
+
+        lines = [f"# manifest-sha256 {digest}", ",".join(columns)]
+        lines += [",".join(cell(value) for value in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+    payload = {
+        "manifest_sha256": digest,
+        "manifest": manifest,
+        "columns": list(columns),
+        "rows": [list(row) for row in rows],
+    }
+    payload.update(extra)
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()

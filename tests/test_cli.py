@@ -12,12 +12,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import darkwells.cli
 from darkwells.cli import ConfigError, Scenario, build_scenario, load_config, main, render
-from darkwells.dynamics import SingleParticleState, evolve_master
+from darkwells.dynamics import (
+    SingleParticleState,
+    dwell_time,
+    evolve_master,
+    fit_decay_rate,
+    master_trajectory,
+)
 from darkwells.model import WellPair
+
+from oracles import render_rows_reference
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -270,6 +279,16 @@ def test_config_error_paths(tmp_path, capsys):
         cfg = write_config(tmp_path, f"[initial]\n{key} = nan\n", name="nan.ini")
         err = run_expecting(2, ["evolve", "--config", cfg, "--out", str(tmp_path / "x.csv")])
         assert f"initial.{key}" in err
+
+    # sweep.t_max is checked once, before any point is evaluated
+    for t_max in ("-3", "0"):
+        cfg = write_config(
+            tmp_path,
+            f"[sweep]\naxis = y\nvalues = 1, 2\nt_max = {t_max}\n",
+            name="sweep_t.ini",
+        )
+        err = run_expecting(2, ["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert "sweep.t_max" in err
 
     for n_levels in (401, 4):
         cfg = write_config(
@@ -528,3 +547,112 @@ def test_benchmark_trace_hooks_name_real_attributes():
     ):
         missing = sorted(name for name in spans if not hasattr(module, name))
         assert not missing, f"{module.__name__} lacks {missing}"
+
+
+_RENDER_CASES = {
+    "evolve": "[model]\ngamma1 = 1.0\ny = 2.0\nepsilon = 0.4\neta = -1\n"
+    "[initial]\nb1 = 0.6\nb2 = 0.8j\n[grid]\nt_max = 30.0\nn_points = 57\n",
+    "asymptotic": "[model]\ngamma1 = 1.0\ny = 3.0\n[initial]\nb1 = 0.6\nb2 = -0.8\n",
+    "dwell": "[model]\ngamma1 = 1.5\ny = 0.5\nepsilon = 0.2\n",
+    "oracle-compare": "[model]\ngamma1 = 1.0\ny = 2.0\n[grid]\nn_points = 9\n"
+    "[oracle]\nn_levels = 200\n",
+    "fermions": "[model]\ngamma1 = 1.0\ny = 2.0\nyprime = 0.7\nu = 1.0\n"
+    "[fermions]\nop = three_electron\n",
+    "bosons": "[bosons]\nlaw = emission\nn1 = 3\nn2 = 2\ny = 0.75\n",
+    "sweep": "[model]\ngamma1 = 1.0\nepsilon = 0.3\n[sweep]\naxis = y\n"
+    "values = 0.5, 1, 2\naxis2 = epsilon\nvalues2 = 0.2, -0.4\nreport = fitted_tau\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", sorted(_RENDER_CASES))
+def test_rendered_bytes_match_row_list_reference(tmp_path, kind, fmt):
+    cfg = write_config(tmp_path, _RENDER_CASES[kind])
+    scenario = build_scenario(kind, load_config(cfg), out=f"out.{fmt}", fmt=fmt)
+    result = render(scenario)
+    columns, _, extra = darkwells.cli._RUNNERS[kind](scenario)
+    rows = list(zip(*(column.tolist() for column in columns.values())))
+    assert rows
+    want = render_rows_reference(
+        fmt, result.manifest_sha256, result.manifest, list(columns), rows, extra
+    )
+    assert result.files[f"out.{fmt}"] == want
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1.0,
+                   -3.0, 2.0**53, 1e16, 0.1, 1.0 / 3.0, 1e-7, 123456789.0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [len(_SPECIAL_FLOATS), 1, 0])
+def test_renderer_spells_cells_like_the_reference(fmt, n_rows):
+    floats = _SPECIAL_FLOATS[:n_rows]
+    ints = [0, -7, 2**62, 1, 42, -(2**63)] * 3
+    strings = ["0101", "1100", 'a"b', "back\\slash", "tab\t", "\u00fc"] * 3
+    columns = {
+        "x": np.array(floats, dtype=float),
+        "count": np.array(ints[:n_rows], dtype=np.int64),
+        "occupation": np.array(strings[:n_rows], dtype=str),
+        "y": -np.array(floats, dtype=float),
+    }
+    manifest = {"kind": "test", "parameters": {"a": [1.5, 2]}, "z": None}
+    extra = {"branches": [{"terms": [{"occupation": [0, 1]}]}], "oracle": {"x": 1e-300}}
+    rows = list(zip(floats, ints, strings, [-x for x in floats]))
+    got = darkwells.cli._render_table(fmt, "ab" * 32, manifest, columns, extra)
+    want = render_rows_reference(fmt, "ab" * 32, manifest, list(columns), rows, extra)
+    assert got == want
+
+
+def test_json_renderer_spells_non_finite_floats_as_json_does():
+    values = [math.nan, math.inf, -math.inf, 2.5]
+    columns = {"x": np.array(values)}
+    got = darkwells.cli._render_table("json", "0" * 64, {}, columns, {})
+    want = render_rows_reference("json", "0" * 64, {}, ["x"], [(v,) for v in values], {})
+    assert got == want
+    assert b"NaN" in got and b"-Infinity" in got
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rendered_floats_roundtrip(fmt):
+    values = [1.0 / 3.0, 0.1, 2.0**-52, -1.2345678901234567e-300]
+    data = darkwells.cli._render_table(fmt, "0" * 64, {}, {"x": np.array(values)}, {})
+    if fmt == "csv":
+        cells = [float(line) for line in data.decode().splitlines()[2:]]
+    else:
+        cells = [row[0] for row in json.loads(data)["rows"]]
+    assert cells == values
+
+
+@pytest.mark.parametrize("report", ["sigma11_asymptotic", "fitted_rate", "fitted_tau"])
+def test_sweep_blocks_match_single_point_evaluation(tmp_path, report):
+    # 37 points span three blocks; each value equals its own unbatched run
+    ys = [0.2 + 0.1 * k for k in range(37)]
+    cfg = write_config(
+        tmp_path,
+        "[model]\ngamma1 = 1.3\nepsilon = -0.25\neta = -1\n[sweep]\naxis = y\n"
+        f"values = {', '.join(map(repr, ys))}\nreport = {report}\nmax_points = 37\n"
+        + ("t_max = 7.5\n" if report == "sigma11_asymptotic" else ""),
+    )
+    scenario = build_scenario("sweep", load_config(cfg), out="s.csv", fmt="csv")
+    columns, _, _ = darkwells.cli._RUNNERS["sweep"](scenario)
+    left = SingleParticleState.from_amplitudes(1.0, 0.0)
+    for y, value in zip(ys, columns[report].tolist()):
+        pair = WellPair.from_widths(1.3, y * 1.3, eta=-1, epsilon=-0.25)
+        if report == "sigma11_asymptotic":
+            assert value == evolve_master(pair, left, 7.5).sigma11
+            continue
+        t0 = 12.0 / (pair.gamma1 + pair.gamma2)
+        times = np.linspace(t0, t0 + 2.0 * dwell_time(pair), 48)
+        rate = fit_decay_rate(times, master_trajectory(pair, left, times).occupation)
+        assert value == (1.0 / rate if report == "fitted_tau" else rate)
+
+
+def test_parser_is_built_once(capsys):
+    parser = darkwells.cli._build_parser()
+    assert darkwells.cli._build_parser() is parser
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["no-such-kind"])
+        assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert darkwells.cli._build_parser() is parser

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from darkwells import dynamics
 from darkwells.dynamics import (
     InfiniteDwellTimeError,
     SingleParticleState,
@@ -15,7 +16,6 @@ from darkwells.dynamics import (
     evolve_amplitudes,
     evolve_master,
     fit_decay_rate,
-    format_float,
     master_rhs,
     master_trajectory,
     slow_decay_rate,
@@ -303,7 +303,90 @@ def test_state_validation():
     assert state.b1 == 0.6 and state.t == 1.5
 
 
-def test_format_float_roundtrip():
-    for x in (1.0 / 3.0, 0.1, 2.0**-52, -1.2345678901234567e-300):
-        assert float(format_float(x)) == x
+def _scaled_propagators(monkeypatch, scale):
+    """Patch ``_propagators`` to multiply U at the given (pair, time) indices."""
+    original = dynamics._propagators
+
+    def patched(pairs, times):
+        u = original(pairs, times).copy()
+        for index, factor in scale.items():
+            u[index] *= factor
+        return u
+
+    monkeypatch.setattr(dynamics, "_propagators", patched)
+
+
+def _scalar_error(pair, initial, t, factor):
+    """The message ``from_sigma`` gives for ``factor * U`` at one time."""
+    u = factor * dynamics._propagators([pair], [[t]])[0, 0]
+    sigma = u @ np.array(initial, dtype=complex) @ u.conj().T
+    with pytest.raises(ValueError) as info:
+        SingleParticleState.from_sigma(
+            sigma[0, 0].real, sigma[1, 1].real, sigma[0, 1], t=t
+        )
+    return str(info.value)
+
+
+def test_master_trajectory_raises_at_first_bad_time(monkeypatch):
+    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    initial = [[0.36, 0.48], [0.48, 0.64]]
+    triple = (0.36, 0.64, 0.48)
+    times = np.linspace(0.0, 4.0, 9)
+    master_trajectory(pair, triple, times)
+    want3, want5, want6 = (
+        _scalar_error(pair, initial, times[k], factor)
+        for k, factor in ((3, 10.0), (5, 10.0), (6, 20.0))
+    )
+    assert len({want3, want5, want6}) == 3
+    # two times overfill the wells; the earlier one is reported
+    _scaled_propagators(monkeypatch, {(0, 6): 20.0, (0, 3): 10.0})
+    with pytest.raises(ValueError) as info:
+        master_trajectory(pair, triple, times)
+    assert str(info.value) == want3
+    # a stack is checked pair by pair, each pair's times in order
+    other = WellPair.from_widths(0.5, 1.0, epsilon=-0.2)
+    monkeypatch.undo()
+    _scaled_propagators(monkeypatch, {(1, 0): 3.0, (0, 5): 10.0})
+    with pytest.raises(ValueError) as info:
+        dynamics._evolve_sigma([pair, other], triple, np.stack([times, times]))
+    assert str(info.value) == want5
+
+
+@pytest.mark.parametrize(
+    "start", [(0.3, 0.3, 0.5), (1.2, 0.0, 0.0), (0.7, 0.5, 0.0), (0.5, -0.1, 0.0)],
+    ids=["coherence", "sigma11", "sigma00", "sigma22"],
+)
+def test_invalid_start_raises_the_scalar_message(start):
+    # U = 1 at t = 0 hands the start back, so each of today's checks fires
+    pair = WellPair.from_widths(1.0, 2.0, epsilon=0.3)
+    with pytest.raises(ValueError) as want:
+        SingleParticleState.from_sigma(start[0], start[1], start[2], t=0.0)
+    with pytest.raises(ValueError) as got:
+        master_trajectory(pair, start, [0.0, 1.0])
+    assert str(got.value) == str(want.value)
+
+
+def test_batched_evolution_equals_single_pair_calls():
+    rng = np.random.default_rng(5)
+    pairs = [
+        WellPair.from_widths(*rng.uniform(0.2, 3.0, size=2), eta=eta, epsilon=eps)
+        for eta, eps in ((1, 0.0), (-1, 0.7), (1, -2.5), (-1, 0.0))
+    ]
+    times = np.sort(rng.uniform(0.0, 20.0, size=(4, 33)), axis=1)
+    times[:, 0] = [0.0, 1e-9, 3e-7, 0.0]  # series and exponential branches
+    start = (0.5, 0.3, 0.1 + 0.2j)
+    batched = dynamics._evolve_sigma(pairs, start, times)
+    for k, pair in enumerate(pairs):
+        traj = master_trajectory(pair, start, times[k])
+        single = (traj.sigma11, traj.sigma22, traj.sigma12, traj.sigma00)
+        for got, want in zip(batched, single):
+            np.testing.assert_array_equal(got[k], want)
+        u = dynamics._propagators(pairs, times)[k]
+        np.testing.assert_array_equal(u, dynamics._propagators([pair], times[k][None])[0])
+        for j in (0, 7, 32):
+            ref = master_generator_sigma(
+                pair.gamma1, pair.gamma2, 1 if k % 2 == 0 else -1, pair.epsilon,
+                start, times[k, j],
+            )
+            assert _sigma_gap([got[k, j] for got in batched[:3]], ref) < 1e-12
 

@@ -451,19 +451,48 @@ def test_fock_spectral_bounds_enclose_spectrum():
 
 @pytest.mark.parametrize(
     "u_value, n_particles, statistics",
-    [(None, 2, "fermi"), (None, 3, "fermi"), (None, 2, "bose"), (2.0, 2, "fermi"), (-2.0, 2, "fermi")],
-    ids=["fermi2", "fermi3", "bose2", "parallel_u+2", "parallel_u-2"],
+    [
+        (None, 2, "fermi"),
+        (None, 3, "fermi"),
+        (None, 2, "bose"),
+        (2.0, 2, "fermi"),
+        (-2.0, 2, "fermi"),
+        (2.0, 2, "bose"),
+        (-1.5, 3, "bose"),
+        (1.5, 3, "fermi"),
+        (2.0, 4, "fermi"),
+    ],
+    ids=[
+        "fermi2",
+        "fermi3",
+        "bose2",
+        "parallel_u+2",
+        "parallel_u-2",
+        "parallel_bose_u+2",
+        "parallel_bose3_u-1.5",
+        "parallel_fermi3_u+1.5",
+        "parallel_fermi4_u+2",
+    ],
 )
 def test_tight_fock_bounds_enclose_reference_spectrum(u_value, n_particles, statistics):
     base = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
     model = base if u_value is None else ParallelWellPair(base=base, yprime=0.7, U=u_value)
     res = DiscretizedReservoir.uniform(10, 4.0)
-    _, h = fock_hamiltonian_reference(model, res, n_particles, statistics)
+    basis, h = fock_hamiltonian_reference(model, res, n_particles, statistics)
     evals = np.linalg.eigvalsh(h)
     lo, hi = fock_spectral_bounds(model, res, n_particles, statistics)
     assert lo <= evals[0] and evals[-1] <= hi
     if u_value is None:
         assert hi - lo <= 1.01 * (evals[-1] - evals[0])
+    else:
+        # U widens the free enclosure by the most same-well pairs any basis
+        # state holds, less than the old cap of N^2 / 2 pairs
+        free = ParallelWellPair(base=base, yprime=0.7, U=0.0)
+        free_lo, free_hi = fock_spectral_bounds(free, res, n_particles, statistics)
+        pairs = max(occ[0] * occ[1] + occ[2] * occ[3] for occ in basis)
+        widening = (hi - lo) - (free_hi - free_lo)
+        assert widening == pytest.approx(pairs * abs(u_value), rel=1e-6)
+        assert pairs < 0.5 * n_particles**2
     # the default, bosonic enclosure holds for either statistics
     lo_any, hi_any = fock_spectral_bounds(model, res, n_particles)
     assert lo_any <= lo and hi <= hi_any

@@ -1,13 +1,22 @@
-"""Property tests of the exact wide-band propagator over random well pairs.
+"""Property tests of the exact wide-band propagator and the boson laws.
 
 Draws are derandomized with a fixed example count, so every run checks the
 same cases.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darkwells.bosons import (
+    emission_distribution,
+    equal_fill_even_distribution,
+    one_well_distribution,
+    retained_state_split,
+    rotate_fock,
+)
 from darkwells.dynamics import amplitude_trajectory, asymptotic_probs, master_trajectory
 from darkwells.model import WellPair
 from darkwells.rotation import dark_state
@@ -95,3 +104,30 @@ def test_asymptotic_probs_match_long_time_propagation(pair, a):
     traj = master_trajectory(pair, triple(projector(a)), [t_long])
     assert traj.occupation[0] == pytest.approx(p_trapped, abs=TOL)
     assert traj.sigma00[0] == pytest.approx(p_emitted, abs=TOL)
+
+
+quarter_ratios = st.integers(1, 24).map(lambda k: k / 4.0)
+
+
+@st.composite
+def boson_laws(draw):
+    law = draw(st.sampled_from(["emission", "equal_fill", "one_well", "retained_split"]))
+    if law == "emission":
+        n1 = draw(st.integers(0, 10))
+        n2 = draw(st.integers(1 if n1 == 0 else 0, 10))
+        return emission_distribution(
+            rotate_fock(n1, n2, draw(quarter_ratios), eta=draw(signs))
+        )
+    if law == "equal_fill":
+        return equal_fill_even_distribution(draw(st.integers(1, 12)))
+    if law == "one_well":
+        return one_well_distribution(draw(st.integers(1, 20)), draw(quarter_ratios))
+    return retained_state_split(draw(st.integers(0, 20)), draw(quarter_ratios))
+
+
+@PROPERTY
+@given(dist=boson_laws())
+def test_boson_laws_are_exact_distributions(dist):
+    probs = list(dist.probabilities.values())
+    assert all(isinstance(p, Fraction) and 0 <= p <= 1 for p in probs)
+    assert sum(probs, Fraction(0)) == Fraction(1)
