@@ -7,12 +7,12 @@ reduced density matrix ``sigma``.  The convention for the coherence is
 ``sigma12 = b1 * conj(b2)``.
 
 One closed-form propagator ``U(t) = exp(-i H_eff t)``, vectorized over
-times, drives both the amplitudes (``b(t) = U b(0)``) and the reduced
-state, whose master equation has the exact solution
-``sigma(t) = U sigma(0) U^dagger`` for pure and mixed starts alike.  The
-module also provides the fully analytic solution for the symmetric case,
-trapped-fraction asymptotics, and the dwell time of the long-lived
-superposition for slightly misaligned levels.
+a stack of pairs and their times, drives both the amplitudes
+(``b(t) = U b(0)``) and the reduced state, whose master equation has the
+exact solution ``sigma(t) = U sigma(0) U^dagger`` for pure and mixed
+starts alike.  The module also provides the fully analytic solution for
+the symmetric case, trapped-fraction asymptotics, and the dwell time of
+the long-lived superposition for slightly misaligned levels.
 """
 
 from __future__ import annotations

@@ -357,7 +357,7 @@ def test_master_trajectory_raises_at_first_bad_time(monkeypatch):
     ids=["coherence", "sigma11", "sigma00", "sigma22"],
 )
 def test_invalid_start_raises_the_scalar_message(start):
-    # U = 1 at t = 0 hands the start back, so each of today's checks fires
+    # U = 1 at t = 0 hands the start back, so each state check fires
     pair = WellPair.from_widths(1.0, 2.0, epsilon=0.3)
     with pytest.raises(ValueError) as want:
         SingleParticleState.from_sigma(start[0], start[1], start[2], t=0.0)
@@ -376,13 +376,15 @@ def test_batched_evolution_equals_single_pair_calls():
     times[:, 0] = [0.0, 1e-9, 3e-7, 0.0]  # series and exponential branches
     start = (0.5, 0.3, 0.1 + 0.2j)
     batched = dynamics._evolve_sigma(pairs, start, times)
+    stack = dynamics._propagators(pairs, times)
     for k, pair in enumerate(pairs):
         traj = master_trajectory(pair, start, times[k])
         single = (traj.sigma11, traj.sigma22, traj.sigma12, traj.sigma00)
         for got, want in zip(batched, single):
             np.testing.assert_array_equal(got[k], want)
-        u = dynamics._propagators(pairs, times)[k]
-        np.testing.assert_array_equal(u, dynamics._propagators([pair], times[k][None])[0])
+        np.testing.assert_array_equal(
+            stack[k], dynamics._propagators([pair], times[k][None])[0]
+        )
         for j in (0, 7, 32):
             ref = master_generator_sigma(
                 pair.gamma1, pair.gamma2, 1 if k % 2 == 0 else -1, pair.epsilon,

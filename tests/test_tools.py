@@ -1,0 +1,72 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_fold_bench():
+    spec = importlib.util.spec_from_file_location("fold_bench", ROOT / "tools" / "fold_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def record(commit, seed, trace, throughput, calib=10.0):
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    e2e = {name: 1.0 for name in names}
+    e2e["throughput_sps"] = throughput
+    return {
+        "workload": "wideband",
+        "seed": seed,
+        "seconds": 55,
+        "trace": trace,
+        "commit": commit,
+        "nproc": 2,
+        "blas_threads": 1,
+        "env": {"python": "3", "numpy": "2", "scipy": "1",
+                "blas": {"numpy_blas": "openblas", "libraries": {"libblas.so": 1}}},
+        "machine.calib_ms": calib,
+        "attempted": 100,
+        "failed": 0,
+        "latency_tail_percentile": 98,
+        "latency_samples": 100,
+        "end_to_end": {} if trace else e2e,
+        "per_layer": {"dynamics.us_per_point": throughput} if trace else {},
+    }
+
+
+def test_fold_bench_groups_commits_and_pairs_seeds(tmp_path):
+    fold_bench = load_fold_bench()
+    records = [
+        record("aaa", 1, 0, 100.0), record("aaa", 2, 0, 120.0), record("aaa", 1, 1, 4.0),
+        record("bbb", 2, 0, 110.0), record("bbb", 1, 0, 300.0), record("bbb", 1, 1, 1.0),
+    ]
+    paths = []
+    for k, rec in enumerate(records):
+        path = tmp_path / f"result-{k}.json"
+        path.write_text(json.dumps(rec))
+        paths.append(str(path))
+    out = tmp_path / "BENCH_1.json"
+    assert fold_bench.main(["--out", str(out)] + paths) == 0
+    bench = json.loads(out.read_text())
+    assert bench["commits"] == ["aaa", "bbb"]
+    parent = bench["results"]["aaa"]
+    assert parent["machine"]["blas_threads"] == 1
+    wideband = parent["workloads"]["wideband"]
+    assert [run["seed"] for run in wideband["runs"]] == [1, 2, 1]
+    assert wideband["end_to_end"]["throughput_sps"]["median"] == pytest.approx(110.0)
+    assert bench["results"]["bbb"]["workloads"]["wideband"]["per_layer"] == {
+        "dynamics.us_per_point": 1.0
+    }
+    paired = bench["paired"]["wideband"]
+    assert paired["seeds"] == [1, 2]
+    throughput = paired["metrics"]["throughput_sps"]
+    assert throughput["pairs"] == [[1, 100.0, 300.0], [2, 120.0, 110.0]]
+    assert throughput["second_better"] == 1
+    # the same inputs give the same bytes
+    again = tmp_path / "again.json"
+    fold_bench.main(["--out", str(again)] + paths)
+    assert again.read_bytes() == out.read_bytes()
