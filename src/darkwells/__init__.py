@@ -9,8 +9,6 @@ from .model import (
     ParallelWellPair,
     WellPair,
     derive,
-    pair_from_mapping,
-    pair_to_mapping,
     wide_band_self_energy,
 )
 from .rotation import (
@@ -22,7 +20,6 @@ from .rotation import (
     dot_from_rotated,
     dot_to_rotated,
     null_measurement_project,
-    read_coupling_table,
     rotate,
 )
 from .dynamics import (
@@ -65,7 +62,6 @@ from .bosons import (
     one_well_distribution,
     retained_state_split,
     rotate_fock,
-    state_overlap,
 )
 
 __version__ = "0.1.0"

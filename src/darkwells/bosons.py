@@ -28,7 +28,6 @@ __all__ = [
     "retained_state_split",
     "gaussian_approximation",
     "flat_approximation",
-    "state_overlap",
     "distribution_rows",
 ]
 
@@ -298,16 +297,6 @@ def flat_approximation(N: int, m: int) -> tuple[float, float]:
     approx = 1.0 / (math.pi * math.sqrt((N - m) * m))
     exact = float(equal_fill_even_distribution(N).probability(2 * m))
     return approx, abs(approx - exact) / exact
-
-
-def state_overlap(a: BosonFockState, b: BosonFockState) -> float:
-    """Inner product <a|b> of two expansions in the same basis."""
-    if a.basis != b.basis or a.total != b.total:
-        raise ValueError("states live in different spaces")
-    keys = set(a.amplitudes) | set(b.amplitudes)
-    return math.fsum(
-        float(a.amplitude(*key)) * float(b.amplitude(*key)) for key in sorted(keys)
-    )
 
 
 def distribution_rows(dist: FockDistribution) -> list:

@@ -67,6 +67,9 @@ _MAX_CHEBYSHEV_DEGREE = 100_000
 # entries of the (n_points x dim) dense oracle output or of the
 # (n_points x degree) Bessel table of a Chebyshev run
 _MAX_ORACLE_ENTRIES = 5_000_000
+# Bosons in one exact emission law; the rational arithmetic grows
+# faster than quadratically in the count.
+_MAX_BOSONS = 1000
 # Sweep points per batched evaluation: the transient arrays stay this size
 # however large sweep.max_points is.
 _SWEEP_BLOCK = 16
@@ -199,6 +202,13 @@ def _parse_choice(sections, section, key, choices, default):
     return value
 
 
+def _require_positive(key, value):
+    """``value`` unless it is a number <= 0; ``key`` is its section.key path."""
+    if value is not None and value <= 0.0:
+        raise ConfigError(f"{key}: must be positive, got {value}")
+    return value
+
+
 def _parse_eta(sections, section, key="eta"):
     eta = _parse_number(sections, section, key, default=1, kind=int)
     if eta not in (1, -1):
@@ -221,7 +231,7 @@ def _width_kwargs(sections) -> dict:
         "gamma1": _parse_number(sections, "model", "gamma1", default=1.0),
         "epsilon": _parse_number(sections, "model", "epsilon", default=0.0),
         "eta": _parse_eta(sections, "model"),
-        "rho": _parse_number(sections, "model", "rho", default=None),
+        "rho": _require_positive("model.rho", _parse_number(sections, "model", "rho")),
         "lambda_cutoff": _parse_number(sections, "model", "lambda_cutoff", default=None),
         "yprime": _parse_number(sections, "model", "yprime", default=None),
         "u": _parse_number(sections, "model", "u", default=0.0),
@@ -292,17 +302,14 @@ def _resolve_model(sections):
                 f"model.{sorted(mixed)[0]}: cannot mix width (gamma/y) and "
                 "coupling (omega) parameterizations"
             )
+        rho = _require_positive("model.rho", _parse_number(sections, "model", "rho"))
         try:
             pair = WellPair(
                 E1=_parse_number(sections, "model", "e1", default=0.0),
                 E2=_parse_number(sections, "model", "e2", default=0.0),
                 omega1=_parse_number(sections, "model", "omega1", required=True),
                 omega2=_parse_number(sections, "model", "omega2", required=True),
-                **(
-                    {"rho": _parse_number(sections, "model", "rho")}
-                    if "rho" in sec
-                    else {}
-                ),
+                **({"rho": rho} if rho is not None else {}),
                 lambda_cutoff=_parse_number(sections, "model", "lambda_cutoff", default=None),
             )
             model = pair
@@ -347,8 +354,7 @@ def _resolve_initial(sections):
 def _resolve_grid(sections, default_t_max):
     t_max = _parse_number(sections, "grid", "t_max", default=default_t_max)
     n_points = _parse_number(sections, "grid", "n_points", default=200, kind=int)
-    if t_max <= 0.0:
-        raise ConfigError(f"grid.t_max: must be positive, got {t_max}")
+    _require_positive("grid.t_max", t_max)
     if n_points < 2:
         raise ConfigError(f"grid.n_points: need at least 2 points, got {n_points}")
     if n_points > _MAX_GRID_POINTS:
@@ -476,7 +482,9 @@ def _run_oracle_compare(scenario):
             f"oracle.n_levels: must be even to keep the reservoir grid symmetric, "
             f"got {n_levels}"
         )
-    cutoff = _parse_number(scenario.sections, "oracle", "cutoff", default=None)
+    cutoff = _require_positive(
+        "oracle.cutoff", _parse_number(scenario.sections, "oracle", "cutoff")
+    )
     method = _parse_choice(
         scenario.sections, "oracle", "method", ("auto", "dense", "chebyshev"), "auto"
     )
@@ -506,6 +514,8 @@ def _run_fermions(scenario):
     resolved = {"fermions.op": op}
     if op == "two_electron":
         y = _parse_number(scenario.sections, "fermions", "y", default=1.0)
+        if y < 0.0:
+            raise ConfigError(f"fermions.y: must be non-negative, got {y}")
         eta = _parse_eta(scenario.sections, "fermions")
         resolved.update({"fermions.y": y, "fermions.eta": eta})
         branches = two_electron_asymptotic(y, eta=eta)
@@ -543,31 +553,44 @@ def _run_fermions(scenario):
     return columns, resolved, {"branches": payload}
 
 
+def _boson_count(sections, key, minimum):
+    """A boson count from [bosons], refused outside [minimum, _MAX_BOSONS]."""
+    n = _parse_number(sections, "bosons", key, default=1, kind=int)
+    if n < minimum:
+        raise ConfigError(f"bosons.{key}: must be at least {minimum}, got {n}")
+    if n > _MAX_BOSONS:
+        raise ConfigError(f"bosons.{key}: {n} bosons exceed the cap of {_MAX_BOSONS}")
+    return n
+
+
 def _run_bosons(scenario):
-    law = _parse_choice(scenario.sections, "bosons", "law", _BOSON_LAWS, "emission")
+    sections = scenario.sections
+    law = _parse_choice(sections, "bosons", "law", _BOSON_LAWS, "emission")
     resolved = {"bosons.law": law}
+    if law != "equal_fill":
+        y = _require_positive("bosons.y", _parse_number(sections, "bosons", "y", default=1.0))
+        resolved["bosons.y"] = y
     if law == "emission":
-        n1 = _parse_number(scenario.sections, "bosons", "n1", default=1, kind=int)
-        n2 = _parse_number(scenario.sections, "bosons", "n2", default=1, kind=int)
-        y = _parse_number(scenario.sections, "bosons", "y", default=1.0)
-        eta = _parse_eta(scenario.sections, "bosons")
-        resolved.update({"bosons.n1": n1, "bosons.n2": n2, "bosons.y": y, "bosons.eta": eta})
+        n1 = _boson_count(sections, "n1", 0)
+        n2 = _boson_count(sections, "n2", 0)
+        if not 1 <= n1 + n2 <= _MAX_BOSONS:
+            raise ConfigError(
+                f"bosons.n1: n1 + n2 must lie between 1 and {_MAX_BOSONS}, got {n1 + n2}"
+            )
+        eta = _parse_eta(sections, "bosons")
+        resolved.update({"bosons.n1": n1, "bosons.n2": n2, "bosons.eta": eta})
         dist = emission_distribution(rotate_fock(n1, n2, y, eta=eta))
     elif law == "equal_fill":
-        n = _parse_number(scenario.sections, "bosons", "n", default=1, kind=int)
+        n = _boson_count(sections, "n", 1)
         resolved["bosons.n"] = n
         dist = equal_fill_even_distribution(n)
     elif law == "one_well":
-        n = _parse_number(scenario.sections, "bosons", "n", default=1, kind=int)
-        y = _parse_number(scenario.sections, "bosons", "y", default=1.0)
-        resolved.update({"bosons.n": n, "bosons.y": y})
+        n = _boson_count(sections, "n", 1)
+        resolved["bosons.n"] = n
         dist = one_well_distribution(n, y)
     else:
-        n_retained = _parse_number(
-            scenario.sections, "bosons", "n_retained", default=1, kind=int
-        )
-        y = _parse_number(scenario.sections, "bosons", "y", default=1.0)
-        resolved.update({"bosons.n_retained": n_retained, "bosons.y": y})
+        n_retained = _boson_count(sections, "n_retained", 0)
+        resolved["bosons.n_retained"] = n_retained
         dist = retained_state_split(n_retained, y)
     counts, probs = zip(*distribution_rows(dist))
     columns = {
@@ -641,9 +664,7 @@ def _run_sweep(scenario):
     base_kwargs = _width_kwargs(sections)
     if base_kwargs.get("yprime") is not None and axis1 != "yprime" and axis2 != "yprime":
         raise ConfigError("model.yprime: sweeps run single-particle models only")
-    t_long = _parse_number(sections, "sweep", "t_max", default=None)
-    if t_long is not None and t_long <= 0.0:
-        raise ConfigError(f"sweep.t_max: must be positive, got {t_long}")
+    t_long = _require_positive("sweep.t_max", _parse_number(sections, "sweep", "t_max"))
     resolved = {
         "sweep.axis": axis1,
         "sweep.values": values1,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NoBoundStateError, WellPair
+from .model import NoBoundStateError, WellPair, wide_band_self_energy
 from .rotation import dark_state, rotate
 
 __all__ = [
@@ -134,8 +134,7 @@ def effective_hamiltonian(pair: WellPair) -> np.ndarray:
     ``H_eff = diag(E1, E2) + F`` with the wide-band self-energy ``F``; the
     amplitudes obey ``i db/dt = H_eff b``.
     """
-    from .model import wide_band_self_energy as f
-
+    f = wide_band_self_energy
     return np.array(
         [
             [pair.E1 + f(pair, 1, 1), f(pair, 1, 2)],
@@ -232,6 +231,8 @@ def amplitude_trajectory(pair: WellPair, initial, times) -> np.ndarray:
 def master_rhs(pair: WellPair, sigma) -> tuple[float, float, complex]:
     """Right-hand side of the reduced master equation.
 
+    Nothing in the package integrates it: it states the equation whose
+    exact solution ``U sigma U^dagger`` the wide-band propagator gives.
     ``sigma`` is ``(sigma11, sigma22, sigma12)``; returns the derivatives
     ``-i (H_eff sigma - sigma H_eff^dagger)`` in the same layout.  The
     emitted weight needs no equation of its own:

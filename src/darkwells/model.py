@@ -205,49 +205,3 @@ class ParallelWellPair:
             raise ValueError(f"yprime must be positive, got {yp}")
         object.__setattr__(self, "yprime", yp)
         object.__setattr__(self, "U", _require_finite("U", self.U))
-
-
-_PAIR_KEYS = ("E1", "E2", "omega1", "omega2", "rho", "lambda_cutoff")
-_PARALLEL_KEYS = ("yprime", "U")
-
-
-def pair_from_mapping(values: dict) -> WellPair | ParallelWellPair:
-    """Build a pair from a flat key-value mapping (parsed config section).
-
-    Recognized keys: ``E1 E2 omega1 omega2 rho lambda_cutoff`` plus
-    ``yprime``/``U`` which promote the result to a :class:`ParallelWellPair`.
-    Unknown keys are rejected so typos fail loudly.
-    """
-    unknown = sorted(set(values) - set(_PAIR_KEYS) - set(_PARALLEL_KEYS))
-    if unknown:
-        raise ValueError(f"unknown model keys: {', '.join(unknown)}")
-    kwargs = {}
-    for key in _PAIR_KEYS:
-        if key in values and values[key] is not None:
-            kwargs[key] = float(values[key])
-    pair = WellPair(**kwargs)
-    if any(key in values for key in _PARALLEL_KEYS):
-        return ParallelWellPair(
-            base=pair,
-            yprime=float(values.get("yprime", 1.0)),
-            U=float(values.get("U", 0.0)),
-        )
-    return pair
-
-
-def pair_to_mapping(model: WellPair | ParallelWellPair) -> dict:
-    """Inverse of :func:`pair_from_mapping`; values are plain floats."""
-    pair = model.base if isinstance(model, ParallelWellPair) else model
-    out = {
-        "E1": pair.E1,
-        "E2": pair.E2,
-        "omega1": pair.omega1,
-        "omega2": pair.omega2,
-        "rho": pair.rho,
-    }
-    if pair.lambda_cutoff is not None:
-        out["lambda_cutoff"] = pair.lambda_cutoff
-    if isinstance(model, ParallelWellPair):
-        out["yprime"] = model.yprime
-        out["U"] = model.U
-    return out

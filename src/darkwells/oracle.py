@@ -564,11 +564,12 @@ def convergence_report(run: OracleRun) -> dict:
 class FockSpace:
     """Fixed-particle-number many-body basis over a 1D mode list.
 
-    States are index tuples: strictly increasing for fermions,
-    non-decreasing for bosons.  Enumeration is lexicographic, so basis
-    order is reproducible across runs and platforms, and a state's index
-    is its rank in the combinatorial number system.  Spaces larger than
-    ``_MAX_FOCK_DIM`` are refused before anything is enumerated.
+    ``_modes`` holds one row of sorted modes per basis state: strictly
+    increasing for fermions, non-decreasing for bosons.  Rows are in
+    lexicographic order, so basis order is reproducible across runs and
+    platforms, and a state's index is its rank in the combinatorial number
+    system.  Spaces larger than ``_MAX_FOCK_DIM`` are refused before
+    anything is enumerated.
     """
 
     def __init__(self, n_modes: int, n_particles: int, statistics: str):
@@ -587,24 +588,16 @@ class FockSpace:
         self.statistics = statistics
         # bosons occupy the strictly increasing slots mode_i + i
         self._slots = self.n_modes + (self.n_particles - 1 if statistics == "bose" else 0)
-        dim = math.comb(self._slots, self.n_particles)
-        if dim > _MAX_FOCK_DIM:
-            raise ValueError(f"Fock dimension {dim} exceeds the cap {_MAX_FOCK_DIM}")
-        if statistics == "fermi":
-            self.states = list(combinations(range(n_modes), n_particles))
-        else:
-            self.states = list(combinations_with_replacement(range(n_modes), n_particles))
-        self.index = {state: i for i, state in enumerate(self.states)}
+        self.size = math.comb(self._slots, self.n_particles)
+        if self.size > _MAX_FOCK_DIM:
+            raise ValueError(f"Fock dimension {self.size} exceeds the cap {_MAX_FOCK_DIM}")
+        subsets = combinations if statistics == "fermi" else combinations_with_replacement
+        self._modes = np.fromiter(
+            subsets(range(self.n_modes), self.n_particles),
+            dtype=(np.int64, (self.n_particles,)),
+            count=self.size,
+        )
         self._dot_hop_cache = {}
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
-
-    @cached_property
-    def _modes(self) -> np.ndarray:
-        """(size, n_particles) sorted modes of each basis state."""
-        return np.array(self.states, dtype=np.int64)
 
     @cached_property
     def _binomials(self) -> np.ndarray:
@@ -630,14 +623,6 @@ class FockSpace:
         terms = self._binomials[self._slots - 1 - modes, np.arange(n, 0, -1)]
         return self.size - 1 - terms.sum(axis=1)
 
-    @cached_property
-    def occupation_matrix(self) -> np.ndarray:
-        """(size, n_modes) occupation numbers, small unsigned ints."""
-        occ = np.zeros((self.size, self.n_modes), dtype=np.min_scalar_type(self.n_particles))
-        rows = np.repeat(np.arange(self.size), self.n_particles)
-        np.add.at(occ, (rows, self._modes.ravel()), 1)
-        return occ
-
     def mode_counts(self, first_modes: int) -> np.ndarray:
         """Particles among the first ``first_modes`` modes, per basis state."""
         return np.count_nonzero(self._modes < first_modes, axis=1)
@@ -661,7 +646,7 @@ def _hops(space: FockSpace, t: np.ndarray):
     ``t`` is an (n_modes, n_modes) one-body matrix with zero diagonal.
     Returns the arrays ``(source, target, p, q, value)``.  Fermion signs
     are ``(-1)^(pos + ins)``: ``p`` sits at position ``pos`` of the source
-    tuple and ``q`` enters the remaining tuple at index ``ins``.  Boson
+    row and ``q`` enters the remaining row at index ``ins``.  Boson
     factors are ``sqrt(n_p (n_q + 1))``, with each occupied mode hopping
     once however many particles hold it.
     """
@@ -732,7 +717,7 @@ def build_fock_hamiltonian(
     One-body part: mode energies plus dot-reservoir hops.  Two-body part
     (parallel models only): ``U`` per doubly occupied well, diagonal in
     this basis.  Fermionic signs follow the mode order of the basis
-    tuples.
+    rows.
     """
     energies, block, sites = _one_body_terms(model, res)
     if space.n_modes != energies.size:
@@ -800,10 +785,15 @@ def fock_spectral_bounds(
 def fock_basis_state(space: FockSpace, modes) -> np.ndarray:
     """Unit vector with all particles placed in the given modes."""
     key = tuple(sorted(modes))
-    if key not in space.index:
+    valid = (
+        len(key) == space.n_particles
+        and all(isinstance(m, (int, np.integer)) and 0 <= m < space.n_modes for m in key)
+        and (space.statistics == "bose" or len(set(key)) == len(key))
+    )
+    if not valid:
         raise ValueError(f"occupation {key} is not a basis state of this space")
     psi = np.zeros(space.size, dtype=complex)
-    psi[space.index[key]] = 1.0
+    psi[space._rank(np.array([key], dtype=np.int64))[0]] = 1.0
     return psi
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "dot_to_rotated",
     "dot_from_rotated",
     "check_constant_ratio",
-    "read_coupling_table",
     "null_measurement_project",
 ]
 
@@ -153,18 +152,6 @@ def check_constant_ratio(table, rel_tol: float = 1e-9) -> tuple[bool, float]:
         rel = np.where(ratios == 0.0, 0.0, math.inf)
     worst = float(np.max(rel))
     return worst <= rel_tol, worst
-
-
-def read_coupling_table(path) -> np.ndarray:
-    """Load a two-column numeric text table of per-state couplings.
-
-    Whitespace separated, ``#`` comments allowed.  Returns an (n, 2) float
-    array suitable for :func:`check_constant_ratio`.
-    """
-    arr = np.loadtxt(path, ndmin=2)
-    if arr.shape[1] != 2:
-        raise ValueError(f"expected 2 columns, got {arr.shape[1]}")
-    return arr
 
 
 def null_measurement_project(state):

@@ -190,6 +190,13 @@ def boson_rotation_oracle(N1, N2, y, eta=1):
     return out
 
 
+def boson_inner_product(a, b) -> float:
+    """``<a|b>`` of two boson expansions over the same (basis, total) modes."""
+    assert (a.basis, a.total) == (b.basis, b.total)
+    fa, fb = a.float_amplitudes(), b.float_amplitudes()
+    return math.fsum(fa[key] * fb[key] for key in sorted(fa.keys() & fb.keys()))
+
+
 def permutation_sign(perm) -> int:
     """Sign of a permutation given as a tuple of indices."""
     sign = 1

@@ -230,7 +230,7 @@ def test_sweep_two_axes_product_order(tmp_path):
         assert float(row[2]) == pytest.approx(y / (1 + y), rel=1e-12)
 
 
-def test_config_error_paths(tmp_path, capsys):
+def test_config_error_paths(tmp_path, capsys, monkeypatch):
     def run_expecting(code, args):
         assert main(args) == code
         return capsys.readouterr().err
@@ -298,6 +298,45 @@ def test_config_error_paths(tmp_path, capsys):
             2, ["oracle-compare", "--config", cfg, "--out", str(tmp_path / "x.csv")]
         )
         assert "oracle.n_levels" in err
+
+    # Out-of-domain values name their key; boson counts past the cap are
+    # refused before any law is evaluated, and the cap itself is allowed.
+    cap = darkwells.cli._MAX_BOSONS
+    cfg = write_config(tmp_path, f"[bosons]\nlaw = one_well\nn = {cap}\n", name="at_cap.ini")
+    run_expecting(0, ["bosons", "--config", cfg, "--out", str(tmp_path / "at_cap.csv")])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("boson law evaluated before its counts were checked")
+
+    for name in ("rotate_fock", "equal_fill_even_distribution", "one_well_distribution",
+                 "retained_state_split"):
+        monkeypatch.setattr(darkwells.cli, name, refuse)
+    for kind, text, key in (
+        ("oracle-compare", "[oracle]\ncutoff = 0\n", "oracle.cutoff"),
+        ("oracle-compare", "[oracle]\ncutoff = -2.5\n", "oracle.cutoff"),
+        ("bosons", "[bosons]\nn1 = -1\n", "bosons.n1"),
+        ("bosons", "[bosons]\nn2 = -1\n", "bosons.n2"),
+        ("bosons", "[bosons]\nn1 = 0\nn2 = 0\n", "bosons.n1"),
+        ("bosons", "[bosons]\ny = 0\n", "bosons.y"),
+        ("bosons", "[bosons]\nlaw = one_well\ny = -1\n", "bosons.y"),
+        ("bosons", "[bosons]\nlaw = retained_split\ny = 0\n", "bosons.y"),
+        ("bosons", "[bosons]\nlaw = equal_fill\nn = 0\n", "bosons.n"),
+        ("bosons", "[bosons]\nlaw = one_well\nn = -3\n", "bosons.n"),
+        ("bosons", "[bosons]\nlaw = retained_split\nn_retained = -1\n", "bosons.n_retained"),
+        ("bosons", "[bosons]\nn1 = 100000\nn2 = 100000\n", "bosons.n1"),
+        ("bosons", f"[bosons]\nn1 = {cap // 2}\nn2 = {cap // 2 + 1}\n", "bosons.n1"),
+        ("bosons", "[bosons]\nlaw = equal_fill\nn = 100000\n", "bosons.n"),
+        ("bosons", f"[bosons]\nlaw = one_well\nn = {cap + 1}\n", "bosons.n"),
+        ("bosons", "[bosons]\nlaw = retained_split\nn_retained = 100000\n",
+         "bosons.n_retained"),
+        ("fermions", "[fermions]\ny = -1\n", "fermions.y"),
+        ("evolve", "[model]\nrho = 0\n", "model.rho"),
+        ("evolve", "[model]\nrho = -1\n", "model.rho"),
+        ("evolve", "[model]\nomega1 = 1\nomega2 = 1\nrho = 0\n", "model.rho"),
+    ):
+        cfg = write_config(tmp_path, text, name="domain.ini")
+        err = run_expecting(2, [kind, "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert key + ":" in err, (text, err)
 
     err = run_expecting(
         2, ["evolve", "--config", str(tmp_path / "missing.ini"), "--out", "x.csv"]

@@ -8,8 +8,6 @@ from darkwells.model import (
     ParallelWellPair,
     WellPair,
     derive,
-    pair_from_mapping,
-    pair_to_mapping,
     wide_band_self_energy,
 )
 
@@ -96,24 +94,3 @@ def test_parallel_pair_validation():
         ParallelWellPair(base=base, yprime=0.0)
     with pytest.raises(ValueError):
         ParallelWellPair(base=base, yprime=math.inf)
-
-
-def test_mapping_roundtrip_single():
-    pair = WellPair.from_widths(1.0, 3.0, eta=-1, epsilon=0.2, lambda_cutoff=50.0)
-    again = pair_from_mapping(pair_to_mapping(pair))
-    assert again == pair
-
-
-def test_mapping_roundtrip_parallel():
-    base = WellPair.from_widths(1.0, 3.0, epsilon=0.2)
-    model = ParallelWellPair(base=base, yprime=0.5, U=2.0)
-    again = pair_from_mapping(pair_to_mapping(model))
-    assert isinstance(again, ParallelWellPair)
-    assert again == model
-
-
-def test_mapping_rejects_unknown_keys():
-    mapping = pair_to_mapping(WellPair.from_widths(1.0, 1.0))
-    mapping["gamma3"] = 1.0
-    with pytest.raises(ValueError, match="gamma3"):
-        pair_from_mapping(mapping)

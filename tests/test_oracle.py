@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -338,13 +339,11 @@ def test_dense_cap_refuses_before_building(monkeypatch):
 def test_fock_space_enumeration():
     fermi = FockSpace(5, 2, "fermi")
     assert fermi.size == 10
-    assert fermi.states[0] == (0, 1) and fermi.states[-1] == (3, 4)
+    assert fermi._modes.shape == (10, 2) and fermi._modes.dtype == np.int64
+    assert tuple(fermi._modes[0]) == (0, 1) and tuple(fermi._modes[-1]) == (3, 4)
     bose = FockSpace(3, 2, "bose")
     assert bose.size == 6
-    assert (0, 0) in bose.index
-    occ = fermi.occupation_matrix
-    assert occ.shape == (10, 5)
-    np.testing.assert_array_equal(occ.sum(axis=1), 2)
+    assert tuple(bose._modes[0]) == (0, 0)
     np.testing.assert_array_equal(fermi.mode_counts(2)[:4], [2, 1, 1, 1])
     with pytest.raises(ValueError):
         FockSpace(2, 3, "fermi")
@@ -365,13 +364,16 @@ def test_fock_space_enumeration():
 )
 def test_fock_rank_round_trips(n_modes, n_particles, statistics):
     space = FockSpace(n_modes, n_particles, statistics)
+    subsets = combinations if statistics == "fermi" else combinations_with_replacement
+    want = [list(state) for state in subsets(range(n_modes), n_particles)]
+    assert space.size == len(want)
+    np.testing.assert_array_equal(space._modes, np.array(want, dtype=np.int64))
     np.testing.assert_array_equal(space._rank(space._modes), np.arange(space.size))
 
 
 def test_boson_occupations_do_not_wrap():
     space = FockSpace(2, 256, "bose")
     psi = fock_basis_state(space, [0] * 256)
-    np.testing.assert_array_equal(space.occupation_matrix[space.index[(0,) * 256]], [256, 0])
     red = reduced_quantities(space, psi, 1)
     np.testing.assert_array_equal(red.mode_occupations, [256, 0])
     np.testing.assert_array_equal(red.dot_rdm, [[256]])
@@ -380,10 +382,27 @@ def test_boson_occupations_do_not_wrap():
 def test_fock_basis_state_lookup():
     space = FockSpace(4, 2, "fermi")
     psi = fock_basis_state(space, (2, 0))
-    assert psi[space.index[(0, 2)]] == 1.0
+    assert psi[space._rank(np.array([[0, 2]]))[0]] == 1.0
+    assert tuple(space._modes[np.flatnonzero(psi)[0]]) == (0, 2)
     assert np.count_nonzero(psi) == 1
-    with pytest.raises(ValueError, match="not a basis state"):
-        fock_basis_state(space, (0, 0))
+    bose = FockSpace(4, 3, "bose")
+    assert tuple(bose._modes[np.flatnonzero(fock_basis_state(bose, (3, 1, 3)))[0]]) == (1, 3, 3)
+    # a repeated fermion, mode == n_modes, a negative mode, wrong lengths, a
+    # float mode and over-range boson keys; _rank would map most of these
+    # to a wrong or negative row instead of failing
+    for bad_space, key in (
+        (space, (0, 0)),
+        (space, (1, 4)),
+        (space, (-1, 2)),
+        (space, (1,)),
+        (space, (0, 1, 2)),
+        (space, (0, 1.0)),
+        (bose, (0, 0, 4)),
+        (bose, (7, 7, 7)),
+        (bose, (-4, 0, 0)),
+    ):
+        with pytest.raises(ValueError, match="not a basis state"):
+            fock_basis_state(bad_space, key)
 
 
 def test_single_particle_sector_reproduces_first_quantization():
@@ -420,7 +439,7 @@ def test_fock_operators_match_second_quantization(parallel, n_particles, statist
     n_dots = dot_mode_count(model)
     space = FockSpace(n_dots + 10, n_particles, statistics)
     basis, want = fock_hamiltonian_reference(model, res, n_particles, statistics)
-    order = [space.index[tuple(m for m, n in enumerate(occ) for _ in range(n))] for occ in basis]
+    order = space._rank(np.array([np.repeat(np.arange(len(occ)), occ) for occ in basis]))
     h = build_fock_hamiltonian(model, res, space).toarray()[np.ix_(order, order)]
     np.testing.assert_allclose(h, want, rtol=0, atol=1e-13)
     rng = np.random.default_rng(11)
@@ -533,10 +552,11 @@ def test_two_boson_dark_state_is_trapped():
     d = dark_state(pair)
     res = DiscretizedReservoir.uniform(16, 5.0)
     space = FockSpace(18, 2, "bose")
-    psi0 = np.zeros(space.size, dtype=complex)
-    psi0[space.index[(0, 0)]] = d[0] * d[0]
-    psi0[space.index[(0, 1)]] = math.sqrt(2.0) * d[0] * d[1]
-    psi0[space.index[(1, 1)]] = d[1] * d[1]
+    psi0 = (
+        d[0] * d[0] * fock_basis_state(space, (0, 0))
+        + math.sqrt(2.0) * d[0] * d[1] * fock_basis_state(space, (0, 1))
+        + d[1] * d[1] * fock_basis_state(space, (1, 1))
+    )
     psi_t = evolve_fock(pair, res, space, psi0, [8.0])
     red = reduced_quantities(space, psi_t[0], 2)
     np.testing.assert_allclose(red.reservoir_count_probs, [1.0, 0.0, 0.0], atol=1e-10)

@@ -13,7 +13,6 @@ from darkwells.rotation import (
     dot_from_rotated,
     dot_to_rotated,
     null_measurement_project,
-    read_coupling_table,
     rotate,
 )
 
@@ -107,19 +106,6 @@ def test_check_constant_ratio_rejects_bad_input():
         check_constant_ratio(np.zeros((0, 2)))
     with pytest.raises(ValueError):
         check_constant_ratio([[1.0, 2.0, 3.0]])
-
-
-def test_read_coupling_table(tmp_path):
-    path = tmp_path / "couplings.txt"
-    path.write_text("# E-resolved couplings\n1.0 2.0\n0.5 1.0\n")
-    arr = read_coupling_table(path)
-    assert arr.shape == (2, 2)
-    ok, _ = check_constant_ratio(arr)
-    assert ok
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1.0 2.0 3.0\n")
-    with pytest.raises(ValueError, match="2 columns"):
-        read_coupling_table(bad)
 
 
 def test_null_projection_plain_pair():

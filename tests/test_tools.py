@@ -70,3 +70,24 @@ def test_fold_bench_groups_commits_and_pairs_seeds(tmp_path):
     again = tmp_path / "again.json"
     fold_bench.main(["--out", str(again)] + paths)
     assert again.read_bytes() == out.read_bytes()
+
+
+def test_fold_bench_refuses_duplicate_runs(tmp_path, capsys):
+    fold_bench = load_fold_bench()
+    paths = []
+    for name, rec in (("a", record("aaa", 1, 0, 100.0)), ("b", record("aaa", 2, 0, 90.0)),
+                      ("c", record("aaa", 1, 0, 130.0))):
+        path = tmp_path / f"result-{name}.json"
+        path.write_text(json.dumps(rec))
+        paths.append(str(path))
+    out = tmp_path / "BENCH_1.json"
+    with pytest.raises(SystemExit) as exc:
+        fold_bench.main(["--out", str(out)] + paths)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert paths[0] in err and paths[2] in err and paths[1] not in err
+    assert not out.exists()
+    # the same seed with --trace 1 is a different run
+    paths[2] = str(tmp_path / "result-d.json")
+    (tmp_path / "result-d.json").write_text(json.dumps(record("aaa", 1, 1, 4.0)))
+    assert fold_bench.main(["--out", str(out)] + paths) == 0

@@ -17,7 +17,8 @@ and workload, and writes:
   second wins (the direction comes from ``BENCHMARK.json``).
 
 The output is written with sorted keys, so the same inputs give the same
-bytes.  The script reads nothing but its arguments and ``BENCHMARK.json``.
+bytes.  Two files holding the same commit, workload, seed and trace are
+refused (exit 2, naming both).  The script reads nothing but its arguments and ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -111,10 +112,18 @@ def _pairs(first, second, better):
 def fold(paths):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    by_commit = {}
+    by_commit, seen = {}, {}
     for path in paths:
         with open(path) as fh:
             record = json.load(fh)
+        # a repeated run would count twice in the medians and once in the pairs
+        key = tuple(record[name] for name in ("commit", "workload", "seed", "trace"))
+        if key in seen:
+            raise ValueError(
+                f"{seen[key]} and {path} are both the run of commit {key[0]}, "
+                f"workload {key[1]}, seed {key[2]}, trace {key[3]}"
+            )
+        seen[key] = path
         by_commit.setdefault(record["commit"], {}).setdefault(record["workload"], []).append(record)
     commits = list(by_commit)
     bench = {
@@ -137,7 +146,10 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     parser.add_argument("results", nargs="+", help="perfbench result-*.json files")
     args = parser.parse_args(argv)
-    bench = fold(args.results)
+    try:
+        bench = fold(args.results)
+    except ValueError as exc:
+        parser.error(str(exc))
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")
