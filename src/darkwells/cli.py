@@ -114,7 +114,9 @@ _ALLOWED_KEYS = {
     "sweep": {"axis", "values", "axis2", "values2", "report", "max_points", "t_max"},
 }
 
-_SWEEP_AXES = ("y", "epsilon", "gamma1", "gamma2", "yprime", "u")
+_WIDTH_KEYS = ("gamma1", "gamma2", "y", "epsilon", "eta")
+# y and gamma2 both set the second width, so a sweep takes at most one of them
+_SWEEP_AXES = ("y", "epsilon", "gamma1", "gamma2")
 _SWEEP_REPORTS = ("sigma11_asymptotic", "p_trapped", "fitted_tau", "fitted_rate")
 _FERMION_OPS = ("two_electron", "two_electron_parallel", "three_electron")
 _BOSON_LAWS = ("emission", "equal_fill", "one_well", "retained_split")
@@ -202,10 +204,11 @@ def _parse_choice(sections, section, key, choices, default):
     return value
 
 
-def _require_positive(key, value):
-    """``value`` unless it is a number <= 0; ``key`` is its section.key path."""
-    if value is not None and value <= 0.0:
-        raise ConfigError(f"{key}: must be positive, got {value}")
+def _require_positive(key, value, or_zero=False):
+    """``value`` unless it is <= 0, or < 0 ``or_zero``; ``key`` is its section.key path."""
+    if value is not None and (value < 0.0 if or_zero else value <= 0.0):
+        bound = "non-negative" if or_zero else "positive"
+        raise ConfigError(f"{key}: must be {bound}, got {value}")
     return value
 
 
@@ -216,38 +219,82 @@ def _parse_eta(sections, section, key="eta"):
     return eta
 
 
-def _width_kwargs(sections) -> dict:
-    """Width-style model keys with defaults; sweep axes override these."""
+def _read_model(sections, parallel=False, sweep=False):
+    """Parse [model] once into keywords for :func:`_build_model`.
+
+    The style is picked once: coupling style (``omega1``, ``omega2``, ``e1``,
+    ``e2``) when an omega is given, else width style (``gamma1``, ``gamma2``
+    or ``y``, ``eta``, ``epsilon``); ``rho`` and ``lambda_cutoff`` go with
+    both.  ``yprime`` with ``u`` makes the parallel-level model, which
+    ``parallel`` scenarios need and the others refuse; a ``sweep`` takes
+    width style only.  Every key the style does not read, and every value
+    out of its domain, is refused here with its key named.
+    """
     sec = sections.get("model", {})
+    coupling = sorted({"omega1", "omega2"} & set(sec))
+    if sweep and coupling:
+        raise ConfigError(f"model.{coupling[0]}: sweeps take width-style models")
+    mixed = sorted(set(sec) & set(_WIDTH_KEYS if coupling else ("e1", "e2")))
+    if mixed:
+        raise ConfigError(
+            f"model.{mixed[0]}: cannot mix width (gamma1, gamma2 or y, eta, epsilon) "
+            "and coupling (omega1, omega2, e1, e2) parameterizations"
+        )
     if "gamma2" in sec and "y" in sec:
         raise ConfigError("model.y: give either gamma2 or y, not both")
-    for key in ("e1", "e2"):
-        if key in sec:
+    if parallel and "yprime" not in sec:
+        raise ConfigError("model.yprime: this scenario needs a parallel-level model")
+    for key in ("yprime", "u"):
+        if key in sec and not parallel:
             raise ConfigError(
-                f"model.{key}: level energies go with the omega "
-                "parameterization; width style sets alignment through epsilon"
+                f"model.{key}: this scenario takes a single-particle model (no parallel levels)"
             )
-    kwargs = {
-        "gamma1": _parse_number(sections, "model", "gamma1", default=1.0),
-        "epsilon": _parse_number(sections, "model", "epsilon", default=0.0),
-        "eta": _parse_eta(sections, "model"),
-        "rho": _require_positive("model.rho", _parse_number(sections, "model", "rho")),
-        "lambda_cutoff": _parse_number(sections, "model", "lambda_cutoff", default=None),
-        "yprime": _parse_number(sections, "model", "yprime", default=None),
-        "u": _parse_number(sections, "model", "u", default=0.0),
+    number = functools.partial(_parse_number, sections, "model")
+
+    def width(key, default=None):
+        return _require_positive(f"model.{key}", number(key, default), or_zero=True)
+
+    spec = {
+        "rho": _require_positive("model.rho", number("rho")),
+        "lambda_cutoff": _require_positive("model.lambda_cutoff", number("lambda_cutoff")),
     }
-    if "y" in sec:
-        kwargs["y"] = _parse_number(sections, "model", "y")
-    else:
-        kwargs["gamma2"] = _parse_number(
-            sections, "model", "gamma2", default=kwargs["gamma1"]
+    if coupling:
+        spec.update(
+            E1=number("e1", 0.0),
+            E2=number("e2", 0.0),
+            omega1=number("omega1", required=True),
+            omega2=number("omega2", required=True),
         )
-    return kwargs
+    else:
+        gamma1 = width("gamma1", 1.0)
+        eta = _parse_eta(sections, "model")
+        spec.update(gamma1=gamma1, eta=eta, epsilon=number("epsilon", 0.0))
+        if "y" in sec:
+            spec["y"] = width("y")
+        else:
+            spec["gamma2"] = width("gamma2", gamma1)
+    if parallel:
+        spec.update(yprime=_require_positive("model.yprime", number("yprime")), u=number("u", 0.0))
+    return {key: value for key, value in spec.items() if value is not None}
 
 
-def _resolved_model(model) -> dict:
-    """Resolved-parameter record of a built model, for the manifest."""
-    pair = model.base if isinstance(model, ParallelWellPair) else model
+def _build_model(spec, **axes):
+    """The model of :func:`_read_model` keywords, and its manifest record.
+
+    A sweep point passes its axis values as ``axes``: each replaces the
+    parsed value, and ``y`` replaces a parsed ``gamma2`` too.
+    """
+    kwargs = {**spec, **axes}
+    if "y" in axes:
+        kwargs.pop("gamma2", None)
+    if "y" in kwargs:
+        kwargs.setdefault("gamma2", kwargs.pop("y") * kwargs["gamma1"])
+    yprime, u = kwargs.pop("yprime", None), kwargs.pop("u", 0.0)
+    try:
+        pair = WellPair(**kwargs) if "omega1" in kwargs else WellPair.from_widths(**kwargs)
+        model = pair if yprime is None else ParallelWellPair(base=pair, yprime=yprime, U=u)
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}") from exc
     resolved = {
         "model.E1": pair.E1,
         "model.E2": pair.E2,
@@ -260,81 +307,9 @@ def _resolved_model(model) -> dict:
     }
     if pair.lambda_cutoff is not None:
         resolved["model.lambda_cutoff"] = pair.lambda_cutoff
-    if isinstance(model, ParallelWellPair):
+    if yprime is not None:
         resolved["model.yprime"] = model.yprime
         resolved["model.U"] = model.U
-    return resolved
-
-
-def _model_from_width_kwargs(kwargs):
-    """Build the model and the resolved-parameter record from width keys."""
-    gamma1 = kwargs["gamma1"]
-    gamma2 = kwargs.get("gamma2")
-    if gamma2 is None:
-        gamma2 = kwargs["y"] * gamma1
-    try:
-        extra = {}
-        if kwargs.get("rho") is not None:
-            extra["rho"] = kwargs["rho"]
-        pair = WellPair.from_widths(
-            gamma1,
-            gamma2,
-            eta=kwargs["eta"],
-            epsilon=kwargs["epsilon"],
-            lambda_cutoff=kwargs.get("lambda_cutoff"),
-            **extra,
-        )
-        model = pair
-        if kwargs.get("yprime") is not None:
-            model = ParallelWellPair(base=pair, yprime=kwargs["yprime"], U=kwargs["u"])
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    return model, _resolved_model(model)
-
-
-def _resolve_model(sections):
-    """Build the model from [model], accepting width or coupling style."""
-    sec = sections.get("model", {})
-    if "omega1" in sec or "omega2" in sec:
-        mixed = {"gamma1", "gamma2", "y"} & set(sec)
-        if mixed:
-            raise ConfigError(
-                f"model.{sorted(mixed)[0]}: cannot mix width (gamma/y) and "
-                "coupling (omega) parameterizations"
-            )
-        rho = _require_positive("model.rho", _parse_number(sections, "model", "rho"))
-        try:
-            pair = WellPair(
-                E1=_parse_number(sections, "model", "e1", default=0.0),
-                E2=_parse_number(sections, "model", "e2", default=0.0),
-                omega1=_parse_number(sections, "model", "omega1", required=True),
-                omega2=_parse_number(sections, "model", "omega2", required=True),
-                **({"rho": rho} if rho is not None else {}),
-                lambda_cutoff=_parse_number(sections, "model", "lambda_cutoff", default=None),
-            )
-            model = pair
-            yprime = _parse_number(sections, "model", "yprime", default=None)
-            if yprime is not None:
-                model = ParallelWellPair(
-                    base=pair,
-                    yprime=yprime,
-                    U=_parse_number(sections, "model", "u", default=0.0),
-                )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"model: {exc}") from exc
-        return model, _resolved_model(model)
-    return _model_from_width_kwargs(_width_kwargs(sections))
-
-
-def _single_particle_model(sections):
-    model, resolved = _resolve_model(sections)
-    if isinstance(model, ParallelWellPair):
-        raise ConfigError(
-            "model.yprime: this scenario takes a single-particle model "
-            "(no parallel levels)"
-        )
     return model, resolved
 
 
@@ -367,7 +342,7 @@ def _resolve_grid(sections, default_t_max):
 
 
 def _run_evolve(scenario):
-    pair, resolved = _single_particle_model(scenario.sections)
+    pair, resolved = _build_model(_read_model(scenario.sections))
     (b1, b2), res_init = _resolve_initial(scenario.sections)
     times, res_grid = _resolve_grid(scenario.sections, default_t_max=10.0 / pair.gamma1)
     resolved.update(res_init)
@@ -386,7 +361,7 @@ def _run_evolve(scenario):
 
 
 def _run_asymptotic(scenario):
-    pair, resolved = _single_particle_model(scenario.sections)
+    pair, resolved = _build_model(_read_model(scenario.sections))
     (b1, b2), res_init = _resolve_initial(scenario.sections)
     resolved.update(res_init)
     p0, p1 = asymptotic_probs(pair, (b1, b2))
@@ -408,7 +383,7 @@ def _run_asymptotic(scenario):
 
 
 def _run_dwell(scenario):
-    pair, resolved = _single_particle_model(scenario.sections)
+    pair, resolved = _build_model(_read_model(scenario.sections))
     tau = dwell_time(pair)
     columns = {"tau": np.array([tau]), "rate": np.array([1.0 / tau])}
     return columns, resolved, {}
@@ -469,7 +444,7 @@ def _check_oracle_work(pair, times, n_levels, cutoff, method):
 def _run_oracle_compare(scenario):
     from .oracle import convergence_report
 
-    pair, resolved = _single_particle_model(scenario.sections)
+    pair, resolved = _build_model(_read_model(scenario.sections))
     (b1, b2), res_init = _resolve_initial(scenario.sections)
     times, res_grid = _resolve_grid(scenario.sections, default_t_max=8.0 / (pair.gamma1 + pair.gamma2))
     resolved.update(res_init)
@@ -514,17 +489,12 @@ def _run_fermions(scenario):
     resolved = {"fermions.op": op}
     if op == "two_electron":
         y = _parse_number(scenario.sections, "fermions", "y", default=1.0)
-        if y < 0.0:
-            raise ConfigError(f"fermions.y: must be non-negative, got {y}")
+        _require_positive("fermions.y", y, or_zero=True)
         eta = _parse_eta(scenario.sections, "fermions")
         resolved.update({"fermions.y": y, "fermions.eta": eta})
         branches = two_electron_asymptotic(y, eta=eta)
     else:
-        model, res_model = _resolve_model(scenario.sections)
-        if not isinstance(model, ParallelWellPair):
-            raise ConfigError(
-                f"model.yprime: fermions op {op!r} needs a parallel-level model"
-            )
+        model, res_model = _build_model(_read_model(scenario.sections, parallel=True))
         resolved.update(res_model)
         if op == "two_electron_parallel":
             branches = two_electron_parallel_asymptotic(model)
@@ -600,31 +570,28 @@ def _run_bosons(scenario):
     return columns, resolved, {}
 
 
-def _sweep_values(sections, key):
+def _sweep_axis(sections, axis_key, values_key):
+    """A sweep axis and its values, each refused outside the axis's domain."""
     sec = sections.get("sweep", {})
-    if key not in sec:
-        return None
-    raw = [item.strip() for item in sec[key].split(",") if item.strip()]
+    for key in (axis_key, values_key):
+        if key not in sec:
+            raise ConfigError(f"sweep.{key}: required key is missing")
+    axis = _parse_choice(sections, "sweep", axis_key, _SWEEP_AXES, None)
+    raw = [item.strip() for item in sec[values_key].split(",") if item.strip()]
     if not raw:
-        raise ConfigError(f"sweep.{key}: empty sweep axis")
+        raise ConfigError(f"sweep.{values_key}: empty sweep axis")
     try:
-        return [float(item) for item in raw]
+        values = [float(item) for item in raw]
     except ValueError:
-        raise ConfigError(f"sweep.{key}: cannot parse {sec[key]!r} as floats") from None
-
-
-def _sweep_point_model(base_kwargs, assignments):
-    kwargs = dict(base_kwargs)
-    for axis, value in assignments:
-        if axis == "y":
-            kwargs.pop("gamma2", None)
-            kwargs["y"] = value
-        elif axis == "u":
-            kwargs["u"] = value
-        else:
-            kwargs[axis] = value
-    model, _ = _model_from_width_kwargs(kwargs)
-    return model
+        raise ConfigError(
+            f"sweep.{values_key}: cannot parse {sec[values_key]!r} as floats"
+        ) from None
+    for value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"sweep.{values_key}: value must be finite, got {value}")
+        if axis != "epsilon":
+            _require_positive(f"sweep.{values_key}", value, or_zero=True)
+    return axis, values
 
 
 def _sweep_block(pairs, report, times, initial):
@@ -639,21 +606,12 @@ def _sweep_block(pairs, report, times, initial):
 def _run_sweep(scenario):
     sections = scenario.sections
     sec = sections.get("sweep", {})
-    if "axis" not in sec:
-        raise ConfigError("sweep.axis: required key is missing")
-    axis1 = _parse_choice(sections, "sweep", "axis", _SWEEP_AXES, None)
-    values1 = _sweep_values(sections, "values")
-    if values1 is None:
-        raise ConfigError("sweep.values: required key is missing")
-    axis2 = None
-    values2 = None
+    axis1, values1 = _sweep_axis(sections, "axis", "values")
+    axis2 = values2 = None
     if "axis2" in sec or "values2" in sec:
-        axis2 = _parse_choice(sections, "sweep", "axis2", _SWEEP_AXES, None)
-        values2 = _sweep_values(sections, "values2")
-        if values2 is None:
-            raise ConfigError("sweep.values2: required key is missing")
-        if axis2 == axis1:
-            raise ConfigError("sweep.axis2: both axes name the same parameter")
+        axis2, values2 = _sweep_axis(sections, "axis2", "values2")
+        if axis2 == axis1 or {axis1, axis2} == {"y", "gamma2"}:
+            raise ConfigError("sweep.axis2: both axes set the same parameter")
     report = _parse_choice(sections, "sweep", "report", _SWEEP_REPORTS, "sigma11_asymptotic")
     max_points = _parse_number(sections, "sweep", "max_points", default=64, kind=int)
     n_points = len(values1) * (len(values2) if values2 else 1)
@@ -661,9 +619,7 @@ def _run_sweep(scenario):
         raise ConfigError(
             f"sweep.values: {n_points} grid points exceed the cap of {max_points}"
         )
-    base_kwargs = _width_kwargs(sections)
-    if base_kwargs.get("yprime") is not None and axis1 != "yprime" and axis2 != "yprime":
-        raise ConfigError("model.yprime: sweeps run single-particle models only")
+    spec = _read_model(sections, sweep=True)
     t_long = _require_positive("sweep.t_max", _parse_number(sections, "sweep", "t_max"))
     resolved = {
         "sweep.axis": axis1,
@@ -674,17 +630,18 @@ def _run_sweep(scenario):
     if axis2 is not None:
         resolved["sweep.axis2"] = axis2
         resolved["sweep.values2"] = values2
+    # the parsed width values no axis overrides; y and gamma2 override each other
+    axes = {axis1, axis2}
+    if axes & {"y", "gamma2"}:
+        axes |= {"y", "gamma2"}
+    resolved.update({f"model.{key}": value for key, value in spec.items() if key not in axes})
     # Every point's model and scalar prerequisites come first, in grid
     # order, so the first bad point raises; the evolutions then run batched.
     grid = [(v1, v2) for v1 in values1 for v2 in (values2 if values2 else [None])]
     pairs, times, values = [], [], []
     for v1, v2 in grid:
-        assignments = [(axis1, v1)]
-        if axis2 is not None:
-            assignments.append((axis2, v2))
-        pair = _sweep_point_model(base_kwargs, assignments)
-        if isinstance(pair, ParallelWellPair):
-            raise ConfigError("sweep.axis: parallel-level sweeps are not supported")
+        point = {axis1: v1} if axis2 is None else {axis1: v1, axis2: v2}
+        pair, _ = _build_model(spec, **point)
         pairs.append(pair)
         total = pair.gamma1 + pair.gamma2
         if report == "p_trapped":

@@ -41,6 +41,13 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_positive(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class WellPair:
     """Two levels coupled to one wide-band reservoir.
@@ -68,18 +75,15 @@ class WellPair:
     lambda_cutoff: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("E1", "E2", "omega1", "omega2", "rho"):
+        for name in ("E1", "E2", "omega1", "omega2"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        object.__setattr__(self, "rho", _require_positive("rho", self.rho))
         if self.omega1 == 0.0 and self.omega2 == 0.0:
             raise DegenerateSystemError(
                 "degenerate system: both couplings vanish, nothing decays"
             )
         if self.lambda_cutoff is not None:
-            cut = _require_finite("lambda_cutoff", self.lambda_cutoff)
-            if cut <= 0.0:
-                raise ValueError(f"lambda_cutoff must be positive, got {cut}")
+            cut = _require_positive("lambda_cutoff", self.lambda_cutoff)
             object.__setattr__(self, "lambda_cutoff", cut)
 
     @classmethod
@@ -96,8 +100,10 @@ class WellPair:
 
         ``gamma_j = 2 pi omega_j^2 rho`` is inverted for ``omega_j``, the
         relative sign ``eta`` goes on ``omega2``, and the detuning is split
-        symmetrically: ``E1 = +epsilon/2``, ``E2 = -epsilon/2``.
+        symmetrically: ``E1 = +epsilon/2``, ``E2 = -epsilon/2``.  ``rho``
+        and the widths are checked before any arithmetic.
         """
+        rho = _require_positive("rho", rho)
         if gamma1 < 0.0 or gamma2 < 0.0:
             raise ValueError("widths must be non-negative")
         if eta not in (1, -1):
@@ -200,8 +206,5 @@ class ParallelWellPair:
     def __post_init__(self) -> None:
         if not isinstance(self.base, WellPair):
             raise TypeError("base must be a WellPair")
-        yp = _require_finite("yprime", self.yprime)
-        if yp <= 0.0:
-            raise ValueError(f"yprime must be positive, got {yp}")
-        object.__setattr__(self, "yprime", yp)
+        object.__setattr__(self, "yprime", _require_positive("yprime", self.yprime))
         object.__setattr__(self, "U", _require_finite("U", self.U))

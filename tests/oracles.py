@@ -8,8 +8,9 @@ Hamiltonian, ``expm`` of a whole Hamiltonian at each output time for the
 oracle's propagators, determinant-based fermionic expansions, an
 iterated-operator polynomial expansion over Z[sqrt(y)] for the boson
 rotations, and literal second quantization on occupation vectors for the
-many-body Hamiltonian and reduced quantities, and a row-list writer for
-the CLI's output files.  Agreement between library and oracle then checks
+many-body Hamiltonian and reduced quantities, a row-list writer for the
+CLI's output files, and the sweep-point width rule applied axis by axis.
+Agreement between library and oracle then checks
 the physics, not a shared code path.
 """
 
@@ -340,3 +341,27 @@ def render_rows_reference(fmt, digest, manifest, columns, rows, extra):
     }
     payload.update(extra)
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def sweep_point_widths_reference(model, point):
+    """``(gamma1, gamma2, eta, epsilon)`` of one sweep point, rule by rule.
+
+    ``model`` holds the width keys a config gives (``gamma1``, ``eta``,
+    ``epsilon``, and ``gamma2`` or ``y``); the rest take their defaults, and
+    a missing ``gamma2`` without ``y`` defaults to the config's ``gamma1``.
+    ``point`` lists ``(axis, value)`` in axis order.  Each value replaces
+    the config's, a ``y`` also drops the config's ``gamma2``, and the second
+    width is ``gamma2`` when one is left, else ``y * gamma1``.  So a ``gamma2``
+    axis takes precedence over a config ``y``, and a defaulted ``gamma2``
+    stays put when ``gamma1`` is swept.
+    """
+    widths = {"gamma1": 1.0, "eta": 1, "epsilon": 0.0}
+    widths.update(model)
+    if "y" not in widths:
+        widths.setdefault("gamma2", widths["gamma1"])
+    for axis, value in point:
+        if axis == "y":
+            widths.pop("gamma2", None)
+        widths[axis] = value
+    gamma2 = widths["gamma2"] if "gamma2" in widths else widths["y"] * widths["gamma1"]
+    return widths["gamma1"], gamma2, widths["eta"], widths["epsilon"]

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from darkwells.dynamics import (
 )
 from darkwells.model import WellPair
 
-from oracles import render_rows_reference
+from oracles import render_rows_reference, sweep_point_widths_reference
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -304,6 +305,15 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
     cap = darkwells.cli._MAX_BOSONS
     cfg = write_config(tmp_path, f"[bosons]\nlaw = one_well\nn = {cap}\n", name="at_cap.ini")
     run_expecting(0, ["bosons", "--config", cfg, "--out", str(tmp_path / "at_cap.csv")])
+    # a zero width decouples one well and stays in the domain
+    for kind, text in (
+        ("evolve", "[model]\ny = 0\n"),
+        ("asymptotic", "[model]\ngamma1 = 0\ngamma2 = 1\n"),
+        ("sweep", "[sweep]\naxis = gamma1\nvalues = 0, 1\n"),
+        ("fermions", "[fermions]\ny = 0\n"),
+    ):
+        cfg = write_config(tmp_path, text, name="zero.ini")
+        run_expecting(0, [kind, "--config", cfg, "--out", str(tmp_path / "zero.csv")])
 
     def refuse(*args, **kwargs):
         raise AssertionError("boson law evaluated before its counts were checked")
@@ -333,6 +343,19 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
         ("evolve", "[model]\nrho = 0\n", "model.rho"),
         ("evolve", "[model]\nrho = -1\n", "model.rho"),
         ("evolve", "[model]\nomega1 = 1\nomega2 = 1\nrho = 0\n", "model.rho"),
+        ("evolve", "[model]\nlambda_cutoff = 0\n", "model.lambda_cutoff"),
+        ("oracle-compare", "[model]\nlambda_cutoff = -5\n", "model.lambda_cutoff"),
+        ("evolve", "[model]\ngamma1 = -1\n", "model.gamma1"),
+        ("dwell", "[model]\ngamma2 = -0.5\nepsilon = 0.1\n", "model.gamma2"),
+        ("asymptotic", "[model]\ny = -1\n", "model.y"),
+        ("fermions", "[fermions]\nop = three_electron\n[model]\nyprime = -1\n",
+         "model.yprime"),
+        ("fermions", "[fermions]\nop = two_electron_parallel\n[model]\nyprime = 0\n",
+         "model.yprime"),
+        ("sweep", "[sweep]\naxis = y\nvalues = 1, -2\n", "sweep.values"),
+        ("sweep", "[sweep]\naxis = epsilon\nvalues = 0.1\naxis2 = gamma1\nvalues2 = -1\n",
+         "sweep.values2"),
+        ("sweep", "[sweep]\naxis = gamma2\nvalues = 1, nan\n", "sweep.values"),
     ):
         cfg = write_config(tmp_path, text, name="domain.ini")
         err = run_expecting(2, [kind, "--config", cfg, "--out", str(tmp_path / "x.csv")])
@@ -343,6 +366,171 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
     )
     assert "config" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, text, key",
+    [
+        ("evolve", "[model]\nomega1 = 1\nomega2 = 1\nepsilon = 5\n", "model.epsilon"),
+        ("dwell", "[model]\nomega1 = 1\nomega2 = 1\ne1 = 0.1\neta = -1\n", "model.eta"),
+        ("evolve", "[model]\nu = 2\n", "model.u"),
+        ("asymptotic", "[model]\nomega1 = 1\nomega2 = 1\nu = 2\n", "model.u"),
+        ("fermions", "[fermions]\nop = three_electron\n[model]\nu = 2\n", "model.yprime"),
+        ("sweep", "[sweep]\naxis = y\nvalues = 1\n[model]\nomega1 = 1\nomega2 = 1\n",
+         "model.omega1"),
+        ("sweep", "[sweep]\naxis = y\nvalues = 1\n[model]\nomega2 = 1\n", "model.omega2"),
+        ("sweep", "[sweep]\naxis = y\nvalues = 1\n[model]\ne1 = 1\n", "model.e1"),
+        ("sweep", "[sweep]\naxis = y\nvalues = 1\n[model]\nyprime = 1\n", "model.yprime"),
+        ("sweep", "[sweep]\naxis = y\nvalues = 1\n[model]\nu = 1\n", "model.u"),
+        ("sweep", "[sweep]\naxis = u\nvalues = 1, 2\n", "sweep.axis"),
+        ("sweep", "[sweep]\naxis = yprime\nvalues = 1, 2\n[model]\nyprime = 1\n",
+         "sweep.axis"),
+        ("sweep", "[sweep]\naxis = y\nvalues = 1\naxis2 = gamma2\nvalues2 = 2\n",
+         "sweep.axis2"),
+        ("evolve", "[model]\nlambda_cutoff = 0\n", "model.lambda_cutoff"),
+        ("evolve", "[model]\ngamma1 = -1\n", "model.gamma1"),
+        ("evolve", "[model]\ny = -1\n", "model.y"),
+        ("fermions", "[fermions]\nop = three_electron\n[model]\nyprime = -1\n",
+         "model.yprime"),
+        ("sweep", "[sweep]\naxis = y\nvalues = 1, -2\n", "sweep.values"),
+    ],
+)
+def test_refused_model_keys_are_named_before_any_model_is_built(
+    tmp_path, capsys, monkeypatch, kind, text, key
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("model built before its keys were checked")
+
+    for name in ("WellPair", "ParallelWellPair"):
+        monkeypatch.setattr(darkwells.cli, name, refuse)
+    cfg = write_config(tmp_path, text)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert key + ":" in capsys.readouterr().err
+
+
+# A run per kind that reads [model], per style: the extra config sections
+# and the model keys every run of that kind needs.
+_MODEL_KINDS = {
+    ("evolve", "width"): ({}, "[grid]\nt_max = 2.0\nn_points = 5\n"),
+    ("evolve", "coupling"): ({"omega1": "1.0", "omega2": "0.8"},
+                             "[grid]\nt_max = 2.0\nn_points = 5\n"),
+    ("asymptotic", "width"): ({}, ""),
+    ("asymptotic", "coupling"): ({"omega1": "1.0", "omega2": "0.8"}, ""),
+    ("dwell", "width"): ({"epsilon": "0.2"}, ""),
+    ("dwell", "coupling"): ({"omega1": "1.0", "omega2": "0.8", "e1": "0.2"}, ""),
+    ("oracle-compare", "width"): ({}, "[grid]\nt_max = 1.0\nn_points = 3\n"
+                                  "[oracle]\nn_levels = 64\ncutoff = 8.0\nmethod = dense\n"),
+    ("oracle-compare", "coupling"): ({"omega1": "1.0", "omega2": "0.8"},
+                                     "[grid]\nt_max = 1.0\nn_points = 3\n[oracle]\n"
+                                     "n_levels = 64\ncutoff = 8.0\nmethod = dense\n"),
+    ("fermions", "width"): ({"yprime": "1.0"}, "[fermions]\nop = two_electron_parallel\n"),
+    ("fermions", "coupling"): ({"omega1": "1.0", "omega2": "0.8", "yprime": "1.0"},
+                               "[fermions]\nop = two_electron_parallel\n"),
+    # coupling keys in a sweep are covered by adding them to the width run
+    ("sweep", "width"): ({}, "[sweep]\naxis = {axis}\nvalues = 0.1, 0.2\nt_max = 1.0\n"),
+}
+# A valid value other than each key's default and other than the runs' own.
+_MODEL_VALUES = {"gamma1": "1.5", "gamma2": "2.0", "y": "3.0", "epsilon": "0.3", "eta": "-1",
+                 "e1": "0.3", "e2": "-0.3", "omega1": "0.5", "omega2": "-0.7", "rho": "0.5",
+                 "lambda_cutoff": "50.0", "yprime": "0.8", "u": "1.5"}
+
+
+@pytest.mark.parametrize("key", sorted(darkwells.cli._ALLOWED_KEYS["model"]))
+@pytest.mark.parametrize("kind, style", sorted(_MODEL_KINDS))
+def test_no_model_key_is_silently_dropped(tmp_path, capsys, kind, style, key):
+    # Setting a key either exits 2 naming it or shows in the manifest.
+    model, extra = _MODEL_KINDS[kind, style]
+    value = _MODEL_VALUES[key]
+    if kind == "asymptotic" and key in ("epsilon", "e1", "e2"):
+        value = "-0.0"  # the only aligned detuning besides the default
+    # a sweep axis overrides its own model key, so the axis is another one
+    extra = extra.format(axis="gamma1" if key == "epsilon" else "epsilon")
+
+    def run(model):
+        lines = "".join(f"{k} = {v}\n" for k, v in model.items())
+        cfg = write_config(tmp_path, f"[model]\n{lines}{extra}")
+        out = tmp_path / "run.csv"
+        code = main([kind, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        if code:
+            return code, err
+        # as text: -0.0 == 0.0, but the manifest spells them apart
+        params = json.loads((tmp_path / "run.csv.manifest.json").read_text())["parameters"]
+        return code, json.dumps(params, sort_keys=True)
+
+    code, base = run(model)
+    assert code == 0, base
+    code, got = run({**model, key: value})
+    if code == 0:
+        assert got != base
+        return
+    named = {key}
+    if style == "width" and key in ("omega1", "omega2"):
+        # an omega turns the model to coupling style, which needs both
+        # omegas and refuses the width keys the run already has
+        named |= {"omega1", "omega2"} | set(model)
+    assert code == 2 and any(f"model.{k}:" in got for k in named), got
+
+
+_WIDTH_AXES = ("y", "epsilon", "gamma1", "gamma2")
+
+
+@pytest.mark.parametrize(
+    "model", [{}, {"y": 2.5}, {"gamma2": 0.7}], ids=["neither", "y", "gamma2"]
+)
+@pytest.mark.parametrize(
+    "axes",
+    [(axis,) for axis in _WIDTH_AXES]
+    + [pair for pair in itertools.permutations(_WIDTH_AXES, 2) if set(pair) != {"y", "gamma2"}],
+    ids="-".join,
+)
+def test_sweep_points_follow_the_width_rule(tmp_path, monkeypatch, model, axes):
+    # every point's pair is the one the override rule in tests/oracles.py
+    # gives; y and gamma2 together are refused, a case of the refusal test
+    grids = {"y": [0.5, 3.0], "epsilon": [-0.1, 0.4], "gamma1": [0.8, 1.7],
+             "gamma2": [0.3, 2.2]}
+    model = {"gamma1": 1.3, "eta": -1, "epsilon": 0.2, **model}
+    sweep = {"axis": axes[0], "values": grids[axes[0]], "t_max": 1.0}
+    if len(axes) == 2:
+        sweep.update(axis2=axes[1], values2=grids[axes[1]])
+    text = "".join(
+        f"[{name}]\n" + "".join(
+            f"{k} = {', '.join(map(repr, v)) if isinstance(v, list) else v}\n"
+            for k, v in section.items()
+        )
+        for name, section in (("model", model), ("sweep", sweep))
+    )
+    built = []
+
+    def record(pairs, initial, times):
+        built.extend(pairs)
+        return evolve_sigma(pairs, initial, times)
+
+    evolve_sigma = darkwells.cli._evolve_sigma
+    monkeypatch.setattr(darkwells.cli, "_evolve_sigma", record)
+    render(build_scenario("sweep", load_config(write_config(tmp_path, text))))
+    points = [[(axes[0], v1)] for v1 in grids[axes[0]]]
+    if len(axes) == 2:
+        points = [p + [(axes[1], v2)] for p in points for v2 in grids[axes[1]]]
+    want = []
+    for point in points:
+        gamma1, gamma2, eta, epsilon = sweep_point_widths_reference(model, point)
+        want.append(WellPair.from_widths(gamma1, gamma2, eta=eta, epsilon=epsilon))
+    assert built == want
+
+
+def test_sweep_manifest_records_the_model(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "[model]\ngamma1 = 1.5\ny = 2.0\neta = -1\nepsilon = 0.25\nrho = 0.3\n"
+        "[sweep]\naxis = gamma2\nvalues = 1, 2\n",
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+    params = json.loads((tmp_path / "s.csv.manifest.json").read_text())["parameters"]
+    # y is overridden by the gamma2 axis, so it is not recorded
+    assert {k: v for k, v in params.items() if k.startswith("model.")} == {
+        "model.gamma1": 1.5, "model.eta": -1, "model.epsilon": 0.25, "model.rho": 0.3,
+    }
 
 
 def test_module_errors_exit_one(tmp_path, capsys):

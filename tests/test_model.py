@@ -86,6 +86,20 @@ def test_invalid_parameters_rejected():
         WellPair.from_widths(1.0, 1.0, eta=2)
 
 
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (0.0, "rho must be positive, got 0.0"),
+        (-1.0, "rho must be positive, got -1.0"),
+        (math.nan, "rho must be finite, got nan"),
+    ],
+)
+def test_from_widths_checks_rho_before_arithmetic(rho, message):
+    # rho = 0 used to divide by zero and rho < 0 take a negative square root
+    with pytest.raises(ValueError, match=message):
+        WellPair.from_widths(1.0, 1.0, rho=rho)
+
+
 def test_parallel_pair_validation():
     base = WellPair.from_widths(1.0, 1.0)
     model = ParallelWellPair(base=base, yprime=2.0, U=1.5)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,11 +8,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_fold_bench():
-    spec = importlib.util.spec_from_file_location("fold_bench", ROOT / "tools" / "fold_bench.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_fold_bench():
+    return load_tool("fold_bench")
 
 
 def record(commit, seed, trace, throughput, calib=10.0):
@@ -91,3 +96,21 @@ def test_fold_bench_refuses_duplicate_runs(tmp_path, capsys):
     paths[2] = str(tmp_path / "result-d.json")
     (tmp_path / "result-d.json").write_text(json.dumps(record("aaa", 1, 1, 4.0)))
     assert fold_bench.main(["--out", str(out)] + paths) == 0
+
+
+def test_render_digests_are_stable(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ and perfbench/ first
+    render_digests = load_tool("render_digests")
+    lines = render_digests.digest_lines("wideband", [1])
+    assert len(lines) == 160 and lines == sorted(lines)
+    assert all(len(line.split()) == 3 and "error" not in line for line in lines)
+    assert render_digests.digest_lines("wideband", [1]) == lines
+    # a renderer that writes other data bytes changes every data digest,
+    # and no manifest digest
+    cli = render_digests.cli
+    render_table = cli._render_table
+    monkeypatch.setattr(cli, "_render_table", lambda *args: render_table(*args) + b"\n")
+    changed = render_digests.digest_lines("wideband", [1])
+    for old, new in zip(lines, changed):
+        (key, data, manifest), (key2, data2, manifest2) = old.split(), new.split()
+        assert key == key2 and data != data2 and manifest == manifest2
