@@ -53,7 +53,7 @@ from .fermions import (
     two_electron_asymptotic,
     two_electron_parallel_asymptotic,
 )
-from .model import ParallelWellPair, WellPair
+from .model import DegenerateSystemError, ParallelWellPair, WellPair
 from .rotation import dark_state
 
 __all__ = ["ConfigError", "Scenario", "RunResult", "load_config", "render", "run", "main"]
@@ -113,6 +113,18 @@ _ALLOWED_KEYS = {
     "bosons": {"law", "n1", "n2", "y", "eta", "n", "n_retained"},
     "sweep": {"axis", "values", "axis2", "values2", "report", "max_points", "t_max"},
 }
+# The sections each kind reads besides [scenario] and [output]; a kind
+# refuses any other section rather than ignore it.  fermions with
+# op = two_electron reads no [model].
+_KIND_SECTIONS = {
+    "evolve": {"model", "initial", "grid"},
+    "asymptotic": {"model", "initial"},
+    "dwell": {"model"},
+    "oracle-compare": {"model", "initial", "grid", "oracle"},
+    "fermions": {"fermions", "model"},
+    "bosons": {"bosons"},
+    "sweep": {"sweep", "model"},
+}
 
 _WIDTH_KEYS = ("gamma1", "gamma2", "y", "epsilon", "eta")
 # y and gamma2 both set the second width, so a sweep takes at most one of them
@@ -141,10 +153,18 @@ class Scenario:
             raise ConfigError(f"scenario.kind: unknown kind {self.kind!r}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"output.format: unknown format {self.fmt!r}")
+        reads = {"scenario", "output"} | _KIND_SECTIONS[self.kind]
+        reader = f"kind {self.kind}"
+        op = self.sections.get("fermions", {}).get("op", "two_electron")
+        if self.kind == "fermions" and op == "two_electron":
+            reads.discard("model")
+            reader = "fermions.op = two_electron"
         for section, keys in self.sections.items():
             allowed = _ALLOWED_KEYS.get(section)
             if allowed is None:
                 raise ConfigError(f"{section}: unknown section")
+            if section not in reads:
+                raise ConfigError(f"{section}: {reader} does not read this section")
             for key in keys:
                 if key not in allowed:
                     raise ConfigError(f"{section}.{key}: unknown key")
@@ -281,8 +301,10 @@ def _read_model(sections, parallel=False, sweep=False):
 def _build_model(spec, **axes):
     """The model of :func:`_read_model` keywords, and its manifest record.
 
-    A sweep point passes its axis values as ``axes``: each replaces the
-    parsed value, and ``y`` replaces a parsed ``gamma2`` too.
+    A sweep point passes its axis values as ``axes``, in axis order: each
+    replaces the parsed value, and ``y`` replaces a parsed ``gamma2`` too.
+    Two vanishing couplings fail jointly, so that refusal names the keys
+    that set both.
     """
     kwargs = {**spec, **axes}
     if "y" in axes:
@@ -293,6 +315,15 @@ def _build_model(spec, **axes):
     try:
         pair = WellPair(**kwargs) if "omega1" in kwargs else WellPair.from_widths(**kwargs)
         model = pair if yprime is None else ParallelWellPair(base=pair, yprime=yprime, U=u)
+    except DegenerateSystemError as exc:
+        if "omega1" in spec:
+            keys = ("model.omega1", "model.omega2")
+        else:
+            source = dict(zip(axes, ("sweep.values", "sweep.values2")))
+            second = "model.y" if "y" in spec else "model.gamma2"
+            keys = (source.get("gamma1", "model.gamma1"),
+                    source.get("gamma2", source.get("y", second)))
+        raise ConfigError(f"{keys[0]}, {keys[1]}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
     resolved = {

@@ -387,8 +387,16 @@ def chebyshev_propagate(
     center = 0.5 * (e_max + e_min)
     half = 0.5 * (e_max - e_min) * (1.0 + 1e-12) + 1e-300
     dim = h.shape[0]
+    # A real sparse h and a real start keep every T_k psi0 real, so the
+    # recurrence runs in float64; a CSR row sums in the same order for both
+    # dtypes, which gives the complex recurrence's bits up to the sign of
+    # exact zeros.  Dense h stays complex: BLAS sums real and complex
+    # products in different orders.
+    real = sp.issparse(h) and h.dtype.kind != "c" and not psi.imag.any()
+    dtype = float if real else complex
     if sp.issparse(h):
-        h2 = ((h - sp.identity(dim, format="csr") * center) * (2.0 / half)).astype(complex)
+        h2 = (h - sp.identity(dim, format="csr") * center) * (2.0 / half)
+        h2 = h2.astype(dtype, copy=False)
     else:
         h2 = (np.asarray(h, dtype=complex) - center * np.eye(dim)) / (0.5 * half)
     table = _bessel_table(half * times)
@@ -410,11 +418,11 @@ def chebyshev_propagate(
         flat = out.reshape(times.size, -1)
         kept = None
     else:
-        kept = np.empty((degree + 1, len(rows)) + psi.shape[1:], dtype=complex)
+        kept = np.empty((degree + 1, len(rows)) + psi.shape[1:], dtype=dtype)
         final = np.zeros_like(psi)
         term = np.empty_like(psi)
-    phi_prev = psi.copy()
-    phi = psi
+    phi = psi.real.copy() if real else psi
+    phi_prev = phi.copy()
     for k in range(degree + 1):
         if k == 1:
             phi = h2 @ phi_prev

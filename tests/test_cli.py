@@ -316,11 +316,40 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
         run_expecting(0, [kind, "--config", cfg, "--out", str(tmp_path / "zero.csv")])
 
     def refuse(*args, **kwargs):
-        raise AssertionError("boson law evaluated before its counts were checked")
+        raise AssertionError("scenario computed before its config was checked")
 
     for name in ("rotate_fock", "equal_fill_even_distribution", "one_well_distribution",
-                 "retained_state_split"):
+                 "retained_state_split", "dwell_time", "asymptotic_probs",
+                 "two_electron_asymptotic", "master_trajectory"):
         monkeypatch.setattr(darkwells.cli, name, refuse)
+    # a section the kind never reads is refused, not ignored
+    for kind, text, section in (
+        ("bosons", "[bosons]\nn1 = 2\n[model]\ngamma1 = 5\nomega1 = 3\n", "model"),
+        ("bosons", "[grid]\nt_max = 9\n", "grid"),
+        ("fermions", "[fermions]\nop = two_electron\n[model]\ngamma1 = 1\n", "model"),
+        ("fermions", "[model]\ny = 2\n", "model"),
+        ("dwell", "[model]\nepsilon = 0.3\n[grid]\nt_max = 9\n", "grid"),
+        ("dwell", "[initial]\nb1 = 1\n", "initial"),
+        ("asymptotic", "[grid]\nt_max = 9\n", "grid"),
+        ("sweep", "[sweep]\naxis = y\nvalues = 1\n[initial]\nb1 = 1\n", "initial"),
+    ):
+        cfg = write_config(tmp_path, text, name="unread.ini")
+        err = run_expecting(2, [kind, "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert f"config error: {section}: " in err and "does not read" in err, (text, err)
+    # both couplings vanishing names the two keys that set them
+    for kind, text, keys in (
+        ("evolve", "[model]\ngamma1 = 0\ny = 1\n", ("model.gamma1", "model.y")),
+        ("dwell", "[model]\ngamma2 = 0\ngamma1 = 0\nepsilon = 1\n",
+         ("model.gamma1", "model.gamma2")),
+        ("asymptotic", "[model]\nomega1 = 0\nomega2 = 0\n", ("model.omega1", "model.omega2")),
+        ("sweep", "[model]\ny = 0\n[sweep]\naxis = gamma1\nvalues = 1, 0\n",
+         ("sweep.values", "model.y")),
+        ("sweep", "[model]\ngamma1 = 0\n[sweep]\naxis = epsilon\nvalues = 1\n"
+                  "axis2 = gamma2\nvalues2 = 0\n", ("model.gamma1", "sweep.values2")),
+    ):
+        cfg = write_config(tmp_path, text, name="degenerate.ini")
+        err = run_expecting(2, [kind, "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert f"config error: {keys[0]}, {keys[1]}: degenerate system" in err, (text, err)
     for kind, text, key in (
         ("oracle-compare", "[oracle]\ncutoff = 0\n", "oracle.cutoff"),
         ("oracle-compare", "[oracle]\ncutoff = -2.5\n", "oracle.cutoff"),

@@ -248,6 +248,40 @@ def test_chebyshev_propagates_orbital_stacks():
         np.testing.assert_allclose(both[:, :, col], single, atol=1e-12)
 
 
+def _real_hamiltonian(kind):
+    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    res = DiscretizedReservoir.uniform(16, 6.0)
+    if kind in ("fermi", "bose"):
+        space = FockSpace(dot_mode_count(pair) + 16, 2, kind)
+        return build_fock_hamiltonian(pair, res, space), fock_basis_state(space, [0, 1])
+    psi0 = np.zeros(18)
+    psi0[0] = 1.0
+    return build_single_particle_hamiltonian(pair, res, sparse=kind == "sparse"), psi0
+
+
+@pytest.mark.parametrize("kind", ["fermi", "bose", "dense", "sparse"])
+def test_real_recurrence_gives_the_complex_bits(kind):
+    # a real sparse h with a real start runs the recurrence in float64;
+    # casting h to complex forces the complex recurrence, which must give
+    # the same bits (np.array_equal takes -0.0 == 0.0)
+    h, psi0 = _real_hamiltonian(kind)
+    assert h.dtype == np.float64
+    stack, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((psi0.size, 2)))
+    # a complex start takes the complex recurrence for either h
+    mixed = (stack[:, 0] + 1j * stack[:, 1]) / math.sqrt(2.0)
+    times = [0.0, 0.7, 1.9]
+    for start in (psi0, stack, mixed):
+        run = chebyshev_propagate(h, start, times)
+        ref = chebyshev_propagate(h.astype(complex), start, times)
+        assert run.dtype == complex and np.array_equal(run, ref)
+        run = chebyshev_propagate(h, start, times, rows=[0, 1])
+        ref = chebyshev_propagate(h.astype(complex), start, times, rows=[0, 1])
+        assert run.amplitudes.dtype == run.final_state.dtype == complex
+        assert np.array_equal(run.amplitudes, ref.amplitudes)
+        assert np.array_equal(run.final_state, ref.final_state)
+        assert (run.degree, run.truncation_bound) == (ref.degree, ref.truncation_bound)
+
+
 def test_chebyshev_time_grid_validation():
     h = np.eye(2)
     with pytest.raises(ValueError, match="non-decreasing"):

@@ -1,4 +1,5 @@
-"""Property tests of the exact wide-band propagator and the boson laws.
+"""Property tests of the exact wide-band propagator, the boson laws and the
+oracle's real Chebyshev recurrence.
 
 Draws are derandomized with a fixed example count, so every run checks the
 same cases.
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from darkwells.bosons import (
@@ -19,6 +21,7 @@ from darkwells.bosons import (
 )
 from darkwells.dynamics import amplitude_trajectory, asymptotic_probs, master_trajectory
 from darkwells.model import WellPair
+from darkwells.oracle import chebyshev_propagate
 from darkwells.rotation import dark_state
 
 PROPERTY = settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -131,3 +134,23 @@ def test_boson_laws_are_exact_distributions(dist):
     probs = list(dist.probabilities.values())
     assert all(isinstance(p, Fraction) and 0 <= p <= 1 for p in probs)
     assert sum(probs, Fraction(0)) == Fraction(1)
+
+
+@st.composite
+def real_sparse_starts(draw):
+    dim = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = sp.random(dim, dim, density=draw(st.floats(0.05, 1.0)), format="csr",
+                  random_state=rng, data_rvs=rng.standard_normal)
+    # a single vector or a two-orbital stack
+    psi0 = rng.standard_normal((dim, 2) if draw(st.booleans()) else dim)
+    return (a + a.T).tocsr(), psi0 / np.linalg.norm(psi0, axis=0)
+
+
+@PROPERTY
+@given(h_psi0=real_sparse_starts(), times=st.lists(st.floats(0.0, 5.0), max_size=6).map(sorted))
+def test_real_chebyshev_recurrence_gives_the_complex_bits(h_psi0, times):
+    # a complex h forces the complex recurrence; -0.0 == 0.0 in array_equal
+    h, psi0 = h_psi0
+    real = chebyshev_propagate(h, psi0, times)
+    assert np.array_equal(real, chebyshev_propagate(h.astype(complex), psi0, times))

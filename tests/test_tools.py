@@ -114,3 +114,34 @@ def test_render_digests_are_stable(monkeypatch):
     for old, new in zip(lines, changed):
         (key, data, manifest), (key2, data2, manifest2) = old.split(), new.split()
         assert key == key2 and data != data2 and manifest == manifest2
+
+
+def test_render_digests_hash_fock_records(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    render_digests = load_tool("render_digests")
+    workloads, oracle = render_digests.workloads, render_digests.oracle
+    # the oracle warm-up: one CLI scenario and one small Fock record
+    monkeypatch.setattr(workloads, "generate", lambda workload, seed: workloads.WARMUP[workload])
+    lines = render_digests.digest_lines("oracle", [7])
+    cli_line, fock_line = lines
+    assert cli_line.split()[0] == "oracle:7:warmup" and len(cli_line.split()) == 3
+    key, tag, *fock = fock_line.split()
+    assert (key, tag, len(fock)) == ("oracle:7:warmup-fock", "fock", 3)
+    assert render_digests.digest_lines("oracle", [7]) == lines
+    # each digest covers one quantity at every time, so a change to the dot
+    # RDM at the last time changes the third digest only
+    reduced_quantities = oracle.reduced_quantities
+    calls = []
+
+    def shifted(space, psi, n_dots):
+        calls.append(psi)
+        reduced = reduced_quantities(space, psi, n_dots)
+        if len(calls) == 2:
+            reduced.dot_rdm[0, 0] += 1e-15
+        return reduced
+
+    monkeypatch.setattr(oracle, "reduced_quantities", shifted)
+    spec = workloads.WARMUP["oracle"][1]
+    changed = render_digests.fock_digests(spec)
+    assert len(calls) == len(spec["times"])
+    assert changed[:2] == fock[:2] and changed[2] != fock[2]

@@ -1,19 +1,24 @@
-"""Print the SHA-256 of every CLI output the benchmark workloads render.
+"""Print the SHA-256 of every output the benchmark workloads compute.
 
-    python3 tools/render_digests.py --workload wideband --seed 1 2 3
+    python3 tools/render_digests.py --workload oracle --seed 1 2
 
 For each seed, the scenario cycle of ``perfbench/workloads.generate`` is
-built (Fock records, which bypass the CLI, are skipped).  Each CLI scenario
-is rendered in process through ``darkwells.cli.load_config``,
-``build_scenario`` and ``render``, with the fixed output name ``out.csv`` or
-``out.json``, and one line per scenario is printed, sorted:
+built.  Each CLI scenario is rendered in process through
+``darkwells.cli.load_config``, ``build_scenario`` and ``render``, with the
+fixed output name ``out.csv`` or ``out.json``.  Each Fock record (the
+``oracle`` workload's many-body runs, which bypass the CLI) is run through
+the public ``darkwells.oracle`` API, as the benchmark client runs it.  One
+line per scenario is printed, sorted:
 
     <workload>:<seed>:<id> <sha256 of the data file> <sha256 of the manifest>
+    <workload>:<seed>:<id> fock <sha256> <sha256> <sha256>
 
-A scenario the CLI refuses prints ``error`` and the message instead of the
-two digests.  Run the script in two checkouts and ``diff`` the outputs to
+where a Fock line's three digests hash the bytes of ``mode_occupations``,
+``reservoir_count_probs`` and ``dot_rdm`` at each output time in turn.  A
+scenario the program refuses prints ``error`` and the message instead of
+the digests.  Run the script in two checkouts and ``diff`` the outputs to
 see which scenarios changed bytes.  The package is imported from the
-``src/`` next to this script, so each checkout renders with its own code.
+``src/`` next to this script, so each checkout computes with its own code.
 """
 
 from __future__ import annotations
@@ -24,39 +29,72 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from darkwells import cli  # noqa: E402
+from darkwells import cli, oracle  # noqa: E402
+from darkwells.model import ParallelWellPair, WellPair  # noqa: E402
+
+
+def _fock_model(spec):
+    """The many-body model of a Fock record and its single well pair."""
+    if spec["kind"] == "parallel":
+        base = WellPair(E1=spec["e1"], E2=spec["e2"], omega1=spec["omega1"],
+                        omega2=spec["omega2"], lambda_cutoff=spec["lambda_cutoff"])
+        return ParallelWellPair(base=base, yprime=spec["yprime"], U=spec["u"]), base
+    pair = WellPair.from_widths(spec["gamma1"], spec["gamma2"], eta=spec["eta"],
+                                epsilon=spec["epsilon"])
+    return pair, pair
+
+
+def fock_digests(spec):
+    """Digests of one Fock record's reduced quantities, over every time."""
+    model, pair = _fock_model(spec["model"])
+    n_dots = oracle.dot_mode_count(model)
+    res = oracle.DiscretizedReservoir.for_pair(pair, spec["n_levels"])
+    space = oracle.FockSpace(n_dots + spec["n_levels"], spec["n_particles"],
+                             spec["statistics"])
+    psi0 = oracle.fock_basis_state(space, spec["initial"])
+    states = oracle.evolve_fock(model, res, space, psi0, np.array(spec["times"]))
+    digests = [hashlib.sha256() for _ in range(3)]
+    for psi in states:
+        reduced = oracle.reduced_quantities(space, psi, n_dots)
+        arrays = (reduced.mode_occupations, reduced.reservoir_count_probs, reduced.dot_rdm)
+        for digest, array in zip(digests, arrays):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return [digest.hexdigest() for digest in digests]
+
+
+def _cli_digests(spec, ini):
+    with open(ini, "w") as fh:
+        fh.write(spec["ini"])
+    out = "out." + spec["fmt"]
+    scenario = cli.build_scenario(spec["kind"], cli.load_config(ini), out=out, fmt=spec["fmt"])
+    files = cli.render(scenario).files
+    return [hashlib.sha256(files[name]).hexdigest()
+            for name in (out, out + ".manifest.json")]
 
 
 def digest_lines(workload, seeds):
-    """The sorted digest lines of every CLI scenario of ``workload``'s seeds."""
+    """The sorted digest lines of every scenario of ``workload``'s seeds."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         ini = os.path.join(tmp, "scenario.ini")
         for seed in seeds:
             for spec in workloads.generate(workload, seed):
-                if "kind" not in spec:
-                    continue
                 key = f"{workload}:{seed}:{spec['id']}"
-                with open(ini, "w") as fh:
-                    fh.write(spec["ini"])
-                out = "out." + spec["fmt"]
                 try:
-                    scenario = cli.build_scenario(
-                        spec["kind"], cli.load_config(ini), out=out, fmt=spec["fmt"]
-                    )
-                    files = cli.render(scenario).files
+                    if "kind" in spec:
+                        fields = _cli_digests(spec, ini)
+                    else:
+                        fields = ["fock"] + fock_digests(spec)
                 except (ValueError, RuntimeError) as exc:
                     lines.append(f"{key} error {exc}")
                     continue
-                data, manifest = files[out], files[out + ".manifest.json"]
-                lines.append(
-                    f"{key} {hashlib.sha256(data).hexdigest()} "
-                    f"{hashlib.sha256(manifest).hexdigest()}"
-                )
+                lines.append(" ".join([key] + fields))
     return sorted(lines)
 
 
