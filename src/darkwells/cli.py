@@ -53,7 +53,7 @@ from .fermions import (
     two_electron_asymptotic,
     two_electron_parallel_asymptotic,
 )
-from .model import DegenerateSystemError, ParallelWellPair, WellPair
+from .model import TWO_PI, DegenerateSystemError, ParallelWellPair, WellPair
 from .rotation import dark_state
 
 __all__ = ["ConfigError", "Scenario", "RunResult", "load_config", "render", "run", "main"]
@@ -130,8 +130,19 @@ _WIDTH_KEYS = ("gamma1", "gamma2", "y", "epsilon", "eta")
 # y and gamma2 both set the second width, so a sweep takes at most one of them
 _SWEEP_AXES = ("y", "epsilon", "gamma1", "gamma2")
 _SWEEP_REPORTS = ("sigma11_asymptotic", "p_trapped", "fitted_tau", "fitted_rate")
-_FERMION_OPS = ("two_electron", "two_electron_parallel", "three_electron")
-_BOSON_LAWS = ("emission", "equal_fill", "one_well", "retained_split")
+# Each fermions.op and bosons.law, with the other keys of its section it
+# reads; a key the choice does not read is refused rather than ignored.
+_FERMION_OPS = {
+    "two_electron": {"y", "eta"},
+    "two_electron_parallel": set(),
+    "three_electron": set(),
+}
+_BOSON_LAWS = {
+    "emission": {"n1", "n2", "y", "eta"},
+    "equal_fill": {"n"},
+    "one_well": {"n", "y"},
+    "retained_split": {"n_retained", "y"},
+}
 
 
 class ConfigError(ValueError):
@@ -224,6 +235,17 @@ def _parse_choice(sections, section, key, choices, default):
     return value
 
 
+def _parse_mode(sections, section, key, modes, default):
+    """A choice from ``modes`` (choice -> keys it reads), refusing unread keys."""
+    value = _parse_choice(sections, section, key, modes, default)
+    unread = sorted(set(sections.get(section, {})) - modes[value] - {key})
+    if unread:
+        raise ConfigError(
+            f"{section}.{unread[0]}: {section}.{key} = {value} does not read this key"
+        )
+    return value
+
+
 def _require_positive(key, value, or_zero=False):
     """``value`` unless it is <= 0, or < 0 ``or_zero``; ``key`` is its section.key path."""
     if value is not None and (value < 0.0 if or_zero else value <= 0.0):
@@ -298,13 +320,32 @@ def _read_model(sections, parallel=False, sweep=False):
     return {key: value for key, value in spec.items() if value is not None}
 
 
+def _width_keys(spec, axes):
+    """The config keys that set width-style ``gamma1`` and ``gamma2``.
+
+    An axis value comes from ``sweep.values`` or ``sweep.values2``, the
+    rest from [model]; a second width given as ``y`` is ``y * gamma1``, so
+    it has both keys.
+    """
+    source = dict(zip(axes, ("sweep.values", "sweep.values2")))
+    first = source.get("gamma1", "model.gamma1")
+    if "gamma2" in source:
+        second = [source["gamma2"]]
+    elif "y" in source or "y" in spec:
+        second = [first, source.get("y", "model.y")]
+    else:
+        second = ["model.gamma2"]
+    return [first], second
+
+
 def _build_model(spec, **axes):
     """The model of :func:`_read_model` keywords, and its manifest record.
 
     A sweep point passes its axis values as ``axes``, in axis order: each
     replaces the parsed value, and ``y`` replaces a parsed ``gamma2`` too.
     Two vanishing couplings fail jointly, so that refusal names the keys
-    that set both.
+    that set both; a width too large for a finite coupling names the keys
+    that set it, with ``model.rho`` when given.
     """
     kwargs = {**spec, **axes}
     if "y" in axes:
@@ -317,15 +358,23 @@ def _build_model(spec, **axes):
         model = pair if yprime is None else ParallelWellPair(base=pair, yprime=yprime, U=u)
     except DegenerateSystemError as exc:
         if "omega1" in spec:
-            keys = ("model.omega1", "model.omega2")
+            keys = ["model.omega1", "model.omega2"]
         else:
-            source = dict(zip(axes, ("sweep.values", "sweep.values2")))
-            second = "model.y" if "y" in spec else "model.gamma2"
-            keys = (source.get("gamma1", "model.gamma1"),
-                    source.get("gamma2", source.get("y", second)))
-        raise ConfigError(f"{keys[0]}, {keys[1]}: {exc}") from exc
+            first, second = _width_keys(spec, axes)
+            keys = first + [key for key in second if key not in first]
+        raise ConfigError(f"{', '.join(keys)}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+        if "omega1" in spec:
+            raise ConfigError(f"model: {exc}") from exc
+        # the parsed values are finite, so a coupling sqrt(gamma / (2 pi
+        # rho)) overflowed: the first one WellPair checks that does
+        rho = kwargs.get("rho", 1.0 / TWO_PI)
+        j = 1 if math.isinf(kwargs["gamma1"] / (TWO_PI * rho)) else 2
+        keys = _width_keys(spec, axes)[j - 1] + (["model.rho"] if "rho" in spec else [])
+        raise ConfigError(
+            f"{', '.join(keys)}: width gamma{j} = {kwargs[f'gamma{j}']!r} is too large "
+            f"for a finite coupling at rho = {rho!r}"
+        ) from exc
     resolved = {
         "model.E1": pair.E1,
         "model.E2": pair.E2,
@@ -516,7 +565,7 @@ def _run_oracle_compare(scenario):
 
 
 def _run_fermions(scenario):
-    op = _parse_choice(scenario.sections, "fermions", "op", _FERMION_OPS, "two_electron")
+    op = _parse_mode(scenario.sections, "fermions", "op", _FERMION_OPS, "two_electron")
     resolved = {"fermions.op": op}
     if op == "two_electron":
         y = _parse_number(scenario.sections, "fermions", "y", default=1.0)
@@ -566,7 +615,7 @@ def _boson_count(sections, key, minimum):
 
 def _run_bosons(scenario):
     sections = scenario.sections
-    law = _parse_choice(sections, "bosons", "law", _BOSON_LAWS, "emission")
+    law = _parse_mode(sections, "bosons", "law", _BOSON_LAWS, "emission")
     resolved = {"bosons.law": law}
     if law != "equal_fill":
         y = _require_positive("bosons.y", _parse_number(sections, "bosons", "y", default=1.0))

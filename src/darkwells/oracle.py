@@ -11,10 +11,11 @@ Two propagators are provided: a dense eigen-decomposition
 (:func:`evolve_exact`, the reference contract for moderate dimensions) and
 a Chebyshev polynomial expansion of ``exp(-iHt)``
 (:func:`chebyshev_propagate`) whose cost scales with the sparse structure,
-used for large grids and for many-body Fock vectors.  The expansion is
-built once per call, up to the degree the latest time needs, and every
-requested time is read from it with Bessel weights from one table.  Both
-are fully deterministic and norm checked.
+used for large grids and for many-body Fock vectors.  The expansion always
+applies H as a CSR matrix; it is built once per call, up to the degree the
+latest time needs, and every requested time is accumulated from it into
+one output array with Bessel weights from one table.  Both are fully
+deterministic and norm checked.
 
 A finite band is faithful only for a finite while: the discrete spectrum
 revives after the recurrence time ``2 pi / spacing``, and the band edges
@@ -218,11 +219,11 @@ def _check_norm(psi: np.ndarray) -> None:
         raise ValueError(f"initial vector has norm {norm}; normalize it first")
 
 
-def _check_dense_cap(dim: int, max_dim: int) -> None:
-    if dim > max_dim:
+def _check_dense_cap(dim: int) -> None:
+    if dim > DEFAULT_MAX_DIM:
         raise ValueError(
-            f"dimension {dim} exceeds the dense cap {max_dim}; use "
-            "chebyshev_propagate (sparse) or raise max_dim deliberately"
+            f"dimension {dim} exceeds the dense cap {DEFAULT_MAX_DIM}; use "
+            "chebyshev_propagate (sparse)"
         )
 
 
@@ -230,22 +231,21 @@ def evolve_exact(
     h: np.ndarray,
     psi0: np.ndarray,
     times,
-    max_dim: int = DEFAULT_MAX_DIM,
     norm_tol: float = 1e-10,
 ) -> np.ndarray:
     """Propagate by full eigen-decomposition; returns (len(times), dim).
 
-    Validates Hermiticity, refuses dimensions above ``max_dim`` (dense
-    eigen-solves beyond that are a resource mistake, use the Chebyshev
-    path), and verifies the norm is preserved to ``norm_tol`` at every
-    requested time.  The eigenbasis is applied to blocks of output times
-    in one matrix product each.
+    Validates Hermiticity, refuses dimensions above ``DEFAULT_MAX_DIM``
+    (dense eigen-solves beyond that are a resource mistake, use the
+    Chebyshev path), and verifies the norm is preserved to ``norm_tol`` at
+    every requested time.  The eigenbasis is applied to blocks of output
+    times in one matrix product each.
     """
     h = np.asarray(h)
     dim = h.shape[0]
     if h.ndim != 2 or h.shape[1] != dim:
         raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
-    _check_dense_cap(dim, max_dim)
+    _check_dense_cap(dim)
     scale = float(np.abs(h).max())
     if float(np.abs(h - h.conj().T).max()) > 1e-12 * max(1.0, scale):
         raise ValueError("Hamiltonian is not Hermitian")
@@ -276,16 +276,11 @@ def evolve_exact(
 
 
 def _hermitian_bounds(h) -> tuple[float, float]:
-    """Cheap rigorous spectral enclosure: diagonal range +- off-diag norm."""
-    if sp.issparse(h):
-        diag = h.diagonal().real
-        off = h - sp.diags(diag)
-        # Frobenius norm bounds the spectral norm of the off-diagonal part
-        off_norm = math.sqrt(float(abs(off.multiply(off.conj())).sum().real))
-    else:
-        diag = np.real(np.diag(h))
-        off = h - np.diag(diag)
-        off_norm = float(np.linalg.norm(off, "fro"))
+    """Cheap rigorous spectral enclosure of a CSR ``h``: diagonal range +- off-diag norm."""
+    diag = h.diagonal().real
+    off = h - sp.diags(diag)
+    # Frobenius norm bounds the spectral norm of the off-diagonal part
+    off_norm = math.sqrt(float(abs(off.multiply(off.conj())).sum().real))
     return float(diag.min()) - off_norm, float(diag.max()) + off_norm
 
 
@@ -348,27 +343,30 @@ def chebyshev_propagate(
 ):
     """Propagate under a Hermitian ``h`` by one Chebyshev expansion.
 
-    Works for dense or sparse ``h`` and for single vectors or orbital
-    stacks (dim x k).  ``times`` must be non-decreasing and start at or
-    after zero.  ``T_k(h_s) psi0`` is built once, up to the degree ``K``
-    that the latest time needs, and every output time is read from that
-    one sequence: ``psi(t) = exp(-i c t) sum_k (2 - delta_k0) (-i)^k
-    J_k(half t) T_k psi0`` (Tal-Ezer & Kosloff, JCP 81, 3967 (1984)), with
-    ``h_s = (h - c) / half``.  ``K`` is the last order at which some time's
-    Bessel coefficient exceeds 1e-16; an earlier time stops at its own last
-    such order.  ``bounds`` is an (E_min, E_max)
-    spectral enclosure; by default a rigorous diagonal-plus-offdiagonal-norm
-    bound is used.  Deterministic: no randomized estimators anywhere.
+    ``h`` may be dense or sparse; it is applied as a CSR matrix either way.
+    ``psi0`` is a single vector or an orbital stack (dim x k).  ``times``
+    must be non-decreasing and start at or after zero.  ``T_k(h_s) psi0``
+    is built once, up to the degree ``K`` that the latest time needs, and
+    every output time is accumulated from that one sequence: ``psi(t) =
+    exp(-i c t) sum_k (2 - delta_k0) (-i)^k J_k(half t) T_k psi0``
+    (Tal-Ezer & Kosloff, JCP 81, 3967 (1984)), with ``h_s = (h - c) /
+    half``.  ``K`` is the last order at which some time's Bessel
+    coefficient exceeds 1e-16; an earlier time stops at its own last such
+    order.  ``bounds`` is an (E_min, E_max) spectral enclosure; by default
+    a rigorous diagonal-plus-offdiagonal-norm bound is used.  A real ``h``
+    and a real start run the recurrence in float64, with the bits of the
+    complex recurrence.  Deterministic: no randomized estimators anywhere.
 
     Without ``rows`` the result is the full state at every time, shape
-    ``(len(times),) + psi0.shape``, and for normalized input the norm is
-    checked to ``norm_tol`` at every time.  With ``rows`` only those rows
-    are kept: the result is a :class:`ChebyshevProjection` whose
-    ``amplitudes`` have shape ``(len(times), len(rows)) + psi0.shape[1:]``,
-    whose ``final_state`` is the full state at the last time (the only
-    norm checked), and which carries the degree ``K`` and the truncation
-    bound ``2 max_t sum_{k > K_t} |J_k(half t)|`` read from the Bessel
-    table, where ``K_t <= K`` is the last order time ``t`` takes.
+    ``(len(times),) + psi0.shape``.  With ``rows`` only the full state at
+    the last time is accumulated, plus those rows of every ``T_k psi0``:
+    the result is a :class:`ChebyshevProjection` whose ``amplitudes``
+    have shape ``(len(times), len(rows)) + psi0.shape[1:]``, whose
+    ``final_state`` is the full state at the last time, and which carries
+    the degree ``K`` and the truncation bound ``2 max_t sum_{k > K_t}
+    |J_k(half t)|`` read from the Bessel table, where ``K_t <= K`` is the
+    last order time ``t`` takes.  For normalized input the norm of every
+    accumulated full state is checked to ``norm_tol``.
     """
     times = np.asarray(times, dtype=float)
     psi = np.asarray(psi0, dtype=complex)
@@ -379,6 +377,7 @@ def chebyshev_propagate(
         if rows is None:
             return out
         return ChebyshevProjection(out[:, rows], psi.copy(), 0, 0.0)
+    h = sp.csr_matrix(h)
     if bounds is None:
         bounds = _hermitian_bounds(h)
     e_min, e_max = bounds
@@ -387,18 +386,13 @@ def chebyshev_propagate(
     center = 0.5 * (e_max + e_min)
     half = 0.5 * (e_max - e_min) * (1.0 + 1e-12) + 1e-300
     dim = h.shape[0]
-    # A real sparse h and a real start keep every T_k psi0 real, so the
-    # recurrence runs in float64; a CSR row sums in the same order for both
-    # dtypes, which gives the complex recurrence's bits up to the sign of
-    # exact zeros.  Dense h stays complex: BLAS sums real and complex
-    # products in different orders.
-    real = sp.issparse(h) and h.dtype.kind != "c" and not psi.imag.any()
-    dtype = float if real else complex
-    if sp.issparse(h):
-        h2 = (h - sp.identity(dim, format="csr") * center) * (2.0 / half)
-        h2 = h2.astype(dtype, copy=False)
-    else:
-        h2 = (np.asarray(h, dtype=complex) - center * np.eye(dim)) / (0.5 * half)
+    # A real h and a real start keep every T_k psi0 real, so the recurrence
+    # runs in float64; a CSR row sums in the same order for both dtypes,
+    # which gives the complex recurrence's bits up to the sign of exact
+    # zeros.
+    real = h.dtype.kind != "c" and not psi.imag.any()
+    h2 = (h - sp.identity(dim, format="csr") * center) * (2.0 / half)
+    h2 = h2.astype(float if real else complex, copy=False)
     table = _bessel_table(half * times)
     orders = np.arange(table.shape[0])
     significant = np.abs(table) > _CHEBYSHEV_TOL
@@ -413,14 +407,15 @@ def chebyshev_propagate(
     weights[0] = 1.0
     coeffs = table[: degree + 1].T * weights
     coeffs *= np.exp(-1j * center * times)[:, None]
+    # out[j] is the state at out_times[j]: every time, or with rows the
+    # last, which takes every order
     if rows is None:
-        out = np.zeros((times.size,) + psi.shape, dtype=complex)
-        flat = out.reshape(times.size, -1)
-        kept = None
+        out_times, out_coeffs, out_first = times, coeffs, first_time
     else:
-        kept = np.empty((degree + 1, len(rows)) + psi.shape[1:], dtype=dtype)
-        final = np.zeros_like(psi)
-        term = np.empty_like(psi)
+        out_times, out_coeffs, out_first = times[-1:], coeffs[-1:], np.zeros_like(first_time)
+        kept = np.empty((degree + 1, len(rows)) + psi.shape[1:], dtype=h2.dtype)
+    out = np.zeros((out_times.size,) + psi.shape, dtype=complex)
+    term = np.empty_like(psi)
     phi = psi.real.copy() if real else psi
     phi_prev = phi.copy()
     for k in range(degree + 1):
@@ -431,27 +426,21 @@ def chebyshev_propagate(
             # T_k = 2 h T_{k-1} - T_{k-2}, written over T_{k-2}
             np.subtract(h2 @ phi, phi_prev, out=phi_prev)
             phi_prev, phi = phi, phi_prev
-        if kept is None:
-            j = first_time[k]
-            flat[j:] += np.multiply.outer(coeffs[j:, k], phi.ravel())
-        else:
+        if rows is not None:
             kept[k] = phi[rows]
-            np.multiply(phi, coeffs[-1, k], out=term)
-            final += term
-    if kept is not None:
-        drift = float(np.max(np.abs(np.linalg.norm(final, axis=0) - 1.0)))
-        if _is_normalized(psi) and drift > norm_tol:
-            raise RuntimeError(f"norm drifted by {drift} at t = {times[-1]}")
-        amplitudes = np.tensordot(coeffs, kept, axes=1)
-        return ChebyshevProjection(amplitudes, final, degree, tail)
+        for j in range(out_first[k], out_times.size):
+            np.multiply(phi, out_coeffs[j, k], out=term)
+            out[j] += term
     if _is_normalized(psi):
         norms = np.linalg.norm(out, axis=1)
-        drift = np.abs(norms - 1.0).reshape(times.size, -1).max(axis=1)
+        drift = np.abs(norms - 1.0).reshape(out_times.size, -1).max(axis=1)
         failed = np.flatnonzero(drift > norm_tol)
         if failed.size:
-            k = failed[0]
-            raise RuntimeError(f"norm drifted by {float(drift[k])} at t = {times[k]}")
-    return out
+            j = failed[0]
+            raise RuntimeError(f"norm drifted by {float(drift[j])} at t = {out_times[j]}")
+    if rows is None:
+        return out
+    return ChebyshevProjection(np.tensordot(coeffs, kept, axes=1), out[-1], degree, tail)
 
 
 def _is_normalized(psi: np.ndarray) -> bool:
@@ -485,7 +474,6 @@ def single_particle_trajectory(
     n_levels: int,
     cutoff: float | None = None,
     method: str = "auto",
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> OracleRun:
     """Evolve one particle against the explicit reservoir.
 
@@ -493,7 +481,8 @@ def single_particle_trajectory(
     with nothing yet in the reservoir.  ``method`` is ``"dense"`` (eigen
     decomposition), ``"chebyshev"`` (one expansion that keeps only the two
     well rows, with the norm checked at the last time), or ``"auto"``
-    (dense up to dimension 1500, Chebyshev beyond).  Requesting times past
+    (dense up to dimension 1500, Chebyshev beyond); ``"dense"`` is refused
+    above ``DEFAULT_MAX_DIM`` before H is built.  Requesting times past
     half the recurrence time triggers a warning: beyond it the discrete
     band begins to feed the wells back and no longer emulates a continuum.
     """
@@ -518,9 +507,9 @@ def single_particle_trajectory(
         method = "dense" if dim <= AUTO_DENSE_MAX_DIM else "chebyshev"
     degree = bound = None
     if method == "dense":
-        _check_dense_cap(dim, max_dim)
+        _check_dense_cap(dim)
         h = build_single_particle_hamiltonian(pair, res)
-        states = evolve_exact(h, psi0, times, max_dim=max_dim)
+        states = evolve_exact(h, psi0, times)
         b1, b2 = states[:, 0], states[:, 1]
         drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0), initial=0.0))
     elif method == "chebyshev":

@@ -320,7 +320,8 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
 
     for name in ("rotate_fock", "equal_fill_even_distribution", "one_well_distribution",
                  "retained_state_split", "dwell_time", "asymptotic_probs",
-                 "two_electron_asymptotic", "master_trajectory"):
+                 "two_electron_asymptotic", "two_electron_parallel_asymptotic",
+                 "three_electron_asymptotic", "master_trajectory"):
         monkeypatch.setattr(darkwells.cli, name, refuse)
     # a section the kind never reads is refused, not ignored
     for kind, text, section in (
@@ -336,6 +337,37 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, text, name="unread.ini")
         err = run_expecting(2, [kind, "--config", cfg, "--out", str(tmp_path / "x.csv")])
         assert f"config error: {section}: " in err and "does not read" in err, (text, err)
+    # a key the chosen op or law does not read is refused, not ignored
+    for kind, text, key, reader in (
+        ("fermions", "[fermions]\nop = three_electron\ny = 7\neta = -1\n[model]\nyprime = 1\n",
+         "fermions.eta", "fermions.op = three_electron"),
+        ("fermions", "[fermions]\nop = two_electron_parallel\ny = 2\n",
+         "fermions.y", "fermions.op = two_electron_parallel"),
+        ("bosons", "[bosons]\nlaw = equal_fill\nn = 4\nn1 = 9\nn_retained = 3\ny = 5\n",
+         "bosons.n1", "bosons.law = equal_fill"),
+        ("bosons", "[bosons]\nlaw = equal_fill\ny = 5\n", "bosons.y", "bosons.law = equal_fill"),
+        ("bosons", "[bosons]\nn = 4\n", "bosons.n", "bosons.law = emission"),
+        ("bosons", "[bosons]\nlaw = one_well\neta = -1\n", "bosons.eta", "bosons.law = one_well"),
+        ("bosons", "[bosons]\nlaw = one_well\nn_retained = 2\n", "bosons.n_retained",
+         "bosons.law = one_well"),
+        ("bosons", "[bosons]\nlaw = retained_split\nn = 2\n", "bosons.n",
+         "bosons.law = retained_split"),
+    ):
+        cfg = write_config(tmp_path, text, name="unread_key.ini")
+        err = run_expecting(2, [kind, "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert f"config error: {key}: {reader} does not read this key" in err, (text, err)
+    # a width too large for a finite coupling names the keys that set it
+    for kind, text, keys in (
+        ("evolve", "[model]\ngamma1 = 1e200\ny = 1e200\n", "model.gamma1, model.y"),
+        ("evolve", "[model]\ngamma1 = 1\nrho = 1e-320\n", "model.gamma1, model.rho"),
+        ("dwell", "[model]\ngamma2 = 1e300\nrho = 1e-10\nepsilon = 1\n",
+         "model.gamma2, model.rho"),
+        ("sweep", "[model]\ny = 1e200\n[sweep]\naxis = gamma1\nvalues = 1, 1e200\n",
+         "sweep.values, model.y"),
+    ):
+        cfg = write_config(tmp_path, text, name="overflow.ini")
+        err = run_expecting(2, [kind, "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert f"config error: {keys}: width gamma" in err, (text, err)
     # both couplings vanishing names the two keys that set them
     for kind, text, keys in (
         ("evolve", "[model]\ngamma1 = 0\ny = 1\n", ("model.gamma1", "model.y")),

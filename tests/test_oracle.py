@@ -86,15 +86,17 @@ def test_hamiltonian_dense_and_sparse_agree():
     assert dense[0, 0] == pair.E1 and dense[1, 1] == pair.E2
 
 
-def test_evolve_exact_guards():
+def test_evolve_exact_guards(monkeypatch):
+    import darkwells.oracle as oracle_module
+
     with pytest.raises(ValueError, match="square"):
         evolve_exact(np.zeros((2, 3)), np.array([1.0, 0.0]), [0.0])
     h = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         evolve_exact(h, np.array([1.0, 0.0]), [0.0])
-    big = np.eye(4)
-    with pytest.raises(ValueError, match="cap"):
-        evolve_exact(big, np.array([1.0, 0, 0, 0]), [0.0], max_dim=3)
+    monkeypatch.setattr(oracle_module, "DEFAULT_MAX_DIM", 3)
+    with pytest.raises(ValueError, match="dense cap 3"):
+        evolve_exact(np.eye(4), np.array([1.0, 0, 0, 0]), [0.0])
     with pytest.raises(ValueError, match="norm"):
         evolve_exact(np.eye(2), np.array([1.0, 1.0]), [0.0])
 
@@ -261,11 +263,13 @@ def _real_hamiltonian(kind):
 
 @pytest.mark.parametrize("kind", ["fermi", "bose", "dense", "sparse"])
 def test_real_recurrence_gives_the_complex_bits(kind):
-    # a real sparse h with a real start runs the recurrence in float64;
-    # casting h to complex forces the complex recurrence, which must give
-    # the same bits (np.array_equal takes -0.0 == 0.0)
+    # a real h with a real start runs the recurrence in float64; casting h
+    # to complex forces the complex recurrence, which must give the same
+    # bits (np.array_equal takes -0.0 == 0.0).  Dense h is applied as CSR,
+    # so it gives the CSR bytes, signed zeros included.
     h, psi0 = _real_hamiltonian(kind)
     assert h.dtype == np.float64
+    csr = sp.csr_matrix(h)
     stack, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((psi0.size, 2)))
     # a complex start takes the complex recurrence for either h
     mixed = (stack[:, 0] + 1j * stack[:, 1]) / math.sqrt(2.0)
@@ -274,12 +278,18 @@ def test_real_recurrence_gives_the_complex_bits(kind):
         run = chebyshev_propagate(h, start, times)
         ref = chebyshev_propagate(h.astype(complex), start, times)
         assert run.dtype == complex and np.array_equal(run, ref)
+        assert run.tobytes() == chebyshev_propagate(csr, start, times).tobytes()
+        full = run
         run = chebyshev_propagate(h, start, times, rows=[0, 1])
         ref = chebyshev_propagate(h.astype(complex), start, times, rows=[0, 1])
         assert run.amplitudes.dtype == run.final_state.dtype == complex
         assert np.array_equal(run.amplitudes, ref.amplitudes)
         assert np.array_equal(run.final_state, ref.final_state)
         assert (run.degree, run.truncation_bound) == (ref.degree, ref.truncation_bound)
+        assert run.final_state.tobytes() == full[-1].tobytes()
+        sparse_run = chebyshev_propagate(csr, start, times, rows=[0, 1])
+        assert run.amplitudes.tobytes() == sparse_run.amplitudes.tobytes()
+        assert run.final_state.tobytes() == sparse_run.final_state.tobytes()
 
 
 def test_chebyshev_time_grid_validation():
@@ -362,12 +372,13 @@ def test_dense_cap_refuses_before_building(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "build_single_particle_hamiltonian", refuse)
     pair = WellPair.from_widths(1.0, 1.0)
-    with pytest.raises(ValueError, match="dense cap 1000"):
-        single_particle_trajectory(
-            pair, (1.0, 0.0), [0.5], n_levels=2000, method="dense", max_dim=1000
-        )
+    cap = oracle_module.DEFAULT_MAX_DIM
+    with pytest.raises(ValueError, match=f"dense cap {cap}"):
+        single_particle_trajectory(pair, (1.0, 0.0), [0.5], n_levels=cap, method="dense")
+    # auto picks dense at this size, so the cap refuses it too
+    monkeypatch.setattr(oracle_module, "DEFAULT_MAX_DIM", 20)
     with pytest.raises(ValueError, match="dense cap 20"):
-        single_particle_trajectory(pair, (1.0, 0.0), [0.5], n_levels=32, max_dim=20)
+        single_particle_trajectory(pair, (1.0, 0.0), [0.5], n_levels=32)
 
 
 def test_fock_space_enumeration():

@@ -3,6 +3,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,22 +127,26 @@ def test_render_digests_hash_fock_records(monkeypatch):
     cli_line, fock_line = lines
     assert cli_line.split()[0] == "oracle:7:warmup" and len(cli_line.split()) == 3
     key, tag, *fock = fock_line.split()
-    assert (key, tag, len(fock)) == ("oracle:7:warmup-fock", "fock", 3)
+    assert (key, tag, len(fock)) == ("oracle:7:warmup-fock", "fock", 4)
     assert render_digests.digest_lines("oracle", [7]) == lines
     # each digest covers one quantity at every time, so a change to the dot
-    # RDM at the last time changes the third digest only
+    # RDM at the last time changes the third digest only, and a one-ulp
+    # change to the state after it is reduced changes the fourth only
     reduced_quantities = oracle.reduced_quantities
-    calls = []
-
-    def shifted(space, psi, n_dots):
-        calls.append(psi)
-        reduced = reduced_quantities(space, psi, n_dots)
-        if len(calls) == 2:
-            reduced.dot_rdm[0, 0] += 1e-15
-        return reduced
-
-    monkeypatch.setattr(oracle, "reduced_quantities", shifted)
     spec = workloads.WARMUP["oracle"][1]
-    changed = render_digests.fock_digests(spec)
-    assert len(calls) == len(spec["times"])
-    assert changed[:2] == fock[:2] and changed[2] != fock[2]
+    for field in (2, 3):
+        calls = []
+
+        def shifted(space, psi, n_dots):
+            calls.append(psi)
+            reduced = reduced_quantities(space, psi, n_dots)
+            if len(calls) == 2 and field == 2:
+                reduced.dot_rdm[0, 0] += 1e-15
+            elif len(calls) == 2:
+                psi.imag[0] = np.nextafter(psi.imag[0], np.inf)
+            return reduced
+
+        monkeypatch.setattr(oracle, "reduced_quantities", shifted)
+        changed = render_digests.fock_digests(spec)
+        assert len(calls) == len(spec["times"])
+        assert [old != new for old, new in zip(fock, changed)] == [k == field for k in range(4)]

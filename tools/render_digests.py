@@ -11,10 +11,12 @@ the public ``darkwells.oracle`` API, as the benchmark client runs it.  One
 line per scenario is printed, sorted:
 
     <workload>:<seed>:<id> <sha256 of the data file> <sha256 of the manifest>
-    <workload>:<seed>:<id> fock <sha256> <sha256> <sha256>
+    <workload>:<seed>:<id> fock <sha256> <sha256> <sha256> <sha256>
 
-where a Fock line's three digests hash the bytes of ``mode_occupations``,
-``reservoir_count_probs`` and ``dot_rdm`` at each output time in turn.  A
+where a Fock line's four digests hash the bytes of ``mode_occupations``,
+``reservoir_count_probs``, ``dot_rdm`` and the evolved state itself at
+each output time in turn; the last one shows a propagator change on its
+own output, signed zeros included.  A
 scenario the program refuses prints ``error`` and the message instead of
 the digests.  Run the script in two checkouts and ``diff`` the outputs to
 see which scenarios changed bytes.  The package is imported from the
@@ -51,7 +53,7 @@ def _fock_model(spec):
 
 
 def fock_digests(spec):
-    """Digests of one Fock record's reduced quantities, over every time."""
+    """Digests of one Fock record's reduced quantities and state, over every time."""
     model, pair = _fock_model(spec["model"])
     n_dots = oracle.dot_mode_count(model)
     res = oracle.DiscretizedReservoir.for_pair(pair, spec["n_levels"])
@@ -59,10 +61,10 @@ def fock_digests(spec):
                              spec["statistics"])
     psi0 = oracle.fock_basis_state(space, spec["initial"])
     states = oracle.evolve_fock(model, res, space, psi0, np.array(spec["times"]))
-    digests = [hashlib.sha256() for _ in range(3)]
+    digests = [hashlib.sha256() for _ in range(4)]
     for psi in states:
         reduced = oracle.reduced_quantities(space, psi, n_dots)
-        arrays = (reduced.mode_occupations, reduced.reservoir_count_probs, reduced.dot_rdm)
+        arrays = (reduced.mode_occupations, reduced.reservoir_count_probs, reduced.dot_rdm, psi)
         for digest, array in zip(digests, arrays):
             digest.update(np.ascontiguousarray(array).tobytes())
     return [digest.hexdigest() for digest in digests]
