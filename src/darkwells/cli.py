@@ -262,7 +262,7 @@ def _parse_eta(sections, section, key="eta"):
 
 
 def _read_model(sections, parallel=False, sweep=False):
-    """Parse [model] once into keywords for :func:`_build_model`.
+    """Parse [model] once into keywords for :func:`_build_model`, and its keys.
 
     The style is picked once: coupling style (``omega1``, ``omega2``, ``e1``,
     ``e2``) when an omega is given, else width style (``gamma1``, ``gamma2``
@@ -270,7 +270,8 @@ def _read_model(sections, parallel=False, sweep=False):
     both.  ``yprime`` with ``u`` makes the parallel-level model, which
     ``parallel`` scenarios need and the others refuse; a ``sweep`` takes
     width style only.  Every key the style does not read, and every value
-    out of its domain, is refused here with its key named.
+    out of its domain, is refused here with its key named.  The keys
+    [model] gives come second, so a refusal can name only those.
     """
     sec = sections.get("model", {})
     coupling = sorted({"omega1", "omega2"} & set(sec))
@@ -317,35 +318,52 @@ def _read_model(sections, parallel=False, sweep=False):
             spec["gamma2"] = width("gamma2", gamma1)
     if parallel:
         spec.update(yprime=_require_positive("model.yprime", number("yprime")), u=number("u", 0.0))
-    return {key: value for key, value in spec.items() if value is not None}
+    return {key: value for key, value in spec.items() if value is not None}, frozenset(sec)
 
 
-def _width_keys(spec, axes):
+def _width_keys(given, axes):
     """The config keys that set width-style ``gamma1`` and ``gamma2``.
 
     An axis value comes from ``sweep.values`` or ``sweep.values2``, the
-    rest from [model]; a second width given as ``y`` is ``y * gamma1``, so
-    it has both keys.
+    rest from the [model] keys in ``given``; a width left at its default
+    has none.  A second width given as ``y`` is ``y * gamma1``, so it has
+    the keys of both, and one left at its default is the config's
+    ``gamma1``.
     """
     source = dict(zip(axes, ("sweep.values", "sweep.values2")))
-    first = source.get("gamma1", "model.gamma1")
+
+    def keys(name):
+        if name in source:
+            return [source[name]]
+        return [f"model.{name}"] if name in given else []
+
+    first = keys("gamma1")
     if "gamma2" in source:
-        second = [source["gamma2"]]
-    elif "y" in source or "y" in spec:
-        second = [first, source.get("y", "model.y")]
-    else:
+        second = keys("gamma2")
+    elif "y" in source or "y" in given:
+        second = first + keys("y")
+    elif "gamma2" in given:
         second = ["model.gamma2"]
-    return [first], second
+    else:
+        second = ["model.gamma1"] if "gamma1" in given else []
+    return first, second
 
 
-def _build_model(spec, **axes):
-    """The model of :func:`_read_model` keywords, and its manifest record.
+def _overflow_keys(spec, given, axes, j):
+    """The keys behind width ``gamma{j}`` and its coupling, ``model.rho`` when given."""
+    keys = [f"model.omega{j}"] if "omega1" in spec else _width_keys(given, axes)[j - 1]
+    return ", ".join(keys + (["model.rho"] if "rho" in given else []))
+
+
+def _build_model(spec, given, **axes):
+    """The model of :func:`_read_model` keywords and keys, and its manifest record.
 
     A sweep point passes its axis values as ``axes``, in axis order: each
     replaces the parsed value, and ``y`` replaces a parsed ``gamma2`` too.
     Two vanishing couplings fail jointly, so that refusal names the keys
-    that set both; a width too large for a finite coupling names the keys
-    that set it, with ``model.rho`` when given.
+    that set both.  A width that overflows, as the one a coupling needs or
+    as ``2 pi omega^2 rho`` of the coupling, names the keys that set it,
+    with ``model.rho`` when given.
     """
     kwargs = {**spec, **axes}
     if "y" in axes:
@@ -360,7 +378,7 @@ def _build_model(spec, **axes):
         if "omega1" in spec:
             keys = ["model.omega1", "model.omega2"]
         else:
-            first, second = _width_keys(spec, axes)
+            first, second = _width_keys(given, axes)
             keys = first + [key for key in second if key not in first]
         raise ConfigError(f"{', '.join(keys)}: {exc}") from exc
     except ValueError as exc:
@@ -370,11 +388,17 @@ def _build_model(spec, **axes):
         # rho)) overflowed: the first one WellPair checks that does
         rho = kwargs.get("rho", 1.0 / TWO_PI)
         j = 1 if math.isinf(kwargs["gamma1"] / (TWO_PI * rho)) else 2
-        keys = _width_keys(spec, axes)[j - 1] + (["model.rho"] if "rho" in spec else [])
         raise ConfigError(
-            f"{', '.join(keys)}: width gamma{j} = {kwargs[f'gamma{j}']!r} is too large "
-            f"for a finite coupling at rho = {rho!r}"
+            f"{_overflow_keys(spec, given, axes, j)}: width gamma{j} = "
+            f"{kwargs[f'gamma{j}']!r} is too large for a finite coupling at rho = {rho!r}"
         ) from exc
+    # a finite coupling can still give an infinite 2 pi omega^2 rho
+    for j, width, omega in ((1, pair.gamma1, pair.omega1), (2, pair.gamma2, pair.omega2)):
+        if math.isinf(width):
+            raise ConfigError(
+                f"{_overflow_keys(spec, given, axes, j)}: width gamma{j} = 2 pi "
+                f"omega{j}^2 rho overflows at omega{j} = {omega!r}, rho = {pair.rho!r}"
+            )
     resolved = {
         "model.E1": pair.E1,
         "model.E2": pair.E2,
@@ -422,7 +446,7 @@ def _resolve_grid(sections, default_t_max):
 
 
 def _run_evolve(scenario):
-    pair, resolved = _build_model(_read_model(scenario.sections))
+    pair, resolved = _build_model(*_read_model(scenario.sections))
     (b1, b2), res_init = _resolve_initial(scenario.sections)
     times, res_grid = _resolve_grid(scenario.sections, default_t_max=10.0 / pair.gamma1)
     resolved.update(res_init)
@@ -441,7 +465,7 @@ def _run_evolve(scenario):
 
 
 def _run_asymptotic(scenario):
-    pair, resolved = _build_model(_read_model(scenario.sections))
+    pair, resolved = _build_model(*_read_model(scenario.sections))
     (b1, b2), res_init = _resolve_initial(scenario.sections)
     resolved.update(res_init)
     p0, p1 = asymptotic_probs(pair, (b1, b2))
@@ -463,7 +487,7 @@ def _run_asymptotic(scenario):
 
 
 def _run_dwell(scenario):
-    pair, resolved = _build_model(_read_model(scenario.sections))
+    pair, resolved = _build_model(*_read_model(scenario.sections))
     tau = dwell_time(pair)
     columns = {"tau": np.array([tau]), "rate": np.array([1.0 / tau])}
     return columns, resolved, {}
@@ -524,7 +548,7 @@ def _check_oracle_work(pair, times, n_levels, cutoff, method):
 def _run_oracle_compare(scenario):
     from .oracle import convergence_report
 
-    pair, resolved = _build_model(_read_model(scenario.sections))
+    pair, resolved = _build_model(*_read_model(scenario.sections))
     (b1, b2), res_init = _resolve_initial(scenario.sections)
     times, res_grid = _resolve_grid(scenario.sections, default_t_max=8.0 / (pair.gamma1 + pair.gamma2))
     resolved.update(res_init)
@@ -574,7 +598,7 @@ def _run_fermions(scenario):
         resolved.update({"fermions.y": y, "fermions.eta": eta})
         branches = two_electron_asymptotic(y, eta=eta)
     else:
-        model, res_model = _build_model(_read_model(scenario.sections, parallel=True))
+        model, res_model = _build_model(*_read_model(scenario.sections, parallel=True))
         resolved.update(res_model)
         if op == "two_electron_parallel":
             branches = two_electron_parallel_asymptotic(model)
@@ -699,7 +723,7 @@ def _run_sweep(scenario):
         raise ConfigError(
             f"sweep.values: {n_points} grid points exceed the cap of {max_points}"
         )
-    spec = _read_model(sections, sweep=True)
+    spec, given = _read_model(sections, sweep=True)
     t_long = _require_positive("sweep.t_max", _parse_number(sections, "sweep", "t_max"))
     resolved = {
         "sweep.axis": axis1,
@@ -721,7 +745,7 @@ def _run_sweep(scenario):
     pairs, times, values = [], [], []
     for v1, v2 in grid:
         point = {axis1: v1} if axis2 is None else {axis1: v1, axis2: v2}
-        pair, _ = _build_model(spec, **point)
+        pair, _ = _build_model(spec, given, **point)
         pairs.append(pair)
         total = pair.gamma1 + pair.gamma2
         if report == "p_trapped":

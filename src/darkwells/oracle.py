@@ -80,6 +80,9 @@ _BESSEL_TINY = 1e-150
 # relative padding of computed spectral enclosures against rounding in
 # eigvalsh and in the assembled matrix entries (both ~ n eps)
 _BOUNDS_MARGIN = 1e-10
+# (-1)^parity by parity: a lookup and a product cost less than np.where
+# on a mask with no pattern, and give the same bits
+_SIGNS = np.array([1.0, -1.0])
 
 
 def default_cutoff(pair: WellPair) -> float:
@@ -354,8 +357,9 @@ def chebyshev_propagate(
     coefficient exceeds 1e-16; an earlier time stops at its own last such
     order.  ``bounds`` is an (E_min, E_max) spectral enclosure; by default
     a rigorous diagonal-plus-offdiagonal-norm bound is used.  A real ``h``
-    and a real start run the recurrence in float64, with the bits of the
-    complex recurrence.  Deterministic: no randomized estimators anywhere.
+    and a real start run the recurrence in float64 and sum the real and
+    imaginary parts of the output apart, with the bits of the complex
+    recurrence and sums.  Deterministic: no randomized estimators anywhere.
 
     Without ``rows`` the result is the full state at every time, shape
     ``(len(times),) + psi0.shape``.  With ``rows`` only the full state at
@@ -415,7 +419,15 @@ def chebyshev_propagate(
         out_times, out_coeffs, out_first = times[-1:], coeffs[-1:], np.zeros_like(first_time)
         kept = np.empty((degree + 1, len(rows)) + psi.shape[1:], dtype=h2.dtype)
     out = np.zeros((out_times.size,) + psi.shape, dtype=complex)
-    term = np.empty_like(psi)
+    if real:
+        # each term's real and imaginary parts are summed apart in float64
+        # and written into out once; the sums start at +0, so they end with
+        # the bits of complex sums, whose real-times-complex products differ
+        # from these only in the sign of exact zeros
+        sums = [(np.zeros(out.shape), out_coeffs.real), (np.zeros(out.shape), out_coeffs.imag)]
+    else:
+        sums = [(out, out_coeffs)]
+    term = np.empty(psi.shape, dtype=h2.dtype)
     phi = psi.real.copy() if real else psi
     phi_prev = phi.copy()
     for k in range(degree + 1):
@@ -429,8 +441,11 @@ def chebyshev_propagate(
         if rows is not None:
             kept[k] = phi[rows]
         for j in range(out_first[k], out_times.size):
-            np.multiply(phi, out_coeffs[j, k], out=term)
-            out[j] += term
+            for total, coeff in sums:
+                np.multiply(phi, coeff[j, k], out=term)
+                total[j] += term
+    if real:
+        out.real, out.imag = sums[0][0], sums[1][0]
     if _is_normalized(psi):
         norms = np.linalg.norm(out, axis=1)
         drift = np.abs(norms - 1.0).reshape(out_times.size, -1).max(axis=1)
@@ -597,28 +612,33 @@ class FockSpace:
         self._dot_hop_cache = {}
 
     @cached_property
-    def _binomials(self) -> np.ndarray:
-        """``C(x, k)`` for x < slots, k <= n_particles, clipped at the size.
+    def _rank_terms(self) -> np.ndarray:
+        """``C(S - 1 - c, N - k)`` at ``[k, m]``, clipped at the size.
 
-        Ranks of basis states only read entries no larger than the size,
-        so clipping changes nothing they use and keeps the table in int64.
+        ``c`` is the slot that mode ``m`` takes at position ``k`` of a
+        sorted row: ``m`` for fermions, ``m + k`` for bosons.  Ranks of
+        basis states only read entries no larger than the size, so
+        clipping changes nothing they use and keeps the table in int64.
         """
-        n, size = self.n_particles, self.size
-        table = [[min(math.comb(x, k), size) for k in range(n + 1)] for x in range(self._slots)]
+        n, size, shift = self.n_particles, self.size, self.statistics == "bose"
+        slot = self._slots - 1
+        table = [
+            [min(math.comb(slot - m - k * shift, n - k), size) for m in range(self.n_modes)]
+            for k in range(n)
+        ]
         return np.array(table, dtype=np.int64)
 
-    def _rank(self, modes: np.ndarray) -> np.ndarray:
-        """Basis index of each row of sorted modes.
+    def _rank(self, columns) -> np.ndarray:
+        """Basis index of the states whose ``k``-th sorted mode is ``columns[k]``.
 
-        Lexicographic rank of a strictly increasing ``c`` among the
-        ``C(S, N)`` subsets of ``S`` slots: ``C(S, N) - 1 - sum_i C(S - 1 -
-        c_i, N - i)`` (Lin, PRB 42, 6561 (1990)).
+        ``columns`` holds one array per slot, such as ``modes.T`` for rows
+        of sorted ``modes``.  Lexicographic rank of a strictly increasing
+        slot row ``c`` among the ``C(S, N)`` subsets of ``S`` slots:
+        ``C(S, N) - 1 - sum_k C(S - 1 - c_k, N - k)`` (Lin, PRB 42, 6561
+        (1990)), summed one slot at a time from :attr:`_rank_terms`.
         """
-        n = self.n_particles
-        if self.statistics == "bose":
-            modes = modes + np.arange(n)
-        terms = self._binomials[self._slots - 1 - modes, np.arange(n, 0, -1)]
-        return self.size - 1 - terms.sum(axis=1)
+        terms = self._rank_terms
+        return self.size - 1 - sum(terms[k][column] for k, column in enumerate(columns))
 
     def mode_counts(self, first_modes: int) -> np.ndarray:
         """Particles among the first ``first_modes`` modes, per basis state."""
@@ -641,44 +661,67 @@ def _hops(space: FockSpace, t: np.ndarray):
     """Every nonzero ``t[q, p] <target| a_q^dagger a_p |source>`` on ``space``.
 
     ``t`` is an (n_modes, n_modes) one-body matrix with zero diagonal.
-    Returns the arrays ``(source, target, p, q, value)``.  Fermion signs
-    are ``(-1)^(pos + ins)``: ``p`` sits at position ``pos`` of the source
-    row and ``q`` enters the remaining row at index ``ins``.  Boson
-    factors are ``sqrt(n_p (n_q + 1))``, with each occupied mode hopping
-    once however many particles hold it.
+    Returns the arrays ``(source, target, p, q, value)``, grouped by the
+    position ``pos`` of ``p`` in the source row and in source order within
+    a group.  The kernel reads the basis one mode column at a time, with
+    no 2-D block and no sort.  Sums of 1-D comparisons against the source
+    row's columns give ``n_q``, ``n_p`` and the index ``ins`` at which
+    ``q`` enters the remaining row ``rest``.  That row is already sorted,
+    so slot ``k`` of the target row is ``rest[k]`` below ``ins``, ``q`` at
+    it and ``rest[k - 1]`` above it, which is ``max(rest[k - 1],
+    min(rest[k], q))``; the target's rank is summed column by column.
+    Fermion signs are ``(-1)^(pos + ins)``.  Boson factors are
+    ``sqrt(n_p (n_q + 1))``, with each occupied mode hopping once however
+    many particles hold it.
+    """
+    modes = np.ascontiguousarray(space._modes.T)  # modes[k]: slot k of every row
+    columns = sp.csc_matrix(t)  # column p lists the q with t[q, p] != 0
+    # one call per position: its temporaries are freed before the next
+    # position or the concatenation allocates, which keeps the resident
+    # peak down
+    parts = [_hops_from(space, modes, columns, pos) for pos in range(space.n_particles)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _hops_from(space: FockSpace, modes: np.ndarray, columns, pos: int):
+    """The hops of :func:`_hops` whose ``p`` leaves position ``pos`` of the source row.
+
+    ``modes[k]`` is slot ``k`` of every basis row and ``columns`` is ``t``
+    in CSC form.
     """
     fermi = space.statistics == "fermi"
-    modes = space._modes
-    columns = sp.csc_matrix(t)  # column p lists the q with t[q, p] != 0
-    per_column = np.diff(columns.indptr)
-    parts = []
-    for pos in range(space.n_particles):
-        if fermi or pos == 0:
-            source = np.arange(space.size)
-        else:
-            source = np.flatnonzero(modes[:, pos] != modes[:, pos - 1])
-        counts = per_column[modes[source, pos]]
-        source = np.repeat(source, counts)
-        p = modes[source, pos]
-        # the k-th copy of a row reads entry k of column p
-        first_copy = np.repeat(np.cumsum(counts) - counts, counts)
-        entry = columns.indptr[p] + np.arange(source.size) - first_copy
-        q = columns.indices[entry]
-        value = columns.data[entry]
-        held = modes[source]
-        n_q = np.count_nonzero(held == q[:, None], axis=1)
-        if fermi:
-            free = n_q == 0
-            source, p, q, value, held = source[free], p[free], q[free], value[free], held[free]
-            ins = np.count_nonzero(held < q[:, None], axis=1) - (p < q)
-            value = np.where((pos + ins) % 2, -value, value)
-        else:
-            n_p = np.count_nonzero(held == p[:, None], axis=1)
-            value = value * np.sqrt(n_p * (n_q + 1.0))
-        rest = np.delete(held, pos, axis=1)
-        target = space._rank(np.sort(np.column_stack((rest, q)), axis=1))
-        parts.append((source, target, p, q, value))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    n = space.n_particles
+    if fermi or pos == 0:
+        rows = np.arange(space.size)
+    else:
+        rows = np.flatnonzero(modes[pos] != modes[pos - 1])
+    # a row whose slot pos holds p is copied once per entry of column p,
+    # and its k-th copy reads entry k
+    leaving = modes[pos][rows]
+    counts = np.diff(columns.indptr)[leaving]
+    first_copy = np.cumsum(counts) - counts
+    entry = np.repeat(columns.indptr[leaving] - first_copy, counts) + np.arange(counts.sum())
+    source = np.repeat(rows, counts)
+    q = columns.indices[entry]
+    held = [column[source] for column in modes]
+    n_q = sum(column == q for column in held)
+    if fermi:
+        keep = np.flatnonzero(n_q == 0)
+        source, entry, q = source[keep], entry[keep], q[keep]
+        held = [column[keep] for column in held]
+    p, value = held[pos], columns.data[entry]
+    if not fermi:
+        n_p = sum(column == p for column in held)
+        value = value * np.sqrt(n_p * (n_q + 1.0))
+    rest = held[:pos] + held[pos + 1:]
+    if fermi:
+        ins = sum(column < q for column in rest)
+        value = value * _SIGNS[(pos + ins) & 1]
+    target = []
+    for k in range(n):
+        slot = q if k == n - 1 else np.minimum(rest[k], q)
+        target.append(slot if k == 0 else np.maximum(rest[k - 1], slot))
+    return source, space._rank(target), p, q, value
 
 
 def dot_mode_count(model: WellPair | ParallelWellPair) -> int:
@@ -790,7 +833,7 @@ def fock_basis_state(space: FockSpace, modes) -> np.ndarray:
     if not valid:
         raise ValueError(f"occupation {key} is not a basis state of this space")
     psi = np.zeros(space.size, dtype=complex)
-    psi[space._rank(np.array([key], dtype=np.int64))[0]] = 1.0
+    psi[space._rank(np.array([key], dtype=np.int64).T)[0]] = 1.0
     return psi
 
 

@@ -7,8 +7,9 @@ stage RK4 integrator with its own right-hand side, ``expm`` of the literal
 Hamiltonian, ``expm`` of a whole Hamiltonian at each output time for the
 oracle's propagators, determinant-based fermionic expansions, an
 iterated-operator polynomial expansion over Z[sqrt(y)] for the boson
-rotations, and literal second quantization on occupation vectors for the
-many-body Hamiltonian and reduced quantities, a row-list writer for the
+rotations, literal second quantization on occupation vectors for the
+many-body Hamiltonian, its hops and reduced quantities, the earlier
+sort-and-rank Fock hop kernel, a row-list writer for the
 CLI's output files, and the sweep-point width rule applied axis by axis.
 Agreement between library and oracle then checks
 the physics, not a shared code path.
@@ -22,6 +23,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 
@@ -243,6 +245,82 @@ def _hop(occ, q, p, fermi):
     amp *= (-1) ** sum(occ[:q]) if fermi else math.sqrt(occ[q] + 1)
     occ[q] += 1
     return amp, tuple(occ)
+
+
+def sort_and_rank_hops(modes, n_modes, statistics, t):
+    """The Fock hop arrays ``(source, target, p, q, value)`` of a sort-and-rank kernel.
+
+    ``modes`` holds one sorted row of modes per basis state, in
+    lexicographic order.  Row by row on 2-D blocks: the rows that ``p``
+    leaves from position ``pos`` are copied once per nonzero ``t[q, p]``,
+    ``n_q``, ``n_p`` and the fermion insertion index come from 2-D counts,
+    and each target row is re-sorted with ``q`` and ranked by the
+    combinatorial number system over all its columns at once.  This is the
+    kernel the library used before it went column by column, kept to check
+    that the rewrite gives the same five arrays, dtypes and order included.
+    """
+    modes = np.asarray(modes)
+    n_particles = modes.shape[1]
+    fermi = statistics == "fermi"
+    slots = n_modes + (0 if fermi else n_particles - 1)
+    size = math.comb(slots, n_particles)
+    binomials = np.array(
+        [[min(math.comb(x, k), size) for k in range(n_particles + 1)] for x in range(slots)],
+        dtype=np.int64,
+    )
+
+    def rank(rows):
+        if not fermi:
+            rows = rows + np.arange(n_particles)
+        terms = binomials[slots - 1 - rows, np.arange(n_particles, 0, -1)]
+        return size - 1 - terms.sum(axis=1)
+
+    columns = sp.csc_matrix(t)
+    per_column = np.diff(columns.indptr)
+    parts = []
+    for pos in range(n_particles):
+        if fermi or pos == 0:
+            source = np.arange(len(modes))
+        else:
+            source = np.flatnonzero(modes[:, pos] != modes[:, pos - 1])
+        counts = per_column[modes[source, pos]]
+        source = np.repeat(source, counts)
+        p = modes[source, pos]
+        first_copy = np.repeat(np.cumsum(counts) - counts, counts)
+        entry = columns.indptr[p] + np.arange(source.size) - first_copy
+        q = columns.indices[entry]
+        value = columns.data[entry]
+        held = modes[source]
+        n_q = np.count_nonzero(held == q[:, None], axis=1)
+        if fermi:
+            free = n_q == 0
+            source, p, q, value, held = source[free], p[free], q[free], value[free], held[free]
+            ins = np.count_nonzero(held < q[:, None], axis=1) - (p < q)
+            value = np.where((pos + ins) % 2, -value, value)
+        else:
+            n_p = np.count_nonzero(held == p[:, None], axis=1)
+            value = value * np.sqrt(n_p * (n_q + 1.0))
+        rest = np.delete(held, pos, axis=1)
+        target = rank(np.sort(np.column_stack((rest, q)), axis=1))
+        parts.append((source, target, p, q, value))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def hop_reference(basis, t, statistics):
+    """``{(i, j, p, q): t[q, p] <basis[j]| a_q^dagger a_p |basis[i]>}`` over nonzero terms.
+
+    Literal second quantization on the occupation vectors ``basis`` with
+    :func:`_hop`, for every nonzero off-diagonal ``t[q, p]``.
+    """
+    fermi = statistics == "fermi"
+    where = {occ: i for i, occ in enumerate(basis)}
+    out = {}
+    for i, occ in enumerate(basis):
+        for q, p in zip(*np.nonzero(t)):
+            hop = _hop(occ, int(q), int(p), fermi)
+            if hop is not None:
+                out[(i, where[hop[1]], int(p), int(q))] = float(t[q, p]) * hop[0]
+    return out
 
 
 def fock_hamiltonian_reference(model, res, n_particles, statistics):

@@ -364,6 +364,16 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
          "model.gamma2, model.rho"),
         ("sweep", "[model]\ny = 1e200\n[sweep]\naxis = gamma1\nvalues = 1, 1e200\n",
          "sweep.values, model.y"),
+        # keys left at their defaults are not named
+        ("evolve", "[model]\nrho = 1e-320\n", "model.rho"),
+        ("sweep", "[model]\nrho = 1e-320\n[sweep]\naxis = y\nvalues = 1, 2\n", "model.rho"),
+        # a finite coupling whose width 2 pi omega^2 rho overflows, refused
+        # before [grid] is read
+        ("evolve", "[model]\nomega1 = 1e200\nomega2 = 1\n[grid]\nt_max = -1\n",
+         "model.omega1"),
+        ("asymptotic", "[model]\nomega1 = 1\nomega2 = 1e150\nrho = 1e10\n",
+         "model.omega2, model.rho"),
+        ("evolve", "[model]\ngamma1 = 1.7e308\n", "model.gamma1"),
     ):
         cfg = write_config(tmp_path, text, name="overflow.ini")
         err = run_expecting(2, [kind, "--config", cfg, "--out", str(tmp_path / "x.csv")])
@@ -382,6 +392,10 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, text, name="degenerate.ini")
         err = run_expecting(2, [kind, "--config", cfg, "--out", str(tmp_path / "x.csv")])
         assert f"config error: {keys[0]}, {keys[1]}: degenerate system" in err, (text, err)
+    # a second width left at its default is the config's gamma1
+    cfg = write_config(tmp_path, "[model]\ngamma1 = 0\n", name="degenerate.ini")
+    err = run_expecting(2, ["evolve", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert "config error: model.gamma1: degenerate system" in err, err
     for kind, text, key in (
         ("oracle-compare", "[oracle]\ncutoff = 0\n", "oracle.cutoff"),
         ("oracle-compare", "[oracle]\ncutoff = -2.5\n", "oracle.cutoff"),

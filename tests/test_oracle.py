@@ -413,7 +413,7 @@ def test_fock_rank_round_trips(n_modes, n_particles, statistics):
     want = [list(state) for state in subsets(range(n_modes), n_particles)]
     assert space.size == len(want)
     np.testing.assert_array_equal(space._modes, np.array(want, dtype=np.int64))
-    np.testing.assert_array_equal(space._rank(space._modes), np.arange(space.size))
+    np.testing.assert_array_equal(space._rank(space._modes.T), np.arange(space.size))
 
 
 def test_boson_occupations_do_not_wrap():
@@ -427,7 +427,7 @@ def test_boson_occupations_do_not_wrap():
 def test_fock_basis_state_lookup():
     space = FockSpace(4, 2, "fermi")
     psi = fock_basis_state(space, (2, 0))
-    assert psi[space._rank(np.array([[0, 2]]))[0]] == 1.0
+    assert psi[space._rank(np.array([[0], [2]]))[0]] == 1.0
     assert tuple(space._modes[np.flatnonzero(psi)[0]]) == (0, 2)
     assert np.count_nonzero(psi) == 1
     bose = FockSpace(4, 3, "bose")
@@ -484,7 +484,7 @@ def test_fock_operators_match_second_quantization(parallel, n_particles, statist
     n_dots = dot_mode_count(model)
     space = FockSpace(n_dots + 10, n_particles, statistics)
     basis, want = fock_hamiltonian_reference(model, res, n_particles, statistics)
-    order = space._rank(np.array([np.repeat(np.arange(len(occ)), occ) for occ in basis]))
+    order = space._rank(np.array([np.repeat(np.arange(len(occ)), occ) for occ in basis]).T)
     h = build_fock_hamiltonian(model, res, space).toarray()[np.ix_(order, order)]
     np.testing.assert_allclose(h, want, rtol=0, atol=1e-13)
     rng = np.random.default_rng(11)

@@ -1,5 +1,5 @@
-"""Property tests of the exact wide-band propagator, the boson laws and the
-oracle's real Chebyshev recurrence.
+"""Property tests of the exact wide-band propagator, the boson laws, the
+oracle's real Chebyshev recurrence and its Fock hop kernel.
 
 Draws are derandomized with a fixed example count, so every run checks the
 same cases.
@@ -21,8 +21,9 @@ from darkwells.bosons import (
 )
 from darkwells.dynamics import amplitude_trajectory, asymptotic_probs, master_trajectory
 from darkwells.model import WellPair
-from darkwells.oracle import chebyshev_propagate
+from darkwells.oracle import FockSpace, _hops, chebyshev_propagate
 from darkwells.rotation import dark_state
+from oracles import _occupation_vectors, hop_reference, sort_and_rank_hops
 
 PROPERTY = settings(max_examples=80, derandomize=True, database=None, deadline=None)
 TOL = 1e-12
@@ -150,7 +151,57 @@ def real_sparse_starts(draw):
 @PROPERTY
 @given(h_psi0=real_sparse_starts(), times=st.lists(st.floats(0.0, 5.0), max_size=6).map(sorted))
 def test_real_chebyshev_recurrence_gives_the_complex_bits(h_psi0, times):
-    # a complex h forces the complex recurrence; -0.0 == 0.0 in array_equal
+    # a complex h forces the complex recurrence and complex sums; the real
+    # recurrence with float64 sums gives their bytes, signed zeros included
     h, psi0 = h_psi0
     real = chebyshev_propagate(h, psi0, times)
-    assert np.array_equal(real, chebyshev_propagate(h.astype(complex), psi0, times))
+    assert real.tobytes() == chebyshev_propagate(h.astype(complex), psi0, times).tobytes()
+
+
+@st.composite
+def hop_problems(draw):
+    """A Fock space of up to 7 modes and 4 particles, and a zero-diagonal
+    one-body matrix with any sparsity pattern."""
+    statistics = draw(st.sampled_from(["fermi", "bose"]))
+    n_modes = draw(st.integers(1, 7))
+    n_particles = draw(st.integers(1, min(4, n_modes) if statistics == "fermi" else 4))
+    entries = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_subnormal=False))
+    t = np.array(draw(st.lists(entries, min_size=n_modes**2, max_size=n_modes**2)))
+    t = t.reshape(n_modes, n_modes)
+    np.fill_diagonal(t, 0.0)
+    return FockSpace(n_modes, n_particles, statistics), t
+
+
+@PROPERTY
+@given(problem=hop_problems())
+def test_hop_kernel_matches_second_quantization(problem):
+    space, t = problem
+    source, target, p, q, value = _hops(space, t)
+    basis = _occupation_vectors(space.n_modes, space.n_particles,
+                                1 if space.statistics == "fermi" else space.n_particles)
+    rows = np.array([np.repeat(np.arange(space.n_modes), occ) for occ in basis])
+    index = space._rank(rows.T)
+    assert sorted(index) == list(range(space.size))
+    # basis position of each row of the space
+    position = np.empty(space.size, dtype=np.int64)
+    position[index] = np.arange(space.size)
+    got = {
+        (int(position[i]), int(position[j]), int(a), int(b)): float(v)
+        for i, j, a, b, v in zip(source, target, p, q, value)
+    }
+    assert len(got) == source.size
+    want = hop_reference(basis, t, space.statistics)
+    assert got.keys() == want.keys()
+    for key, amplitude in want.items():
+        assert got[key] == pytest.approx(amplitude, rel=1e-14, abs=0.0)
+
+
+@PROPERTY
+@given(problem=hop_problems())
+def test_hop_kernel_gives_the_sort_and_rank_bytes(problem):
+    space, t = problem
+    got = _hops(space, t)
+    want = sort_and_rank_hops(space._modes, space.n_modes, space.statistics, t)
+    for new, old in zip(got, want, strict=True):
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()

@@ -127,11 +127,12 @@ def test_render_digests_hash_fock_records(monkeypatch):
     cli_line, fock_line = lines
     assert cli_line.split()[0] == "oracle:7:warmup" and len(cli_line.split()) == 3
     key, tag, *fock = fock_line.split()
-    assert (key, tag, len(fock)) == ("oracle:7:warmup-fock", "fock", 4)
+    assert (key, tag, len(fock)) == ("oracle:7:warmup-fock", "fock", 5)
     assert render_digests.digest_lines("oracle", [7]) == lines
     # each digest covers one quantity at every time, so a change to the dot
-    # RDM at the last time changes the third digest only, and a one-ulp
-    # change to the state after it is reduced changes the fourth only
+    # RDM at the last time changes the third digest only, a one-ulp change
+    # to the state after it is reduced changes the fourth only, and a
+    # one-ulp change to the Hamiltonian the fifth hashes changes only that
     reduced_quantities = oracle.reduced_quantities
     spec = workloads.WARMUP["oracle"][1]
     for field in (2, 3):
@@ -149,4 +150,19 @@ def test_render_digests_hash_fock_records(monkeypatch):
         monkeypatch.setattr(oracle, "reduced_quantities", shifted)
         changed = render_digests.fock_digests(spec)
         assert len(calls) == len(spec["times"])
-        assert [old != new for old, new in zip(fock, changed)] == [k == field for k in range(4)]
+        assert [old != new for old, new in zip(fock, changed)] == [k == field for k in range(5)]
+    monkeypatch.setattr(oracle, "reduced_quantities", reduced_quantities)
+    build = oracle.build_fock_hamiltonian
+    builds = []
+
+    def nudged(*args):
+        h = build(*args)
+        builds.append(h)
+        if len(builds) == 2:
+            h.data[-1] = np.nextafter(h.data[-1], np.inf)
+        return h
+
+    monkeypatch.setattr(oracle, "build_fock_hamiltonian", nudged)
+    changed = render_digests.fock_digests(spec)
+    assert len(builds) == 2
+    assert [old != new for old, new in zip(fock, changed)] == [k == 4 for k in range(5)]

@@ -11,12 +11,15 @@ the public ``darkwells.oracle`` API, as the benchmark client runs it.  One
 line per scenario is printed, sorted:
 
     <workload>:<seed>:<id> <sha256 of the data file> <sha256 of the manifest>
-    <workload>:<seed>:<id> fock <sha256> <sha256> <sha256> <sha256>
+    <workload>:<seed>:<id> fock <sha256> <sha256> <sha256> <sha256> <sha256>
 
-where a Fock line's four digests hash the bytes of ``mode_occupations``,
-``reservoir_count_probs``, ``dot_rdm`` and the evolved state itself at
-each output time in turn; the last one shows a propagator change on its
-own output, signed zeros included.  A
+where a Fock line's first four digests hash the bytes of
+``mode_occupations``, ``reservoir_count_probs``, ``dot_rdm`` and the
+evolved state itself at each output time in turn; the state digest shows a
+propagator change on its own output, signed zeros included.  The fifth
+hashes the CSR ``data``, ``indices`` and ``indptr`` of the record's
+``build_fock_hamiltonian``, so a change to the Hamiltonian build shows on
+its own.  A
 scenario the program refuses prints ``error`` and the message instead of
 the digests.  Run the script in two checkouts and ``diff`` the outputs to
 see which scenarios changed bytes.  The package is imported from the
@@ -53,7 +56,7 @@ def _fock_model(spec):
 
 
 def fock_digests(spec):
-    """Digests of one Fock record's reduced quantities and state, over every time."""
+    """Digests of one Fock record's reduced quantities and state, then of its H."""
     model, pair = _fock_model(spec["model"])
     n_dots = oracle.dot_mode_count(model)
     res = oracle.DiscretizedReservoir.for_pair(pair, spec["n_levels"])
@@ -61,12 +64,15 @@ def fock_digests(spec):
                              spec["statistics"])
     psi0 = oracle.fock_basis_state(space, spec["initial"])
     states = oracle.evolve_fock(model, res, space, psi0, np.array(spec["times"]))
-    digests = [hashlib.sha256() for _ in range(4)]
+    digests = [hashlib.sha256() for _ in range(5)]
     for psi in states:
         reduced = oracle.reduced_quantities(space, psi, n_dots)
         arrays = (reduced.mode_occupations, reduced.reservoir_count_probs, reduced.dot_rdm, psi)
         for digest, array in zip(digests, arrays):
             digest.update(np.ascontiguousarray(array).tobytes())
+    h = oracle.build_fock_hamiltonian(model, res, space)
+    for array in (h.data, h.indices, h.indptr):
+        digests[4].update(array.tobytes())
     return [digest.hexdigest() for digest in digests]
 
 
