@@ -8,6 +8,7 @@ from .model import (
     NoBoundStateError,
     ParallelWellPair,
     WellPair,
+    WidthOverflowError,
     derive,
     wide_band_self_energy,
 )

@@ -53,7 +53,13 @@ from .fermions import (
     two_electron_asymptotic,
     two_electron_parallel_asymptotic,
 )
-from .model import TWO_PI, DegenerateSystemError, ParallelWellPair, WellPair
+from .model import (
+    TWO_PI,
+    DegenerateSystemError,
+    ParallelWellPair,
+    WellPair,
+    WidthOverflowError,
+)
 from .rotation import dark_state
 
 __all__ = ["ConfigError", "Scenario", "RunResult", "load_config", "render", "run", "main"]
@@ -64,8 +70,8 @@ _MAX_GRID_POINTS = 100_000
 _MAX_ORACLE_LEVELS = 100_000
 # Chebyshev degree, about half-bandwidth * t_max: one sparse product per order
 _MAX_CHEBYSHEV_DEGREE = 100_000
-# entries of the (n_points x dim) dense oracle output or of the
-# (n_points x degree) Bessel table of a Chebyshev run
+# entries of the (n_points x dim) phase factors of a dense oracle run or of
+# the (n_points x degree) Bessel table of a Chebyshev run
 _MAX_ORACLE_ENTRIES = 5_000_000
 # Bosons in one exact emission law; the rational arithmetic grows
 # faster than quadratically in the count.
@@ -381,6 +387,8 @@ def _build_model(spec, given, **axes):
             first, second = _width_keys(given, axes)
             keys = first + [key for key in second if key not in first]
         raise ConfigError(f"{', '.join(keys)}: {exc}") from exc
+    except WidthOverflowError as exc:
+        raise ConfigError(f"{_overflow_keys(spec, given, axes, exc.well)}: {exc}") from exc
     except ValueError as exc:
         if "omega1" in spec:
             raise ConfigError(f"model: {exc}") from exc
@@ -392,13 +400,6 @@ def _build_model(spec, given, **axes):
             f"{_overflow_keys(spec, given, axes, j)}: width gamma{j} = "
             f"{kwargs[f'gamma{j}']!r} is too large for a finite coupling at rho = {rho!r}"
         ) from exc
-    # a finite coupling can still give an infinite 2 pi omega^2 rho
-    for j, width, omega in ((1, pair.gamma1, pair.omega1), (2, pair.gamma2, pair.omega2)):
-        if math.isinf(width):
-            raise ConfigError(
-                f"{_overflow_keys(spec, given, axes, j)}: width gamma{j} = 2 pi "
-                f"omega{j}^2 rho overflows at omega{j} = {omega!r}, rho = {pair.rho!r}"
-            )
     resolved = {
         "model.E1": pair.E1,
         "model.E2": pair.E2,

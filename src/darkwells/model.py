@@ -34,6 +34,20 @@ class NoBoundStateError(ValueError):
     """
 
 
+class WidthOverflowError(ValueError):
+    """A finite coupling whose width ``2 pi omega^2 rho`` is infinite.
+
+    ``well`` is 1 or 2, the well whose width overflows.
+    """
+
+    def __init__(self, well: int, omega: float, rho: float):
+        super().__init__(
+            f"width gamma{well} = 2 pi omega{well}^2 rho overflows at "
+            f"omega{well} = {omega!r}, rho = {rho!r}"
+        )
+        self.well = well
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -61,7 +75,8 @@ class WellPair:
         may vanish; both vanishing is rejected as degenerate.
     rho : float
         Density of reservoir states, constant across the band (wide-band
-        limit).  Must be positive.
+        limit).  Must be positive, and the widths ``2 pi omega_j^2 rho``
+        must be finite (:class:`WidthOverflowError` otherwise).
     lambda_cutoff : float, optional
         Half-bandwidth used when the reservoir is discretized explicitly.
         ``None`` means "pick a default wide enough for the wide-band limit".
@@ -85,6 +100,9 @@ class WellPair:
         if self.lambda_cutoff is not None:
             cut = _require_positive("lambda_cutoff", self.lambda_cutoff)
             object.__setattr__(self, "lambda_cutoff", cut)
+        for well, width, omega in ((1, self.gamma1, self.omega1), (2, self.gamma2, self.omega2)):
+            if math.isinf(width):
+                raise WidthOverflowError(well, omega, self.rho)
 
     @classmethod
     def from_widths(

@@ -14,8 +14,12 @@ a Chebyshev polynomial expansion of ``exp(-iHt)``
 used for large grids and for many-body Fock vectors.  The expansion always
 applies H as a CSR matrix; it is built once per call, up to the degree the
 latest time needs, and every requested time is accumulated from it into
-one output array with Bessel weights from one table.  Both are fully
-deterministic and norm checked.
+one output array with Bessel weights from one table and no phase, which
+multiplies each time once at the end.  Each expansion logs one DEBUG
+event on the ``darkwells`` logger (dimension, nnz, degree, output times,
+last-time drift).  Both propagators take ``rows=`` and then return a
+:class:`Projection`: those rows at every time and the full state at the
+last time alone.  Both are fully deterministic and norm checked.
 
 A finite band is faithful only for a finite while: the discrete spectrum
 revives after the recurrence time ``2 pi / spacing``, and the band edges
@@ -26,11 +30,11 @@ not exist.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +51,7 @@ __all__ = [
     "single_particle_bounds",
     "evolve_exact",
     "chebyshev_propagate",
-    "ChebyshevProjection",
+    "Projection",
     "OracleRun",
     "single_particle_trajectory",
     "convergence_report",
@@ -70,6 +74,8 @@ _MAX_FOCK_DIM = 250_000
 # output times evolved per batched product in evolve_exact; bounds the
 # temporaries beyond the output to O(_TIME_BLOCK * dim)
 _TIME_BLOCK = 64
+# rows of a dense h compared with its adjoint at a time
+_ROW_BLOCK = 64
 # Bessel coefficients at or below this are dropped from the expansion
 _CHEBYSHEV_TOL = 1e-16
 # Miller's recurrence rescales a column to 1 once it passes this; one step
@@ -80,6 +86,7 @@ _BESSEL_TINY = 1e-150
 # relative padding of computed spectral enclosures against rounding in
 # eigvalsh and in the assembled matrix entries (both ~ n eps)
 _BOUNDS_MARGIN = 1e-10
+_log = logging.getLogger("darkwells")
 # (-1)^parity by parity: a lookup and a product cost less than np.where
 # on a mask with no pattern, and give the same bits
 _SIGNS = np.array([1.0, -1.0])
@@ -230,52 +237,110 @@ def _check_dense_cap(dim: int) -> None:
         )
 
 
+def _check_hermitian(h: np.ndarray) -> None:
+    """Refuse an ``h`` that differs from its adjoint by more than 1e-12 of its scale.
+
+    Compared one block of ``_ROW_BLOCK`` rows at a time, so no temporary
+    is the size of ``h``.
+    """
+    scale = asymmetry = 0.0
+    for start in range(0, h.shape[0], _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        scale = max(scale, float(np.abs(h[block]).max()))
+        asymmetry = max(asymmetry, float(np.abs(h[block] - h[:, block].conj().T).max()))
+    if asymmetry > 1e-12 * max(1.0, scale):
+        raise ValueError("Hamiltonian is not Hermitian")
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, as two real products when one operand is real and one complex.
+
+    A complex product would cast the real operand to complex first.
+    """
+    if np.iscomplexobj(a) == np.iscomplexobj(b):
+        return a @ b
+    if np.iscomplexobj(a):
+        real, imag = a.real @ b, a.imag @ b
+    else:
+        real, imag = a @ b.real, a @ b.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
+def _check_drift(states: np.ndarray, times: np.ndarray, norm_tol: float) -> np.ndarray:
+    """Norm drift of each state (of its worst column, for stacks), one per time.
+
+    Raises at the first time whose drift passes ``norm_tol``.
+    """
+    norms = np.linalg.norm(states, axis=1)
+    drift = np.abs(norms - 1.0).reshape(times.size, -1).max(axis=1)
+    failed = np.flatnonzero(drift > norm_tol)
+    if failed.size:
+        j = failed[0]
+        raise RuntimeError(f"norm drifted by {float(drift[j])} at t = {times[j]}")
+    return drift
+
+
+class Projection(NamedTuple):
+    """Selected rows of a propagation at every time, plus the state at the last time.
+
+    ``degree`` and ``truncation_bound`` describe a Chebyshev expansion and
+    are ``None`` for a dense run.
+    """
+
+    amplitudes: np.ndarray
+    final_state: np.ndarray
+    degree: int | None
+    truncation_bound: float | None
+
+
 def evolve_exact(
     h: np.ndarray,
     psi0: np.ndarray,
     times,
     norm_tol: float = 1e-10,
-) -> np.ndarray:
-    """Propagate by full eigen-decomposition; returns (len(times), dim).
+    rows=None,
+):
+    """Propagate by full eigen-decomposition.
 
     Validates Hermiticity, refuses dimensions above ``DEFAULT_MAX_DIM``
     (dense eigen-solves beyond that are a resource mistake, use the
-    Chebyshev path), and verifies the norm is preserved to ``norm_tol`` at
-    every requested time.  The eigenbasis is applied to blocks of output
-    times in one matrix product each.
+    Chebyshev path), and works through the output times in blocks of
+    ``_TIME_BLOCK``, one matrix product per block.  Without ``rows`` the
+    result is the full state at every time, shape ``(len(times), dim)``,
+    with the norm checked to ``norm_tol`` at every time.  With ``rows``
+    only those rows of the eigenvectors enter the products: the result is
+    a :class:`Projection` whose ``amplitudes`` have shape ``(len(times),
+    len(rows))`` and whose ``final_state``, the full state at the last
+    time, is the only state whose norm is checked.
     """
     h = np.asarray(h)
     dim = h.shape[0]
     if h.ndim != 2 or h.shape[1] != dim:
         raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
     _check_dense_cap(dim)
-    scale = float(np.abs(h).max())
-    if float(np.abs(h - h.conj().T).max()) > 1e-12 * max(1.0, scale):
-        raise ValueError("Hamiltonian is not Hermitian")
+    _check_hermitian(h)
     psi0 = np.asarray(psi0, dtype=complex)
     _check_norm(psi0)
     times = np.asarray(times, dtype=float)
     evals, evecs = np.linalg.eigh(h)
-    coeff = evecs.conj().T @ psi0
-    out = np.empty((times.size, dim), dtype=complex)
+    coeff = _product(evecs.conj().T, psi0)
+    kept = evecs if rows is None else evecs[rows]
+    out = np.empty((times.size, kept.shape[0]), dtype=complex)
     for start in range(0, times.size, _TIME_BLOCK):
         block = slice(start, start + _TIME_BLOCK)
         phases = np.exp(-1j * np.outer(times[block], evals)) * coeff
-        if np.iscomplexobj(evecs):
-            out[block] = phases @ evecs.T
-        else:
-            # two real products: a complex one would cast evecs every block
-            rows = out[block]
-            rows.real = phases.real @ evecs.T
-            rows.imag = phases.imag @ evecs.T
-        drift = np.abs(np.linalg.norm(out[block], axis=1) - 1.0)
-        failed = np.flatnonzero(drift > norm_tol)
-        if failed.size:
-            k = failed[0]
-            raise RuntimeError(
-                f"norm drifted by {float(drift[k])} at t = {times[start + k]}"
-            )
-    return out
+        out[block] = _product(phases, kept.T)
+        if rows is None:
+            _check_drift(out[block], times[block], norm_tol)
+    if rows is None:
+        return out
+    if times.size == 0:
+        return Projection(out, psi0.copy(), None, None)
+    final = _product(evecs, phases[-1])
+    _check_drift(final[None], times[-1:], norm_tol)
+    return Projection(out, final, None, None)
 
 
 def _hermitian_bounds(h) -> tuple[float, float]:
@@ -327,15 +392,6 @@ def _bessel_table(a) -> np.ndarray:
     return table
 
 
-class ChebyshevProjection(NamedTuple):
-    """Selected rows of a Chebyshev run, plus the state at the last time."""
-
-    amplitudes: np.ndarray
-    final_state: np.ndarray
-    degree: int
-    truncation_bound: float
-
-
 def chebyshev_propagate(
     h,
     psi0: np.ndarray,
@@ -353,24 +409,30 @@ def chebyshev_propagate(
     every output time is accumulated from that one sequence: ``psi(t) =
     exp(-i c t) sum_k (2 - delta_k0) (-i)^k J_k(half t) T_k psi0``
     (Tal-Ezer & Kosloff, JCP 81, 3967 (1984)), with ``h_s = (h - c) /
-    half``.  ``K`` is the last order at which some time's Bessel
-    coefficient exceeds 1e-16; an earlier time stops at its own last such
-    order.  ``bounds`` is an (E_min, E_max) spectral enclosure; by default
-    a rigorous diagonal-plus-offdiagonal-norm bound is used.  A real ``h``
-    and a real start run the recurrence in float64 and sum the real and
-    imaginary parts of the output apart, with the bits of the complex
-    recurrence and sums.  Deterministic: no randomized estimators anywhere.
+    half``.  The sum is taken without the centre phase ``exp(-i c t)``,
+    which multiplies each output time once at the end.  ``K`` is the last
+    order at which some time's Bessel coefficient exceeds 1e-16; an
+    earlier time stops at its own last such order.  ``bounds`` is an
+    (E_min, E_max) spectral enclosure; by default a rigorous
+    diagonal-plus-offdiagonal-norm bound is used.  A real ``h`` and a real
+    start run the recurrence in float64; each order's weight is then
+    purely real or purely imaginary, so it adds into one float64 sum per
+    time, and the result has the bits of the complex recurrence and sums.
+    Deterministic: no randomized estimators anywhere.  Each expansion logs
+    one DEBUG event on the ``darkwells`` logger with the dimension, the
+    nnz of ``h``, the degree, the number of output times and the norm
+    drift at the last time.
 
     Without ``rows`` the result is the full state at every time, shape
     ``(len(times),) + psi0.shape``.  With ``rows`` only the full state at
     the last time is accumulated, plus those rows of every ``T_k psi0``:
-    the result is a :class:`ChebyshevProjection` whose ``amplitudes``
-    have shape ``(len(times), len(rows)) + psi0.shape[1:]``, whose
-    ``final_state`` is the full state at the last time, and which carries
-    the degree ``K`` and the truncation bound ``2 max_t sum_{k > K_t}
-    |J_k(half t)|`` read from the Bessel table, where ``K_t <= K`` is the
-    last order time ``t`` takes.  For normalized input the norm of every
-    accumulated full state is checked to ``norm_tol``.
+    the result is a :class:`Projection` whose ``amplitudes`` have shape
+    ``(len(times), len(rows)) + psi0.shape[1:]``, whose ``final_state`` is
+    the full state at the last time, and which carries the degree ``K``
+    and the truncation bound ``2 max_t sum_{k > K_t} |J_k(half t)|`` read
+    from the Bessel table, where ``K_t <= K`` is the last order time ``t``
+    takes.  For normalized input the norm of every accumulated full state
+    is checked to ``norm_tol``.
     """
     times = np.asarray(times, dtype=float)
     psi = np.asarray(psi0, dtype=complex)
@@ -380,7 +442,7 @@ def chebyshev_propagate(
         out = np.empty((0,) + psi.shape, dtype=complex)
         if rows is None:
             return out
-        return ChebyshevProjection(out[:, rows], psi.copy(), 0, 0.0)
+        return Projection(out[:, rows], psi.copy(), 0, 0.0)
     h = sp.csr_matrix(h)
     if bounds is None:
         bounds = _hermitian_bounds(h)
@@ -406,27 +468,24 @@ def chebyshev_propagate(
     degree = int(reach[-1])
     first_time = np.searchsorted(reach, orders)
     tail = 2.0 * float((np.abs(table) * (orders[:, None] > reach)).sum(axis=0).max())
-    # (2 - delta_k0) (-i)^k, exact: multiplying by -i only swaps and negates
-    weights = 2.0 * np.array([1.0, -1j, -1.0, 1j])[np.arange(degree + 1) % 4]
-    weights[0] = 1.0
-    coeffs = table[: degree + 1].T * weights
-    coeffs *= np.exp(-1j * center * times)[:, None]
-    # out[j] is the state at out_times[j]: every time, or with rows the
-    # last, which takes every order
+    # (2 - delta_k0) (-i)^k J_k is real for even k and imaginary for odd k;
+    # parts holds its nonzero part, exactly: a factor 2 and a sign
+    signs = 2.0 * np.array([1.0, -1.0, -1.0, 1.0])[np.arange(degree + 1) % 4]
+    signs[0] = 1.0
+    parts = table[: degree + 1].T * signs
+    coeffs = parts * np.array([1.0, 1j])[np.arange(degree + 1) % 2]
+    # sums[.., j] holds the state at out_times[j] without its phase: every
+    # time, or with rows the last, which takes every order.  A real run
+    # sums the real and imaginary parts apart; they start at +0, so they
+    # end with the bits of complex sums, whose real-times-complex products
+    # differ from these only in the sign of exact zeros.
     if rows is None:
-        out_times, out_coeffs, out_first = times, coeffs, first_time
+        out_times, out_first = times, first_time
     else:
-        out_times, out_coeffs, out_first = times[-1:], coeffs[-1:], np.zeros_like(first_time)
+        out_times, out_first = times[-1:], np.zeros_like(first_time)
         kept = np.empty((degree + 1, len(rows)) + psi.shape[1:], dtype=h2.dtype)
-    out = np.zeros((out_times.size,) + psi.shape, dtype=complex)
-    if real:
-        # each term's real and imaginary parts are summed apart in float64
-        # and written into out once; the sums start at +0, so they end with
-        # the bits of complex sums, whose real-times-complex products differ
-        # from these only in the sign of exact zeros
-        sums = [(np.zeros(out.shape), out_coeffs.real), (np.zeros(out.shape), out_coeffs.imag)]
-    else:
-        sums = [(out, out_coeffs)]
+    weights = (parts if real else coeffs)[-out_times.size:]
+    sums = np.zeros((2 if real else 1, out_times.size) + psi.shape, dtype=h2.dtype)
     term = np.empty(psi.shape, dtype=h2.dtype)
     phi = psi.real.copy() if real else psi
     phi_prev = phi.copy()
@@ -440,22 +499,31 @@ def chebyshev_propagate(
             phi_prev, phi = phi, phi_prev
         if rows is not None:
             kept[k] = phi[rows]
+        total = sums[k & 1] if real else sums[0]
         for j in range(out_first[k], out_times.size):
-            for total, coeff in sums:
-                np.multiply(phi, coeff[j, k], out=term)
-                total[j] += term
+            np.multiply(phi, weights[j, k], out=term)
+            total[j] += term
     if real:
-        out.real, out.imag = sums[0][0], sums[1][0]
+        out = np.empty(sums.shape[1:], dtype=complex)
+        out.real, out.imag = sums
+    else:
+        out = sums[0]
+    phase = np.exp(-1j * center * times).reshape((-1,) + (1,) * psi.ndim)
+    out *= phase[-out_times.size:]
+    drift = None
     if _is_normalized(psi):
-        norms = np.linalg.norm(out, axis=1)
-        drift = np.abs(norms - 1.0).reshape(out_times.size, -1).max(axis=1)
-        failed = np.flatnonzero(drift > norm_tol)
-        if failed.size:
-            j = failed[0]
-            raise RuntimeError(f"norm drifted by {float(drift[j])} at t = {out_times[j]}")
+        drift = float(_check_drift(out, out_times, norm_tol)[-1])
+    _log.debug(
+        "chebyshev expansion: dim %d, nnz %d, degree %d, %d output times, "
+        "last-time drift %s", dim, h.nnz, degree, times.size, drift,
+        extra={"dim": dim, "nnz": int(h.nnz), "degree": degree,
+               "n_times": int(times.size), "drift": drift},
+    )
     if rows is None:
         return out
-    return ChebyshevProjection(np.tensordot(coeffs, kept, axes=1), out[-1], degree, tail)
+    amplitudes = np.tensordot(coeffs, kept, axes=1)
+    amplitudes *= phase
+    return Projection(amplitudes, out[-1], degree, tail)
 
 
 def _is_normalized(psi: np.ndarray) -> bool:
@@ -467,10 +535,10 @@ def _is_normalized(psi: np.ndarray) -> bool:
 class OracleRun:
     """A finite-reservoir trajectory plus its honesty metadata.
 
-    ``max_norm_drift`` is the largest drift over all times for dense runs
-    and the drift at the last time for Chebyshev runs.
-    ``chebyshev_degree`` and ``truncation_bound`` describe the expansion
-    and are ``None`` for dense runs.
+    ``max_norm_drift`` is the norm drift of the full state at the last
+    time, for either method: both keep only the two well rows at earlier
+    times.  ``chebyshev_degree`` and ``truncation_bound`` describe the
+    expansion and are ``None`` for dense runs.
     """
 
     trajectory: Trajectory
@@ -494,8 +562,8 @@ def single_particle_trajectory(
 
     ``initial`` are the (well1, well2) amplitudes of a normalized state
     with nothing yet in the reservoir.  ``method`` is ``"dense"`` (eigen
-    decomposition), ``"chebyshev"`` (one expansion that keeps only the two
-    well rows, with the norm checked at the last time), or ``"auto"``
+    decomposition) or ``"chebyshev"`` (one expansion), each keeping only
+    the two well rows, with the norm checked at the last time, or ``"auto"``
     (dense up to dimension 1500, Chebyshev beyond); ``"dense"`` is refused
     above ``DEFAULT_MAX_DIM`` before H is built.  Requesting times past
     half the recurrence time triggers a warning: beyond it the discrete
@@ -520,23 +588,19 @@ def single_particle_trajectory(
     psi0[1] = c2
     if method == "auto":
         method = "dense" if dim <= AUTO_DENSE_MAX_DIM else "chebyshev"
-    degree = bound = None
     if method == "dense":
         _check_dense_cap(dim)
         h = build_single_particle_hamiltonian(pair, res)
-        states = evolve_exact(h, psi0, times)
-        b1, b2 = states[:, 0], states[:, 1]
-        drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0), initial=0.0))
+        run = evolve_exact(h, psi0, times, rows=[0, 1])
     elif method == "chebyshev":
         h = build_single_particle_hamiltonian(pair, res, sparse=True)
         run = chebyshev_propagate(
             h, psi0, times, bounds=single_particle_bounds(pair, res), rows=[0, 1]
         )
-        b1, b2 = run.amplitudes[:, 0], run.amplitudes[:, 1]
-        drift = abs(float(np.linalg.norm(run.final_state)) - 1.0) if times.size else 0.0
-        degree, bound = run.degree, run.truncation_bound
     else:
         raise ValueError(f"unknown method {method!r}")
+    b1, b2 = run.amplitudes[:, 0], run.amplitudes[:, 1]
+    drift = abs(float(np.linalg.norm(run.final_state)) - 1.0) if times.size else 0.0
     s11 = np.abs(b1) ** 2
     s22 = np.abs(b2) ** 2
     traj = Trajectory(
@@ -552,8 +616,8 @@ def single_particle_trajectory(
         method=method,
         max_norm_drift=drift,
         recurrence_exceeded=recurrence_exceeded,
-        chebyshev_degree=degree,
-        truncation_bound=bound,
+        chebyshev_degree=run.degree,
+        truncation_bound=run.truncation_bound,
     )
 
 
@@ -603,12 +667,9 @@ class FockSpace:
         self.size = math.comb(self._slots, self.n_particles)
         if self.size > _MAX_FOCK_DIM:
             raise ValueError(f"Fock dimension {self.size} exceeds the cap {_MAX_FOCK_DIM}")
-        subsets = combinations if statistics == "fermi" else combinations_with_replacement
-        self._modes = np.fromiter(
-            subsets(range(self.n_modes), self.n_particles),
-            dtype=(np.int64, (self.n_particles,)),
-            count=self.size,
-        )
+        self._modes = _subsets(self._slots, self.n_particles)
+        if statistics == "bose":
+            self._modes -= np.arange(self.n_particles)
         self._dot_hop_cache = {}
 
     @cached_property
@@ -655,6 +716,28 @@ class FockSpace:
             t[:n_dot_modes, :n_dot_modes] = 1.0 - np.eye(n_dot_modes)
             self._dot_hop_cache[n_dot_modes] = _hops(self, t)
         return self._dot_hop_cache[n_dot_modes]
+
+
+def _subsets(slots: int, n: int) -> np.ndarray:
+    """Every ``n``-subset of ``range(slots)`` as a sorted row, rows in lexicographic order.
+
+    Built from the last position back.  ``tail`` holds the subsets of the
+    last ``r`` positions, whose first slot is at least ``n - r``; in
+    lexicographic order those with first slot above ``a`` are its last
+    ``C(slots - 1 - a, r - 1)`` rows, so the rows with one more position
+    and first slot ``a`` are ``a`` followed by those.
+    """
+    tail = np.arange(n - 1, slots, dtype=np.int64)[:, None]
+    for r in range(2, n + 1):
+        firsts = np.arange(n - r, slots - r + 1)
+        counts = np.array([math.comb(slots - 1 - a, r - 1) for a in firsts])
+        block = np.empty((int(counts.sum()), r), dtype=np.int64)
+        block[:, 0] = np.repeat(firsts, counts)
+        # the k-th row of group a reads row len(tail) - counts[a] + k of tail
+        skip = len(tail) - counts - (np.cumsum(counts) - counts)
+        block[:, 1:] = tail[np.repeat(skip, counts) + np.arange(len(block))]
+        tail = block
+    return tail
 
 
 def _hops(space: FockSpace, t: np.ndarray):

@@ -7,6 +7,7 @@ from darkwells.model import (
     DegenerateSystemError,
     ParallelWellPair,
     WellPair,
+    WidthOverflowError,
     derive,
     wide_band_self_energy,
 )
@@ -108,3 +109,26 @@ def test_parallel_pair_validation():
         ParallelWellPair(base=base, yprime=0.0)
     with pytest.raises(ValueError):
         ParallelWellPair(base=base, yprime=math.inf)
+
+
+@pytest.mark.parametrize(
+    "make, well",
+    [
+        (lambda: WellPair.from_widths(1.7e308, 1.0), 1),
+        (lambda: WellPair(E1=0.0, E2=0.0, omega1=1e155, omega2=1.0), 1),
+        (lambda: WellPair(E1=0.0, E2=0.0, omega1=1.0, omega2=-1e155), 2),
+        (lambda: WellPair(E1=0.0, E2=0.0, omega1=1.0, omega2=1e100, rho=1e120), 2),
+    ],
+)
+def test_overflowing_width_rejected(make, well):
+    # a finite coupling whose width 2 pi omega^2 rho is infinite
+    with pytest.raises(WidthOverflowError, match=rf"^width gamma{well} = 2 pi omega{well}\^2 rho"
+                       ) as exc:
+        make()
+    assert isinstance(exc.value, ValueError) and exc.value.well == well
+
+
+def test_large_finite_widths_kept():
+    pair = WellPair.from_widths(1e300, 1e-300)
+    assert pair.gamma1 == pytest.approx(1e300, rel=1e-14)
+    assert pair.gamma2 == pytest.approx(1e-300, rel=1e-14)

@@ -1,3 +1,4 @@
+import logging
 import math
 from itertools import combinations, combinations_with_replacement
 
@@ -10,6 +11,7 @@ from darkwells.dynamics import analytic_sigma_symmetric
 from darkwells.model import ParallelWellPair, WellPair
 from darkwells.oracle import (
     DiscretizedReservoir,
+    Projection,
     _bessel_table,
     FockSpace,
     build_fock_hamiltonian,
@@ -174,6 +176,79 @@ def test_propagators_empty_times_and_first_failing_time():
         evolve_exact(h, psi0, times, norm_tol=-1.0)
     with pytest.raises(RuntimeError, match=r"at t = 0\.0$"):
         chebyshev_propagate(h, psi0, times, norm_tol=-1.0)
+
+
+@pytest.mark.parametrize("complex_entries", [True, False], ids=["complex_h", "real_h"])
+def test_evolve_exact_rows_match_its_full_states_and_expm(complex_entries):
+    rng = np.random.default_rng(13)
+    dim = 20
+    h = _random_hermitian(rng, dim, complex_entries)
+    psi0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi0 /= np.linalg.norm(psi0)
+    rows = [0, 3, 7]
+    full = evolve_exact(h, psi0, _REFERENCE_TIMES)
+    run = evolve_exact(h, psi0, _REFERENCE_TIMES, rows=rows)
+    assert isinstance(run, Projection) and run.degree is None and run.truncation_bound is None
+    assert run.amplitudes.shape == (_REFERENCE_TIMES.size, 3) and run.final_state.shape == (dim,)
+    np.testing.assert_allclose(run.amplitudes, full[:, rows], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(run.final_state, full[-1], rtol=0, atol=1e-13)
+    ref = expm_propagate(h, psi0, _REFERENCE_TIMES)
+    np.testing.assert_allclose(run.amplitudes, ref[:, rows], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run.final_state, ref[-1], rtol=0, atol=1e-12)
+    empty = evolve_exact(h, psi0, [], rows=rows)
+    assert empty.amplitudes.shape == (0, 3) and np.array_equal(empty.final_state, psi0)
+    # only the last time's full state is checked, so that is where it fails
+    with pytest.raises(RuntimeError, match=rf"at t = {_REFERENCE_TIMES[-1]}$"):
+        evolve_exact(h, psi0, _REFERENCE_TIMES, norm_tol=-1.0, rows=rows)
+
+
+def test_dense_trajectory_matches_expm_and_reports_last_time_drift():
+    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    res = DiscretizedReservoir.uniform(40, 6.0)
+    h = build_single_particle_hamiltonian(pair, res)
+    psi0 = np.zeros(42, dtype=complex)
+    psi0[0], psi0[1] = 0.6, 0.8j
+    ref = expm_propagate(h, psi0, _REFERENCE_TIMES)
+    run = single_particle_trajectory(
+        pair, (0.6, 0.8j), _REFERENCE_TIMES, n_levels=40, cutoff=6.0, method="dense"
+    )
+    assert run.method == "dense"
+    traj = run.trajectory
+    np.testing.assert_allclose(traj.sigma11, np.abs(ref[:, 0]) ** 2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.sigma22, np.abs(ref[:, 1]) ** 2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.sigma12, ref[:, 0] * ref[:, 1].conj(), rtol=0, atol=1e-12)
+    final = evolve_exact(h, psi0, _REFERENCE_TIMES, rows=[0, 1]).final_state
+    np.testing.assert_allclose(final, ref[-1], rtol=0, atol=1e-12)
+    assert run.max_norm_drift == abs(float(np.linalg.norm(final)) - 1.0) < 1e-12
+
+
+def test_chebyshev_logs_one_event_per_expansion(caplog):
+    logger = logging.getLogger("darkwells")
+    assert not logger.handlers
+    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    res = DiscretizedReservoir.uniform(16, 6.0)
+    space = FockSpace(dot_mode_count(pair) + 16, 2, "fermi")
+    psi0 = fock_basis_state(space, [0, 1])
+    times = [0.5, 1.5]
+    with caplog.at_level(logging.DEBUG, logger="darkwells"):
+        states = evolve_fock(pair, res, space, psi0, times)
+    (record,) = [r for r in caplog.records if r.name == "darkwells"]
+    h = build_fock_hamiltonian(pair, res, space)
+    bounds = fock_spectral_bounds(pair, res, 2, "fermi")
+    degree = chebyshev_propagate(h, psi0, times, bounds=bounds, rows=[0]).degree
+    assert record.levelno == logging.DEBUG and degree > 0
+    assert (record.dim, record.nnz, record.degree, record.n_times) == (space.size, h.nnz,
+                                                                        degree, 2)
+    assert record.drift == pytest.approx(abs(np.linalg.norm(states[-1]) - 1.0), rel=0, abs=1e-15)
+    assert f"dim {space.size}, nnz {h.nnz}, degree {degree}" in record.getMessage()
+    # an unnormalized start has no drift; empty times run no expansion
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="darkwells"):
+        chebyshev_propagate(h, 2.0 * psi0, times, bounds=bounds)
+        chebyshev_propagate(h, psi0, [], bounds=bounds)
+    (record,) = [r for r in caplog.records if r.name == "darkwells"]
+    assert record.drift is None and record.n_times == 2
+    assert not logger.handlers
 
 
 def test_bessel_table_matches_scipy():

@@ -6,6 +6,7 @@ same cases.
 """
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -205,3 +206,24 @@ def test_hop_kernel_gives_the_sort_and_rank_bytes(problem):
     for new, old in zip(got, want, strict=True):
         assert new.dtype == old.dtype and new.shape == old.shape
         assert new.tobytes() == old.tobytes()
+
+
+@st.composite
+def fock_spaces(draw):
+    statistics = draw(st.sampled_from(["fermi", "bose"]))
+    n_particles = draw(st.integers(1, 3))
+    n_modes = draw(st.integers(n_particles if statistics == "fermi" else 1, 24))
+    return n_modes, n_particles, statistics
+
+
+@PROPERTY
+@given(args=fock_spaces())
+def test_fock_basis_is_the_itertools_enumeration(args):
+    n_modes, n_particles, statistics = args
+    space = FockSpace(n_modes, n_particles, statistics)
+    subsets = combinations if statistics == "fermi" else combinations_with_replacement
+    want = np.array(list(subsets(range(n_modes), n_particles)), dtype=np.int64)
+    got = space._modes
+    assert got.dtype == np.int64 and got.flags.c_contiguous and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(space._rank(got.T), np.arange(space.size))

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -166,3 +168,45 @@ def test_render_digests_hash_fock_records(monkeypatch):
     changed = render_digests.fock_digests(spec)
     assert len(builds) == 2
     assert [old != new for old, new in zip(fock, changed)] == [k == 4 for k in range(5)]
+
+
+def test_render_digests_dump_and_compare(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    render_digests = load_tool("render_digests")
+    workloads = render_digests.workloads
+    monkeypatch.setattr(workloads, "generate", lambda workload, seed: workloads.WARMUP[workload])
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert render_digests.main(["--workload", "oracle", "--seed", "7", "--dump", str(a)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == render_digests.digest_lines("oracle", [7])
+    assert sorted(os.listdir(a)) == ["oracle_7_warmup-fock.npz", "oracle_7_warmup.npz"]
+    # a Fock dump holds the arrays its line hashes
+    with np.load(a / "oracle_7_warmup-fock.npz") as fock:
+        assert render_digests.fock_digests(None, dict(fock)) == lines[1].split()[2:]
+        assert fock["state"].shape == (2, 861) and fock["h_indptr"].shape == (862,)
+    # a CLI dump holds the data columns and manifest values of its files
+    with np.load(a / "oracle_7_warmup.npz") as cli_dump:
+        assert cli_dump["data.sigma11_oracle"].shape == (100,)
+        assert cli_dump["manifest.oracle.n_levels"].tolist() == [400.0]
+        assert cli_dump["manifest.oracle.method"].tolist() == ["dense"]
+    shutil.copytree(a, b)
+    assert render_digests.compare_lines(str(a), str(b)) == [
+        "oracle_7_warmup 0 -", "oracle_7_warmup-fock 0 -",
+    ]
+    # the largest change is reported with its array; a changed string, or
+    # a scenario one side lacks, counts as inf
+    arrays = dict(np.load(a / "oracle_7_warmup-fock.npz"))
+    arrays["state"][1, 0] += 2.0 ** -40
+    arrays["dot_rdm"][0, 0, 0] += 2.0 ** -45
+    np.savez(b / "oracle_7_warmup-fock.npz", **arrays)
+    arrays = dict(np.load(a / "oracle_7_warmup.npz"))
+    arrays["manifest.oracle.method"] = np.array(["chebyshev"])
+    np.savez(b / "oracle_7_warmup.npz", **arrays)
+    assert render_digests.main(["--compare", str(a), str(b)]) == 0
+    cli_line, fock_line = capsys.readouterr().out.splitlines()
+    assert cli_line == "oracle_7_warmup inf manifest.oracle.method"
+    key, diff, name = fock_line.split()
+    assert (key, name) == ("oracle_7_warmup-fock", "state")
+    assert float(diff) == pytest.approx(2.0 ** -40, rel=1e-2)
+    os.remove(b / "oracle_7_warmup.npz")
+    assert render_digests.compare_lines(str(a), str(b))[0] == "oracle_7_warmup inf only-in-A"
