@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy
@@ -114,7 +115,7 @@ _ALLOWED_KEYS = {
     "initial": {"b1", "b2"},
     "grid": {"t_max", "n_points"},
     "output": {"path", "format"},
-    "oracle": {"n_levels", "cutoff", "method"},
+    "oracle": {"n_levels"},
     "fermions": {"op", "y", "eta"},
     "bosons": {"law", "n1", "n2", "y", "eta", "n", "n_retained"},
     "sweep": {"axis", "values", "axis2", "values2", "report", "max_points", "t_max"},
@@ -267,17 +268,33 @@ def _parse_eta(sections, section, key="eta"):
     return eta
 
 
-def _read_model(sections, parallel=False, sweep=False):
+def _parse_ratio(sections, section, key):
+    """A ratio as written (``0.1`` is ``Fraction(1, 10)``), 1 by default, and its float.
+
+    The float, which the manifest records, must be finite and positive.
+    """
+    raw = sections.get(section, {}).get(key, "1").strip()
+    try:
+        value = Fraction(raw)
+        approx = float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as a finite ratio") from None
+    return value, _require_positive(f"{section}.{key}", approx)
+
+
+def _read_model(sections, parallel=False, sweep=False, band=False):
     """Parse [model] once into keywords for :func:`_build_model`, and its keys.
 
     The style is picked once: coupling style (``omega1``, ``omega2``, ``e1``,
     ``e2``) when an omega is given, else width style (``gamma1``, ``gamma2``
-    or ``y``, ``eta``, ``epsilon``); ``rho`` and ``lambda_cutoff`` go with
-    both.  ``yprime`` with ``u`` makes the parallel-level model, which
-    ``parallel`` scenarios need and the others refuse; a ``sweep`` takes
-    width style only.  Every key the style does not read, and every value
-    out of its domain, is refused here with its key named.  The keys
-    [model] gives come second, so a refusal can name only those.
+    or ``y``, ``eta``, ``epsilon``); ``rho`` goes with both, and so does
+    ``lambda_cutoff``, which only ``band`` scenarios (the discretized
+    oracle) read and the others refuse.  ``yprime`` with ``u`` makes the
+    parallel-level model, which ``parallel`` scenarios need and the others
+    refuse; a ``sweep`` takes width style only.  Every key the style does
+    not read, and every value out of its domain, is refused here with its
+    key named.  The keys [model] gives come second, so a refusal can name
+    only those.
     """
     sec = sections.get("model", {})
     coupling = sorted({"omega1", "omega2"} & set(sec))
@@ -298,6 +315,11 @@ def _read_model(sections, parallel=False, sweep=False):
             raise ConfigError(
                 f"model.{key}: this scenario takes a single-particle model (no parallel levels)"
             )
+    if "lambda_cutoff" in sec and not band:
+        raise ConfigError(
+            "model.lambda_cutoff: only oracle-compare reads the band cutoff; "
+            "the wide-band closed forms have none"
+        )
     number = functools.partial(_parse_number, sections, "model")
 
     def width(key, default=None):
@@ -505,34 +527,23 @@ def single_particle_trajectory(*args, **kwargs):
     return run(*args, **kwargs)
 
 
-def _check_oracle_work(pair, times, n_levels, cutoff, method):
+def _check_oracle_work(pair, times, n_levels):
     """Refuse an oracle run whose arrays or Chebyshev degree pass the caps."""
-    from .oracle import (
-        AUTO_DENSE_MAX_DIM,
-        DEFAULT_MAX_DIM,
-        DiscretizedReservoir,
-        single_particle_bounds,
-    )
+    from .oracle import DiscretizedReservoir, single_particle_bounds, single_particle_method
 
     if n_levels > _MAX_ORACLE_LEVELS:
         raise ConfigError(
             f"oracle.n_levels: {n_levels} levels exceed the cap of {_MAX_ORACLE_LEVELS}"
         )
     dim = n_levels + 2
-    if method == "dense" and dim > DEFAULT_MAX_DIM:
-        raise ConfigError(
-            f"oracle.n_levels: the dense method is capped at dimension "
-            f"{DEFAULT_MAX_DIM}, and n_levels + 2 = {dim} exceeds it; "
-            "use method = chebyshev or auto"
-        )
-    if method == "dense" or (method == "auto" and dim <= AUTO_DENSE_MAX_DIM):
+    if single_particle_method(n_levels) == "dense":
         if times.size * dim > _MAX_ORACLE_ENTRIES:
             raise ConfigError(
                 f"grid.n_points: {times.size} points of dimension {dim} exceed "
                 f"the cap of {_MAX_ORACLE_ENTRIES} stored amplitudes"
             )
         return
-    lo, hi = single_particle_bounds(pair, DiscretizedReservoir.for_pair(pair, n_levels, cutoff))
+    lo, hi = single_particle_bounds(pair, DiscretizedReservoir.for_pair(pair, n_levels))
     degree = 0.5 * (hi - lo) * float(times[-1])
     if degree > _MAX_CHEBYSHEV_DEGREE:
         raise ConfigError(
@@ -549,7 +560,7 @@ def _check_oracle_work(pair, times, n_levels, cutoff, method):
 def _run_oracle_compare(scenario):
     from .oracle import convergence_report
 
-    pair, resolved = _build_model(*_read_model(scenario.sections))
+    pair, resolved = _build_model(*_read_model(scenario.sections, band=True))
     (b1, b2), res_init = _resolve_initial(scenario.sections)
     times, res_grid = _resolve_grid(scenario.sections, default_t_max=8.0 / (pair.gamma1 + pair.gamma2))
     resolved.update(res_init)
@@ -562,21 +573,11 @@ def _run_oracle_compare(scenario):
             f"oracle.n_levels: must be even to keep the reservoir grid symmetric, "
             f"got {n_levels}"
         )
-    cutoff = _require_positive(
-        "oracle.cutoff", _parse_number(scenario.sections, "oracle", "cutoff")
-    )
-    method = _parse_choice(
-        scenario.sections, "oracle", "method", ("auto", "dense", "chebyshev"), "auto"
-    )
-    _check_oracle_work(pair, times, n_levels, cutoff, method)
-    resolved.update({"oracle.n_levels": n_levels, "oracle.method": method})
-    if cutoff is not None:
-        resolved["oracle.cutoff"] = cutoff
+    _check_oracle_work(pair, times, n_levels)
+    resolved["oracle.n_levels"] = n_levels
     initial = SingleParticleState.from_amplitudes(b1, b2)
     reference = master_trajectory(pair, initial, times)
-    oracle_run = single_particle_trajectory(
-        pair, (b1, b2), times, n_levels=n_levels, cutoff=cutoff, method=method
-    )
+    oracle_run = single_particle_trajectory(pair, (b1, b2), times, n_levels=n_levels)
     err = np.abs(oracle_run.trajectory.sigma11 - reference.sigma11)
     columns = {
         "t": times,
@@ -643,8 +644,7 @@ def _run_bosons(scenario):
     law = _parse_mode(sections, "bosons", "law", _BOSON_LAWS, "emission")
     resolved = {"bosons.law": law}
     if law != "equal_fill":
-        y = _require_positive("bosons.y", _parse_number(sections, "bosons", "y", default=1.0))
-        resolved["bosons.y"] = y
+        y, resolved["bosons.y"] = _parse_ratio(sections, "bosons", "y")
     if law == "emission":
         n1 = _boson_count(sections, "n1", 0)
         n2 = _boson_count(sections, "n2", 0)

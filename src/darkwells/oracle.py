@@ -15,11 +15,14 @@ used for large grids and for many-body Fock vectors.  The expansion always
 applies H as a CSR matrix; it is built once per call, up to the degree the
 latest time needs, and every requested time is accumulated from it into
 one output array with Bessel weights from one table and no phase, which
-multiplies each time once at the end.  Each expansion logs one DEBUG
-event on the ``darkwells`` logger (dimension, nnz, degree, output times,
-last-time drift).  Both propagators take ``rows=`` and then return a
-:class:`Projection`: those rows at every time and the full state at the
+multiplies each time once at the end.  Each propagation logs one DEBUG
+event on the ``darkwells`` logger (dimension, output times, last-time
+drift, and for an expansion the nnz and degree).  The dense propagator
+always takes ``rows``, the expansion takes ``rows=``; either then returns
+a :class:`Projection`: those rows at every time and the full state at the
 last time alone.  Both are fully deterministic and norm checked.
+:func:`single_particle_method` picks the propagator of a single-particle
+run from its dimension alone.
 
 A finite band is faithful only for a finite while: the discrete spectrum
 revives after the recurrence time ``2 pi / spacing``, and the band edges
@@ -53,6 +56,7 @@ __all__ = [
     "chebyshev_propagate",
     "Projection",
     "OracleRun",
+    "single_particle_method",
     "single_particle_trajectory",
     "convergence_report",
     "FockSpace",
@@ -68,8 +72,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DIM = 12000
-# method="auto" runs the dense propagator up to this dimension
-AUTO_DENSE_MAX_DIM = 1500
+# single-particle runs take the dense propagator up to this dimension
+DENSE_MAX_DIM = 1500
 _MAX_FOCK_DIM = 250_000
 # output times evolved per batched product in evolve_exact; bounds the
 # temporaries beyond the output to O(_TIME_BLOCK * dim)
@@ -100,16 +104,6 @@ def default_cutoff(pair: WellPair) -> float:
     """
     d = derive(pair)
     return 20.0 * max(d.gamma1 + d.gamma2, abs(d.epsilon))
-
-
-def _resolve_cutoff(pair: WellPair, cutoff: float | None) -> float:
-    if cutoff is not None:
-        if cutoff <= 0.0:
-            raise ValueError(f"cutoff must be positive, got {cutoff}")
-        return float(cutoff)
-    if pair.lambda_cutoff is not None:
-        return pair.lambda_cutoff
-    return default_cutoff(pair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +144,10 @@ class DiscretizedReservoir:
         )
 
     @classmethod
-    def for_pair(
-        cls, pair: WellPair, n_levels: int, cutoff: float | None = None
-    ) -> "DiscretizedReservoir":
-        return cls.uniform(n_levels, _resolve_cutoff(pair, cutoff))
+    def for_pair(cls, pair: WellPair, n_levels: int) -> "DiscretizedReservoir":
+        """The band of ``pair``: ``pair.lambda_cutoff``, else :func:`default_cutoff`."""
+        cutoff = pair.lambda_cutoff
+        return cls.uniform(n_levels, default_cutoff(pair) if cutoff is None else cutoff)
 
 
 def reservoir_couplings(pair: WellPair, res: DiscretizedReservoir) -> np.ndarray:
@@ -296,24 +290,21 @@ class Projection(NamedTuple):
 
 
 def evolve_exact(
-    h: np.ndarray,
-    psi0: np.ndarray,
-    times,
-    norm_tol: float = 1e-10,
-    rows=None,
-):
-    """Propagate by full eigen-decomposition.
+    h: np.ndarray, psi0: np.ndarray, times, rows, norm_tol: float = 1e-10
+) -> Projection:
+    """Propagate by full eigen-decomposition, keeping ``rows`` at every time.
 
     Validates Hermiticity, refuses dimensions above ``DEFAULT_MAX_DIM``
     (dense eigen-solves beyond that are a resource mistake, use the
     Chebyshev path), and works through the output times in blocks of
-    ``_TIME_BLOCK``, one matrix product per block.  Without ``rows`` the
-    result is the full state at every time, shape ``(len(times), dim)``,
-    with the norm checked to ``norm_tol`` at every time.  With ``rows``
-    only those rows of the eigenvectors enter the products: the result is
-    a :class:`Projection` whose ``amplitudes`` have shape ``(len(times),
+    ``_TIME_BLOCK``, one matrix product per block, into which only
+    ``rows`` of the eigenvectors enter.  The result is a
+    :class:`Projection` whose ``amplitudes`` have shape ``(len(times),
     len(rows))`` and whose ``final_state``, the full state at the last
-    time, is the only state whose norm is checked.
+    time, is the only state whose norm is checked to ``norm_tol``.  Each
+    propagation logs one DEBUG event on the ``darkwells`` logger with the
+    dimension, the number of output times and the norm drift at the last
+    time; empty ``times`` run none.
     """
     h = np.asarray(h)
     dim = h.shape[0]
@@ -324,22 +315,24 @@ def evolve_exact(
     psi0 = np.asarray(psi0, dtype=complex)
     _check_norm(psi0)
     times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        empty = np.empty((0,) + psi0[rows].shape, dtype=complex)
+        return Projection(empty, psi0.copy(), None, None)
     evals, evecs = np.linalg.eigh(h)
     coeff = _product(evecs.conj().T, psi0)
-    kept = evecs if rows is None else evecs[rows]
+    kept = evecs[rows]
     out = np.empty((times.size, kept.shape[0]), dtype=complex)
     for start in range(0, times.size, _TIME_BLOCK):
         block = slice(start, start + _TIME_BLOCK)
         phases = np.exp(-1j * np.outer(times[block], evals)) * coeff
         out[block] = _product(phases, kept.T)
-        if rows is None:
-            _check_drift(out[block], times[block], norm_tol)
-    if rows is None:
-        return out
-    if times.size == 0:
-        return Projection(out, psi0.copy(), None, None)
     final = _product(evecs, phases[-1])
-    _check_drift(final[None], times[-1:], norm_tol)
+    drift = float(_check_drift(final[None], times[-1:], norm_tol)[0])
+    _log.debug(
+        "dense propagation: dim %d, %d output times, last-time drift %s",
+        dim, times.size, drift,
+        extra={"dim": dim, "n_times": int(times.size), "drift": drift},
+    )
     return Projection(out, final, None, None)
 
 
@@ -550,26 +543,28 @@ class OracleRun:
     truncation_bound: float | None = None
 
 
-def single_particle_trajectory(
-    pair: WellPair,
-    initial,
-    times,
-    n_levels: int,
-    cutoff: float | None = None,
-    method: str = "auto",
-) -> OracleRun:
+def single_particle_method(n_levels: int) -> str:
+    """The propagator of a single-particle run on ``n_levels`` levels.
+
+    ``"dense"`` (eigen-decomposition) up to dimension ``DENSE_MAX_DIM``,
+    ``"chebyshev"`` (one expansion) beyond.
+    """
+    return "dense" if n_levels + 2 <= DENSE_MAX_DIM else "chebyshev"
+
+
+def single_particle_trajectory(pair: WellPair, initial, times, n_levels: int) -> OracleRun:
     """Evolve one particle against the explicit reservoir.
 
     ``initial`` are the (well1, well2) amplitudes of a normalized state
-    with nothing yet in the reservoir.  ``method`` is ``"dense"`` (eigen
-    decomposition) or ``"chebyshev"`` (one expansion), each keeping only
-    the two well rows, with the norm checked at the last time, or ``"auto"``
-    (dense up to dimension 1500, Chebyshev beyond); ``"dense"`` is refused
-    above ``DEFAULT_MAX_DIM`` before H is built.  Requesting times past
-    half the recurrence time triggers a warning: beyond it the discrete
-    band begins to feed the wells back and no longer emulates a continuum.
+    with nothing yet in the reservoir.  The band is
+    :meth:`DiscretizedReservoir.for_pair`'s.  :func:`single_particle_method`
+    picks the propagator from the dimension; either keeps only the two
+    well rows, with the norm checked at the last time.  Requesting times
+    past half the recurrence time triggers a warning: beyond it the
+    discrete band begins to feed the wells back and no longer emulates a
+    continuum.
     """
-    res = DiscretizedReservoir.for_pair(pair, n_levels, cutoff)
+    res = DiscretizedReservoir.for_pair(pair, n_levels)
     times = np.asarray(times, dtype=float)
     c1, c2 = complex(initial[0]), complex(initial[1])
     if abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > 1e-9:
@@ -582,23 +577,18 @@ def single_particle_trajectory(
             "continuum there",
             stacklevel=2,
         )
-    dim = n_levels + 2
-    psi0 = np.zeros(dim, dtype=complex)
+    psi0 = np.zeros(n_levels + 2, dtype=complex)
     psi0[0] = c1
     psi0[1] = c2
-    if method == "auto":
-        method = "dense" if dim <= AUTO_DENSE_MAX_DIM else "chebyshev"
+    method = single_particle_method(n_levels)
     if method == "dense":
-        _check_dense_cap(dim)
         h = build_single_particle_hamiltonian(pair, res)
         run = evolve_exact(h, psi0, times, rows=[0, 1])
-    elif method == "chebyshev":
+    else:
         h = build_single_particle_hamiltonian(pair, res, sparse=True)
         run = chebyshev_propagate(
             h, psi0, times, bounds=single_particle_bounds(pair, res), rows=[0, 1]
         )
-    else:
-        raise ValueError(f"unknown method {method!r}")
     b1, b2 = run.amplitudes[:, 0], run.amplitudes[:, 1]
     drift = abs(float(np.linalg.norm(run.final_state)) - 1.0) if times.size else 0.0
     s11 = np.abs(b1) ** 2

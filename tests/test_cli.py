@@ -11,6 +11,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,39 @@ def test_bosons_emission_csv(tmp_path):
     assert header == ["m", "probability"]
     assert [r[0] for r in rows] == ["0", "1", "2"]
     assert [float(r[1]) for r in rows] == pytest.approx([0.5, 0.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "law, counts, name",
+    [
+        ("emission", "n1 = 2\nn2 = 1\n", "rotate_fock"),
+        ("one_well", "n = 3\n", "one_well_distribution"),
+        ("retained_split", "n_retained = 2\n", "retained_state_split"),
+    ],
+)
+def test_bosons_ratio_is_read_as_written(tmp_path, monkeypatch, law, counts, name):
+    # 0.1 reaches the exact law as 1/10, not as the float's 2^55 denominator
+    seen = []
+    law_fn = getattr(darkwells.cli, name)
+
+    def record(*args, **kwargs):
+        seen.append(args[-1])
+        return law_fn(*args, **kwargs)
+
+    monkeypatch.setattr(darkwells.cli, name, record)
+    outputs = []
+    for y in ("0.1", "1/10", "0.100"):
+        cfg = write_config(tmp_path, f"[bosons]\nlaw = {law}\n{counts}y = {y}\n")
+        out = tmp_path / "b.csv"
+        assert main(["bosons", "--config", cfg, "--out", str(out)]) == 0
+        assert type(seen[-1]) is Fraction and seen[-1] == Fraction(1, 10)
+        outputs.append(out.read_bytes())
+        manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+        # the manifest records the ratio's float, as it did before
+        assert manifest["parameters"]["bosons.y"] == 0.1
+    assert len(seen) == 3
+    # every spelling of one ratio gives the same bytes
+    assert outputs[1:] == outputs[:1] * 2
 
 
 def test_sweep_single_axis(tmp_path):
@@ -397,14 +431,21 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
     err = run_expecting(2, ["evolve", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert "config error: model.gamma1: degenerate system" in err, err
     for kind, text, key in (
-        ("oracle-compare", "[oracle]\ncutoff = 0\n", "oracle.cutoff"),
-        ("oracle-compare", "[oracle]\ncutoff = -2.5\n", "oracle.cutoff"),
+        # the model sets the band and the dimension the propagator
+        ("oracle-compare", "[oracle]\ncutoff = 8.0\n", "oracle.cutoff"),
+        ("oracle-compare", "[oracle]\nmethod = dense\n", "oracle.method"),
         ("bosons", "[bosons]\nn1 = -1\n", "bosons.n1"),
         ("bosons", "[bosons]\nn2 = -1\n", "bosons.n2"),
         ("bosons", "[bosons]\nn1 = 0\nn2 = 0\n", "bosons.n1"),
         ("bosons", "[bosons]\ny = 0\n", "bosons.y"),
         ("bosons", "[bosons]\nlaw = one_well\ny = -1\n", "bosons.y"),
         ("bosons", "[bosons]\nlaw = retained_split\ny = 0\n", "bosons.y"),
+        ("bosons", "[bosons]\ny = nan\n", "bosons.y"),
+        ("bosons", "[bosons]\nlaw = one_well\ny = inf\n", "bosons.y"),
+        ("bosons", "[bosons]\ny = 1e400\n", "bosons.y"),
+        ("bosons", "[bosons]\ny = 1e-400\n", "bosons.y"),
+        ("bosons", "[bosons]\ny = 1/0\n", "bosons.y"),
+        ("bosons", "[bosons]\nlaw = retained_split\ny = two\n", "bosons.y"),
         ("bosons", "[bosons]\nlaw = equal_fill\nn = 0\n", "bosons.n"),
         ("bosons", "[bosons]\nlaw = one_well\nn = -3\n", "bosons.n"),
         ("bosons", "[bosons]\nlaw = retained_split\nn_retained = -1\n", "bosons.n_retained"),
@@ -420,6 +461,17 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
         ("evolve", "[model]\nomega1 = 1\nomega2 = 1\nrho = 0\n", "model.rho"),
         ("evolve", "[model]\nlambda_cutoff = 0\n", "model.lambda_cutoff"),
         ("oracle-compare", "[model]\nlambda_cutoff = -5\n", "model.lambda_cutoff"),
+        # only the discretized oracle has a band to cut off
+        ("evolve", "[model]\ngamma1 = 1.0\ny = 2.0\nlambda_cutoff = 3.0\n",
+         "model.lambda_cutoff"),
+        ("asymptotic", "[model]\nlambda_cutoff = 3.0\n", "model.lambda_cutoff"),
+        ("dwell", "[model]\nepsilon = 0.2\nlambda_cutoff = 3.0\n", "model.lambda_cutoff"),
+        ("sweep", "[model]\nlambda_cutoff = 3.0\n[sweep]\naxis = y\nvalues = 1, 2\n",
+         "model.lambda_cutoff"),
+        ("fermions", "[fermions]\nop = two_electron_parallel\n[model]\nyprime = 0.7\n"
+                     "u = 1.5\nlambda_cutoff = 3.0\n", "model.lambda_cutoff"),
+        ("fermions", "[fermions]\nop = three_electron\n[model]\nyprime = 0.7\n"
+                     "lambda_cutoff = 3.0\n", "model.lambda_cutoff"),
         ("evolve", "[model]\ngamma1 = -1\n", "model.gamma1"),
         ("dwell", "[model]\ngamma2 = -0.5\nepsilon = 0.1\n", "model.gamma2"),
         ("asymptotic", "[model]\ny = -1\n", "model.y"),
@@ -493,11 +545,10 @@ _MODEL_KINDS = {
     ("asymptotic", "coupling"): ({"omega1": "1.0", "omega2": "0.8"}, ""),
     ("dwell", "width"): ({"epsilon": "0.2"}, ""),
     ("dwell", "coupling"): ({"omega1": "1.0", "omega2": "0.8", "e1": "0.2"}, ""),
-    ("oracle-compare", "width"): ({}, "[grid]\nt_max = 1.0\nn_points = 3\n"
-                                  "[oracle]\nn_levels = 64\ncutoff = 8.0\nmethod = dense\n"),
-    ("oracle-compare", "coupling"): ({"omega1": "1.0", "omega2": "0.8"},
-                                     "[grid]\nt_max = 1.0\nn_points = 3\n[oracle]\n"
-                                     "n_levels = 64\ncutoff = 8.0\nmethod = dense\n"),
+    ("oracle-compare", "width"): ({"lambda_cutoff": "8.0"},
+                                  "[grid]\nt_max = 1.0\nn_points = 3\n[oracle]\nn_levels = 64\n"),
+    ("oracle-compare", "coupling"): ({"omega1": "1.0", "omega2": "0.8", "lambda_cutoff": "8.0"},
+                                     "[grid]\nt_max = 1.0\nn_points = 3\n[oracle]\nn_levels = 64\n"),
     ("fermions", "width"): ({"yprime": "1.0"}, "[fermions]\nop = two_electron_parallel\n"),
     ("fermions", "coupling"): ({"omega1": "1.0", "omega2": "0.8", "yprime": "1.0"},
                                "[fermions]\nop = two_electron_parallel\n"),
@@ -625,16 +676,19 @@ def test_module_errors_exit_one(tmp_path, capsys):
 def test_oracle_compare_manifest_reports_convergence(tmp_path):
     cfg = write_config(
         tmp_path,
-        "[model]\ngamma1 = 1.0\ngamma2 = 1.0\n\n"
+        "[model]\ngamma1 = 1.0\ngamma2 = 1.0\nlambda_cutoff = 8.0\n\n"
         "[grid]\nt_max = 2.0\nn_points = 5\n\n"
-        "[oracle]\nn_levels = 64\ncutoff = 8.0\nmethod = dense\n",
+        "[oracle]\nn_levels = 64\n",
     )
     out = tmp_path / "cmp.json"
     assert main(["oracle-compare", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
     payload = json.loads(out.read_text())
     report = payload["manifest"]["oracle"]
-    assert report["n_levels"] == 64
+    assert report["n_levels"] == 64 and report["lambda_cutoff"] == 8.0
     assert report["method"] == "dense"
+    params = payload["manifest"]["parameters"]
+    assert params["model.lambda_cutoff"] == 8.0
+    assert [key for key in params if key.startswith("oracle.")] == ["oracle.n_levels"]
     assert report["recurrence_exceeded"] is False
     assert report["max_abs_error_sigma11"] < 0.1
     assert payload["columns"] == ["t", "sigma11_reference", "sigma11_oracle", "abs_error"]
@@ -787,16 +841,40 @@ def test_oracle_is_imported_lazily():
         darkwells.no_such_name
 
 
-def test_dense_oracle_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
+def test_oracle_reads_n_levels_only(tmp_path, capsys, monkeypatch):
     import darkwells.oracle
 
+    # the model sets the band and the dimension the propagator, so
+    # [oracle] refuses method and cutoff before anything is built
     def refuse(*args, **kwargs):
-        raise AssertionError("dense Hamiltonian built before the cap was checked")
+        raise AssertionError("Hamiltonian built before the keys were checked")
 
     monkeypatch.setattr(darkwells.oracle, "build_single_particle_hamiltonian", refuse)
-    cfg = write_config(tmp_path, "[oracle]\nn_levels = 20000\nmethod = dense\n")
-    assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-    assert "oracle.n_levels" in capsys.readouterr().err
+    for text, key in (
+        ("n_levels = 20000\nmethod = dense\n", "oracle.method"),
+        ("method = auto\n", "oracle.method"),
+        ("n_levels = 64\ncutoff = 8.0\n", "oracle.cutoff"),
+    ):
+        cfg = write_config(tmp_path, "[oracle]\n" + text)
+        assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"config error: {key}: unknown key" in capsys.readouterr().err
+    monkeypatch.undo()
+    # the CLI's caps and the run ask one function which propagator applies
+    picked = []
+
+    def pick(n_levels):
+        picked.append(n_levels)
+        return "chebyshev"
+
+    monkeypatch.setattr(darkwells.oracle, "single_particle_method", pick)
+    cfg = write_config(
+        tmp_path, "[model]\nlambda_cutoff = 8.0\n[grid]\nt_max = 1.0\nn_points = 3\n"
+        "[oracle]\nn_levels = 64\n"
+    )
+    assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+    report = json.loads((tmp_path / "x.csv.manifest.json").read_text())["oracle"]
+    assert picked == [64, 64]
+    assert report["method"] == "chebyshev" and report["chebyshev_degree"] > 0
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from scipy.special import jv
 from darkwells.dynamics import analytic_sigma_symmetric
 from darkwells.model import ParallelWellPair, WellPair
 from darkwells.oracle import (
+    DENSE_MAX_DIM,
     DiscretizedReservoir,
     Projection,
     _bessel_table,
@@ -27,6 +28,7 @@ from darkwells.oracle import (
     reduced_quantities,
     reservoir_couplings,
     single_particle_bounds,
+    single_particle_method,
     single_particle_trajectory,
     slater_dot_rdm,
     slater_reservoir_distribution,
@@ -59,11 +61,12 @@ def test_default_cutoff_scales():
     assert default_cutoff(
         WellPair.from_widths(0.5, 0.5, epsilon=100.0)
     ) == pytest.approx(2000.0)
+    # the band is the model's cutoff when it has one, else the default
     pair = WellPair.from_widths(1.0, 1.0, lambda_cutoff=7.0)
     res = DiscretizedReservoir.for_pair(pair, 10)
     assert res.cutoff == 7.0
-    res2 = DiscretizedReservoir.for_pair(pair, 10, cutoff=9.0)
-    assert res2.cutoff == 9.0
+    res2 = DiscretizedReservoir.for_pair(WellPair.from_widths(1.0, 1.0), 10)
+    assert res2.cutoff == 40.0
 
 
 def test_couplings_keep_widths_and_ratio():
@@ -92,15 +95,15 @@ def test_evolve_exact_guards(monkeypatch):
     import darkwells.oracle as oracle_module
 
     with pytest.raises(ValueError, match="square"):
-        evolve_exact(np.zeros((2, 3)), np.array([1.0, 0.0]), [0.0])
+        evolve_exact(np.zeros((2, 3)), np.array([1.0, 0.0]), [0.0], [0])
     h = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
-        evolve_exact(h, np.array([1.0, 0.0]), [0.0])
+        evolve_exact(h, np.array([1.0, 0.0]), [0.0], [0])
     monkeypatch.setattr(oracle_module, "DEFAULT_MAX_DIM", 3)
     with pytest.raises(ValueError, match="dense cap 3"):
-        evolve_exact(np.eye(4), np.array([1.0, 0, 0, 0]), [0.0])
+        evolve_exact(np.eye(4), np.array([1.0, 0, 0, 0]), [0.0], [0])
     with pytest.raises(ValueError, match="norm"):
-        evolve_exact(np.eye(2), np.array([1.0, 1.0]), [0.0])
+        evolve_exact(np.eye(2), np.array([1.0, 1.0]), [0.0], [0])
 
 
 def test_chebyshev_matches_dense_eigensolve():
@@ -111,7 +114,7 @@ def test_chebyshev_matches_dense_eigensolve():
     psi0 = np.zeros(50, dtype=complex)
     psi0[0] = 1.0
     times = np.array([0.0, 0.4, 1.3, 2.0])
-    ref = evolve_exact(dense, psi0, times)
+    ref = evolve_exact(dense, psi0, times, rows=np.arange(50)).amplitudes
     che = chebyshev_propagate(sparse, psi0, times)
     np.testing.assert_allclose(che, ref, atol=1e-11)
     # dense input and explicit bounds take the same path
@@ -141,7 +144,7 @@ def test_propagators_match_expm_reference(complex_entries):
     psi0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi0 /= np.linalg.norm(psi0)
     ref = expm_propagate(h, psi0, _REFERENCE_TIMES)
-    exact = evolve_exact(h, psi0, _REFERENCE_TIMES)
+    exact = evolve_exact(h, psi0, _REFERENCE_TIMES, rows=np.arange(dim)).amplitudes
     assert exact.shape == (_REFERENCE_TIMES.size, dim) and exact.flags.c_contiguous
     np.testing.assert_allclose(exact, ref, rtol=0, atol=1e-12)
     for h_in in (h, sp.csr_matrix(h)):
@@ -160,7 +163,8 @@ def test_propagators_match_expm_reference_on_sparse_orbital_stack():
     che = chebyshev_propagate(h, stack, _REFERENCE_TIMES)
     np.testing.assert_allclose(che, ref, rtol=0, atol=1e-12)
     for col in range(2):
-        exact = evolve_exact(h.toarray(), stack[:, col], _REFERENCE_TIMES)
+        exact = evolve_exact(h.toarray(), stack[:, col], _REFERENCE_TIMES, np.arange(dim))
+        exact = exact.amplitudes
         np.testing.assert_allclose(exact, ref[:, :, col], rtol=0, atol=1e-12)
 
 
@@ -168,12 +172,13 @@ def test_propagators_empty_times_and_first_failing_time():
     h = _random_hermitian(np.random.default_rng(2), 6, True)
     psi0 = np.zeros(6, dtype=complex)
     psi0[2] = 1.0
-    assert evolve_exact(h, psi0, []).shape == (0, 6)
+    assert evolve_exact(h, psi0, [], np.arange(6)).amplitudes.shape == (0, 6)
     assert chebyshev_propagate(h, psi0, []).shape == (0, 6)
-    # every time fails a negative tolerance; the first one is reported
+    # every time fails a negative tolerance; the first one checked is
+    # reported: the dense run checks only the last time
     times = [0.0, 0.5, 1.0]
-    with pytest.raises(RuntimeError, match=r"at t = 0\.0$"):
-        evolve_exact(h, psi0, times, norm_tol=-1.0)
+    with pytest.raises(RuntimeError, match=r"at t = 1\.0$"):
+        evolve_exact(h, psi0, times, np.arange(6), norm_tol=-1.0)
     with pytest.raises(RuntimeError, match=r"at t = 0\.0$"):
         chebyshev_propagate(h, psi0, times, norm_tol=-1.0)
 
@@ -186,7 +191,7 @@ def test_evolve_exact_rows_match_its_full_states_and_expm(complex_entries):
     psi0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi0 /= np.linalg.norm(psi0)
     rows = [0, 3, 7]
-    full = evolve_exact(h, psi0, _REFERENCE_TIMES)
+    full = evolve_exact(h, psi0, _REFERENCE_TIMES, rows=np.arange(dim)).amplitudes
     run = evolve_exact(h, psi0, _REFERENCE_TIMES, rows=rows)
     assert isinstance(run, Projection) and run.degree is None and run.truncation_bound is None
     assert run.amplitudes.shape == (_REFERENCE_TIMES.size, 3) and run.final_state.shape == (dim,)
@@ -203,15 +208,13 @@ def test_evolve_exact_rows_match_its_full_states_and_expm(complex_entries):
 
 
 def test_dense_trajectory_matches_expm_and_reports_last_time_drift():
-    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3, lambda_cutoff=6.0)
     res = DiscretizedReservoir.uniform(40, 6.0)
     h = build_single_particle_hamiltonian(pair, res)
     psi0 = np.zeros(42, dtype=complex)
     psi0[0], psi0[1] = 0.6, 0.8j
     ref = expm_propagate(h, psi0, _REFERENCE_TIMES)
-    run = single_particle_trajectory(
-        pair, (0.6, 0.8j), _REFERENCE_TIMES, n_levels=40, cutoff=6.0, method="dense"
-    )
+    run = single_particle_trajectory(pair, (0.6, 0.8j), _REFERENCE_TIMES, n_levels=40)
     assert run.method == "dense"
     traj = run.trajectory
     np.testing.assert_allclose(traj.sigma11, np.abs(ref[:, 0]) ** 2, rtol=0, atol=1e-12)
@@ -251,6 +254,39 @@ def test_chebyshev_logs_one_event_per_expansion(caplog):
     assert not logger.handlers
 
 
+def test_every_single_particle_run_logs_its_propagator(caplog, monkeypatch):
+    import darkwells.oracle as oracle_module
+
+    logger = logging.getLogger("darkwells")
+    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3, lambda_cutoff=6.0)
+    times = np.linspace(0.0, 2.0, 7)
+    runs = []
+    with caplog.at_level(logging.DEBUG, logger="darkwells"):
+        runs.append(single_particle_trajectory(pair, (0.6, 0.8j), times, n_levels=40))
+        # every dimension passes the dense limit: the same run by expansion
+        monkeypatch.setattr(oracle_module, "DENSE_MAX_DIM", 0)
+        runs.append(single_particle_trajectory(pair, (0.6, 0.8j), times, n_levels=40))
+    records = [r for r in caplog.records if r.name == "darkwells"]
+    assert [run.method for run in runs] == ["dense", "chebyshev"]
+    assert [r.getMessage().split(":")[0] for r in records] == [
+        "dense propagation", "chebyshev expansion",
+    ]
+    for record, run in zip(records, runs):
+        assert record.levelno == logging.DEBUG
+        assert (record.dim, record.n_times) == (42, 7)
+        assert record.drift == pytest.approx(run.max_norm_drift, rel=0, abs=1e-15)
+    assert "dim 42, 7 output times, last-time drift" in records[0].getMessage()
+    # empty times run no propagation
+    caplog.clear()
+    h = build_single_particle_hamiltonian(pair, DiscretizedReservoir.for_pair(pair, 40))
+    psi0 = np.zeros(42)
+    psi0[0] = 1.0
+    with caplog.at_level(logging.DEBUG, logger="darkwells"):
+        evolve_exact(h, psi0, [], [0, 1])
+    assert not [r for r in caplog.records if r.name == "darkwells"]
+    assert not logger.handlers
+
+
 def test_bessel_table_matches_scipy():
     # a = 0 and a = 1e-8 take the short and the rescaled paths; orders run past a
     a = np.concatenate(([0.0, 1e-8], np.linspace(0.3, 300.0, 97)))
@@ -261,8 +297,10 @@ def test_bessel_table_matches_scipy():
     assert table[0, 0] == 1.0 and not np.any(table[1:, 0])
 
 
-def test_projected_chebyshev_matches_expm_reference():
-    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+def test_projected_chebyshev_matches_expm_reference(monkeypatch):
+    import darkwells.oracle as oracle_module
+
+    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3, lambda_cutoff=6.0)
     res = DiscretizedReservoir.uniform(40, 6.0)
     h = build_single_particle_hamiltonian(pair, res, sparse=True)
     evals = np.linalg.eigvalsh(h.toarray())
@@ -276,9 +314,14 @@ def test_projected_chebyshev_matches_expm_reference():
     np.testing.assert_allclose(run.amplitudes, ref[:, :2], rtol=0, atol=1e-12)
     np.testing.assert_allclose(run.final_state, ref[-1], rtol=0, atol=1e-12)
     assert run.degree > 0 and 0.0 <= run.truncation_bound < 1e-14
-    oracle = single_particle_trajectory(
-        pair, (0.6, 0.8j), _REFERENCE_TIMES, n_levels=40, cutoff=6.0, method="chebyshev"
-    )
+    dense = single_particle_trajectory(pair, (0.6, 0.8j), _REFERENCE_TIMES, n_levels=40)
+    assert dense.method == "dense"
+    assert dense.chebyshev_degree is None and dense.truncation_bound is None
+    # every dimension passes the dense limit, so the trajectory takes the
+    # expansion at this small, expm-checkable size
+    monkeypatch.setattr(oracle_module, "DENSE_MAX_DIM", 0)
+    oracle = single_particle_trajectory(pair, (0.6, 0.8j), _REFERENCE_TIMES, n_levels=40)
+    assert oracle.method == "chebyshev"
     np.testing.assert_allclose(
         oracle.trajectory.sigma11, np.abs(ref[:, 0]) ** 2, rtol=0, atol=1e-12
     )
@@ -288,10 +331,6 @@ def test_projected_chebyshev_matches_expm_reference():
     report = convergence_report(oracle)
     assert report["chebyshev_degree"] > 0 and report["truncation_bound"] < 1e-14
     assert report["max_norm_drift"] < 1e-12
-    dense = single_particle_trajectory(
-        pair, (0.6, 0.8j), _REFERENCE_TIMES, n_levels=40, cutoff=6.0, method="dense"
-    )
-    assert dense.chebyshev_degree is None and dense.truncation_bound is None
     # only the last time's full state is checked, so that is where it fails
     with pytest.raises(RuntimeError, match=rf"at t = {_REFERENCE_TIMES[-1]}$"):
         chebyshev_propagate(h, psi0, _REFERENCE_TIMES, norm_tol=-1.0, rows=[0, 1])
@@ -377,10 +416,9 @@ def test_chebyshev_time_grid_validation():
 
 def test_dark_state_survives_finite_discretization():
     # constant coupling ratio protects the dark mode at any n
-    pair = WellPair.from_widths(1.0, 4.0, eta=-1)
-    run = single_particle_trajectory(
-        pair, dark_state(pair), np.linspace(0.0, 10.0, 5), n_levels=64, cutoff=10.0
-    )
+    pair = WellPair.from_widths(1.0, 4.0, eta=-1, lambda_cutoff=10.0)
+    times = np.linspace(0.0, 10.0, 5)
+    run = single_particle_trajectory(pair, dark_state(pair), times, n_levels=64)
     np.testing.assert_allclose(run.trajectory.occupation, 1.0, atol=1e-10)
 
 
@@ -408,52 +446,40 @@ def test_oracle_spacing_error_is_second_order():
 
 
 def test_recurrence_warning_and_flag():
-    pair = WellPair.from_widths(1.0, 1.0)
+    pair = WellPair.from_widths(1.0, 1.0, lambda_cutoff=4.0)
     with pytest.warns(UserWarning, match="recurrence"):
-        run = single_particle_trajectory(
-            pair, (1.0, 0.0), [50.0], n_levels=16, cutoff=4.0
-        )
+        run = single_particle_trajectory(pair, (1.0, 0.0), [50.0], n_levels=16)
     assert run.recurrence_exceeded
     report = convergence_report(run)
     assert report["recurrence_exceeded"] is True
     assert report["n_levels"] == 16
     assert report["recurrence_time"] == pytest.approx(2.0 * math.pi / 0.5)
-    quiet = single_particle_trajectory(pair, (1.0, 0.0), [1.0], n_levels=64, cutoff=4.0)
+    quiet = single_particle_trajectory(pair, (1.0, 0.0), [1.0], n_levels=64)
     assert not quiet.recurrence_exceeded
 
 
 def test_trajectory_method_selection():
-    pair = WellPair.from_widths(1.0, 1.0)
-    auto_small = single_particle_trajectory(pair, (1.0, 0.0), [0.5], n_levels=32, cutoff=4.0)
-    assert auto_small.method == "dense"
-    forced = single_particle_trajectory(
-        pair, (1.0, 0.0), [0.5], n_levels=32, cutoff=4.0, method="chebyshev"
+    # the dimension alone picks the propagator
+    limit = DENSE_MAX_DIM - 2
+    assert [single_particle_method(n) for n in (32, limit, limit + 2)] == [
+        "dense", "dense", "chebyshev",
+    ]
+    pair = WellPair.from_widths(1.0, 1.0, lambda_cutoff=4.0)
+    small = single_particle_trajectory(pair, (1.0, 0.0), [0.5], n_levels=32)
+    assert small.method == "dense"
+    # both propagators on one H give the same well amplitudes
+    res = DiscretizedReservoir.for_pair(pair, 32)
+    psi0 = np.zeros(34)
+    psi0[0] = 1.0
+    dense = evolve_exact(build_single_particle_hamiltonian(pair, res), psi0, [0.5], [0, 1])
+    che = chebyshev_propagate(
+        build_single_particle_hamiltonian(pair, res, sparse=True), psi0, [0.5],
+        bounds=single_particle_bounds(pair, res), rows=[0, 1],
     )
-    assert forced.method == "chebyshev"
-    np.testing.assert_allclose(
-        forced.trajectory.sigma11, auto_small.trajectory.sigma11, atol=1e-10
-    )
-    with pytest.raises(ValueError, match="method"):
-        single_particle_trajectory(pair, (1.0, 0.0), [0.5], n_levels=32, method="magic")
+    np.testing.assert_allclose(che.amplitudes, dense.amplitudes, rtol=0, atol=1e-10)
+    assert np.abs(dense.amplitudes[:, 0]) ** 2 == pytest.approx(small.trajectory.sigma11)
     with pytest.raises(ValueError, match="normalized"):
         single_particle_trajectory(pair, (1.0, 1.0), [0.5], n_levels=32)
-
-
-def test_dense_cap_refuses_before_building(monkeypatch):
-    import darkwells.oracle as oracle_module
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense Hamiltonian built before the cap was checked")
-
-    monkeypatch.setattr(oracle_module, "build_single_particle_hamiltonian", refuse)
-    pair = WellPair.from_widths(1.0, 1.0)
-    cap = oracle_module.DEFAULT_MAX_DIM
-    with pytest.raises(ValueError, match=f"dense cap {cap}"):
-        single_particle_trajectory(pair, (1.0, 0.0), [0.5], n_levels=cap, method="dense")
-    # auto picks dense at this size, so the cap refuses it too
-    monkeypatch.setattr(oracle_module, "DEFAULT_MAX_DIM", 20)
-    with pytest.raises(ValueError, match="dense cap 20"):
-        single_particle_trajectory(pair, (1.0, 0.0), [0.5], n_levels=32)
 
 
 def test_fock_space_enumeration():
@@ -648,7 +674,7 @@ def test_two_fermion_evolution_matches_determinant_formalism():
     for col in (0, 1):
         e = np.zeros(dim, dtype=complex)
         e[col] = 1.0
-        orbitals.append(evolve_exact(dense, e, times))
+        orbitals.append(expm_propagate(dense, e, times))
     space = FockSpace(dim, 2, "fermi")
     psi_t = evolve_fock(pair, res, space, fock_basis_state(space, (0, 1)), times)
     for k in range(times.size):

@@ -205,8 +205,28 @@ def test_render_digests_dump_and_compare(monkeypatch, tmp_path, capsys):
     assert render_digests.main(["--compare", str(a), str(b)]) == 0
     cli_line, fock_line = capsys.readouterr().out.splitlines()
     assert cli_line == "oracle_7_warmup inf manifest.oracle.method"
-    key, diff, name = fock_line.split()
+    key, diff, name, other = fock_line.split()
     assert (key, name) == ("oracle_7_warmup-fock", "state")
     assert float(diff) == pytest.approx(2.0 ** -40, rel=1e-2)
+    other_name, other_diff = other.split("=")
+    assert other_name == "dot_rdm" and float(other_diff) == pytest.approx(2.0 ** -45, rel=1e-2)
     os.remove(b / "oracle_7_warmup.npz")
     assert render_digests.compare_lines(str(a), str(b))[0] == "oracle_7_warmup inf only-in-A"
+
+
+def test_render_digests_compare_lists_every_differing_array(monkeypatch, tmp_path):
+    # an array one side lacks is the worst difference, and the finite
+    # differences behind it still show, each with its array
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    render_digests = load_tool("render_digests")
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    same = np.arange(3.0)
+    np.savez(a / "s.npz", **{"x": same, "y": same, "z": same, "gone": same, "w": [np.nan]})
+    np.savez(b / "s.npz", **{"x": same + [0.0, 0.5, 0.0], "y": same, "z": same - 2.0 ** -50,
+                             "w": [1.0]})
+    line = render_digests.compare_lines(str(a), str(b))
+    assert line == ["s inf gone w=inf x=0.5 z=8.88e-16"]
+    np.savez(b / "s.npz", **{"x": same, "y": same, "z": same, "gone": same, "w": [np.nan]})
+    assert render_digests.compare_lines(str(a), str(b)) == ["s 0 -"]

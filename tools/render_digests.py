@@ -34,8 +34,10 @@ data columns as ``data.<column>`` and every value of its manifest (and of
 a JSON payload's other keys) as ``manifest.<path>`` (``data.<path>``),
 read back from the rendered files.  ``--compare A B`` reads two such
 directories and prints, per scenario, the largest absolute difference
-over its arrays and the array that holds it; a string that differs, a
-shape that differs or an array only one side has counts as ``inf``.
+over its arrays and the array that holds it, then each other array that
+differs as ``name=difference``; a string that differs, a shape that
+differs, a NaN against a number or an array only one side has counts as
+``inf``, and hides no finite difference.
 """
 
 from __future__ import annotations
@@ -198,14 +200,18 @@ def _difference(a, b):
         return math.inf
     if a.dtype.kind not in "iufc" or b.dtype.kind not in "iufc":
         return 0.0 if np.array_equal(a, b) else math.inf
-    # equal entries (infinities included) and NaN against NaN differ by 0
+    # equal entries (infinities included) and NaN against NaN differ by 0,
+    # NaN against a number by inf
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     diff = np.where(same, 0.0, np.abs(a - b))
-    return float(diff.max(initial=0.0))
+    return float(np.where(np.isnan(diff), math.inf, diff).max(initial=0.0))
 
 
 def compare_lines(dir_a, dir_b):
-    """Per scenario of either dump: the largest difference and the array that holds it."""
+    """Per scenario of either dump: the largest difference, its array, then the others.
+
+    Each other array that differs follows as ``name=difference``, in name order.
+    """
     lines = []
     names = {name[:-4] for d in (dir_a, dir_b) for name in os.listdir(d) if name.endswith(".npz")}
     for name in sorted(names):
@@ -214,13 +220,15 @@ def compare_lines(dir_a, dir_b):
             lines.append(f"{name} inf only-in-{'A' if os.path.exists(paths[0]) else 'B'}")
             continue
         with np.load(paths[0]) as a, np.load(paths[1]) as b:
-            worst, where = 0.0, "-"
-            for array in sorted(set(a.files) | set(b.files)):
-                diff = (_difference(a[array], b[array])
+            diffs = {
+                array: (_difference(a[array], b[array])
                         if array in a.files and array in b.files else math.inf)
-                if diff > worst:
-                    worst, where = diff, array
-        lines.append(f"{name} {worst:.3g} {where}")
+                for array in sorted(set(a.files) | set(b.files))
+            }
+        differing = {array: diff for array, diff in diffs.items() if diff > 0.0}
+        where = max(differing, key=differing.get, default="-")
+        others = [f"{array}={diff:.3g}" for array, diff in differing.items() if array != where]
+        lines.append(" ".join([name, f"{differing.get(where, 0.0):.3g}", where] + others))
     return lines
 
 
@@ -231,7 +239,7 @@ def main(argv=None):
     parser.add_argument("--dump", metavar="DIR",
                         help="also write each scenario's hashed arrays to DIR")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                        help="print the largest difference between two --dump directories")
+                        help="print the differing arrays of two --dump directories")
     args = parser.parse_args(argv)
     if args.compare:
         lines = compare_lines(*args.compare)
