@@ -23,6 +23,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -726,12 +727,16 @@ def _run_sweep(scenario):
         )
     spec, given = _read_model(sections, sweep=True)
     t_long = _require_positive("sweep.t_max", _parse_number(sections, "sweep", "t_max"))
+    if t_long is not None and report != "sigma11_asymptotic":
+        raise ConfigError(f"sweep.t_max: sweep.report = {report} does not read this key")
     resolved = {
         "sweep.axis": axis1,
         "sweep.values": values1,
         "sweep.report": report,
         "sweep.max_points": max_points,
     }
+    if t_long is not None:
+        resolved["sweep.t_max"] = t_long
     if axis2 is not None:
         resolved["sweep.axis2"] = axis2
         resolved["sweep.values2"] = values2
@@ -874,10 +879,14 @@ def render(scenario: Scenario) -> RunResult:
 def run(scenario: Scenario) -> RunResult:
     """Render a scenario and write its files.
 
-    With ``seedless`` set, everything is computed twice and the two byte
-    streams must match exactly; any mismatch means hidden nondeterminism
-    and aborts before anything is written.
+    An output path in a directory that does not exist is refused before
+    anything is computed.  With ``seedless`` set, everything is computed
+    twice and the two byte streams must match exactly; any mismatch means
+    hidden nondeterminism and aborts before anything is written.
     """
+    directory = os.path.dirname(scenario.out) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output.path: directory {directory!r} does not exist")
     result = render(scenario)
     if scenario.seedless:
         again = render(scenario)
@@ -887,8 +896,11 @@ def run(scenario: Scenario) -> RunResult:
                 "produced different bytes"
             )
     for path, content in result.files.items():
-        with open(path, "wb") as fh:
-            fh.write(content)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(content)
+        except OSError as exc:
+            raise RuntimeError(f"cannot write {path}: {exc.strerror}") from exc
     return result
 
 

@@ -203,6 +203,21 @@ def _d_vectors(model: ParallelWellPair) -> dict:
     }
 
 
+def _coupled_dark(model: ParallelWellPair):
+    """``(y, vectors, dark)``: the coupled-sector dark vector and its inputs.
+
+    ``vectors`` are :func:`_d_vectors`; ``dark`` is ``(eta12 sqrt(y) d1c -
+    d2c) / sqrt(1 + y)``, the dark mode of the two coupled levels.  Both
+    wells must couple to the reservoir.
+    """
+    d = derive(model.base)
+    if d.eta12 is None or d.y_infinite or d.y == 0.0:
+        raise ValueError("both wells must couple to the reservoir")
+    vecs = _d_vectors(model)
+    dark = (d.eta12 * math.sqrt(d.y) * vecs["d1c"] - vecs["d2c"]) / math.sqrt(1.0 + d.y)
+    return d.y, vecs, dark
+
+
 def _resonant(model: ParallelWellPair) -> bool:
     base = model.base
     gap = abs(base.E2 - base.E1 - model.U)
@@ -227,17 +242,10 @@ def two_electron_parallel_asymptotic(
     detunings of order the level widths are outside this operation's
     domain (they decay, but only on the dwell-time scale).
     """
-    d = derive(model.base)
-    if d.eta12 is None or d.y_infinite or d.y == 0.0:
-        raise ValueError("both wells must couple to the reservoir")
-    vecs = _d_vectors(model)
+    y, vecs, trapped_vec = _coupled_dark(model)
     branches = []
     if _resonant(model):
-        y = d.y
         p_trapped = y / (1.0 + y)
-        trapped_vec = (
-            d.eta12 * math.sqrt(y) * vecs["d1c"] - vecs["d2c"]
-        ) / math.sqrt(1.0 + y)
         retained_two = creation_product([vecs["d1"], trapped_vec], 4)
         branches.append(
             FermionAsymptoticState(
@@ -278,14 +286,7 @@ def three_electron_asymptotic(model: ParallelWellPair) -> FermionAsymptoticState
             "bright-sector levels are misaligned (eps != 0): the mobile pair "
             "decays completely and no three-electron state survives"
         )
-    d = derive(base)
-    if d.eta12 is None or d.y_infinite or d.y == 0.0:
-        raise ValueError("both wells must couple to the reservoir")
-    vecs = _d_vectors(model)
-    y = d.y
-    mobile_dark = (
-        d.eta12 * math.sqrt(y) * vecs["d1c"] - vecs["d2c"]
-    ) / math.sqrt(1.0 + y)
+    _, vecs, mobile_dark = _coupled_dark(model)
     amplitudes = creation_product([vecs["d1"], mobile_dark, vecs["d2"]], 4)
     return FermionAsymptoticState(
         reservoir_count=1, probability=1.0, amplitudes=amplitudes

@@ -20,7 +20,8 @@ event on the ``darkwells`` logger (dimension, output times, last-time
 drift, and for an expansion the nnz and degree).  The dense propagator
 always takes ``rows``, the expansion takes ``rows=``; either then returns
 a :class:`Projection`: those rows at every time and the full state at the
-last time alone.  Both are fully deterministic and norm checked.
+last time alone.  Both are fully deterministic, refuse the same starts and
+time grids, and check norm drift to one tolerance, ``_NORM_TOL``.
 :func:`single_particle_method` picks the propagator of a single-particle
 run from its dimension alone.
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -71,15 +71,13 @@ __all__ = [
     "slater_dot_rdm",
 ]
 
-DEFAULT_MAX_DIM = 12000
-# single-particle runs take the dense propagator up to this dimension
+# single-particle runs take the dense propagator up to this dimension, and
+# evolve_exact refuses larger ones
 DENSE_MAX_DIM = 1500
 _MAX_FOCK_DIM = 250_000
 # output times evolved per batched product in evolve_exact; bounds the
 # temporaries beyond the output to O(_TIME_BLOCK * dim)
 _TIME_BLOCK = 64
-# rows of a dense h compared with its adjoint at a time
-_ROW_BLOCK = 64
 # Bessel coefficients at or below this are dropped from the expansion
 _CHEBYSHEV_TOL = 1e-16
 # Miller's recurrence rescales a column to 1 once it passes this; one step
@@ -90,6 +88,8 @@ _BESSEL_TINY = 1e-150
 # relative padding of computed spectral enclosures against rounding in
 # eigvalsh and in the assembled matrix entries (both ~ n eps)
 _BOUNDS_MARGIN = 1e-10
+# largest norm drift a propagator lets through in a state it returns
+_NORM_TOL = 1e-10
 _log = logging.getLogger("darkwells")
 # (-1)^parity by parity: a lookup and a product cost less than np.where
 # on a mask with no pattern, and give the same bits
@@ -217,32 +217,19 @@ def single_particle_bounds(pair: WellPair, res: DiscretizedReservoir) -> tuple[f
     return lo - off_norm, hi + off_norm
 
 
-def _check_norm(psi: np.ndarray) -> None:
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"initial vector has norm {norm}; normalize it first")
-
-
-def _check_dense_cap(dim: int) -> None:
-    if dim > DEFAULT_MAX_DIM:
-        raise ValueError(
-            f"dimension {dim} exceeds the dense cap {DEFAULT_MAX_DIM}; use "
-            "chebyshev_propagate (sparse)"
-        )
+def _check_start(psi: np.ndarray, times: np.ndarray) -> None:
+    """Refuse a start (any column, for stacks) off unit norm, or a negative or decreasing grid."""
+    norms = np.atleast_1d(np.linalg.norm(psi, axis=0))
+    off = np.abs(norms - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"initial vector has norm {norms[off][0]}; normalize it first")
+    if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be non-decreasing and non-negative")
 
 
 def _check_hermitian(h: np.ndarray) -> None:
-    """Refuse an ``h`` that differs from its adjoint by more than 1e-12 of its scale.
-
-    Compared one block of ``_ROW_BLOCK`` rows at a time, so no temporary
-    is the size of ``h``.
-    """
-    scale = asymmetry = 0.0
-    for start in range(0, h.shape[0], _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        scale = max(scale, float(np.abs(h[block]).max()))
-        asymmetry = max(asymmetry, float(np.abs(h[block] - h[:, block].conj().T).max()))
-    if asymmetry > 1e-12 * max(1.0, scale):
+    """Refuse an ``h`` that differs from its adjoint by more than 1e-12 of its scale."""
+    if np.abs(h - h.conj().T).max() > 1e-12 * max(1.0, np.abs(h).max()):
         raise ValueError("Hamiltonian is not Hermitian")
 
 
@@ -262,14 +249,14 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_drift(states: np.ndarray, times: np.ndarray, norm_tol: float) -> np.ndarray:
+def _check_drift(states: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Norm drift of each state (of its worst column, for stacks), one per time.
 
-    Raises at the first time whose drift passes ``norm_tol``.
+    Raises at the first time whose drift passes ``_NORM_TOL``.
     """
     norms = np.linalg.norm(states, axis=1)
     drift = np.abs(norms - 1.0).reshape(times.size, -1).max(axis=1)
-    failed = np.flatnonzero(drift > norm_tol)
+    failed = np.flatnonzero(drift > _NORM_TOL)
     if failed.size:
         j = failed[0]
         raise RuntimeError(f"norm drifted by {float(drift[j])} at t = {times[j]}")
@@ -289,19 +276,17 @@ class Projection(NamedTuple):
     truncation_bound: float | None
 
 
-def evolve_exact(
-    h: np.ndarray, psi0: np.ndarray, times, rows, norm_tol: float = 1e-10
-) -> Projection:
+def evolve_exact(h: np.ndarray, psi0: np.ndarray, times, rows) -> Projection:
     """Propagate by full eigen-decomposition, keeping ``rows`` at every time.
 
-    Validates Hermiticity, refuses dimensions above ``DEFAULT_MAX_DIM``
-    (dense eigen-solves beyond that are a resource mistake, use the
-    Chebyshev path), and works through the output times in blocks of
-    ``_TIME_BLOCK``, one matrix product per block, into which only
-    ``rows`` of the eigenvectors enter.  The result is a
-    :class:`Projection` whose ``amplitudes`` have shape ``(len(times),
-    len(rows))`` and whose ``final_state``, the full state at the last
-    time, is the only state whose norm is checked to ``norm_tol``.  Each
+    Refuses dimensions above ``DENSE_MAX_DIM``, where
+    :func:`single_particle_method` picks the expansion, and the starts and
+    grids :func:`chebyshev_propagate` refuses.  Validates Hermiticity, and
+    works through the output times in blocks of ``_TIME_BLOCK``, one matrix
+    product per block, into which only ``rows`` of the eigenvectors enter.
+    The result is a :class:`Projection` whose ``amplitudes`` have shape
+    ``(len(times), len(rows))`` and whose ``final_state``, the full state
+    at the last time, is the only state whose norm is checked.  Each
     propagation logs one DEBUG event on the ``darkwells`` logger with the
     dimension, the number of output times and the norm drift at the last
     time; empty ``times`` run none.
@@ -310,11 +295,15 @@ def evolve_exact(
     dim = h.shape[0]
     if h.ndim != 2 or h.shape[1] != dim:
         raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
-    _check_dense_cap(dim)
-    _check_hermitian(h)
+    if dim > DENSE_MAX_DIM:
+        raise ValueError(
+            f"dimension {dim} exceeds the dense limit {DENSE_MAX_DIM}; use "
+            "chebyshev_propagate"
+        )
     psi0 = np.asarray(psi0, dtype=complex)
-    _check_norm(psi0)
     times = np.asarray(times, dtype=float)
+    _check_start(psi0, times)
+    _check_hermitian(h)
     if times.size == 0:
         empty = np.empty((0,) + psi0[rows].shape, dtype=complex)
         return Projection(empty, psi0.copy(), None, None)
@@ -327,7 +316,7 @@ def evolve_exact(
         phases = np.exp(-1j * np.outer(times[block], evals)) * coeff
         out[block] = _product(phases, kept.T)
     final = _product(evecs, phases[-1])
-    drift = float(_check_drift(final[None], times[-1:], norm_tol)[0])
+    drift = float(_check_drift(final[None], times[-1:])[0])
     _log.debug(
         "dense propagation: dim %d, %d output times, last-time drift %s",
         dim, times.size, drift,
@@ -390,14 +379,14 @@ def chebyshev_propagate(
     psi0: np.ndarray,
     times,
     bounds: tuple[float, float] | None = None,
-    norm_tol: float = 1e-10,
     rows=None,
 ):
     """Propagate under a Hermitian ``h`` by one Chebyshev expansion.
 
     ``h`` may be dense or sparse; it is applied as a CSR matrix either way.
-    ``psi0`` is a single vector or an orbital stack (dim x k).  ``times``
-    must be non-decreasing and start at or after zero.  ``T_k(h_s) psi0``
+    ``psi0`` is a single vector or an orbital stack (dim x k), each column
+    of unit norm.  ``times`` must be non-decreasing and start at or after
+    zero.  ``T_k(h_s) psi0``
     is built once, up to the degree ``K`` that the latest time needs, and
     every output time is accumulated from that one sequence: ``psi(t) =
     exp(-i c t) sum_k (2 - delta_k0) (-i)^k J_k(half t) T_k psi0``
@@ -424,13 +413,12 @@ def chebyshev_propagate(
     the full state at the last time, and which carries the degree ``K``
     and the truncation bound ``2 max_t sum_{k > K_t} |J_k(half t)|`` read
     from the Bessel table, where ``K_t <= K`` is the last order time ``t``
-    takes.  For normalized input the norm of every accumulated full state
-    is checked to ``norm_tol``.
+    takes.  The norm of every accumulated full state is checked, and a
+    drift past ``_NORM_TOL`` raises at the first time that shows it.
     """
     times = np.asarray(times, dtype=float)
     psi = np.asarray(psi0, dtype=complex)
-    if times.size and (times[0] < 0.0 or np.any(np.diff(times) < 0.0)):
-        raise ValueError("times must be non-decreasing and non-negative")
+    _check_start(psi, times)
     if times.size == 0:
         out = np.empty((0,) + psi.shape, dtype=complex)
         if rows is None:
@@ -503,9 +491,7 @@ def chebyshev_propagate(
         out = sums[0]
     phase = np.exp(-1j * center * times).reshape((-1,) + (1,) * psi.ndim)
     out *= phase[-out_times.size:]
-    drift = None
-    if _is_normalized(psi):
-        drift = float(_check_drift(out, out_times, norm_tol)[-1])
+    drift = float(_check_drift(out, out_times)[-1])
     _log.debug(
         "chebyshev expansion: dim %d, nnz %d, degree %d, %d output times, "
         "last-time drift %s", dim, h.nnz, degree, times.size, drift,
@@ -517,11 +503,6 @@ def chebyshev_propagate(
     amplitudes = np.tensordot(coeffs, kept, axes=1)
     amplitudes *= phase
     return Projection(amplitudes, out[-1], degree, tail)
-
-
-def _is_normalized(psi: np.ndarray) -> bool:
-    """Every column of ``psi`` has unit norm, so norm drift can be checked."""
-    return bool(np.all(np.abs(np.linalg.norm(psi, axis=0) - 1.0) < 1e-9))
 
 
 @dataclass(frozen=True)
@@ -560,7 +541,8 @@ def single_particle_trajectory(pair: WellPair, initial, times, n_levels: int) ->
     :meth:`DiscretizedReservoir.for_pair`'s.  :func:`single_particle_method`
     picks the propagator from the dimension; either keeps only the two
     well rows, with the norm checked at the last time.  Requesting times
-    past half the recurrence time triggers a warning: beyond it the
+    past half the recurrence time logs a WARNING event on the ``darkwells``
+    logger (attributes ``t_max`` and ``recurrence_time``): beyond it the
     discrete band begins to feed the wells back and no longer emulates a
     continuum.
     """
@@ -571,11 +553,11 @@ def single_particle_trajectory(pair: WellPair, initial, times, n_levels: int) ->
         raise ValueError("initial well amplitudes must be normalized")
     recurrence_exceeded = bool(times.size and times.max() > 0.5 * res.recurrence_time)
     if recurrence_exceeded:
-        warnings.warn(
-            f"requested t = {times.max():g} exceeds half the recurrence time "
-            f"{res.recurrence_time:g}; the finite band is no longer a faithful "
-            "continuum there",
-            stacklevel=2,
+        _log.warning(
+            "requested t = %g exceeds half the recurrence time %g; the finite "
+            "band is no longer a faithful continuum there",
+            times.max(), res.recurrence_time,
+            extra={"t_max": float(times.max()), "recurrence_time": res.recurrence_time},
         )
     psi0 = np.zeros(n_levels + 2, dtype=complex)
     psi0[0] = c1
@@ -916,12 +898,11 @@ def evolve_fock(
     space: FockSpace,
     psi0: np.ndarray,
     times,
-    norm_tol: float = 1e-10,
 ) -> np.ndarray:
     """Exact many-body evolution against the explicit reservoir."""
     h = build_fock_hamiltonian(model, res, space)
     bounds = fock_spectral_bounds(model, res, space.n_particles, space.statistics)
-    return chebyshev_propagate(h, psi0, times, bounds=bounds, norm_tol=norm_tol)
+    return chebyshev_propagate(h, psi0, times, bounds=bounds)
 
 
 @dataclass(frozen=True)

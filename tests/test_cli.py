@@ -265,6 +265,58 @@ def test_sweep_two_axes_product_order(tmp_path):
         assert float(row[2]) == pytest.approx(y / (1 + y), rel=1e-12)
 
 
+_SWEEP_T_MAX_MODEL = "[model]\ngamma1 = 1.0\nepsilon = {}\n[sweep]\naxis = y\nvalues = 0.5, 2\n"
+
+
+def test_sweep_t_max_is_recorded_in_the_manifest(tmp_path):
+    # the key changes the rows, so it must change the manifest digest too
+    digests, rows = [], []
+    for extra in ("", "t_max = 5.0\n"):
+        cfg = write_config(tmp_path, _SWEEP_T_MAX_MODEL.format(0.0) + extra)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        digest, _, cells = read_csv(out)
+        digests.append(digest)
+        rows.append(cells)
+        params = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["parameters"]
+        assert params.get("sweep.t_max") == (5.0 if extra else None)
+    assert rows[0] != rows[1] and digests[0] != digests[1]
+
+
+@pytest.mark.parametrize("report", ["p_trapped", "fitted_tau", "fitted_rate"])
+def test_sweep_t_max_is_refused_where_unread(tmp_path, capsys, report):
+    # trapped fractions need aligned wells, decay fits detuned ones
+    model = _SWEEP_T_MAX_MODEL.format(0.0 if report == "p_trapped" else 0.3)
+    cfg = write_config(tmp_path, f"{model}report = {report}\nt_max = 5.0\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "sweep.t_max:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_output_path_problems_end_without_traceback(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, "[model]\ngamma1 = 1.0\nepsilon = 0.3\n")
+    calls = []
+    dwell = darkwells.cli._RUNNERS["dwell"]
+
+    def record(scenario):
+        calls.append(scenario)
+        return dwell(scenario)
+
+    monkeypatch.setitem(darkwells.cli._RUNNERS, "dwell", record)
+    # a missing directory is refused before anything is computed
+    missing = tmp_path / "nodir" / "x.csv"
+    assert main(["dwell", "--config", cfg, "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output.path:") and "nodir" in err
+    assert not calls and not missing.parent.exists()
+    # any other failure to write is one line and exit 1
+    (tmp_path / "adir").mkdir()
+    assert main(["dwell", "--config", cfg, "--out", str(tmp_path / "adir")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {tmp_path / 'adir'}: Is a directory\n"
+    assert len(calls) == 1
+
+
 def test_config_error_paths(tmp_path, capsys, monkeypatch):
     def run_expecting(code, args):
         assert main(args) == code

@@ -99,8 +99,8 @@ def test_evolve_exact_guards(monkeypatch):
     h = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         evolve_exact(h, np.array([1.0, 0.0]), [0.0], [0])
-    monkeypatch.setattr(oracle_module, "DEFAULT_MAX_DIM", 3)
-    with pytest.raises(ValueError, match="dense cap 3"):
+    monkeypatch.setattr(oracle_module, "DENSE_MAX_DIM", 3)
+    with pytest.raises(ValueError, match="dense limit 3"):
         evolve_exact(np.eye(4), np.array([1.0, 0, 0, 0]), [0.0], [0])
     with pytest.raises(ValueError, match="norm"):
         evolve_exact(np.eye(2), np.array([1.0, 1.0]), [0.0], [0])
@@ -168,23 +168,63 @@ def test_propagators_match_expm_reference_on_sparse_orbital_stack():
         np.testing.assert_allclose(exact, ref[:, :, col], rtol=0, atol=1e-12)
 
 
-def test_propagators_empty_times_and_first_failing_time():
+def test_propagators_empty_times_and_first_failing_time(monkeypatch):
+    import darkwells.oracle as oracle_module
+
     h = _random_hermitian(np.random.default_rng(2), 6, True)
     psi0 = np.zeros(6, dtype=complex)
     psi0[2] = 1.0
     assert evolve_exact(h, psi0, [], np.arange(6)).amplitudes.shape == (0, 6)
     assert chebyshev_propagate(h, psi0, []).shape == (0, 6)
     # every time fails a negative tolerance; the first one checked is
-    # reported: the dense run checks only the last time
+    # reported: the dense run and a projection check only the last time
     times = [0.0, 0.5, 1.0]
+    monkeypatch.setattr(oracle_module, "_NORM_TOL", -1.0)
     with pytest.raises(RuntimeError, match=r"at t = 1\.0$"):
-        evolve_exact(h, psi0, times, np.arange(6), norm_tol=-1.0)
+        evolve_exact(h, psi0, times, np.arange(6))
+    with pytest.raises(RuntimeError, match=r"at t = 1\.0$"):
+        chebyshev_propagate(h, psi0, times, rows=[0, 1])
     with pytest.raises(RuntimeError, match=r"at t = 0\.0$"):
-        chebyshev_propagate(h, psi0, times, norm_tol=-1.0)
+        chebyshev_propagate(h, psi0, times)
+
+
+def _unit(dim, k):
+    psi = np.zeros(dim, dtype=complex)
+    psi[k] = 1.0
+    return psi
+
+
+# (start, times, refusal) that both propagators refuse at entry
+_BAD_INPUTS = {
+    "norm_2": (2.0 * _unit(6, 2), [0.0, 0.5, 1.0], "norm 2"),
+    "stack_column": (np.column_stack((_unit(6, 0), 2.0 * _unit(6, 1))), [0.0, 0.5, 1.0],
+                     "norm 2"),
+    "decreasing_times": (_unit(6, 2), [0.0, 1.0, 0.5], "non-decreasing"),
+    "negative_time": (_unit(6, 2), [-0.5, 0.0, 1.0], "non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_propagators_refuse_the_same_bad_input(monkeypatch, case):
+    import darkwells.oracle as oracle_module
+
+    h = _random_hermitian(np.random.default_rng(2), 6, True)
+    psi0, times, refusal = _BAD_INPUTS[case]
+    # every propagated state now fails its drift check, so a ValueError
+    # means the input was refused before anything was propagated
+    monkeypatch.setattr(oracle_module, "_NORM_TOL", -1.0)
+    with pytest.raises(ValueError, match=refusal):
+        evolve_exact(h, psi0, times, np.arange(6))
+    with pytest.raises(ValueError, match=refusal):
+        chebyshev_propagate(h, psi0, times)
+    with pytest.raises(ValueError, match=refusal):
+        chebyshev_propagate(h, psi0, times, rows=[0, 1])
 
 
 @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex_h", "real_h"])
-def test_evolve_exact_rows_match_its_full_states_and_expm(complex_entries):
+def test_evolve_exact_rows_match_its_full_states_and_expm(complex_entries, monkeypatch):
+    import darkwells.oracle as oracle_module
+
     rng = np.random.default_rng(13)
     dim = 20
     h = _random_hermitian(rng, dim, complex_entries)
@@ -203,8 +243,9 @@ def test_evolve_exact_rows_match_its_full_states_and_expm(complex_entries):
     empty = evolve_exact(h, psi0, [], rows=rows)
     assert empty.amplitudes.shape == (0, 3) and np.array_equal(empty.final_state, psi0)
     # only the last time's full state is checked, so that is where it fails
+    monkeypatch.setattr(oracle_module, "_NORM_TOL", -1.0)
     with pytest.raises(RuntimeError, match=rf"at t = {_REFERENCE_TIMES[-1]}$"):
-        evolve_exact(h, psi0, _REFERENCE_TIMES, norm_tol=-1.0, rows=rows)
+        evolve_exact(h, psi0, _REFERENCE_TIMES, rows=rows)
 
 
 def test_dense_trajectory_matches_expm_and_reports_last_time_drift():
@@ -244,13 +285,14 @@ def test_chebyshev_logs_one_event_per_expansion(caplog):
                                                                         degree, 2)
     assert record.drift == pytest.approx(abs(np.linalg.norm(states[-1]) - 1.0), rel=0, abs=1e-15)
     assert f"dim {space.size}, nnz {h.nnz}, degree {degree}" in record.getMessage()
-    # an unnormalized start has no drift; empty times run no expansion
+    # an unnormalized start is refused before any expansion; empty times
+    # run none
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="darkwells"):
-        chebyshev_propagate(h, 2.0 * psi0, times, bounds=bounds)
+        with pytest.raises(ValueError, match="norm 2"):
+            chebyshev_propagate(h, 2.0 * psi0, times, bounds=bounds)
         chebyshev_propagate(h, psi0, [], bounds=bounds)
-    (record,) = [r for r in caplog.records if r.name == "darkwells"]
-    assert record.drift is None and record.n_times == 2
+    assert not [r for r in caplog.records if r.name == "darkwells"]
     assert not logger.handlers
 
 
@@ -278,6 +320,7 @@ def test_every_single_particle_run_logs_its_propagator(caplog, monkeypatch):
     assert "dim 42, 7 output times, last-time drift" in records[0].getMessage()
     # empty times run no propagation
     caplog.clear()
+    monkeypatch.undo()
     h = build_single_particle_hamiltonian(pair, DiscretizedReservoir.for_pair(pair, 40))
     psi0 = np.zeros(42)
     psi0[0] = 1.0
@@ -332,8 +375,9 @@ def test_projected_chebyshev_matches_expm_reference(monkeypatch):
     assert report["chebyshev_degree"] > 0 and report["truncation_bound"] < 1e-14
     assert report["max_norm_drift"] < 1e-12
     # only the last time's full state is checked, so that is where it fails
+    monkeypatch.setattr(oracle_module, "_NORM_TOL", -1.0)
     with pytest.raises(RuntimeError, match=rf"at t = {_REFERENCE_TIMES[-1]}$"):
-        chebyshev_propagate(h, psi0, _REFERENCE_TIMES, norm_tol=-1.0, rows=[0, 1])
+        chebyshev_propagate(h, psi0, _REFERENCE_TIMES, rows=[0, 1])
     empty = chebyshev_propagate(h, psi0, [], rows=[0, 1])
     assert empty.amplitudes.shape == (0, 2) and empty.degree == 0
 
@@ -445,10 +489,14 @@ def test_oracle_spacing_error_is_second_order():
     assert errs[100] / errs[400] > 3.0
 
 
-def test_recurrence_warning_and_flag():
+def test_recurrence_warning_and_flag(caplog):
     pair = WellPair.from_widths(1.0, 1.0, lambda_cutoff=4.0)
-    with pytest.warns(UserWarning, match="recurrence"):
+    with caplog.at_level(logging.WARNING, logger="darkwells"):
         run = single_particle_trajectory(pair, (1.0, 0.0), [50.0], n_levels=16)
+    (record,) = [r for r in caplog.records if r.name == "darkwells"]
+    assert record.levelno == logging.WARNING and "recurrence" in record.getMessage()
+    assert (record.t_max, record.recurrence_time) == (50.0, run.reservoir.recurrence_time)
+    assert not logging.getLogger("darkwells").handlers
     assert run.recurrence_exceeded
     report = convergence_report(run)
     assert report["recurrence_exceeded"] is True
