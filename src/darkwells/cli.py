@@ -41,6 +41,7 @@ from .bosons import (
     rotate_fock,
 )
 from .dynamics import (
+    InfiniteDwellTimeError,
     SingleParticleState,
     _evolve_sigma,
     asymptotic_probs,
@@ -78,9 +79,9 @@ _MAX_ORACLE_ENTRIES = 5_000_000
 # Bosons in one exact emission law; the rational arithmetic grows
 # faster than quadratically in the count.
 _MAX_BOSONS = 1000
-# Sweep points per batched evaluation: the transient arrays stay this size
-# however large sweep.max_points is.
-_SWEEP_BLOCK = 16
+# Sweep points per batched evaluation and fit: the transient arrays stay
+# this size however large sweep.max_points is.
+_SWEEP_BLOCK = 64
 
 KINDS = (
     "evolve",
@@ -391,8 +392,9 @@ def _build_model(spec, given, **axes):
     replaces the parsed value, and ``y`` replaces a parsed ``gamma2`` too.
     Two vanishing couplings fail jointly, so that refusal names the keys
     that set both.  A width that overflows, as the one a coupling needs or
-    as ``2 pi omega^2 rho`` of the coupling, names the keys that set it,
-    with ``model.rho`` when given.
+    as ``2 pi omega^2 rho`` of the coupling, names the keys that set it.
+    Both name ``model.rho`` too when the config gives it, except for
+    vanishing couplings given as ``omega1`` and ``omega2``.
     """
     kwargs = {**spec, **axes}
     if "y" in axes:
@@ -409,6 +411,8 @@ def _build_model(spec, given, **axes):
         else:
             first, second = _width_keys(given, axes)
             keys = first + [key for key in second if key not in first]
+            # a large rho shrinks both couplings sqrt(gamma / (2 pi rho)) to zero
+            keys += ["model.rho"] if "rho" in given else []
         raise ConfigError(f"{', '.join(keys)}: {exc}") from exc
     except WidthOverflowError as exc:
         raise ConfigError(f"{_overflow_keys(spec, given, axes, exc.well)}: {exc}") from exc
@@ -510,9 +514,33 @@ def _run_asymptotic(scenario):
     return columns, resolved, {}
 
 
+def _dwell_time(pair, given, axes=()):
+    """:func:`dwell_time` of ``pair``, refused outside (0, inf) with the keys that set it.
+
+    ``given`` and ``axes`` are as for :func:`_build_model`; the keys are
+    those of the detuning and of both widths.  Aligned levels still raise
+    :class:`InfiniteDwellTimeError`.
+    """
+    try:
+        tau = dwell_time(pair)
+    except InfiniteDwellTimeError:
+        raise
+    except ValueError as exc:
+        problem = str(exc)
+    else:
+        if 0.0 < tau < math.inf:
+            return tau
+        problem = f"the dwell time {tau!r} leaves the positive float range"
+    source = dict(zip(axes, ("sweep.values", "sweep.values2")))
+    first, second = _width_keys(given, axes)
+    keys = dict.fromkeys([source.get("epsilon", "model.epsilon")] + first + second)
+    raise ConfigError(f"{', '.join(keys)}: {problem}")
+
+
 def _run_dwell(scenario):
-    pair, resolved = _build_model(*_read_model(scenario.sections))
-    tau = dwell_time(pair)
+    spec, given = _read_model(scenario.sections)
+    pair, resolved = _build_model(spec, given)
+    tau = _dwell_time(pair, given)
     columns = {"tau": np.array([tau]), "rate": np.array([1.0 / tau])}
     return columns, resolved, {}
 
@@ -529,13 +557,25 @@ def single_particle_trajectory(*args, **kwargs):
 
 
 def _check_oracle_work(pair, times, n_levels):
-    """Refuse an oracle run whose arrays or Chebyshev degree pass the caps."""
-    from .oracle import DiscretizedReservoir, single_particle_bounds, single_particle_method
+    """Refuse an oracle run whose band spacing overflows, or whose arrays or
+    Chebyshev degree pass the caps."""
+    from .oracle import (
+        DiscretizedReservoir,
+        default_cutoff,
+        single_particle_bounds,
+        single_particle_method,
+    )
 
     if n_levels > _MAX_ORACLE_LEVELS:
         raise ConfigError(
             f"oracle.n_levels: {n_levels} levels exceed the cap of {_MAX_ORACLE_LEVELS}"
         )
+    # an infinite band spacing turns the levels and couplings into
+    # infinities, and the run into NaN
+    cutoff = default_cutoff(pair) if pair.lambda_cutoff is None else pair.lambda_cutoff
+    if not math.isfinite(2.0 * cutoff / n_levels):
+        key = "model" if pair.lambda_cutoff is None else "model.lambda_cutoff"
+        raise ConfigError(f"{key}: the band spacing 2 * {cutoff!r} / {n_levels} overflows")
     dim = n_levels + 2
     if single_particle_method(n_levels) == "dense":
         if times.size * dim > _MAX_ORACLE_ENTRIES:
@@ -701,12 +741,12 @@ def _sweep_axis(sections, axis_key, values_key):
 
 
 def _sweep_block(pairs, report, times, initial):
-    """Report values of a block of sweep points from one batched evolution."""
+    """Report values of a block of sweep points from one batched evolution and fit."""
     s11, s22, _, _ = _evolve_sigma(pairs, initial, times)
     if report == "sigma11_asymptotic":
         return s11[:, 0].tolist()
-    rates = [fit_decay_rate(t, occ) for t, occ in zip(times, s11 + s22)]
-    return [1.0 / rate for rate in rates] if report == "fitted_tau" else rates
+    rates = fit_decay_rate(times, s11 + s22)
+    return (1.0 / rates if report == "fitted_tau" else rates).tolist()
 
 
 def _run_sweep(scenario):
@@ -748,29 +788,30 @@ def _run_sweep(scenario):
     # Every point's model and scalar prerequisites come first, in grid
     # order, so the first bad point raises; the evolutions then run batched.
     grid = [(v1, v2) for v1 in values1 for v2 in (values2 if values2 else [None])]
-    pairs, times, values = [], [], []
+    pairs, taus, values = [], [], []
     for v1, v2 in grid:
         point = {axis1: v1} if axis2 is None else {axis1: v1, axis2: v2}
         pair, _ = _build_model(spec, given, **point)
         pairs.append(pair)
-        total = pair.gamma1 + pair.gamma2
         if report == "p_trapped":
             values.append(asymptotic_probs(pair, (1.0, 0.0))[0])
-        elif report == "sigma11_asymptotic":
-            times.append([60.0 / total if t_long is None else t_long])
+        elif report != "sigma11_asymptotic":
+            taus.append(_dwell_time(pair, given, point))
+    if report != "p_trapped":
+        totals = np.array([pair.gamma1 + pair.gamma2 for pair in pairs])
+        if report == "sigma11_asymptotic":
+            times = (60.0 / totals if t_long is None else np.full(len(pairs), t_long))[:, None]
         else:
             # Decay fit: sample the occupation after the fast bright
             # transient has died (12 / Gamma'2) over two predicted lifetimes
             # and fit a single exponential.  The prediction fixes only the
             # fit window, not the value.
-            tau_pred = dwell_time(pair)
-            t0 = 12.0 / total
-            times.append(np.linspace(t0, t0 + 2.0 * tau_pred, 48))
-    if report != "p_trapped":
+            t0s = 12.0 / totals
+            times = np.linspace(t0s, t0s + 2.0 * np.array(taus), 48, axis=-1)
         left = SingleParticleState.from_amplitudes(1.0, 0.0)
         for start in range(0, len(pairs), _SWEEP_BLOCK):
             block = slice(start, start + _SWEEP_BLOCK)
-            values += _sweep_block(pairs[block], report, np.array(times[block]), left)
+            values += _sweep_block(pairs[block], report, times[block], left)
     columns = {axis1: np.array([v1 for v1, _ in grid])}
     if axis2 is not None:
         columns[axis2] = np.array([v2 for _, v2 in grid])

@@ -413,7 +413,8 @@ def dwell_time(pair: WellPair) -> float:
     ``tau = gamma2_prime / (4 g12^2)``, equal to
     ``(1/gamma1) (1+y)^3 / (4 y) * (gamma1/eps)^2``.  Requires the
     detuning-induced mixing to exist: aligned levels (or a fully decoupled
-    well) make tau infinite and raise instead of returning a float.
+    well) make tau infinite and raise instead of returning a float, and a
+    mixing whose square underflows to zero raises ``ValueError``.
     """
     if pair.epsilon == 0.0:
         raise InfiniteDwellTimeError(
@@ -424,7 +425,12 @@ def dwell_time(pair: WellPair) -> float:
         raise InfiniteDwellTimeError(
             "dark-bright mixing vanishes (a well is decoupled): infinite dwell time"
         )
-    return rb.gamma2_prime / (4.0 * rb.g12 * rb.g12)
+    mixing = 4.0 * rb.g12 * rb.g12
+    if mixing == 0.0:
+        raise ValueError(
+            f"dark-bright mixing g12 = {rb.g12!r} squares to zero: the dwell time overflows"
+        )
+    return rb.gamma2_prime / mixing
 
 
 def slow_decay_rate(gamma: float, eps: float) -> float:
@@ -437,16 +443,34 @@ def slow_decay_rate(gamma: float, eps: float) -> float:
     return gamma - cmath.sqrt(gamma * gamma - eps * eps).real
 
 
-def fit_decay_rate(times, values) -> float:
+def fit_decay_rate(times, values):
     """Least-squares exponential rate of a decaying positive signal.
 
-    Fits ``log(values)`` linearly in ``times`` and returns minus the slope.
+    Fits ``log(values)`` linearly in ``times`` along the last axis and
+    returns minus the slope, ``-sum(dt * log v) / sum(dt^2)`` with
+    ``dt = t - mean(t)``.  One series gives a float; a ``(k, n)`` stack
+    gives ``k`` rates, each with the bits of fitting its row alone.
+    Refuses fewer than two samples, a value that is not finite and
+    positive, a time that is not finite, and times that are all equal.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.size < 2:
+    # C order: a sum along a contiguous last axis is pairwise, row by row,
+    # as for one series; a strided one would sum in another order
+    times = np.ascontiguousarray(times, dtype=float)
+    values = np.ascontiguousarray(values, dtype=float)
+    if times.shape != values.shape:
+        raise ValueError(
+            f"decay fit requires times and values of one shape, got {times.shape} "
+            f"and {values.shape}"
+        )
+    if times.ndim == 0 or times.shape[-1] < 2:
         raise ValueError("need at least two samples to fit a rate")
-    if np.any(values <= 0.0):
-        raise ValueError("decay fit requires strictly positive values")
-    slope = np.polyfit(times, np.log(values), 1)[0]
-    return -float(slope)
+    if not np.isfinite(times).all():
+        raise ValueError("decay fit requires finite times")
+    if not ((values > 0.0) & (values < math.inf)).all():
+        raise ValueError("decay fit requires finite, strictly positive values")
+    dt = times - times.mean(axis=-1, keepdims=True)
+    spread = np.sum(dt * dt, axis=-1)
+    if not spread.all():
+        raise ValueError("decay fit requires times that are not all equal")
+    rate = -np.sum(dt * np.log(values), axis=-1) / spread
+    return float(rate) if rate.ndim == 0 else rate

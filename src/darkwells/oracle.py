@@ -217,19 +217,22 @@ def single_particle_bounds(pair: WellPair, res: DiscretizedReservoir) -> tuple[f
     return lo - off_norm, hi + off_norm
 
 
-def _check_start(psi: np.ndarray, times: np.ndarray) -> None:
-    """Refuse a start (any column, for stacks) off unit norm, or a negative or decreasing grid."""
+def _check_start(psi: np.ndarray, times: np.ndarray, dim: int) -> None:
+    """Refuse a start of another length than ``dim``, one (any column, for
+    stacks) off unit norm or NaN, or a grid that is negative, decreasing or NaN."""
+    if psi.shape[:1] != (dim,):
+        raise ValueError(f"initial vector has shape {psi.shape}; h has dimension {dim}")
     norms = np.atleast_1d(np.linalg.norm(psi, axis=0))
-    off = np.abs(norms - 1.0) > 1e-9
+    off = ~(np.abs(norms - 1.0) <= 1e-9)
     if off.any():
         raise ValueError(f"initial vector has norm {norms[off][0]}; normalize it first")
-    if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
+    if not (np.all(times >= 0.0) and np.all(np.diff(times) >= 0.0)):
         raise ValueError("times must be non-decreasing and non-negative")
 
 
 def _check_hermitian(h: np.ndarray) -> None:
-    """Refuse an ``h`` that differs from its adjoint by more than 1e-12 of its scale."""
-    if np.abs(h - h.conj().T).max() > 1e-12 * max(1.0, np.abs(h).max()):
+    """Refuse an ``h`` that differs from its adjoint by more than 1e-12 of its scale, or holds NaN."""
+    if not np.abs(h - h.conj().T).max() <= 1e-12 * max(1.0, np.abs(h).max()):
         raise ValueError("Hamiltonian is not Hermitian")
 
 
@@ -252,11 +255,11 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _check_drift(states: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Norm drift of each state (of its worst column, for stacks), one per time.
 
-    Raises at the first time whose drift passes ``_NORM_TOL``.
+    Raises at the first time whose drift passes ``_NORM_TOL`` or is NaN.
     """
     norms = np.linalg.norm(states, axis=1)
     drift = np.abs(norms - 1.0).reshape(times.size, -1).max(axis=1)
-    failed = np.flatnonzero(drift > _NORM_TOL)
+    failed = np.flatnonzero(~(drift <= _NORM_TOL))
     if failed.size:
         j = failed[0]
         raise RuntimeError(f"norm drifted by {float(drift[j])} at t = {times[j]}")
@@ -302,7 +305,7 @@ def evolve_exact(h: np.ndarray, psi0: np.ndarray, times, rows) -> Projection:
         )
     psi0 = np.asarray(psi0, dtype=complex)
     times = np.asarray(times, dtype=float)
-    _check_start(psi0, times)
+    _check_start(psi0, times, dim)
     _check_hermitian(h)
     if times.size == 0:
         empty = np.empty((0,) + psi0[rows].shape, dtype=complex)
@@ -418,13 +421,13 @@ def chebyshev_propagate(
     """
     times = np.asarray(times, dtype=float)
     psi = np.asarray(psi0, dtype=complex)
-    _check_start(psi, times)
+    h = sp.csr_matrix(h)
+    _check_start(psi, times, h.shape[0])
     if times.size == 0:
         out = np.empty((0,) + psi.shape, dtype=complex)
         if rows is None:
             return out
         return Projection(out[:, rows], psi.copy(), 0, 0.0)
-    h = sp.csr_matrix(h)
     if bounds is None:
         bounds = _hermitian_bounds(h)
     e_min, e_max = bounds

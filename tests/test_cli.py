@@ -127,6 +127,51 @@ def test_dwell_scenario(tmp_path):
     assert float(rows[0][1]) == pytest.approx(0.005, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        # tau = 0.0 in dwell; 1 / tau was a ZeroDivisionError traceback
+        ("dwell", "[model]\nepsilon = 1e308\nrho = 0.1\n",
+         "model.epsilon: the dwell time 0.0 leaves the positive float range"),
+        # g12 ~ 7e-201 squares to zero inside dwell_time
+        ("dwell", "[model]\nepsilon = 1e-200\ngamma1 = 7\n",
+         "model.epsilon, model.gamma1: dark-bright mixing"),
+        # the same in a fitted sweep's window, with the axis key
+        ("sweep", "[sweep]\naxis = epsilon\nvalues = 0.5, 1e-200\nreport = fitted_tau\n",
+         "sweep.values: dark-bright mixing"),
+        # a huge rho shrinks both default-width couplings to zero
+        ("asymptotic", "[model]\nrho = 1e308\n", "model.rho: degenerate system"),
+        ("asymptotic", "[model]\ngamma1 = 2\nrho = 1e308\n",
+         "model.gamma1, model.rho: degenerate system"),
+    ],
+    ids=["dwell_underflow", "dwell_mixing", "sweep_mixing", "rho_only", "rho_and_width"],
+)
+def test_float_range_refusals_name_their_keys(tmp_path, capsys, kind, text, message):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "x.csv"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}"), err
+    assert not out.exists()
+
+
+def test_oracle_compare_refuses_an_overflowing_band_before_building(tmp_path, capsys, monkeypatch):
+    # the spacing 2 cutoff / n_levels overflows; the run used to write
+    # 200 nan cells and exit 0
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may be built")
+
+    monkeypatch.setattr(darkwells.cli, "single_particle_trajectory", fail)
+    monkeypatch.setattr(darkwells.cli, "master_trajectory", fail)
+    for cutoff in ("1.7e308", "1e308"):
+        cfg = write_config(
+            tmp_path, f"[model]\nlambda_cutoff = {cutoff}\n[oracle]\nn_levels = 40\n"
+        )
+        assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.lambda_cutoff: the band spacing"), err
+
+
 def test_fermions_two_electron_csv(tmp_path):
     cfg = write_config(tmp_path, "[fermions]\nop = two_electron\ny = 4.0\n")
     out = tmp_path / "fermi.csv"
@@ -1057,12 +1102,13 @@ def test_rendered_floats_roundtrip(fmt):
 
 @pytest.mark.parametrize("report", ["sigma11_asymptotic", "fitted_rate", "fitted_tau"])
 def test_sweep_blocks_match_single_point_evaluation(tmp_path, report):
-    # 37 points span three blocks; each value equals its own unbatched run
-    ys = [0.2 + 0.1 * k for k in range(37)]
+    # 150 points span three blocks of 64; each value equals its own
+    # unbatched evolution and fit
+    ys = [0.2 + 0.1 * k for k in range(150)]
     cfg = write_config(
         tmp_path,
         "[model]\ngamma1 = 1.3\nepsilon = -0.25\neta = -1\n[sweep]\naxis = y\n"
-        f"values = {', '.join(map(repr, ys))}\nreport = {report}\nmax_points = 37\n"
+        f"values = {', '.join(map(repr, ys))}\nreport = {report}\nmax_points = 150\n"
         + ("t_max = 7.5\n" if report == "sigma11_asymptotic" else ""),
     )
     scenario = build_scenario("sweep", load_config(cfg), out="s.csv", fmt="csv")

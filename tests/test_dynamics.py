@@ -216,6 +216,9 @@ def test_dwell_time_divergences_raise():
         dwell_time(WellPair.from_widths(1.0, 1.0, epsilon=0.0))
     with pytest.raises(InfiniteDwellTimeError):
         dwell_time(WellPair(E1=0.1, E2=-0.1, omega1=1.0, omega2=0.0))
+    # a mixing g12 ~ 5e-201 squares to zero: refused, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="squares to zero"):
+        dwell_time(WellPair.from_widths(1.0, 1.0, epsilon=1e-200))
 
 
 def test_dwell_time_governs_slow_decay():
@@ -248,6 +251,62 @@ def test_fit_decay_rate_recovers_exact_exponential():
         fit_decay_rate([0.0], [1.0])
     with pytest.raises(ValueError):
         fit_decay_rate([0.0, 1.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 0.5]),
+        ([0.0, 1.0, 2.0], [1.0, math.inf, 0.5]),
+        ([0.0, math.nan, 2.0], [1.0, 0.7, 0.5]),
+        ([0.0, math.inf, 2.0], [1.0, 0.7, 0.5]),
+        ([1.0, 1.0, 1.0], [1.0, 0.7, 0.5]),
+        ([[0.0, 1.0], [0.0, 1.0]], [[1.0, 0.5], [1.0, math.nan]]),
+        ([0.0, 1.0, 2.0], [[1.0, 0.7, 0.5]]),
+    ],
+    ids=["nan_value", "inf_value", "nan_time", "inf_time", "equal_times", "nan_in_stack",
+         "shape_mismatch"],
+)
+def test_fit_decay_rate_refuses_what_has_no_finite_rate(times, values):
+    with pytest.raises(ValueError, match="decay fit requires"):
+        fit_decay_rate(times, values)
+
+
+def _cli_windows(count):
+    """Fit windows and exact occupations as ``darkwells sweep`` samples them.
+
+    Start ``12 / (gamma1 + gamma2)``, span two dwell times, 48 samples.
+    """
+    rng = np.random.default_rng(20)
+    times, values = [], []
+    for _ in range(count):
+        gamma1 = rng.uniform(0.2, 5.0)
+        pair = WellPair.from_widths(
+            gamma1, gamma1 * rng.uniform(0.1, 8.0), eta=int(rng.choice([-1, 1])),
+            epsilon=rng.uniform(0.05, 0.6) * gamma1 * rng.choice([-1.0, 1.0]),
+        )
+        t0 = 12.0 / (pair.gamma1 + pair.gamma2)
+        window = np.linspace(t0, t0 + 2.0 * dwell_time(pair), 48)
+        times.append(window)
+        values.append(master_trajectory(pair, LEFT + (0.0,), window).occupation)
+    return np.array(times), np.array(values)
+
+
+def test_fit_decay_rate_stack_has_the_bits_of_each_row():
+    times, values = _cli_windows(70)
+    rates = fit_decay_rate(times, values)
+    assert rates.shape == (70,)
+    alone = [fit_decay_rate(t, v) for t, v in zip(times, values)]
+    assert all(type(rate) is float for rate in alone)
+    assert rates.tolist() == alone
+    # a strided stack, as np.linspace(..., axis=-1) builds, fits the same
+    assert fit_decay_rate(np.asfortranarray(times), np.asfortranarray(values)).tolist() == alone
+
+
+def test_fit_decay_rate_matches_polyfit_on_cli_windows():
+    times, values = _cli_windows(200)
+    want = [-np.polyfit(t, np.log(v), 1)[0] for t, v in zip(times, values)]
+    np.testing.assert_allclose(fit_decay_rate(times, values), want, rtol=1e-13, atol=0.0)
 
 
 def test_evolve_master_guards():

@@ -201,6 +201,11 @@ _BAD_INPUTS = {
                      "norm 2"),
     "decreasing_times": (_unit(6, 2), [0.0, 1.0, 0.5], "non-decreasing"),
     "negative_time": (_unit(6, 2), [-0.5, 0.0, 1.0], "non-negative"),
+    "nan_time": (_unit(6, 2), [0.0, math.nan, 1.0], "non-negative"),
+    "nan_start": (np.full(6, math.nan, dtype=complex), [0.0, 0.5, 1.0], "norm nan"),
+    "long_start": (_unit(7, 2), [0.0, 0.5, 1.0], r"shape \(7,\); h has dimension 6"),
+    "short_stack": (np.eye(5, 2, dtype=complex), [0.0, 0.5, 1.0],
+                    r"shape \(5, 2\); h has dimension 6"),
 }
 
 
@@ -219,6 +224,20 @@ def test_propagators_refuse_the_same_bad_input(monkeypatch, case):
         chebyshev_propagate(h, psi0, times)
     with pytest.raises(ValueError, match=refusal):
         chebyshev_propagate(h, psi0, times, rows=[0, 1])
+
+
+def test_propagators_refuse_nan_in_h():
+    # every comparison with NaN is false, so a check written as x > tol let
+    # these through: the expansion returned a NaN component and the dense
+    # run an all-NaN state
+    h = np.diag([0.0, 1.0, math.nan])
+    psi0 = _unit(3, 0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve_exact(h, psi0, [0.0, 1.0], [0])
+    with pytest.raises(RuntimeError, match="norm drifted by nan at t = 1.0"):
+        chebyshev_propagate(h, psi0, [0.0, 1.0], bounds=(0.0, 2.0))
+    with pytest.raises(RuntimeError, match="norm drifted by nan at t = 1.0"):
+        chebyshev_propagate(h, psi0, [0.0, 1.0], bounds=(0.0, 2.0), rows=[0])
 
 
 @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex_h", "real_h"])

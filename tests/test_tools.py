@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -230,3 +231,25 @@ def test_render_digests_compare_lists_every_differing_array(monkeypatch, tmp_pat
     assert line == ["s inf gone w=inf x=0.5 z=8.88e-16"]
     np.savez(b / "s.npz", **{"x": same, "y": same, "z": same, "gone": same, "w": [np.nan]})
     assert render_digests.compare_lines(str(a), str(b)) == ["s 0 -"]
+
+
+def test_render_digests_compare_stops_quietly_when_the_reader_does(tmp_path):
+    # a scenario only A has needs no array read; 1000 lines of over 200
+    # bytes overfill the pipe, so the script writes on after the reader
+    # has closed it, as under `| head -1`
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    for k in range(1000):
+        (a / f"{'s' * 200}{k:04d}.npz").touch()
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "tools" / "render_digests.py"), "--compare", str(a), str(b)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert first == f"{'s' * 200}0000 inf only-in-A\n".encode()
+    assert err == b""

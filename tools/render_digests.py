@@ -38,6 +38,9 @@ over its arrays and the array that holds it, then each other array that
 differs as ``name=difference``; a string that differs, a shape that
 differs, a NaN against a number or an array only one side has counts as
 ``inf``, and hides no finite difference.
+
+A reader that closes the pipe early (``| head``) ends the listing
+quietly, with exit code 0.
 """
 
 from __future__ import annotations
@@ -249,8 +252,14 @@ def main(argv=None):
         lines = digest_lines(args.workload, args.seed, args.dump)
     else:
         parser.error("give --workload and --seed, or --compare")
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); point stdout at devnull so
+        # the flush at exit meets no closed pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
