@@ -231,7 +231,7 @@ def _check_start(psi: np.ndarray, times: np.ndarray, dim: int) -> None:
 
 
 def _check_hermitian(h: np.ndarray) -> None:
-    """Refuse an ``h`` that differs from its adjoint by more than 1e-12 of its scale, or holds NaN."""
+    """Refuse an ``h`` off its adjoint by more than 1e-12 of its scale, or holding NaN."""
     if not np.abs(h - h.conj().T).max() <= 1e-12 * max(1.0, np.abs(h).max()):
         raise ValueError("Hamiltonian is not Hermitian")
 
