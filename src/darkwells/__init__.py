@@ -25,6 +25,7 @@ from .rotation import (
 )
 from .dynamics import (
     InfiniteDwellTimeError,
+    PropagatorOverflowError,
     SingleParticleState,
     Trajectory,
     amplitude_trajectory,

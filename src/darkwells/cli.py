@@ -42,6 +42,7 @@ from .bosons import (
 )
 from .dynamics import (
     InfiniteDwellTimeError,
+    PropagatorOverflowError,
     SingleParticleState,
     _evolve_sigma,
     asymptotic_probs,
@@ -56,13 +57,7 @@ from .fermions import (
     two_electron_asymptotic,
     two_electron_parallel_asymptotic,
 )
-from .model import (
-    TWO_PI,
-    DegenerateSystemError,
-    ParallelWellPair,
-    WellPair,
-    WidthOverflowError,
-)
+from .model import DegenerateSystemError, ParallelWellPair, WellPair, WidthOverflowError
 from .rotation import dark_state
 
 __all__ = ["ConfigError", "Scenario", "RunResult", "load_config", "render", "run", "main"]
@@ -95,6 +90,20 @@ KINDS = (
 
 FORMATS = ("csv", "json")
 
+# Each fermions.op and bosons.law, with the other keys of its section it
+# reads; a key the choice does not read is refused rather than ignored.
+_FERMION_OPS = {
+    "two_electron": {"y", "eta"},
+    "two_electron_parallel": set(),
+    "three_electron": set(),
+}
+_BOSON_LAWS = {
+    "emission": {"n1", "n2", "y", "eta"},
+    "equal_fill": {"n"},
+    "one_well": {"n", "y"},
+    "retained_split": {"n_retained", "y"},
+}
+
 # Every key the config may contain, by section; anything else is a typo
 # and gets reported with its full key path.
 _ALLOWED_KEYS = {
@@ -118,8 +127,8 @@ _ALLOWED_KEYS = {
     "grid": {"t_max", "n_points"},
     "output": {"path", "format"},
     "oracle": {"n_levels"},
-    "fermions": {"op", "y", "eta"},
-    "bosons": {"law", "n1", "n2", "y", "eta", "n", "n_retained"},
+    "fermions": {"op"}.union(*_FERMION_OPS.values()),
+    "bosons": {"law"}.union(*_BOSON_LAWS.values()),
     "sweep": {"axis", "values", "axis2", "values2", "report", "max_points", "t_max"},
 }
 # The sections each kind reads besides [scenario] and [output]; a kind
@@ -139,19 +148,6 @@ _WIDTH_KEYS = ("gamma1", "gamma2", "y", "epsilon", "eta")
 # y and gamma2 both set the second width, so a sweep takes at most one of them
 _SWEEP_AXES = ("y", "epsilon", "gamma1", "gamma2")
 _SWEEP_REPORTS = ("sigma11_asymptotic", "p_trapped", "fitted_tau", "fitted_rate")
-# Each fermions.op and bosons.law, with the other keys of its section it
-# reads; a key the choice does not read is refused rather than ignored.
-_FERMION_OPS = {
-    "two_electron": {"y", "eta"},
-    "two_electron_parallel": set(),
-    "three_electron": set(),
-}
-_BOSON_LAWS = {
-    "emission": {"n1", "n2", "y", "eta"},
-    "equal_fill": {"n"},
-    "one_well": {"n", "y"},
-    "retained_split": {"n_retained", "y"},
-}
 
 
 class ConfigError(ValueError):
@@ -351,38 +347,38 @@ def _read_model(sections, parallel=False, sweep=False, band=False):
     return {key: value for key, value in spec.items() if value is not None}, frozenset(sec)
 
 
-def _width_keys(given, axes):
-    """The config keys that set width-style ``gamma1`` and ``gamma2``.
+def _model_keys(spec, given, axes, *quantities):
+    """The config keys that set ``quantities`` of a model, joined for a refusal.
 
-    An axis value comes from ``sweep.values`` or ``sweep.values2``, the
-    rest from the [model] keys in ``given``; a width left at its default
-    has none.  A second width given as ``y`` is ``y * gamma1``, so it has
-    the keys of both, and one left at its default is the config's
-    ``gamma1``.
+    ``spec`` and ``given`` are :func:`_read_model`'s, and ``axes`` the
+    sweep axes of the point, in axis order.  Each quantity is ``gamma1``,
+    ``gamma2``, ``epsilon``, ``rho`` or ``lambda_cutoff``.  A swept one
+    comes from ``sweep.values`` or ``sweep.values2``, the rest from the
+    [model] keys in ``given``, so one left at its default has none.  In
+    width style a second width given as ``y`` is ``y * gamma1``, with the
+    keys of both, and one left at its default is the config's ``gamma1``.
+    In coupling style ``gammaJ`` comes from ``omegaJ`` and ``epsilon`` from
+    ``e1`` and ``e2``.  A default cutoff is set by the widths and the
+    detuning.  With no key at all the section ``model`` stands in.
     """
     source = dict(zip(axes, ("sweep.values", "sweep.values2")))
+    coupling = {"gamma1": ("omega1",), "gamma2": ("omega2",), "epsilon": ("e1", "e2")}
 
     def keys(name):
+        names = (name,)
         if name in source:
             return [source[name]]
-        return [f"model.{name}"] if name in given else []
+        if "omega1" in spec and name in coupling:
+            names = coupling[name]
+        elif name == "gamma2" and ("y" in source or "y" in given):
+            return keys("gamma1") + keys("y")
+        elif name == "gamma2" and "gamma2" not in given:
+            names = ("gamma1",)
+        elif name == "lambda_cutoff" and name not in given:
+            return keys("gamma1") + keys("gamma2") + keys("epsilon")
+        return [f"model.{key}" for key in names if key in given]
 
-    first = keys("gamma1")
-    if "gamma2" in source:
-        second = keys("gamma2")
-    elif "y" in source or "y" in given:
-        second = first + keys("y")
-    elif "gamma2" in given:
-        second = ["model.gamma2"]
-    else:
-        second = ["model.gamma1"] if "gamma1" in given else []
-    return first, second
-
-
-def _overflow_keys(spec, given, axes, j):
-    """The keys behind width ``gamma{j}`` and its coupling, ``model.rho`` when given."""
-    keys = [f"model.omega{j}"] if "omega1" in spec else _width_keys(given, axes)[j - 1]
-    return ", ".join(keys + (["model.rho"] if "rho" in given else []))
+    return ", ".join(dict.fromkeys(key for name in quantities for key in keys(name))) or "model"
 
 
 def _build_model(spec, given, **axes):
@@ -396,6 +392,7 @@ def _build_model(spec, given, **axes):
     Both name ``model.rho`` too when the config gives it, except for
     vanishing couplings given as ``omega1`` and ``omega2``.
     """
+    coupling = "omega1" in spec
     kwargs = {**spec, **axes}
     if "y" in axes:
         kwargs.pop("gamma2", None)
@@ -403,30 +400,16 @@ def _build_model(spec, given, **axes):
         kwargs.setdefault("gamma2", kwargs.pop("y") * kwargs["gamma1"])
     yprime, u = kwargs.pop("yprime", None), kwargs.pop("u", 0.0)
     try:
-        pair = WellPair(**kwargs) if "omega1" in kwargs else WellPair.from_widths(**kwargs)
+        pair = WellPair(**kwargs) if coupling else WellPair.from_widths(**kwargs)
         model = pair if yprime is None else ParallelWellPair(base=pair, yprime=yprime, U=u)
     except DegenerateSystemError as exc:
-        if "omega1" in spec:
-            keys = ["model.omega1", "model.omega2"]
-        else:
-            first, second = _width_keys(given, axes)
-            keys = first + [key for key in second if key not in first]
-            # a large rho shrinks both couplings sqrt(gamma / (2 pi rho)) to zero
-            keys += ["model.rho"] if "rho" in given else []
-        raise ConfigError(f"{', '.join(keys)}: {exc}") from exc
+        # a large rho shrinks both couplings sqrt(gamma / (2 pi rho)) to zero
+        rho = () if coupling else ("rho",)
+        keys = _model_keys(spec, given, axes, "gamma1", "gamma2", *rho)
+        raise ConfigError(f"{keys}: {exc}") from exc
     except WidthOverflowError as exc:
-        raise ConfigError(f"{_overflow_keys(spec, given, axes, exc.well)}: {exc}") from exc
-    except ValueError as exc:
-        if "omega1" in spec:
-            raise ConfigError(f"model: {exc}") from exc
-        # the parsed values are finite, so a coupling sqrt(gamma / (2 pi
-        # rho)) overflowed: the first one WellPair checks that does
-        rho = kwargs.get("rho", 1.0 / TWO_PI)
-        j = 1 if math.isinf(kwargs["gamma1"] / (TWO_PI * rho)) else 2
-        raise ConfigError(
-            f"{_overflow_keys(spec, given, axes, j)}: width gamma{j} = "
-            f"{kwargs[f'gamma{j}']!r} is too large for a finite coupling at rho = {rho!r}"
-        ) from exc
+        keys = _model_keys(spec, given, axes, f"gamma{exc.well}", "rho")
+        raise ConfigError(f"{keys}: {exc}") from exc
     resolved = {
         "model.E1": pair.E1,
         "model.E2": pair.E2,
@@ -458,10 +441,13 @@ def _resolve_initial(sections):
     return (b1, b2), resolved
 
 
-def _resolve_grid(sections, default_t_max):
+def _resolve_grid(sections, default_t_max, default_keys):
+    """The time grid; ``default_keys`` name what sets ``default_t_max``."""
     t_max = _parse_number(sections, "grid", "t_max", default=default_t_max)
     n_points = _parse_number(sections, "grid", "n_points", default=200, kind=int)
     _require_positive("grid.t_max", t_max)
+    if math.isinf(t_max):
+        raise ConfigError(f"{default_keys}: the default grid.t_max is not finite; set grid.t_max")
     if n_points < 2:
         raise ConfigError(f"grid.n_points: need at least 2 points, got {n_points}")
     if n_points > _MAX_GRID_POINTS:
@@ -473,14 +459,30 @@ def _resolve_grid(sections, default_t_max):
     return times, resolved
 
 
+def _master_trajectory(pair, initial, times, spec, given, sections):
+    """:func:`master_trajectory`, an exponent that overflows refused with the
+    keys that set it: the detuning's, both widths' and ``grid.t_max`` when given."""
+    try:
+        return master_trajectory(pair, initial, times)
+    except PropagatorOverflowError as exc:
+        keys = _model_keys(spec, given, {}, "epsilon", "gamma1", "gamma2")
+        keys += ", grid.t_max" if "t_max" in sections.get("grid", {}) else ""
+        raise ConfigError(f"{keys}: {exc}") from exc
+
+
 def _run_evolve(scenario):
-    pair, resolved = _build_model(*_read_model(scenario.sections))
+    spec, given = _read_model(scenario.sections)
+    pair, resolved = _build_model(spec, given)
     (b1, b2), res_init = _resolve_initial(scenario.sections)
-    times, res_grid = _resolve_grid(scenario.sections, default_t_max=10.0 / pair.gamma1)
+    times, res_grid = _resolve_grid(
+        scenario.sections,
+        10.0 / pair.gamma1 if pair.gamma1 else math.inf,
+        _model_keys(spec, given, {}, "gamma1"),
+    )
     resolved.update(res_init)
     resolved.update(res_grid)
     initial = SingleParticleState.from_amplitudes(b1, b2)
-    traj = master_trajectory(pair, initial, times)
+    traj = _master_trajectory(pair, initial, times, spec, given, scenario.sections)
     columns = {
         "t": traj.times,
         "sigma11": traj.sigma11,
@@ -514,33 +516,26 @@ def _run_asymptotic(scenario):
     return columns, resolved, {}
 
 
-def _dwell_time(pair, given, axes=()):
-    """:func:`dwell_time` of ``pair``, refused outside (0, inf) with the keys that set it.
+def _dwell_time(pair, spec, given, axes=()):
+    """:func:`dwell_time` of ``pair``, its refusals named by the keys that set it.
 
-    ``given`` and ``axes`` are as for :func:`_build_model`; the keys are
-    those of the detuning and of both widths.  Aligned levels still raise
-    :class:`InfiniteDwellTimeError`.
+    ``spec``, ``given`` and ``axes`` are as for :func:`_model_keys`; the
+    keys are those of the detuning and of both widths.  Aligned levels
+    still raise :class:`InfiniteDwellTimeError`.
     """
     try:
-        tau = dwell_time(pair)
+        return dwell_time(pair)
     except InfiniteDwellTimeError:
         raise
     except ValueError as exc:
-        problem = str(exc)
-    else:
-        if 0.0 < tau < math.inf:
-            return tau
-        problem = f"the dwell time {tau!r} leaves the positive float range"
-    source = dict(zip(axes, ("sweep.values", "sweep.values2")))
-    first, second = _width_keys(given, axes)
-    keys = dict.fromkeys([source.get("epsilon", "model.epsilon")] + first + second)
-    raise ConfigError(f"{', '.join(keys)}: {problem}")
+        keys = _model_keys(spec, given, axes, "epsilon", "gamma1", "gamma2")
+        raise ConfigError(f"{keys}: {exc}") from exc
 
 
 def _run_dwell(scenario):
     spec, given = _read_model(scenario.sections)
     pair, resolved = _build_model(spec, given)
-    tau = _dwell_time(pair, given)
+    tau = _dwell_time(pair, spec, given)
     columns = {"tau": np.array([tau]), "rate": np.array([1.0 / tau])}
     return columns, resolved, {}
 
@@ -556,26 +551,31 @@ def single_particle_trajectory(*args, **kwargs):
     return run(*args, **kwargs)
 
 
-def _check_oracle_work(pair, times, n_levels):
-    """Refuse an oracle run whose band spacing overflows, or whose arrays or
-    Chebyshev degree pass the caps."""
-    from .oracle import (
-        DiscretizedReservoir,
-        default_cutoff,
-        single_particle_bounds,
-        single_particle_method,
-    )
+def _check_oracle_work(pair, times, n_levels, band_keys, phase_keys):
+    """Refuse an oracle run whose band spacing or phases ``t E`` overflow, or
+    whose arrays or Chebyshev degree pass the caps.
+
+    ``band_keys`` names the keys that set the band, and ``phase_keys`` those
+    that set the band and the last time.
+    """
+    from .oracle import DiscretizedReservoir, single_particle_bounds, single_particle_method
 
     if n_levels > _MAX_ORACLE_LEVELS:
         raise ConfigError(
             f"oracle.n_levels: {n_levels} levels exceed the cap of {_MAX_ORACLE_LEVELS}"
         )
-    # an infinite band spacing turns the levels and couplings into
-    # infinities, and the run into NaN
-    cutoff = default_cutoff(pair) if pair.lambda_cutoff is None else pair.lambda_cutoff
-    if not math.isfinite(2.0 * cutoff / n_levels):
-        key = "model" if pair.lambda_cutoff is None else "model.lambda_cutoff"
-        raise ConfigError(f"{key}: the band spacing 2 * {cutoff!r} / {n_levels} overflows")
+    try:
+        res = DiscretizedReservoir.for_pair(pair, n_levels)
+    except ValueError as exc:
+        raise ConfigError(f"{band_keys}: {exc}") from exc
+    # the bounds enclose the spectrum, so finite t * bounds mean finite phases
+    lo, hi = single_particle_bounds(pair, res)
+    t_max = float(times[-1])
+    if not (math.isfinite(t_max * lo) and math.isfinite(t_max * hi)):
+        raise ConfigError(
+            f"{phase_keys}: the phases t E of the band "
+            f"[{lo!r}, {hi!r}] overflow by t = {t_max!r}"
+        )
     dim = n_levels + 2
     if single_particle_method(n_levels) == "dense":
         if times.size * dim > _MAX_ORACLE_ENTRIES:
@@ -584,8 +584,7 @@ def _check_oracle_work(pair, times, n_levels):
                 f"the cap of {_MAX_ORACLE_ENTRIES} stored amplitudes"
             )
         return
-    lo, hi = single_particle_bounds(pair, DiscretizedReservoir.for_pair(pair, n_levels))
-    degree = 0.5 * (hi - lo) * float(times[-1])
+    degree = 0.5 * (hi - lo) * t_max
     if degree > _MAX_CHEBYSHEV_DEGREE:
         raise ConfigError(
             f"grid.t_max: needs a Chebyshev degree of about {degree:.3g}, "
@@ -601,9 +600,14 @@ def _check_oracle_work(pair, times, n_levels):
 def _run_oracle_compare(scenario):
     from .oracle import convergence_report
 
-    pair, resolved = _build_model(*_read_model(scenario.sections, band=True))
+    spec, given = _read_model(scenario.sections, band=True)
+    pair, resolved = _build_model(spec, given)
     (b1, b2), res_init = _resolve_initial(scenario.sections)
-    times, res_grid = _resolve_grid(scenario.sections, default_t_max=8.0 / (pair.gamma1 + pair.gamma2))
+    times, res_grid = _resolve_grid(
+        scenario.sections,
+        8.0 / (pair.gamma1 + pair.gamma2),
+        _model_keys(spec, given, {}, "gamma1", "gamma2"),
+    )
     resolved.update(res_init)
     resolved.update(res_grid)
     n_levels = _parse_number(scenario.sections, "oracle", "n_levels", default=2000, kind=int)
@@ -614,10 +618,12 @@ def _run_oracle_compare(scenario):
             f"oracle.n_levels: must be even to keep the reservoir grid symmetric, "
             f"got {n_levels}"
         )
-    _check_oracle_work(pair, times, n_levels)
+    band = _model_keys(spec, given, {}, "lambda_cutoff")
+    phase = band + ", grid.t_max" if "t_max" in scenario.sections.get("grid", {}) else band
+    _check_oracle_work(pair, times, n_levels, band, phase)
     resolved["oracle.n_levels"] = n_levels
     initial = SingleParticleState.from_amplitudes(b1, b2)
-    reference = master_trajectory(pair, initial, times)
+    reference = _master_trajectory(pair, initial, times, spec, given, scenario.sections)
     oracle_run = single_particle_trajectory(pair, (b1, b2), times, n_levels=n_levels)
     err = np.abs(oracle_run.trajectory.sigma11 - reference.sigma11)
     columns = {
@@ -788,15 +794,15 @@ def _run_sweep(scenario):
     # Every point's model and scalar prerequisites come first, in grid
     # order, so the first bad point raises; the evolutions then run batched.
     grid = [(v1, v2) for v1 in values1 for v2 in (values2 if values2 else [None])]
+    points = [{axis1: v1} if axis2 is None else {axis1: v1, axis2: v2} for v1, v2 in grid]
     pairs, taus, values = [], [], []
-    for v1, v2 in grid:
-        point = {axis1: v1} if axis2 is None else {axis1: v1, axis2: v2}
+    for point in points:
         pair, _ = _build_model(spec, given, **point)
         pairs.append(pair)
         if report == "p_trapped":
             values.append(asymptotic_probs(pair, (1.0, 0.0))[0])
         elif report != "sigma11_asymptotic":
-            taus.append(_dwell_time(pair, given, point))
+            taus.append(_dwell_time(pair, spec, given, point))
     if report != "p_trapped":
         totals = np.array([pair.gamma1 + pair.gamma2 for pair in pairs])
         if report == "sigma11_asymptotic":
@@ -807,11 +813,27 @@ def _run_sweep(scenario):
             # and fit a single exponential.  The prediction fixes only the
             # fit window, not the value.
             t0s = 12.0 / totals
-            times = np.linspace(t0s, t0s + 2.0 * np.array(taus), 48, axis=-1)
+            ends = t0s + 2.0 * np.array(taus)
+            times = np.linspace(t0s, ends, 48, axis=-1)
+            # a window below the resolution of its start holds one time only
+            empty = np.flatnonzero(ends == t0s)
+            if empty.size:
+                k = empty[0]
+                keys = _model_keys(spec, given, points[k], "epsilon", "gamma1", "gamma2")
+                raise ConfigError(
+                    f"{keys}: the fit window 2 tau = {2.0 * taus[k]!r} vanishes "
+                    f"next to its start t = {float(t0s[k])!r}"
+                )
         left = SingleParticleState.from_amplitudes(1.0, 0.0)
-        for start in range(0, len(pairs), _SWEEP_BLOCK):
-            block = slice(start, start + _SWEEP_BLOCK)
-            values += _sweep_block(pairs[block], report, times[block], left)
+        try:
+            for start in range(0, len(pairs), _SWEEP_BLOCK):
+                block = slice(start, start + _SWEEP_BLOCK)
+                values += _sweep_block(pairs[block], report, times[block], left)
+        except PropagatorOverflowError as exc:
+            point = points[start + exc.index]
+            keys = _model_keys(spec, given, point, "epsilon", "gamma1", "gamma2")
+            keys += "" if t_long is None else ", sweep.t_max"
+            raise ConfigError(f"{keys}: {exc}") from exc
     columns = {axis1: np.array([v1 for v1, _ in grid])}
     if axis2 is not None:
         columns[axis2] = np.array([v2 for _, v2 in grid])

@@ -28,6 +28,7 @@ from .rotation import dark_state, rotate
 
 __all__ = [
     "InfiniteDwellTimeError",
+    "PropagatorOverflowError",
     "SingleParticleState",
     "Trajectory",
     "effective_hamiltonian",
@@ -49,6 +50,17 @@ _NORM_TOL = 1e-9
 
 class InfiniteDwellTimeError(ValueError):
     """Aligned levels support a true bound state: the dwell time diverges."""
+
+
+class PropagatorOverflowError(ValueError):
+    """``exp(-i H_eff t)`` leaves the float range, as when a phase ``lambda t`` does.
+
+    ``index`` is the place of the pair in the stack that was evolved.
+    """
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -144,6 +156,8 @@ def effective_hamiltonian(pair: WellPair) -> np.ndarray:
     )
 
 
+# an overflow shows as a propagator that is not finite, refused at the end
+@np.errstate(over="ignore", invalid="ignore")
 def _propagators(pairs, times) -> np.ndarray:
     """Closed-form exp(-i H_eff t) for a stack of pairs, each on its own times.
 
@@ -151,7 +165,9 @@ def _propagators(pairs, times) -> np.ndarray:
     ``pairs[k]``); the result has shape ``times.shape + (2, 2)``.  Written
     in terms of the two eigen-exponentials exp(-i lambda_pm t), which decay
     for any passive system, so no intermediate cosh blowup occurs at large
-    t.
+    t.  Where the arithmetic leaves the float range, as a phase ``lambda t``
+    does at ``|eps| t ~ 1e308``, the first pair and time whose propagator is
+    not finite raise :class:`PropagatorOverflowError`.
     """
     times = np.asarray(times, dtype=float)
     # per pair: |mu|, mu, 2 mu, and the exponents -i tr/2, -i (tr/2 -+ mu)
@@ -164,6 +180,11 @@ def _propagators(pairs, times) -> np.ndarray:
         m[k] = h - half_tr * np.eye(2)
         # cmath, not numpy: the complex square root must match to the last bit
         mu = cmath.sqrt(m[k, 0, 0] * m[k, 0, 0] + m[k, 0, 1] * m[k, 1, 0])
+        if not cmath.isfinite(mu):
+            # the squares overflowed: take the root of the entries scaled down
+            a, b, c = m[k, 0, 0], m[k, 0, 1], m[k, 1, 0]
+            s = max(abs(a), abs(b), abs(c))
+            mu = s * cmath.sqrt((a / s) * (a / s) + (b / s) * (c / s))
         abs_mu[k] = abs(mu)
         coef[:, k] = (
             mu,
@@ -193,7 +214,14 @@ def _propagators(pairs, times) -> np.ndarray:
     cos_term[rest] = 0.5 * (e_minus + e_plus)
     sin_term[rest] = (e_minus - e_plus) / two_mu[rest]
     m = m[per_pair]
-    return cos_term[..., None, None] * np.eye(2) - sin_term[..., None, None] * m
+    u = cos_term[..., None, None] * np.eye(2) - sin_term[..., None, None] * m
+    bad = np.argwhere(~np.isfinite(u).all(axis=(-2, -1)))
+    if bad.size:
+        raise PropagatorOverflowError(
+            int(bad[0][0]),
+            f"exp(-i H_eff t) leaves the float range at t = {float(times[tuple(bad[0])])!r}",
+        )
+    return u
 
 
 def _check_times(times) -> np.ndarray:
@@ -413,8 +441,10 @@ def dwell_time(pair: WellPair) -> float:
     ``tau = gamma2_prime / (4 g12^2)``, equal to
     ``(1/gamma1) (1+y)^3 / (4 y) * (gamma1/eps)^2``.  Requires the
     detuning-induced mixing to exist: aligned levels (or a fully decoupled
-    well) make tau infinite and raise instead of returning a float, and a
-    mixing whose square underflows to zero raises ``ValueError``.
+    well) make tau infinite and raise instead of returning a float.  A
+    mixing whose square underflows to zero, or a tau outside the positive
+    float range (``epsilon = 1e308`` at ``rho = 0.1`` gives 0.0), raises
+    ``ValueError``.
     """
     if pair.epsilon == 0.0:
         raise InfiniteDwellTimeError(
@@ -430,7 +460,10 @@ def dwell_time(pair: WellPair) -> float:
         raise ValueError(
             f"dark-bright mixing g12 = {rb.g12!r} squares to zero: the dwell time overflows"
         )
-    return rb.gamma2_prime / mixing
+    tau = rb.gamma2_prime / mixing
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"the dwell time {tau!r} leaves the positive float range")
+    return tau
 
 
 def slow_decay_rate(gamma: float, eps: float) -> float:

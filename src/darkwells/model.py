@@ -35,16 +35,14 @@ class NoBoundStateError(ValueError):
 
 
 class WidthOverflowError(ValueError):
-    """A finite coupling whose width ``2 pi omega^2 rho`` is infinite.
+    """A width ``gamma = 2 pi omega^2 rho`` and its coupling ``omega`` that are
+    not both finite.
 
-    ``well`` is 1 or 2, the well whose width overflows.
+    ``well`` is 1 or 2, the well whose width or coupling overflows.
     """
 
-    def __init__(self, well: int, omega: float, rho: float):
-        super().__init__(
-            f"width gamma{well} = 2 pi omega{well}^2 rho overflows at "
-            f"omega{well} = {omega!r}, rho = {rho!r}"
-        )
+    def __init__(self, well: int, message: str):
+        super().__init__(message)
         self.well = well
 
 
@@ -102,7 +100,11 @@ class WellPair:
             object.__setattr__(self, "lambda_cutoff", cut)
         for well, width, omega in ((1, self.gamma1, self.omega1), (2, self.gamma2, self.omega2)):
             if math.isinf(width):
-                raise WidthOverflowError(well, omega, self.rho)
+                raise WidthOverflowError(
+                    well,
+                    f"width gamma{well} = 2 pi omega{well}^2 rho overflows at "
+                    f"omega{well} = {omega!r}, rho = {self.rho!r}",
+                )
 
     @classmethod
     def from_widths(
@@ -119,13 +121,23 @@ class WellPair:
         ``gamma_j = 2 pi omega_j^2 rho`` is inverted for ``omega_j``, the
         relative sign ``eta`` goes on ``omega2``, and the detuning is split
         symmetrically: ``E1 = +epsilon/2``, ``E2 = -epsilon/2``.  ``rho``
-        and the widths are checked before any arithmetic.
+        and the widths are checked before any arithmetic.  A width too large
+        for a finite coupling ``sqrt(gamma / (2 pi rho))`` raises
+        :class:`WidthOverflowError`, naming the first such well.
         """
         rho = _require_positive("rho", rho)
         if gamma1 < 0.0 or gamma2 < 0.0:
             raise ValueError("widths must be non-negative")
         if eta not in (1, -1):
             raise ValueError(f"eta must be +1 or -1, got {eta!r}")
+        for well, gamma in ((1, gamma1), (2, gamma2)):
+            # inf, or nan where an infinite gamma meets an infinite 2 pi rho
+            if not math.isfinite(gamma / (TWO_PI * rho)):
+                raise WidthOverflowError(
+                    well,
+                    f"width gamma{well} = {gamma!r} is too large for a finite "
+                    f"coupling at rho = {rho!r}",
+                )
         omega1 = math.sqrt(gamma1 / (TWO_PI * rho))
         omega2 = eta * math.sqrt(gamma2 / (TWO_PI * rho))
         return cls(

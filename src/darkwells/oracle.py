@@ -112,7 +112,9 @@ class DiscretizedReservoir:
 
     ``n_levels`` must be even so the grid ``-cutoff + (k + 1/2) * spacing``
     stays symmetric and never places a level at exactly zero energy, where
-    it would artificially pin the aligned-well resonance.
+    it would artificially pin the aligned-well resonance.  A spacing
+    ``2 cutoff / n_levels`` that is not finite, or so fine that the
+    recurrence time ``2 pi / spacing`` is not, raises ``ValueError``.
     """
 
     n_levels: int
@@ -134,6 +136,13 @@ class DiscretizedReservoir:
         if cutoff <= 0.0:
             raise ValueError(f"cutoff must be positive, got {cutoff}")
         spacing = 2.0 * cutoff / n_levels
+        # an infinite spacing makes the levels NaN, and one too fine leaves
+        # the recurrence time infinite
+        if not 0.0 < spacing < math.inf or math.isinf(2.0 * math.pi / spacing):
+            raise ValueError(
+                f"the band spacing 2 * {cutoff!r} / {n_levels} = {spacing!r} "
+                "or its recurrence time 2 pi / spacing leaves the float range"
+            )
         energies = -cutoff + spacing * (np.arange(n_levels) + 0.5)
         return cls(
             n_levels=n_levels,
@@ -231,8 +240,13 @@ def _check_start(psi: np.ndarray, times: np.ndarray, dim: int) -> None:
 
 
 def _check_hermitian(h: np.ndarray) -> None:
-    """Refuse an ``h`` off its adjoint by more than 1e-12 of its scale, or holding NaN."""
-    if not np.abs(h - h.conj().T).max() <= 1e-12 * max(1.0, np.abs(h).max()):
+    """Refuse an ``h`` off its adjoint by more than 1e-12 of its scale, or holding NaN.
+
+    One buffer takes ``|h - h^H|`` and then ``|h|``, each written in place.
+    """
+    buf = h - h.conj().T
+    asymmetry = np.abs(buf, out=buf).real.max()
+    if not asymmetry <= 1e-12 * max(1.0, np.abs(h, out=buf).real.max()):
         raise ValueError("Hamiltonian is not Hermitian")
 
 

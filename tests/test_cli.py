@@ -143,8 +143,52 @@ def test_dwell_scenario(tmp_path):
         ("asymptotic", "[model]\nrho = 1e308\n", "model.rho: degenerate system"),
         ("asymptotic", "[model]\ngamma1 = 2\nrho = 1e308\n",
          "model.gamma1, model.rho: degenerate system"),
+        # coupling style: the detuning is e1 - e2 and the widths come from
+        # the omegas; model.epsilon, a key this style refuses, was named
+        ("dwell", "[model]\nomega1 = 1\nomega2 = 1\ne1 = 1e308\n",
+         "model.e1, model.omega1, model.omega2: the dwell time 0.0 leaves"),
+        ("dwell", "[model]\nomega1 = 1e-170\nomega2 = 1\ne1 = 1\n",
+         "model.e1, model.omega1, model.omega2: dark-bright mixing"),
+        # a default cutoff is set by the widths and the detuning; only the
+        # section was named
+        ("oracle-compare", "[model]\ngamma1 = 1e307\n[oracle]\nn_levels = 40\n",
+         "model.gamma1: the band spacing"),
+        # 2 tau is below the resolution of t0 = 6: 48 equal fit times, exit 1
+        ("sweep", "[sweep]\naxis = epsilon\nvalues = 0.5, 1e10\nreport = fitted_tau\n",
+         "sweep.values: the fit window 2 tau = "),
+        ("sweep", "[model]\nepsilon = 1e10\n[sweep]\naxis = gamma1\nvalues = 1, 2\n"
+                  "report = fitted_rate\n", "model.epsilon, sweep.values: the fit window"),
+        # phases lambda t past the float range; these ended in exit 1 with
+        # "sigma11 = nan is not a probability"
+        ("evolve", "[model]\nepsilon = 1e308\n", "model.epsilon: exp(-i H_eff t) leaves"),
+        ("evolve", "[model]\nepsilon = 10\n[grid]\nt_max = 1.7e308\n",
+         "model.epsilon, grid.t_max: exp(-i H_eff t) leaves"),
+        ("sweep", "[sweep]\naxis = epsilon\nvalues = 1, 1e308\n",
+         "sweep.values: exp(-i H_eff t) leaves the float range at t = 30.0"),
+        ("sweep", "[model]\nepsilon = 10\n[sweep]\naxis = y\nvalues = 1\nt_max = 1.7e308\n",
+         "model.epsilon, sweep.values, sweep.t_max: exp(-i H_eff t) leaves"),
+        ("oracle-compare", "[model]\nlambda_cutoff = 1\ngamma1 = 1e300\n[grid]\nt_max = 1e10\n"
+                           "[oracle]\nn_levels = 40\n",
+         "model.gamma1, grid.t_max: exp(-i H_eff t) leaves"),
+        # gamma2 = y * gamma1 and 2 pi rho both overflow: the model's own
+        # check sees inf / inf = nan
+        ("asymptotic", "[model]\ngamma1 = 1e308\ny = 1.7e308\nrho = 1e308\n",
+         "model.gamma1, model.y, model.rho: width gamma2 = inf is too large"),
+        # a recurrence time 2 pi / spacing of inf went into the manifest
+        ("oracle-compare", "[model]\nlambda_cutoff = 1e-320\n[oracle]\nn_levels = 10\n",
+         "model.lambda_cutoff: the band spacing 2 * 1e-320 / 10 = 2e-321"),
+        # the default grid 10 / gamma1: a ZeroDivisionError traceback at
+        # gamma1 = 0, and NaN times at 1e-320
+        ("evolve", "[model]\ngamma1 = 0\ngamma2 = 1\n",
+         "model.gamma1: the default grid.t_max is not finite"),
+        ("evolve", "[model]\ngamma1 = 1e-320\n",
+         "model.gamma1: the default grid.t_max is not finite"),
     ],
-    ids=["dwell_underflow", "dwell_mixing", "sweep_mixing", "rho_only", "rho_and_width"],
+    ids=["dwell_underflow", "dwell_mixing", "sweep_mixing", "rho_only", "rho_and_width",
+         "coupling_dwell", "coupling_mixing", "default_cutoff", "empty_window",
+         "empty_window_model", "evolve_phase", "evolve_t_max", "sweep_phase", "sweep_t_max",
+         "oracle_reference", "infinite_rho_and_width", "fine_band", "zero_width_grid",
+         "tiny_width_grid"],
 )
 def test_float_range_refusals_name_their_keys(tmp_path, capsys, kind, text, message):
     cfg = write_config(tmp_path, text)
@@ -170,6 +214,34 @@ def test_oracle_compare_refuses_an_overflowing_band_before_building(tmp_path, ca
         assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: model.lambda_cutoff: the band spacing"), err
+
+
+def test_oracle_compare_refuses_overflowing_phases_before_building(tmp_path, capsys, monkeypatch):
+    # the spacing is finite but t * E is not; at n_levels = 40 the band edge
+    # is 0.975 cutoff, so the default t_max = 4 puts the edge at 4.6e307
+    # (accepted) and 5e307 (refused) on either side of the float range
+    import darkwells.oracle
+
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may be built")
+
+    out = tmp_path / "x.csv"
+    cfg = write_config(tmp_path, "[model]\nlambda_cutoff = 4.6e307\n[oracle]\nn_levels = 40\n")
+    assert main(["oracle-compare", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+    monkeypatch.setattr(darkwells.cli, "single_particle_trajectory", fail)
+    monkeypatch.setattr(darkwells.cli, "master_trajectory", fail)
+    monkeypatch.setattr(darkwells.oracle, "build_single_particle_hamiltonian", fail)
+    for text, keys in (
+        ("[model]\nlambda_cutoff = 5e307\n", "model.lambda_cutoff"),
+        ("[model]\nlambda_cutoff = 1e300\n[grid]\nt_max = 1e10\n",
+         "model.lambda_cutoff, grid.t_max"),
+    ):
+        cfg = write_config(tmp_path, text + "[oracle]\nn_levels = 40\n")
+        assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "y.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {keys}: the phases t E of the band"), err
 
 
 def test_fermions_two_electron_csv(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from darkwells import dynamics
 from darkwells.dynamics import (
     InfiniteDwellTimeError,
+    PropagatorOverflowError,
     SingleParticleState,
     amplitude_trajectory,
     analytic_sigma_symmetric,
@@ -219,6 +220,35 @@ def test_dwell_time_divergences_raise():
     # a mixing g12 ~ 5e-201 squares to zero: refused, not a ZeroDivisionError
     with pytest.raises(ValueError, match="squares to zero"):
         dwell_time(WellPair.from_widths(1.0, 1.0, epsilon=1e-200))
+    # 4 g12^2 is finite, but the quotient underflows: tau used to be 0.0
+    with pytest.raises(ValueError, match=r"^the dwell time 0.0 leaves the positive float range"):
+        dwell_time(WellPair.from_widths(1.0, 1.0, epsilon=1e308, rho=0.1))
+
+
+def test_huge_detuning_decouples_the_wells():
+    # mu^2 overflows past |eps| ~ 1e154; the scaled root keeps the closed
+    # form finite, and a detuning this large leaves each well decaying alone
+    times = np.linspace(0.0, 3.0, 7)
+    for eps in (1e150, 1e200, 1e300):
+        pair = WellPair.from_widths(2.0, 0.5, epsilon=eps)
+        traj = master_trajectory(pair, (1.0, 0.0, 0.0), times)
+        np.testing.assert_allclose(traj.sigma11, np.exp(-2.0 * times), rtol=1e-12)
+        np.testing.assert_allclose(traj.sigma22, 0.0, atol=1e-290)
+
+
+def test_a_propagator_outside_the_float_range_is_refused():
+    # the phase |lambda| t reaches 5e307 * 10, past the float range; this
+    # ended in "sigma11 = nan is not a probability"
+    pair = WellPair.from_widths(1.0, 1.0, epsilon=1e308)
+    with pytest.raises(PropagatorOverflowError, match="leaves the float range at t = 10.0") as exc:
+        master_trajectory(pair, (1.0, 0.0, 0.0), [0.0, 10.0])
+    assert exc.value.index == 0
+    # in a stack, the first pair that overflows by its own last time
+    fine = WellPair.from_widths(1.0, 1.0, epsilon=1.0)
+    times = np.array([[0.0, 10.0], [0.0, 1e-300], [0.0, 10.0]])
+    with pytest.raises(PropagatorOverflowError) as exc:
+        dynamics._evolve_sigma([fine, pair, pair], (1.0, 0.0, 0.0), times)
+    assert exc.value.index == 2
 
 
 def test_dwell_time_governs_slow_decay():

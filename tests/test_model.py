@@ -128,6 +128,21 @@ def test_overflowing_width_rejected(make, well):
     assert isinstance(exc.value, ValueError) and exc.value.well == well
 
 
+@pytest.mark.parametrize(
+    "gamma1, gamma2, rho, well, gamma",
+    [(1.0, 1.0, 1e-320, 1, "1.0"), (1.0, 1e300, 1e-10, 2, "1e+300"),
+     (1.7e308, 1.0, 0.01, 1, "1.7e+308"), (1.0, math.inf, 1e308, 2, "inf")],
+)
+def test_from_widths_refuses_an_infinite_coupling(gamma1, gamma2, rho, well, gamma):
+    # sqrt(gamma / (2 pi rho)) is infinite: the model names the well itself
+    with pytest.raises(WidthOverflowError) as exc:
+        WellPair.from_widths(gamma1, gamma2, rho=rho)
+    assert exc.value.well == well
+    assert str(exc.value) == (
+        f"width gamma{well} = {gamma} is too large for a finite coupling at rho = {rho!r}"
+    )
+
+
 def test_large_finite_widths_kept():
     pair = WellPair.from_widths(1e300, 1e-300)
     assert pair.gamma1 == pytest.approx(1e300, rel=1e-14)

@@ -54,6 +54,12 @@ def test_reservoir_validation():
         DiscretizedReservoir.uniform(11, 5.0)
     with pytest.raises(ValueError, match="positive"):
         DiscretizedReservoir.uniform(10, 0.0)
+    # an infinite spacing makes NaN levels; one of 2e-321 an infinite
+    # recurrence time, and one that underflows to 0 divided by zero
+    for n_levels, cutoff, spacing in ((40, 1.7e308, "inf"), (10, 1e-320, "2e-321"),
+                                      (100_000, 1e-320, "0.0")):
+        with pytest.raises(ValueError, match=f"= {spacing} or its recurrence time"):
+            DiscretizedReservoir.uniform(n_levels, cutoff)
 
 
 def test_default_cutoff_scales():

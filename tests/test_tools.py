@@ -81,6 +81,39 @@ def test_fold_bench_groups_commits_and_pairs_seeds(tmp_path):
     assert again.read_bytes() == out.read_bytes()
 
 
+def test_fold_bench_states_the_no_regression_verdict(tmp_path):
+    fold_bench = load_fold_bench()
+    # throughput_sps is better higher, with a bound of 0.24
+    cases = {
+        "regression": ([100.0, 101.0, 102.0, 103.0], [50.0, 51.0, 52.0, 53.0]),
+        "steady": ([100.0, 101.0, 102.0, 103.0], [99.0, 100.0, 101.0, 102.0]),
+        "noisy": ([50.0, 100.0, 150.0, 200.0], [60.0, 100.0, 150.0, 190.0]),
+        # as wide a spread, but every change run beats every parent run
+        "clear_gain": ([50.0, 100.0, 150.0, 200.0], [210.0, 220.0, 230.0, 240.0]),
+    }
+    paths = []
+    for workload, (parent, change) in cases.items():
+        for commit, values in (("aaa", parent), ("bbb", change)):
+            for seed, value in enumerate(values, 1):
+                rec = record(commit, seed, 0, value)
+                rec["workload"] = workload
+                path = tmp_path / f"result-{workload}-{commit}-{seed}.json"
+                path.write_text(json.dumps(rec))
+                paths.append(str(path))
+    paired = fold_bench.fold(paths)["paired"]
+    verdicts = {wl: paired[wl]["metrics"]["throughput_sps"]["verdict"] for wl in cases}
+    assert verdicts == {"regression": "regression", "steady": "within_bound",
+                        "noisy": "unresolved", "clear_gain": "within_bound"}
+    regression = paired["regression"]["metrics"]["throughput_sps"]
+    assert regression["median_change"] == pytest.approx((51.5 - 101.5) / 101.5)
+    assert regression["bound"] == 0.24
+    assert regression["parent_iqr"] == pytest.approx(1.5 / 101.5)
+    assert paired["noisy"]["metrics"]["throughput_sps"]["parent_iqr"] == pytest.approx(0.6)
+    # a metric that does not move is within its bound
+    assert paired["noisy"]["metrics"]["setup_s"]["verdict"] == "within_bound"
+    assert paired["noisy"]["metrics"]["setup_s"]["median_change"] == 0.0
+
+
 def test_fold_bench_refuses_duplicate_runs(tmp_path, capsys):
     fold_bench = load_fold_bench()
     paths = []

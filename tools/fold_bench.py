@@ -14,7 +14,13 @@ and workload, and writes:
   metric, and the median of each per-layer metric;
 * with exactly two commits, the runs of the second paired with the first
   by workload and seed, and per end-to-end metric how many pairs the
-  second wins (the direction comes from ``BENCHMARK.json``).
+  second wins (the direction and the bound come from ``BENCHMARK.json``),
+  the relative change of the paired medians, the bound, the first
+  commit's relative interquartile range, and a no-regression verdict:
+  ``regression`` when the second median is worse than the first by more
+  than the bound; otherwise ``unresolved`` when the first commit's
+  interquartile range is wider than the bound and not every run of the
+  second beats every run of the first; otherwise ``within_bound``.
 
 The output is written with sorted keys, so the same inputs give the same
 bytes.  Two files holding the same commit, workload, seed and trace are
@@ -87,7 +93,21 @@ def _workload(records):
     return out
 
 
-def _pairs(first, second, better):
+def _verdict(parent, change, sign, bound):
+    """The no-regression reading of one metric's paired runs (see the module doc)."""
+    before, after = _quartiles(parent), _quartiles(change)
+    change_rel = (after["median"] - before["median"]) / before["median"]
+    iqr_rel = (before["q3"] - before["q1"]) / before["median"]
+    if -sign * change_rel > bound:
+        verdict = "regression"
+    elif iqr_rel > bound and not all(sign * (b - a) > 0.0 for a in parent for b in change):
+        verdict = "unresolved"
+    else:
+        verdict = "within_bound"
+    return {"median_change": change_rel, "bound": bound, "parent_iqr": iqr_rel, "verdict": verdict}
+
+
+def _pairs(first, second, metrics):
     """Second commit against the first, run by run, on shared (workload, seed)."""
     out = {}
     for workload in sorted(set(first) & set(second)):
@@ -96,22 +116,24 @@ def _pairs(first, second, better):
         seeds = sorted(set(runs_a) & set(runs_b))
         if not seeds:
             continue
-        metrics = {}
-        for name, direction in better.items():
+        paired = {}
+        for name, declared in metrics.items():
             pairs = [[s, runs_a[s]["end_to_end"][name], runs_b[s]["end_to_end"][name]]
                      for s in seeds]
-            sign = 1.0 if direction == "higher" else -1.0
-            metrics[name] = {
+            sign = 1.0 if declared["better"] == "higher" else -1.0
+            paired[name] = {
                 "pairs": pairs,
                 "second_better": sum(1 for _, a, b in pairs if sign * (b - a) > 0.0),
+                **_verdict([a for _, a, _ in pairs], [b for _, _, b in pairs], sign,
+                           declared["bound"]),
             }
-        out[workload] = {"seeds": seeds, "metrics": metrics}
+        out[workload] = {"seeds": seeds, "metrics": paired}
     return out
 
 
 def fold(paths):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     by_commit, seen = {}, {}
     for path in paths:
         with open(path) as fh:
@@ -137,7 +159,7 @@ def fold(paths):
         },
     }
     if len(commits) == 2:
-        bench["paired"] = _pairs(by_commit[commits[0]], by_commit[commits[1]], better)
+        bench["paired"] = _pairs(by_commit[commits[0]], by_commit[commits[1]], metrics)
     return bench
 
 
