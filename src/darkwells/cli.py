@@ -460,8 +460,9 @@ def _resolve_grid(sections, default_t_max, default_keys):
 
 
 def _master_trajectory(pair, initial, times, spec, given, sections):
-    """:func:`master_trajectory`, an exponent that overflows refused with the
-    keys that set it: the detuning's, both widths' and ``grid.t_max`` when given."""
+    """:func:`master_trajectory`, a propagator that leaves the float range refused
+    with the keys that set it: the detuning's, both widths' and ``grid.t_max``
+    when given."""
     try:
         return master_trajectory(pair, initial, times)
     except PropagatorOverflowError as exc:

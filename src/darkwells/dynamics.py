@@ -215,11 +215,10 @@ def _propagators(pairs, times) -> np.ndarray:
     sin_term[rest] = (e_minus - e_plus) / two_mu[rest]
     m = m[per_pair]
     u = cos_term[..., None, None] * np.eye(2) - sin_term[..., None, None] * m
-    bad = np.argwhere(~np.isfinite(u).all(axis=(-2, -1)))
-    if bad.size:
+    if not np.isfinite(u).all():
+        bad = np.argwhere(~np.isfinite(u).all(axis=(-2, -1)))[0]
         raise PropagatorOverflowError(
-            int(bad[0][0]),
-            f"exp(-i H_eff t) leaves the float range at t = {float(times[tuple(bad[0])])!r}",
+            int(bad[0]), f"exp(-i H_eff t) leaves the float range at t = {float(times[tuple(bad)])!r}"
         )
     return u
 

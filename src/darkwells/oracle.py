@@ -138,7 +138,7 @@ class DiscretizedReservoir:
         spacing = 2.0 * cutoff / n_levels
         # an infinite spacing makes the levels NaN, and one too fine leaves
         # the recurrence time infinite
-        if not 0.0 < spacing < math.inf or math.isinf(2.0 * math.pi / spacing):
+        if not (0.0 < spacing < math.inf) or math.isinf(2.0 * math.pi / spacing):
             raise ValueError(
                 f"the band spacing 2 * {cutoff!r} / {n_levels} = {spacing!r} "
                 "or its recurrence time 2 pi / spacing leaves the float range"

@@ -41,7 +41,7 @@ from darkwells.model import NoBoundStateError
 FUZZ = settings(max_examples=400, derandomize=True, database=None, deadline=None)
 
 EDGE = ("0", "-1", "nan", "inf", "1e308", "1.7e308", "5e307", "1e-320", "text")
-# plain values, listed twice so that about half the draws are accepted
+# plain values, listed twice so that about half the values drawn are plain
 NUMBERS = EDGE + ("0.5", "1", "2", "-0.3") * 2
 SIGNS = ("1", "-1") + EDGE
 COUNTS = ("0", "1", "2", "30", "-1", "text")
