@@ -142,50 +142,88 @@ class FockDistribution:
         return {m: float(p) for m, p in sorted(self.probabilities.items())}
 
 
+def _ratio(y) -> tuple[int, int]:
+    """The positive width ratio ``y`` as coprime integers ``(p, q)``, y = p / q."""
+    yq = Fraction(y)
+    if yq <= 0:
+        raise ValueError("width ratio y must be positive")
+    return yq.numerator, yq.denominator
+
+
+def _binomial_row(n: int, a: int, b: int) -> list:
+    """The terms C(n, k) a^(n-k) b^k of (a + b)^n, k = 0..n, as integers."""
+    term = a**n
+    row = [term]
+    for k in range(n):
+        term = term * (n - k) * b // ((k + 1) * a)
+        row.append(term)
+    return row
+
+
+def _rotation_polynomial(N1: int, N2: int, p: int, q: int) -> list:
+    """The integer coefficients I(0..N) of G(x) = (q + p x)^N1 (1 - x)^N2.
+
+    G solves (q + p x)(1 - x) G' = (N1 p (1 - x) - N2 (q + p x)) G, so
+    from I(0) = q^N1 each coefficient follows from the two before it,
+
+        q (m+1) I(m+1) = (N1 p - N2 q - (p - q) m) I(m) - p (N + 1 - m) I(m-1),
+
+    an exact integer division.
+    """
+    N = N1 + N2
+    slope = N1 * p - N2 * q
+    prev, cur = 0, q**N1
+    coeffs = [cur]
+    for m in range(N):
+        prev, cur = cur, (
+            (slope - (p - q) * m) * cur - p * (N + 1 - m) * prev
+        ) // (q * (m + 1))
+        coeffs.append(cur)
+    return coeffs
+
+
 def rotate_fock(N1: int, N2: int, y, eta: int = 1) -> BosonFockState:
     """Exact (dark, bright) expansion of the two-well Fock state |N1, N2>.
 
     Expands (cos(a) c1^dag + sin(a) c2^dag)^N1 (-sin(a) c1^dag +
     cos(a) c2^dag)^N2 |0> / sqrt(N1! N2!) with cos(a) = eta sqrt(y/(1+y)),
-    c1 the dark and c2 the bright mode.  The amplitude on (n1, N-n1) is
+    c1 the dark and c2 the bright mode.  With y = p/q in lowest terms and
+    I(n1) the integer coefficient of x^n1 in (q + p x)^N1 (1 - x)^N2, the
+    amplitude on (n1, N-n1) is
 
         sqrt(n1! n2! / (N1! N2!)) * eta^(N2-n1) * y^((N2-n1)/2)
-        * (1+y)^(-N/2) * sum_k C(N1,k) C(N2,n1-k) (-1)^(n1-k) y^k,
+        * (1+y)^(-N/2) * I(n1) / q^N1,
 
-    carried exactly: y is taken as the rational value of the argument, and
-    half-integer powers live in the surd part of the amplitude.
+    carried exactly: y is taken as the rational value of the argument,
+    the whole powers of p, q and p + q go into one rational coefficient,
+    and the half-integer ones into the surd part of the amplitude.
     """
     if N1 < 0 or N2 < 0 or N1 + N2 < 1:
         raise ValueError("need N1, N2 >= 0 with at least one particle")
     if eta not in (1, -1):
         raise ValueError(f"eta must be +1 or -1, got {eta!r}")
-    yq = Fraction(y)
-    if yq <= 0:
-        raise ValueError("width ratio y must be positive")
+    p, q = _ratio(y)
     N = N1 + N2
+    s = p + q
     e2 = N % 2
-    base = Fraction(1, math.factorial(N1) * math.factorial(N2))
+    # (1+y)^(-(N-e2)/2) = q^half / s^half; the factor (1+y)^(-e2/2) is surd
+    half = (N - e2) // 2
+    shared = s**half
+    fill = math.comb(N, N1)
     amps = {}
-    for n1 in range(N + 1):
-        n2 = N - n1
-        total = Fraction(0)
-        for k in range(max(0, n1 - N2), min(N1, n1) + 1):
-            term = Fraction(math.comb(N1, k) * math.comb(N2, n1 - k))
-            if (n1 - k) % 2:
-                term = -term
-            total += term * yq**k
+    for n1, coeff in enumerate(_rotation_polynomial(N1, N2, p, q)):
         diff = N2 - n1
         e1 = diff % 2
-        coef = total * yq ** ((diff - e1) // 2) / (1 + yq) ** ((N - e2) // 2)
+        # the whole part of y^(diff/2) / q^N1 * q^half, as p^a q^b
+        a = (diff - e1) // 2
+        b = half - a - N1
+        num = coeff * p ** max(a, 0) * q ** max(b, 0)
         if e1 and eta < 0:
-            coef = -coef
-        radicand = (
-            Fraction(math.factorial(n1) * math.factorial(n2))
-            * base
-            * yq**e1
-            / (1 + yq) ** e2
-        )
-        amps[(n1, n2)] = SurdAmplitude(coef, radicand)
+            num = -num
+        coef = Fraction(num, shared * p ** max(-a, 0) * q ** max(-b, 0))
+        # n1! n2! / (N1! N2!) = C(N, N1) / C(N, n1), times y^e1 / (1+y)^e2
+        radicand = Fraction(fill * p**e1 * q**e2, math.comb(N, n1) * q**e1 * s**e2)
+        amps[(n1, N - n1)] = SurdAmplitude(coef, radicand)
     return BosonFockState(total=N, basis="dark_bright", amplitudes=amps)
 
 
@@ -225,18 +263,15 @@ def equal_fill_even_distribution(N: int) -> FockDistribution:
 def one_well_distribution(N: int, y) -> FockDistribution:
     """Emitted-count law for |N, 0>: binomial with escape odds 1 : y.
 
-    P(m) = C(N, m) y^(N-m) / (1+y)^N; each boson independently lands in
-    the bright mode with probability 1/(1+y).
+    P(m) = C(N, m) y^(N-m) / (1+y)^N = C(N, m) p^(N-m) q^m / (p+q)^N with
+    y = p/q in lowest terms; each boson independently lands in the bright
+    mode with probability 1/(1+y).
     """
     if N < 1:
         raise ValueError("need N >= 1 bosons")
-    yq = Fraction(y)
-    if yq <= 0:
-        raise ValueError("width ratio y must be positive")
-    denom = (1 + yq) ** N
-    probs = {
-        m: Fraction(math.comb(N, m)) * yq ** (N - m) / denom for m in range(N + 1)
-    }
+    p, q = _ratio(y)
+    denom = (p + q) ** N
+    probs = {m: Fraction(term, denom) for m, term in enumerate(_binomial_row(N, p, q))}
     return FockDistribution(probabilities=probs)
 
 
@@ -244,19 +279,17 @@ def retained_state_split(n_retained: int, y) -> FockDistribution:
     """Where the surviving dark quanta sit: binomial split over the wells.
 
     The retained state c_dark^dag^Ntilde |0> / sqrt(Ntilde!) expands over
-    well occupations with P(k in well 1) = C(Ntilde, k) y^k / (1+y)^Ntilde.
+    well occupations with P(k in well 1) = C(Ntilde, k) y^k / (1+y)^Ntilde,
+    that is C(Ntilde, k) p^k q^(Ntilde-k) / (p+q)^Ntilde with y = p/q.
     """
     if n_retained < 0:
         raise ValueError("retained count must be non-negative")
     if n_retained == 0:
         return FockDistribution(probabilities={0: Fraction(1)})
-    yq = Fraction(y)
-    if yq <= 0:
-        raise ValueError("width ratio y must be positive")
-    denom = (1 + yq) ** n_retained
+    p, q = _ratio(y)
+    denom = (p + q) ** n_retained
     probs = {
-        k: Fraction(math.comb(n_retained, k)) * yq**k / denom
-        for k in range(n_retained + 1)
+        k: Fraction(term, denom) for k, term in enumerate(_binomial_row(n_retained, q, p))
     }
     return FockDistribution(probabilities=probs)
 

@@ -74,6 +74,11 @@ _MAX_ORACLE_ENTRIES = 5_000_000
 # Bosons in one exact emission law; the rational arithmetic grows
 # faster than quadratically in the count.
 _MAX_BOSONS = 1000
+# Boson count times the bits of y = p/q (p.bit_length() + q.bit_length()):
+# the exact integers grow with both.  This is the product at the count cap
+# with y = 1, and at a fixed product the largest count is the slowest, so
+# no accepted law takes longer than emission of 500 + 500 bosons at y = 1.
+_MAX_BOSON_WORK = 2000
 # Sweep points per batched evaluation and fit: the transient arrays stay
 # this size however large sweep.max_points is.
 _SWEEP_BLOCK = 64
@@ -352,17 +357,24 @@ def _model_keys(spec, given, axes, *quantities):
 
     ``spec`` and ``given`` are :func:`_read_model`'s, and ``axes`` the
     sweep axes of the point, in axis order.  Each quantity is ``gamma1``,
-    ``gamma2``, ``epsilon``, ``rho`` or ``lambda_cutoff``.  A swept one
-    comes from ``sweep.values`` or ``sweep.values2``, the rest from the
-    [model] keys in ``given``, so one left at its default has none.  In
-    width style a second width given as ``y`` is ``y * gamma1``, with the
-    keys of both, and one left at its default is the config's ``gamma1``.
-    In coupling style ``gammaJ`` comes from ``omegaJ`` and ``epsilon`` from
-    ``e1`` and ``e2``.  A default cutoff is set by the widths and the
-    detuning.  With no key at all the section ``model`` stands in.
+    ``gamma2``, ``omega1``, ``omega2`` (the couplings), ``epsilon``,
+    ``rho`` or ``lambda_cutoff``.  A swept one comes from ``sweep.values``
+    or ``sweep.values2``, the rest from the [model] keys in ``given``, so
+    one left at its default has none.  In width style a second width given
+    as ``y`` is ``y * gamma1``, with the keys of both, and one left at its
+    default is the config's ``gamma1``; a coupling ``sqrt(gammaJ / (2 pi
+    rho))`` has the keys of its width and ``rho``.  In coupling style
+    ``gammaJ = 2 pi omegaJ^2 rho`` comes from ``omegaJ`` and ``rho``, and
+    ``epsilon`` from ``e1`` and ``e2``.  A default cutoff is set by the
+    widths and the detuning.  With no key at all the section ``model``
+    stands in.
     """
     source = dict(zip(axes, ("sweep.values", "sweep.values2")))
-    coupling = {"gamma1": ("omega1",), "gamma2": ("omega2",), "epsilon": ("e1", "e2")}
+    coupling = {
+        "gamma1": ("omega1", "rho"),
+        "gamma2": ("omega2", "rho"),
+        "epsilon": ("e1", "e2"),
+    }
 
     def keys(name):
         names = (name,)
@@ -370,6 +382,8 @@ def _model_keys(spec, given, axes, *quantities):
             return [source[name]]
         if "omega1" in spec and name in coupling:
             names = coupling[name]
+        elif name in ("omega1", "omega2") and "omega1" not in spec:
+            return keys("gamma" + name[-1]) + keys("rho")
         elif name == "gamma2" and ("y" in source or "y" in given):
             return keys("gamma1") + keys("y")
         elif name == "gamma2" and "gamma2" not in given:
@@ -403,9 +417,9 @@ def _build_model(spec, given, **axes):
         pair = WellPair(**kwargs) if coupling else WellPair.from_widths(**kwargs)
         model = pair if yprime is None else ParallelWellPair(base=pair, yprime=yprime, U=u)
     except DegenerateSystemError as exc:
-        # a large rho shrinks both couplings sqrt(gamma / (2 pi rho)) to zero
-        rho = () if coupling else ("rho",)
-        keys = _model_keys(spec, given, axes, "gamma1", "gamma2", *rho)
+        # given omegas vanish by themselves; width-style couplings
+        # sqrt(gamma / (2 pi rho)) also vanish under a large rho
+        keys = _model_keys(spec, given, axes, "omega1", "omega2")
         raise ConfigError(f"{keys}: {exc}") from exc
     except WidthOverflowError as exc:
         keys = _model_keys(spec, given, axes, f"gamma{exc.well}", "rho")
@@ -702,19 +716,28 @@ def _run_bosons(scenario):
             )
         eta = _parse_eta(sections, "bosons")
         resolved.update({"bosons.n1": n1, "bosons.n2": n2, "bosons.eta": eta})
+        count_keys, count = "bosons.n1, bosons.n2", n1 + n2
+    else:
+        key = "n_retained" if law == "retained_split" else "n"
+        n = _boson_count(sections, key, 0 if law == "retained_split" else 1)
+        resolved[f"bosons.{key}"] = n
+        count_keys, count = f"bosons.{key}", n
+    if law != "equal_fill":
+        bits = y.numerator.bit_length() + y.denominator.bit_length()
+        if count * bits > _MAX_BOSON_WORK:
+            raise ConfigError(
+                f"{count_keys}, bosons.y: {count} bosons times the {bits} bits of y "
+                f"(numerator and denominator) is {count * bits}, above the work "
+                f"limit of {_MAX_BOSON_WORK}"
+            )
+    if law == "emission":
         dist = emission_distribution(rotate_fock(n1, n2, y, eta=eta))
     elif law == "equal_fill":
-        n = _boson_count(sections, "n", 1)
-        resolved["bosons.n"] = n
         dist = equal_fill_even_distribution(n)
     elif law == "one_well":
-        n = _boson_count(sections, "n", 1)
-        resolved["bosons.n"] = n
         dist = one_well_distribution(n, y)
     else:
-        n_retained = _boson_count(sections, "n_retained", 0)
-        resolved["bosons.n_retained"] = n_retained
-        dist = retained_state_split(n_retained, y)
+        dist = retained_state_split(n, y)
     counts, probs = zip(*distribution_rows(dist))
     columns = {
         "m": np.array(counts, dtype=np.int64),

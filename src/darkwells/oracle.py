@@ -220,7 +220,10 @@ def single_particle_bounds(pair: WellPair, res: DiscretizedReservoir) -> tuple[f
     allocated, so callers can size a Chebyshev run in advance.
     """
     coup = reservoir_couplings(pair, res)
-    off_norm = math.sqrt(float(np.sum(coup**2)))
+    # couplings past about 1e154 square to inf: the bounds are then +-inf,
+    # which callers refuse, so the overflow itself is not worth a warning
+    with np.errstate(over="ignore"):
+        off_norm = math.sqrt(float(np.sum(coup**2)))
     lo = min(pair.E1, pair.E2, float(res.energies[0]))
     hi = max(pair.E1, pair.E2, float(res.energies[-1]))
     return lo - off_norm, hi + off_norm
@@ -297,8 +300,9 @@ def evolve_exact(h: np.ndarray, psi0: np.ndarray, times, rows) -> Projection:
     """Propagate by full eigen-decomposition, keeping ``rows`` at every time.
 
     Refuses dimensions above ``DENSE_MAX_DIM``, where
-    :func:`single_particle_method` picks the expansion, and the starts and
-    grids :func:`chebyshev_propagate` refuses.  Validates Hermiticity, and
+    :func:`single_particle_method` picks the expansion, the starts and
+    grids :func:`chebyshev_propagate` refuses, and then a stack of starts,
+    which :func:`chebyshev_propagate` takes.  Validates Hermiticity, and
     works through the output times in blocks of ``_TIME_BLOCK``, one matrix
     product per block, into which only ``rows`` of the eigenvectors enter.
     The result is a :class:`Projection` whose ``amplitudes`` have shape
@@ -320,6 +324,11 @@ def evolve_exact(h: np.ndarray, psi0: np.ndarray, times, rows) -> Projection:
     psi0 = np.asarray(psi0, dtype=complex)
     times = np.asarray(times, dtype=float)
     _check_start(psi0, times, dim)
+    if psi0.ndim != 1:
+        raise ValueError(
+            f"initial vector has shape {psi0.shape}; evolve_exact takes one state, "
+            "use chebyshev_propagate for a stack of states"
+        )
     _check_hermitian(h)
     if times.size == 0:
         empty = np.empty((0,) + psi0[rows].shape, dtype=complex)

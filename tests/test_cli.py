@@ -11,6 +11,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -244,6 +245,41 @@ def test_oracle_compare_refuses_overflowing_phases_before_building(tmp_path, cap
         assert err.startswith(f"config error: {keys}: the phases t E of the band"), err
 
 
+def test_overflowing_couplings_are_refused_without_a_warning(tmp_path, capfd):
+    # the couplings square to inf in the spectral bounds; the refusal is
+    # the one line on stderr, with no RuntimeWarning ahead of it (pytest
+    # would collect the warning, so it is recorded here instead)
+    cfg = write_config(
+        tmp_path, "[model]\ngamma1 = 1e306\nepsilon = 1e300\n[oracle]\nn_levels = 40\n"
+    )
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert [str(w.message) for w in seen] == []
+    err = capfd.readouterr().err
+    assert err.splitlines() == [
+        "config error: model.gamma1, model.epsilon: the phases t E of the band "
+        "[-inf, inf] overflow by t = 4e-306"
+    ], err
+
+
+def test_coupling_style_refusals_name_rho_where_it_sets_a_width(tmp_path, capsys):
+    # in coupling style the widths are 2 pi omega^2 rho, so rho sets them
+    cfg = write_config(
+        tmp_path, "[model]\nomega1 = 1\nomega2 = 1\ne1 = 1e-10\nrho = 1e307\n"
+    )
+    assert main(["dwell", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "config error: model.e1, model.omega1, model.rho, model.omega2: the dwell time inf"
+    ), err
+    # ... but two vanishing omegas vanish whatever rho is
+    cfg = write_config(tmp_path, "[model]\nomega1 = 0\nomega2 = 0\nrho = 5\n")
+    assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model.omega1, model.omega2: degenerate system"), err
+
+
 def test_fermions_two_electron_csv(tmp_path):
     cfg = write_config(tmp_path, "[fermions]\nop = two_electron\ny = 4.0\n")
     out = tmp_path / "fermi.csv"
@@ -315,6 +351,55 @@ def test_bosons_emission_csv(tmp_path):
     assert header == ["m", "probability"]
     assert [r[0] for r in rows] == ["0", "1", "2"]
     assert [float(r[1]) for r in rows] == pytest.approx([0.5, 0.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "text, keys, product",
+    [
+        ("law = emission\nn1 = 500\nn2 = 500\ny = 1/2\n",
+         "bosons.n1, bosons.n2, bosons.y", 3000),
+        # n2 is 1 by default: 36 bosons at 27 + 30 bits
+        ("law = emission\nn1 = 35\ny = 0.123456789\n",
+         "bosons.n1, bosons.n2, bosons.y", 36 * 57),
+        ("law = one_well\nn = 20\ny = 1e-30\n", "bosons.n, bosons.y", 20 * 101),
+        ("law = retained_split\nn_retained = 2\ny = 1e308\n",
+         "bosons.n_retained, bosons.y", 2 * 1025),
+    ],
+    ids=["emission", "emission_default_n2", "one_well", "retained_split"],
+)
+def test_boson_work_bound_refuses_before_any_law(tmp_path, capsys, monkeypatch, text, keys,
+                                                 product):
+    # the exact integers grow with the count and with the bits of y = p/q
+    limit = darkwells.cli._MAX_BOSON_WORK
+    assert product > limit
+    cfg = write_config(tmp_path, "[bosons]\n" + text)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("no law may run")
+
+    for name in ("rotate_fock", "one_well_distribution", "retained_state_split"):
+        monkeypatch.setattr(darkwells.cli, name, fail)
+    out = tmp_path / "x.csv"
+    assert main(["bosons", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {keys}: "), err
+    assert f"is {product}, above the work limit of {limit}" in err, err
+    assert not out.exists()
+
+
+def test_boson_work_bound_accepts_its_limit(tmp_path):
+    # 1000 x (1 + 1) bits is the limit itself; 34 + 1 bosons at 57 bits
+    # and 19 at 101 bits lie just below it
+    assert darkwells.cli._MAX_BOSON_WORK == 2 * darkwells.cli._MAX_BOSONS
+    for text in (
+        "law = emission\nn1 = 500\nn2 = 500\ny = 1\n",
+        "law = emission\nn1 = 34\ny = 0.123456789\n",
+        "law = one_well\nn = 19\ny = 1e-30\n",
+        "law = retained_split\nn_retained = 1\ny = 1e-320\n",
+        "law = equal_fill\nn = 1000\n",
+    ):
+        cfg = write_config(tmp_path, "[bosons]\n" + text)
+        assert main(["bosons", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0, text
 
 
 @pytest.mark.parametrize(

@@ -178,3 +178,7 @@ def test_every_config_ends_in_a_documented_way(drawn):
         assert section in _ALLOWED_KEYS or section in config, (text, message)
         if section == "model" and key not in model:
             assert key not in refused, (text, message)
+    # a boson work-bound refusal names the ratio and a count it multiplies
+    if "work limit" in message[0]:
+        assert "bosons.y" in names, (text, message)
+        assert {"bosons.n1", "bosons.n", "bosons.n_retained"} & set(names), (text, message)

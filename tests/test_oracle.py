@@ -112,6 +112,20 @@ def test_evolve_exact_guards(monkeypatch):
         evolve_exact(np.eye(2), np.array([1.0, 1.0]), [0.0], [0])
 
 
+def test_evolve_exact_refuses_a_stack_of_starts(monkeypatch):
+    # a (dim, k) stack failed inside numpy with a broadcast error; it is
+    # refused before the Hermiticity check and the eigensolve
+    import darkwells.oracle as oracle_module
+
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may be checked or solved")
+
+    monkeypatch.setattr(oracle_module, "_check_hermitian", fail)
+    monkeypatch.setattr(oracle_module.np.linalg, "eigh", fail)
+    with pytest.raises(ValueError, match=r"shape \(3, 2\).*chebyshev_propagate"):
+        evolve_exact(np.diag([0.0, 1.0, 2.0]), np.eye(3)[:, :2], [0.0, 1.0], [0])
+
+
 def test_chebyshev_matches_dense_eigensolve():
     pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.6)
     res = DiscretizedReservoir.uniform(48, 10.0)

@@ -1,5 +1,6 @@
-"""Property tests of the exact wide-band propagator, the boson laws, the
-oracle's real Chebyshev recurrence and its Fock hop kernel.
+"""Property tests of the exact wide-band propagator, the boson laws (and
+their integer rows against independent expansions), the oracle's real
+Chebyshev recurrence and its Fock hop kernel.
 
 Draws are derandomized with a fixed example count, so every run checks the
 same cases.
@@ -7,11 +8,12 @@ same cases.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb, gcd
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from darkwells.bosons import (
     emission_distribution,
@@ -24,7 +26,12 @@ from darkwells.dynamics import amplitude_trajectory, asymptotic_probs, master_tr
 from darkwells.model import WellPair
 from darkwells.oracle import FockSpace, _hops, chebyshev_propagate
 from darkwells.rotation import dark_state
-from oracles import _occupation_vectors, hop_reference, sort_and_rank_hops
+from oracles import (
+    _occupation_vectors,
+    boson_rotation_oracle,
+    hop_reference,
+    sort_and_rank_hops,
+)
 
 PROPERTY = settings(max_examples=80, derandomize=True, database=None, deadline=None)
 TOL = 1e-12
@@ -136,6 +143,36 @@ def test_boson_laws_are_exact_distributions(dist):
     probs = list(dist.probabilities.values())
     assert all(isinstance(p, Fraction) and 0 <= p <= 1 for p in probs)
     assert sum(probs, Fraction(0)) == Fraction(1)
+
+
+@st.composite
+def integer_law_cases(draw):
+    """Counts n1 + n2 <= 12 with a coprime ratio p/q, p, q <= 13, and a sign."""
+    n1 = draw(st.integers(0, 12))
+    n2 = draw(st.integers(1 if n1 == 0 else 0, 12 - n1))
+    p, q = draw(st.integers(1, 13)), draw(st.integers(1, 13))
+    assume(gcd(p, q) == 1)
+    return n1, n2, Fraction(p, q), draw(signs)
+
+
+@PROPERTY
+@given(case=integer_law_cases())
+def test_integer_laws_match_independent_expansions(case):
+    n1, n2, y, eta = case
+    state = rotate_fock(n1, n2, y, eta=eta)
+    for n_dark, (sign, square) in boson_rotation_oracle(n1, n2, y, eta=eta).items():
+        amp = state.amplitude(n_dark, n1 + n2 - n_dark)
+        assert (amp.sign, amp.square()) == (sign, square)
+    assert sum(emission_distribution(state).probabilities.values(), Fraction(0)) == 1
+    # each boson lands in the bright mode with probability 1 / (1 + y)
+    n = n1 + n2
+    bright = 1 / (1 + y)
+    assert one_well_distribution(n, y).probabilities == {
+        m: comb(n, m) * bright**m * (1 - bright) ** (n - m) for m in range(n + 1)
+    }
+    assert retained_state_split(n, y).probabilities == {
+        k: comb(n, k) * (1 - bright) ** k * bright ** (n - k) for k in range(n + 1)
+    }
 
 
 @st.composite

@@ -248,6 +248,44 @@ def test_render_digests_dump_and_compare(monkeypatch, tmp_path, capsys):
     assert render_digests.compare_lines(str(a), str(b))[0] == "oracle_7_warmup inf only-in-A"
 
 
+def test_render_digests_hash_config_files(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    render_digests = load_tool("render_digests")
+    monkeypatch.chdir(tmp_path)
+    head = "[scenario]\nkind = bosons\n[bosons]\nlaw = one_well\n"
+    Path("a.ini").write_text(head + "n = 3\ny = 7/3\n")
+    Path("b.ini").write_text(head + "n = 3\ny = 7/3\n[output]\nformat = json\n")
+    Path("c.ini").write_text(head + "n = 3\ny = 2.3333\n")
+    Path("refused.ini").write_text(head + "n = 20\ny = 1e-30\n")
+    paths = ["refused.ini", "c.ini", "b.ini", "a.ini"]
+    assert render_digests.main(["--config", *paths, "--dump", "dump"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == render_digests.config_lines(paths)
+    # the workload line format, sorted, keyed by the path as given
+    assert [line.split()[0] for line in lines] == [f"config:{p}" for p in sorted(paths)]
+    (a, b, c), refused = [line.split()[1:] for line in lines[:3]], lines[3]
+    assert all(len(digest) == 64 for digest in a + b + c)
+    # the format and the ratio each change the data bytes
+    assert len({a[0], b[0], c[0]}) == 3
+    assert refused.startswith("config:refused.ini error bosons.n, bosons.y: ")
+    assert sorted(os.listdir("dump")) == ["config_a.ini.npz", "config_b.ini.npz",
+                                          "config_c.ini.npz"]
+    with np.load("dump/config_a.ini.npz") as dump:
+        assert dump["data.m"].tolist() == [0.0, 1.0, 2.0, 3.0]
+    # config lines sort before the workload lines they are given with
+    monkeypatch.setattr(render_digests.workloads, "generate",
+                        lambda workload, seed: render_digests.workloads.WARMUP[workload])
+    assert render_digests.main(["--config", "a.ini", "--workload", "wideband", "--seed", "7"]) == 0
+    both = capsys.readouterr().out.splitlines()
+    assert both == [lines[0]] + render_digests.digest_lines("wideband", [7])
+    # a file that names no kind, or that is missing, is a usage error
+    Path("nokind.ini").write_text("[bosons]\nn1 = 2\n")
+    for path in ("nokind.ini", "missing.ini"):
+        with pytest.raises(SystemExit) as exc:
+            render_digests.main(["--config", path])
+        assert exc.value.code == 2 and path in capsys.readouterr().err
+
+
 def test_render_digests_compare_lists_every_differing_array(monkeypatch, tmp_path):
     # an array one side lacks is the worst difference, and the finite
     # differences behind it still show, each with its array

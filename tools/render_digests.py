@@ -2,6 +2,7 @@
 
     python3 tools/render_digests.py --workload oracle --seed 1 2
     python3 tools/render_digests.py --workload oracle --seed 1 --dump DIR
+    python3 tools/render_digests.py --config runs/*.ini
     python3 tools/render_digests.py --compare DIR_A DIR_B
 
 For each seed, the scenario cycle of ``perfbench/workloads.generate`` is
@@ -9,11 +10,15 @@ built.  Each CLI scenario is rendered in process through
 ``darkwells.cli.load_config``, ``build_scenario`` and ``render``, with the
 fixed output name ``out.csv`` or ``out.json``.  Each Fock record (the
 ``oracle`` workload's many-body runs, which bypass the CLI) is run through
-the public ``darkwells.oracle`` API, as the benchmark client runs it.  One
-line per scenario is printed, sorted:
+the public ``darkwells.oracle`` API, as the benchmark client runs it.
+Each config file given with ``--config`` (with or without a workload) is
+run the same way, as the kind its ``[scenario] kind`` names; a file the
+CLI cannot read, or one that names no kind, ends the script with exit 2.
+One line per scenario is printed, sorted:
 
     <workload>:<seed>:<id> <sha256 of the data file> <sha256 of the manifest>
     <workload>:<seed>:<id> fock <sha256> <sha256> <sha256> <sha256> <sha256>
+    config:<path> <sha256 of the data file> <sha256 of the manifest>
 
 where a Fock line's first four digests hash the bytes of
 ``mode_occupations``, ``reservoir_count_probs``, ``dot_rdm`` and the
@@ -28,8 +33,9 @@ see which scenarios changed bytes.  The package is imported from the
 ``src/`` next to this script, so each checkout computes with its own code.
 
 ``--dump DIR`` also writes the arrays each line hashes, one
-``<workload>_<seed>_<id>.npz`` per scenario: a Fock record's quantities
-under the names above (``state``, ``h_data``, ...), and a CLI scenario's
+``<workload>_<seed>_<id>.npz`` (``config_<path>.npz``, with the path's
+separators as ``_``) per scenario: a Fock record's quantities under the
+names above (``state``, ``h_data``, ...), and a CLI scenario's
 data columns as ``data.<column>`` and every value of its manifest (and of
 a JSON payload's other keys) as ``manifest.<path>`` (``data.<path>``),
 read back from the rendered files.  ``--compare A B`` reads two such
@@ -167,34 +173,67 @@ def cli_arrays(data, manifest, fmt):
     return arrays
 
 
+def _lines(scenarios, dump=None):
+    """The sorted digest lines of ``(key, spec)`` scenarios, dumped as for :func:`digest_lines`."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = os.path.join(tmp, "scenario.ini")
+        for key, spec in scenarios:
+            try:
+                if "kind" in spec:
+                    files = _cli_files(spec, ini)
+                    fields = [hashlib.sha256(raw).hexdigest() for raw in files]
+                    if dump:
+                        arrays = cli_arrays(*files, spec["fmt"])
+                else:
+                    arrays = fock_arrays(spec)
+                    fields = ["fock"] + fock_digests(spec, arrays)
+            except (ValueError, RuntimeError) as exc:
+                lines.append(f"{key} error {exc}")
+                continue
+            lines.append(" ".join([key] + fields))
+            if dump:
+                name = key.replace(":", "_").replace(os.sep, "_")
+                np.savez(os.path.join(dump, name + ".npz"), **arrays)
+    return sorted(lines)
+
+
 def digest_lines(workload, seeds, dump=None):
     """The sorted digest lines of every scenario of ``workload``'s seeds.
 
     With ``dump`` set to a directory, each scenario's hashed arrays are
     also written there as ``<workload>_<seed>_<id>.npz``.
     """
-    lines = []
-    with tempfile.TemporaryDirectory() as tmp:
-        ini = os.path.join(tmp, "scenario.ini")
-        for seed in seeds:
-            for spec in workloads.generate(workload, seed):
-                key = f"{workload}:{seed}:{spec['id']}"
-                try:
-                    if "kind" in spec:
-                        files = _cli_files(spec, ini)
-                        fields = [hashlib.sha256(raw).hexdigest() for raw in files]
-                        if dump:
-                            arrays = cli_arrays(*files, spec["fmt"])
-                    else:
-                        arrays = fock_arrays(spec)
-                        fields = ["fock"] + fock_digests(spec, arrays)
-                except (ValueError, RuntimeError) as exc:
-                    lines.append(f"{key} error {exc}")
-                    continue
-                lines.append(" ".join([key] + fields))
-                if dump:
-                    np.savez(os.path.join(dump, key.replace(":", "_") + ".npz"), **arrays)
-    return sorted(lines)
+    return _lines(
+        ((f"{workload}:{seed}:{spec['id']}", spec)
+         for seed in seeds for spec in workloads.generate(workload, seed)),
+        dump,
+    )
+
+
+def config_spec(path):
+    """A config file as a CLI scenario: its text, its ``scenario.kind`` and format.
+
+    Raises ``ValueError`` for a file the CLI cannot read or that names no kind.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    config = cli.load_config(path)
+    kind = config.get("scenario", {}).get("kind")
+    if kind not in cli.KINDS:
+        raise ValueError(f"{path}: scenario.kind must name one of {', '.join(cli.KINDS)}")
+    return {"kind": kind, "ini": text, "fmt": config.get("output", {}).get("format", "csv")}
+
+
+def config_lines(paths, dump=None):
+    """The sorted digest lines of the CLI runs of the config files ``paths``.
+
+    Each line's key is ``config:<path>``, as the path was given; with
+    ``dump`` each run's arrays are written as ``config_<path>.npz``, with
+    the path's separators turned into ``_``.
+    """
+    specs = [(f"config:{path}", config_spec(path)) for path in paths]
+    return _lines(specs, dump)
 
 
 def _difference(a, b):
@@ -239,6 +278,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, nargs="+")
+    parser.add_argument("--config", nargs="+", metavar="INI",
+                        help="also hash the CLI run of each config file, whose "
+                             "[scenario] kind names the kind to run")
     parser.add_argument("--dump", metavar="DIR",
                         help="also write each scenario's hashed arrays to DIR")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
@@ -246,12 +288,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.compare:
         lines = compare_lines(*args.compare)
-    elif args.workload and args.seed:
+    elif (args.workload and args.seed) or (args.config and not (args.workload or args.seed)):
         if args.dump:
             os.makedirs(args.dump, exist_ok=True)
-        lines = digest_lines(args.workload, args.seed, args.dump)
+        try:
+            # config:... sorts before every workload name
+            lines = config_lines(args.config or (), args.dump)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
+        if args.workload:
+            lines += digest_lines(args.workload, args.seed, args.dump)
     else:
-        parser.error("give --workload and --seed, or --compare")
+        parser.error("give --workload and --seed, --config, or --compare")
     try:
         for line in lines:
             print(line)
