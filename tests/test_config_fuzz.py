@@ -18,7 +18,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from darkwells.cli import (
     _ALLOWED_KEYS,
@@ -59,7 +59,8 @@ POOLS = {
     "fermions.eta": SIGNS,
     "bosons.law": tuple(_BOSON_LAWS) + ("text",),
     "bosons.eta": SIGNS,
-    "bosons.y": NUMBERS + ("3/4",),
+    # exact ratios of many bits meet the work bound at the larger counts
+    "bosons.y": NUMBERS + ("3/4", "0.123456789", "1e-30"),
     "sweep.axis": _SWEEP_AXES + ("text",),
     "sweep.axis2": _SWEEP_AXES + ("text",),
     "sweep.report": _SWEEP_REPORTS + ("text",),
@@ -82,7 +83,8 @@ STYLE_KEYS = {
 @st.composite
 def configs(draw):
     """A kind and a config: some sections the kind reads, rarely one it does
-    not, each with a few of its keys, the [model] keys mostly of one style.
+    not, each with a few of its keys, the [model] keys mostly of one style
+    and the [bosons] keys mostly of one law.
     ``oracle-compare`` always sets the level count and ``sweep`` its first
     axis, and ``scenario.kind`` is mostly the kind run."""
     kind = draw(st.sampled_from(KINDS))
@@ -96,11 +98,16 @@ def configs(draw):
     config = {}
     for section in sorted(sections):
         allowed = sorted(_ALLOWED_KEYS[section])
+        chosen = {}
         if section == "model" and draw(st.integers(0, 7)):
             allowed = STYLE_KEYS[draw(st.sampled_from(sorted(STYLE_KEYS)))]
+        if section == "bosons" and draw(st.integers(0, 3)):
+            # mostly one law with keys it reads, so that draws reach the laws
+            chosen["law"] = draw(st.sampled_from(sorted(_BOSON_LAWS)))
+            allowed = sorted(_BOSON_LAWS[chosen["law"]])
         keys = draw(st.sets(st.sampled_from(allowed), max_size=4))
         keys |= required.get(kind, {}).get(section, set())
-        config[section] = {}
+        config[section] = chosen
         for key in sorted(keys):
             name = f"{section}.{key}"
             if name in ("sweep.values", "sweep.values2"):
@@ -139,6 +146,9 @@ def check_written(out, fmt):
 
 @FUZZ
 @given(drawn=configs())
+# two requests past the boson work bound, so its assertion always runs
+@example(drawn=("bosons", {"bosons": {"law": "one_well", "n": "30", "y": "1e-30"}}))
+@example(drawn=("bosons", {"bosons": {"n1": "30", "n2": "30", "y": "0.123456789"}}))
 def test_every_config_ends_in_a_documented_way(drawn):
     kind, config = drawn
     text = "".join(
