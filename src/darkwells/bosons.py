@@ -4,9 +4,9 @@ N1 + N2 bosons split between two wells rotate into the (dark, bright)
 mode pair; every bright quantum eventually leaves while dark quanta stay
 forever, so the reservoir count distribution is read directly off the
 rotated expansion.  Everything here is exact integer/rational
-combinatorics: amplitudes are kept as rational multiples of square roots
-of rationals and only converted to floating point at the very end, so
-oracle comparisons can demand exact equality instead of tolerances.
+combinatorics: each amplitude is kept as its sign and its exact rational
+square and only converted to floating point at the very end, so oracle
+comparisons can demand exact equality instead of tolerances.
 """
 
 from __future__ import annotations
@@ -32,13 +32,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SurdAmplitude:
-    """Exact real amplitude ``coef * sqrt(radicand)``.
+    """Exact real amplitude, built as ``coef * sqrt(radicand)``.
 
     ``coef`` is a rational of either sign, ``radicand`` a non-negative
-    rational.  Different factorizations of the same value compare equal;
-    zero is canonical as (0, 0).
+    rational.  Every factorization of one value is stored in the same
+    canonical form: ``coef`` holds the sign (-1, 0 or 1) and ``radicand``
+    the exact square ``coef^2 radicand``, so equal values have equal fields
+    and hashes.
     """
 
     coef: Fraction
@@ -49,32 +51,26 @@ class SurdAmplitude:
         radicand = Fraction(self.radicand)
         if radicand < 0:
             raise ValueError("radicand must be non-negative")
-        if coef == 0 or radicand == 0:
-            coef = Fraction(0)
-            radicand = Fraction(0)
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "radicand", radicand)
+        square = coef * coef * radicand
+        object.__setattr__(self, "coef", (coef > 0) - (coef < 0) if square else 0)
+        object.__setattr__(self, "radicand", square)
 
     @property
     def sign(self) -> int:
-        return (self.coef > 0) - (self.coef < 0)
+        return self.coef
 
     def square(self) -> Fraction:
-        return self.coef * self.coef * self.radicand
+        return self.radicand
 
     def __float__(self) -> float:
-        return float(self.coef) * math.sqrt(float(self.radicand))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SurdAmplitude):
-            return NotImplemented
-        return self.sign == other.sign and self.square() == other.square()
-
-    def __hash__(self) -> int:
-        return hash((self.sign, self.square()))
-
-    def __repr__(self) -> str:
-        return f"SurdAmplitude({self.coef!s}, sqrt({self.radicand!s}))"
+        # the root from the integers, as the square can be too small for a
+        # normal float: 2^k scales it to 55 bits or more, and an odd last bit
+        # stands for the rest of an inexact root, so the division rounds it
+        n, d = self.radicand.numerator, self.radicand.denominator
+        k = max(0, 56 + (d.bit_length() - n.bit_length()) // 2)
+        root = math.isqrt((n << 2 * k) // d)
+        inexact = root * root * d != n << 2 * k
+        return self.coef * (2 * root + inexact) / (2 << k)
 
 
 ZERO_AMPLITUDE = SurdAmplitude(Fraction(0), Fraction(0))
@@ -187,16 +183,14 @@ def rotate_fock(N1: int, N2: int, y, eta: int = 1) -> BosonFockState:
 
     Expands (cos(a) c1^dag + sin(a) c2^dag)^N1 (-sin(a) c1^dag +
     cos(a) c2^dag)^N2 |0> / sqrt(N1! N2!) with cos(a) = eta sqrt(y/(1+y)),
-    c1 the dark and c2 the bright mode.  With y = p/q in lowest terms and
-    I(n1) the integer coefficient of x^n1 in (q + p x)^N1 (1 - x)^N2, the
-    amplitude on (n1, N-n1) is
+    c1 the dark and c2 the bright mode.  With y = p/q in lowest terms (the
+    rational value of the argument) and I(n1) the integer coefficient of
+    x^n1 in (q + p x)^N1 (1 - x)^N2, the amplitude on (n1, N-n1) has the
+    sign sign(I(n1)) eta^(N2-n1) and the square
 
-        sqrt(n1! n2! / (N1! N2!)) * eta^(N2-n1) * y^((N2-n1)/2)
-        * (1+y)^(-N/2) * I(n1) / q^N1,
+        C(N, N1) I(n1)^2 p^(N2-n1) q^(n1-N1) / (C(N, n1) (p + q)^N),
 
-    carried exactly: y is taken as the rational value of the argument,
-    the whole powers of p, q and p + q go into one rational coefficient,
-    and the half-integer ones into the surd part of the amplitude.
+    one exact Fraction per amplitude.
     """
     if N1 < 0 or N2 < 0 or N1 + N2 < 1:
         raise ValueError("need N1, N2 >= 0 with at least one particle")
@@ -204,26 +198,17 @@ def rotate_fock(N1: int, N2: int, y, eta: int = 1) -> BosonFockState:
         raise ValueError(f"eta must be +1 or -1, got {eta!r}")
     p, q = _ratio(y)
     N = N1 + N2
-    s = p + q
-    e2 = N % 2
-    # (1+y)^(-(N-e2)/2) = q^half / s^half; the factor (1+y)^(-e2/2) is surd
-    half = (N - e2) // 2
-    shared = s**half
     fill = math.comb(N, N1)
+    scale = (p + q) ** N
     amps = {}
     for n1, coeff in enumerate(_rotation_polynomial(N1, N2, p, q)):
-        diff = N2 - n1
-        e1 = diff % 2
-        # the whole part of y^(diff/2) / q^N1 * q^half, as p^a q^b
-        a = (diff - e1) // 2
-        b = half - a - N1
-        num = coeff * p ** max(a, 0) * q ** max(b, 0)
-        if e1 and eta < 0:
-            num = -num
-        coef = Fraction(num, shared * p ** max(-a, 0) * q ** max(-b, 0))
-        # n1! n2! / (N1! N2!) = C(N, N1) / C(N, n1), times y^e1 / (1+y)^e2
-        radicand = Fraction(fill * p**e1 * q**e2, math.comb(N, n1) * q**e1 * s**e2)
-        amps[(n1, N - n1)] = SurdAmplitude(coef, radicand)
+        a, b = N2 - n1, n1 - N1
+        square = Fraction(
+            fill * coeff * coeff * p ** max(a, 0) * q ** max(b, 0),
+            math.comb(N, n1) * scale * p ** max(-a, 0) * q ** max(-b, 0),
+        )
+        sign = ((coeff > 0) - (coeff < 0)) * eta ** (a % 2)
+        amps[(n1, N - n1)] = SurdAmplitude(sign, square)
     return BosonFockState(total=N, basis="dark_bright", amplitudes=amps)
 
 

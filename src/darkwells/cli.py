@@ -74,11 +74,11 @@ _MAX_ORACLE_ENTRIES = 5_000_000
 # Bosons in one exact emission law; the rational arithmetic grows
 # faster than quadratically in the count.
 _MAX_BOSONS = 1000
-# Boson count times the bits of y = p/q (p.bit_length() + q.bit_length()):
-# the exact integers grow with both.  This is the product at the count cap
-# with y = 1, and at a fixed product the largest count is the slowest, so
-# no accepted law takes longer than emission of 500 + 500 bosons at y = 1.
-_MAX_BOSON_WORK = 2000
+# count^4 x bits^3 of a law that reads y = p/q, with bits = p.bit_length() +
+# q.bit_length(): the time of a law grows about as count^2 x bits^1.5.  The
+# limit is the value at the count cap with y = 1; along its boundary no law
+# was measured slower than the count cap's own laws at y = 1.
+_MAX_BOSON_WORK = _MAX_BOSONS**4 * 2**3
 # Sweep points per batched evaluation and fit: the transient arrays stay
 # this size however large sweep.max_points is.
 _SWEEP_BLOCK = 64
@@ -596,7 +596,7 @@ def _check_oracle_work(pair, times, n_levels, band_keys, phase_keys):
         if times.size * dim > _MAX_ORACLE_ENTRIES:
             raise ConfigError(
                 f"grid.n_points: {times.size} points of dimension {dim} exceed "
-                f"the cap of {_MAX_ORACLE_ENTRIES} stored amplitudes"
+                f"the cap of {_MAX_ORACLE_ENTRIES} phase factors"
             )
         return
     degree = 0.5 * (hi - lo) * t_max
@@ -710,13 +710,13 @@ def _run_bosons(scenario):
     if law == "emission":
         n1 = _boson_count(sections, "n1", 0)
         n2 = _boson_count(sections, "n2", 0)
-        if not 1 <= n1 + n2 <= _MAX_BOSONS:
+        count_keys, count = "bosons.n1, bosons.n2", n1 + n2
+        if not 1 <= count <= _MAX_BOSONS:
             raise ConfigError(
-                f"bosons.n1: n1 + n2 must lie between 1 and {_MAX_BOSONS}, got {n1 + n2}"
+                f"{count_keys}: n1 + n2 must lie between 1 and {_MAX_BOSONS}, got {count}"
             )
         eta = _parse_eta(sections, "bosons")
         resolved.update({"bosons.n1": n1, "bosons.n2": n2, "bosons.eta": eta})
-        count_keys, count = "bosons.n1, bosons.n2", n1 + n2
     else:
         key = "n_retained" if law == "retained_split" else "n"
         n = _boson_count(sections, key, 0 if law == "retained_split" else 1)
@@ -724,11 +724,12 @@ def _run_bosons(scenario):
         count_keys, count = f"bosons.{key}", n
     if law != "equal_fill":
         bits = y.numerator.bit_length() + y.denominator.bit_length()
-        if count * bits > _MAX_BOSON_WORK:
+        work = count**4 * bits**3
+        if work > _MAX_BOSON_WORK:
             raise ConfigError(
-                f"{count_keys}, bosons.y: {count} bosons times the {bits} bits of y "
-                f"(numerator and denominator) is {count * bits}, above the work "
-                f"limit of {_MAX_BOSON_WORK}"
+                f"{count_keys}, bosons.y: {count} bosons at the {bits} bits of y "
+                f"(numerator and denominator) give count^4 x bits^3 = {work}, above "
+                f"the work limit of {_MAX_BOSON_WORK}"
             )
     if law == "emission":
         dist = emission_distribution(rotate_fock(n1, n2, y, eta=eta))

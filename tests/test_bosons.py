@@ -1,7 +1,10 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from darkwells.bosons import (
     ZERO_AMPLITUDE,
@@ -42,6 +45,42 @@ def test_surd_zero_is_canonical():
     assert ZERO_AMPLITUDE.sign == 0
     with pytest.raises(ValueError):
         SurdAmplitude(Fraction(1), Fraction(-1))
+
+
+PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+rationals = st.fractions(max_denominator=10**9)
+nonzero = rationals.filter(bool)
+# squares from about 2^-2100 (a subnormal root) up to 2^2000
+squares = st.builds(Fraction, st.integers(0, 2**2000), st.integers(1, 2**2100))
+# its square is subnormal, so sqrt(float(square)) is wrong in the sixth digit
+TINY = rotate_fock(40, 3, Fraction("1e-30")).amplitude(14, 29)
+
+
+@PROPERTY
+@given(c=nonzero, r=nonzero.map(abs), s=rationals.map(abs))
+def test_surd_factorizations_share_one_canonical_form(c, r, s):
+    a = SurdAmplitude(c * r, s / (r * r))
+    b = SurdAmplitude(c, s)
+    assert a == b and hash(a) == hash(b)
+    assert (a.coef, a.radicand) == (b.coef, b.radicand)
+    assert a.coef == (a.sign if s else 0) and a.radicand == a.square() == c * c * s
+
+
+@PROPERTY
+@given(amp=st.builds(SurdAmplitude, st.sampled_from((-1, 0, 1)), squares))
+@example(amp=TINY)
+def test_surd_float_is_the_root_within_one_ulp(amp):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = Decimal(amp.radicand.numerator) / Decimal(amp.radicand.denominator)
+        want = amp.sign * float(root.sqrt())
+    assert abs(float(amp) - want) <= math.ulp(want)
+
+
+def test_tiny_amplitude_has_a_subnormal_square():
+    assert TINY.sign == -1 and 0 < TINY.square() < sys.float_info.min
+    assert float(TINY) == pytest.approx(-9.173308e-160, rel=1e-6, abs=0)
+    assert math.sqrt(float(TINY.square())) != pytest.approx(-float(TINY), rel=1e-7, abs=0)
 
 
 def test_rotation_matches_operator_oracle_exactly():

@@ -357,19 +357,19 @@ def test_bosons_emission_csv(tmp_path):
     "text, keys, product",
     [
         ("law = emission\nn1 = 500\nn2 = 500\ny = 1/2\n",
-         "bosons.n1, bosons.n2, bosons.y", 3000),
-        # n2 is 1 by default: 36 bosons at 27 + 30 bits
-        ("law = emission\nn1 = 35\ny = 0.123456789\n",
-         "bosons.n1, bosons.n2, bosons.y", 36 * 57),
-        ("law = one_well\nn = 20\ny = 1e-30\n", "bosons.n, bosons.y", 20 * 101),
-        ("law = retained_split\nn_retained = 2\ny = 1e308\n",
-         "bosons.n_retained, bosons.y", 2 * 1025),
+         "bosons.n1, bosons.n2, bosons.y", 1000**4 * 3**3),
+        # n2 is 1 by default: 82 bosons at 27 + 30 bits
+        ("law = emission\nn1 = 81\ny = 0.123456789\n",
+         "bosons.n1, bosons.n2, bosons.y", 82**4 * 57**3),
+        ("law = one_well\nn = 53\ny = 1e-30\n", "bosons.n, bosons.y", 53**4 * 101**3),
+        ("law = retained_split\nn_retained = 10\ny = 1e308\n",
+         "bosons.n_retained, bosons.y", 10**4 * 1025**3),
     ],
     ids=["emission", "emission_default_n2", "one_well", "retained_split"],
 )
 def test_boson_work_bound_refuses_before_any_law(tmp_path, capsys, monkeypatch, text, keys,
                                                  product):
-    # the exact integers grow with the count and with the bits of y = p/q
+    # a law's time grows about as count^2 x bits^1.5, with the bits of y = p/q
     limit = darkwells.cli._MAX_BOSON_WORK
     assert product > limit
     cfg = write_config(tmp_path, "[bosons]\n" + text)
@@ -383,18 +383,20 @@ def test_boson_work_bound_refuses_before_any_law(tmp_path, capsys, monkeypatch, 
     assert main(["bosons", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {keys}: "), err
-    assert f"is {product}, above the work limit of {limit}" in err, err
+    assert f"count^4 x bits^3 = {product}, above the work limit of {limit}" in err, err
     assert not out.exists()
 
 
 def test_boson_work_bound_accepts_its_limit(tmp_path):
-    # 1000 x (1 + 1) bits is the limit itself; 34 + 1 bosons at 57 bits
-    # and 19 at 101 bits lie just below it
-    assert darkwells.cli._MAX_BOSON_WORK == 2 * darkwells.cli._MAX_BOSONS
+    # 1000 bosons at 1 + 1 bits is the limit itself; 80 + 1 bosons at 57
+    # bits, 52 at 101 bits and 9 at 1025 bits lie just below it
+    assert darkwells.cli._MAX_BOSON_WORK == darkwells.cli._MAX_BOSONS**4 * 2**3
     for text in (
         "law = emission\nn1 = 500\nn2 = 500\ny = 1\n",
-        "law = emission\nn1 = 34\ny = 0.123456789\n",
-        "law = one_well\nn = 19\ny = 1e-30\n",
+        "law = emission\nn1 = 80\ny = 0.123456789\n",
+        "law = one_well\nn = 52\ny = 1e-30\n",
+        "law = retained_split\nn_retained = 9\ny = 1e308\n",
+        "law = retained_split\nn_retained = 2\ny = 1e308\n",
         "law = retained_split\nn_retained = 1\ny = 1e-320\n",
         "law = equal_fill\nn = 1000\n",
     ):
@@ -690,7 +692,7 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
         ("oracle-compare", "[oracle]\nmethod = dense\n", "oracle.method"),
         ("bosons", "[bosons]\nn1 = -1\n", "bosons.n1"),
         ("bosons", "[bosons]\nn2 = -1\n", "bosons.n2"),
-        ("bosons", "[bosons]\nn1 = 0\nn2 = 0\n", "bosons.n1"),
+        ("bosons", "[bosons]\nn1 = 0\nn2 = 0\n", "bosons.n1, bosons.n2"),
         ("bosons", "[bosons]\ny = 0\n", "bosons.y"),
         ("bosons", "[bosons]\nlaw = one_well\ny = -1\n", "bosons.y"),
         ("bosons", "[bosons]\nlaw = retained_split\ny = 0\n", "bosons.y"),
@@ -704,7 +706,8 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
         ("bosons", "[bosons]\nlaw = one_well\nn = -3\n", "bosons.n"),
         ("bosons", "[bosons]\nlaw = retained_split\nn_retained = -1\n", "bosons.n_retained"),
         ("bosons", "[bosons]\nn1 = 100000\nn2 = 100000\n", "bosons.n1"),
-        ("bosons", f"[bosons]\nn1 = {cap // 2}\nn2 = {cap // 2 + 1}\n", "bosons.n1"),
+        ("bosons", f"[bosons]\nn1 = {cap // 2}\nn2 = {cap // 2 + 1}\n",
+         "bosons.n1, bosons.n2"),
         ("bosons", "[bosons]\nlaw = equal_fill\nn = 100000\n", "bosons.n"),
         ("bosons", f"[bosons]\nlaw = one_well\nn = {cap + 1}\n", "bosons.n"),
         ("bosons", "[bosons]\nlaw = retained_split\nn_retained = 100000\n",
@@ -1138,7 +1141,7 @@ def test_oracle_reads_n_levels_only(tmp_path, capsys, monkeypatch):
         ("oracle-compare", "[oracle]\nn_levels = {levels}\n", "oracle.n_levels"),
         # dense output: 30 000 points of dimension 202
         ("oracle-compare", "[grid]\nn_points = 30000\n[oracle]\nn_levels = 200\n",
-         "grid.n_points"),
+         "grid.n_points: .* phase factors"),
         # Chebyshev degree ~ 45 * t_max at gamma1 = gamma2 = 1: 450 000
         ("oracle-compare",
          "[grid]\nt_max = 1e4\nn_points = 2\n[oracle]\nn_levels = 2000\n",

@@ -146,9 +146,14 @@ def check_written(out, fmt):
 
 @FUZZ
 @given(drawn=configs())
-# two requests past the boson work bound, so its assertion always runs
-@example(drawn=("bosons", {"bosons": {"law": "one_well", "n": "30", "y": "1e-30"}}))
-@example(drawn=("bosons", {"bosons": {"n1": "30", "n2": "30", "y": "0.123456789"}}))
+# two requests past the boson work bound and one too few bosons, so their
+# assertions always run, and one small request at a ratio of many bits that
+# the bound must accept
+@example(drawn=("bosons", {"bosons": {"law": "one_well", "n": "30", "y": "1e308"}}))
+@example(drawn=("bosons", {"bosons": {"n1": "30", "n2": "30", "y": "1e-320"}}))
+@example(drawn=("bosons", {"bosons": {"n1": "0", "n2": "0"}}))
+@example(drawn=("bosons", {"bosons": {"law": "retained_split", "n_retained": "2",
+                                      "y": "1e308"}}))
 def test_every_config_ends_in_a_documented_way(drawn):
     kind, config = drawn
     text = "".join(
@@ -192,3 +197,6 @@ def test_every_config_ends_in_a_documented_way(drawn):
     if "work limit" in message[0]:
         assert "bosons.y" in names, (text, message)
         assert {"bosons.n1", "bosons.n", "bosons.n_retained"} & set(names), (text, message)
+    # both counts set the sum n1 + n2
+    if "n1 + n2" in message[0]:
+        assert {"bosons.n1", "bosons.n2"} <= set(names), (text, message)

@@ -256,7 +256,7 @@ def test_render_digests_hash_config_files(monkeypatch, tmp_path, capsys):
     Path("a.ini").write_text(head + "n = 3\ny = 7/3\n")
     Path("b.ini").write_text(head + "n = 3\ny = 7/3\n[output]\nformat = json\n")
     Path("c.ini").write_text(head + "n = 3\ny = 2.3333\n")
-    Path("refused.ini").write_text(head + "n = 20\ny = 1e-30\n")
+    Path("refused.ini").write_text(head + "n = 53\ny = 1e-30\n")
     paths = ["refused.ini", "c.ini", "b.ini", "a.ini"]
     assert render_digests.main(["--config", *paths, "--dump", "dump"]) == 0
     lines = capsys.readouterr().out.splitlines()
