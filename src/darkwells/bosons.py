@@ -198,14 +198,14 @@ def rotate_fock(N1: int, N2: int, y, eta: int = 1) -> BosonFockState:
         raise ValueError(f"eta must be +1 or -1, got {eta!r}")
     p, q = _ratio(y)
     N = N1 + N2
-    fill = math.comb(N, N1)
+    binomials = _binomial_row(N, 1, 1)
     scale = (p + q) ** N
     amps = {}
     for n1, coeff in enumerate(_rotation_polynomial(N1, N2, p, q)):
         a, b = N2 - n1, n1 - N1
         square = Fraction(
-            fill * coeff * coeff * p ** max(a, 0) * q ** max(b, 0),
-            math.comb(N, n1) * scale * p ** max(-a, 0) * q ** max(-b, 0),
+            binomials[N1] * coeff * coeff * p ** max(a, 0) * q ** max(b, 0),
+            binomials[n1] * scale * p ** max(-a, 0) * q ** max(-b, 0),
         )
         sign = ((coeff > 0) - (coeff < 0)) * eta ** (a % 2)
         amps[(n1, N - n1)] = SurdAmplitude(sign, square)

@@ -65,12 +65,6 @@ __all__ = ["ConfigError", "Scenario", "RunResult", "load_config", "render", "run
 # Requests past these caps are refused before anything is allocated; each
 # would spend memory or time out of proportion to any use of the answer.
 _MAX_GRID_POINTS = 100_000
-_MAX_ORACLE_LEVELS = 100_000
-# Chebyshev degree, about half-bandwidth * t_max: one sparse product per order
-_MAX_CHEBYSHEV_DEGREE = 100_000
-# entries of the (n_points x dim) phase factors of a dense oracle run or of
-# the (n_points x degree) Bessel table of a Chebyshev run
-_MAX_ORACLE_ENTRIES = 5_000_000
 # Bosons in one exact emission law; the rational arithmetic grows
 # faster than quadratically in the count.
 _MAX_BOSONS = 1000
@@ -215,6 +209,20 @@ def load_config(path: str) -> dict:
     }
 
 
+def _quote(raw):
+    """``raw`` as a refusal quotes it: past 40 characters, a prefix and the length."""
+    return repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}... ({len(raw)} characters)"
+
+
+def _unparsed(name, raw, what, exc):
+    """The refusal of the value ``raw`` of ``name`` that ``exc`` kept from parsing as ``what``."""
+    # CPython's reason for a string of more digits than it converts to an int
+    if "integer string conversion" not in str(exc):
+        return ConfigError(f"{name}: cannot parse {_quote(raw)} as {what}")
+    limit = sys.get_int_max_str_digits()
+    return ConfigError(f"{name}: {_quote(raw)} has more digits than Python's int limit of {limit}")
+
+
 def _parse_number(sections, section, key, default=None, kind=float, required=False):
     sec = sections.get(section, {})
     if key not in sec:
@@ -226,12 +234,10 @@ def _parse_number(sections, section, key, default=None, kind=float, required=Fal
         if kind is int:
             return int(raw)
         value = kind(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}"
-        ) from None
+    except ValueError as exc:
+        raise _unparsed(f"{section}.{key}", raw, kind.__name__, exc) from None
     if not cmath.isfinite(value):
-        raise ConfigError(f"{section}.{key}: value must be finite, got {raw!r}")
+        raise ConfigError(f"{section}.{key}: value must be finite, got {_quote(raw)}")
     return value
 
 
@@ -280,8 +286,8 @@ def _parse_ratio(sections, section, key):
     try:
         value = Fraction(raw)
         approx = float(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as a finite ratio") from None
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise _unparsed(f"{section}.{key}", raw, "a finite ratio", exc) from None
     return value, _require_positive(f"{section}.{key}", approx)
 
 
@@ -566,54 +572,9 @@ def single_particle_trajectory(*args, **kwargs):
     return run(*args, **kwargs)
 
 
-def _check_oracle_work(pair, times, n_levels, band_keys, phase_keys):
-    """Refuse an oracle run whose band spacing or phases ``t E`` overflow, or
-    whose arrays or Chebyshev degree pass the caps.
-
-    ``band_keys`` names the keys that set the band, and ``phase_keys`` those
-    that set the band and the last time.
-    """
-    from .oracle import DiscretizedReservoir, single_particle_bounds, single_particle_method
-
-    if n_levels > _MAX_ORACLE_LEVELS:
-        raise ConfigError(
-            f"oracle.n_levels: {n_levels} levels exceed the cap of {_MAX_ORACLE_LEVELS}"
-        )
-    try:
-        res = DiscretizedReservoir.for_pair(pair, n_levels)
-    except ValueError as exc:
-        raise ConfigError(f"{band_keys}: {exc}") from exc
-    # the bounds enclose the spectrum, so finite t * bounds mean finite phases
-    lo, hi = single_particle_bounds(pair, res)
-    t_max = float(times[-1])
-    if not (math.isfinite(t_max * lo) and math.isfinite(t_max * hi)):
-        raise ConfigError(
-            f"{phase_keys}: the phases t E of the band "
-            f"[{lo!r}, {hi!r}] overflow by t = {t_max!r}"
-        )
-    dim = n_levels + 2
-    if single_particle_method(n_levels) == "dense":
-        if times.size * dim > _MAX_ORACLE_ENTRIES:
-            raise ConfigError(
-                f"grid.n_points: {times.size} points of dimension {dim} exceed "
-                f"the cap of {_MAX_ORACLE_ENTRIES} phase factors"
-            )
-        return
-    degree = 0.5 * (hi - lo) * t_max
-    if degree > _MAX_CHEBYSHEV_DEGREE:
-        raise ConfigError(
-            f"grid.t_max: needs a Chebyshev degree of about {degree:.3g}, "
-            f"above the cap of {_MAX_CHEBYSHEV_DEGREE}"
-        )
-    if times.size * degree > _MAX_ORACLE_ENTRIES:
-        raise ConfigError(
-            f"grid.t_max: {times.size} points at a Chebyshev degree of about "
-            f"{degree:.3g} exceed the cap of {_MAX_ORACLE_ENTRIES} Bessel coefficients"
-        )
-
-
 def _run_oracle_compare(scenario):
-    from .oracle import convergence_report
+    """The oracle against the closed form, the oracle first: it refuses before anything runs."""
+    from .oracle import OracleRequestError, convergence_report
 
     spec, given = _read_model(scenario.sections, band=True)
     pair, resolved = _build_model(spec, given)
@@ -626,20 +587,17 @@ def _run_oracle_compare(scenario):
     resolved.update(res_init)
     resolved.update(res_grid)
     n_levels = _parse_number(scenario.sections, "oracle", "n_levels", default=2000, kind=int)
-    if n_levels < 10:
-        raise ConfigError(f"oracle.n_levels: need at least 10 levels, got {n_levels}")
-    if n_levels % 2:
-        raise ConfigError(
-            f"oracle.n_levels: must be even to keep the reservoir grid symmetric, "
-            f"got {n_levels}"
-        )
-    band = _model_keys(spec, given, {}, "lambda_cutoff")
-    phase = band + ", grid.t_max" if "t_max" in scenario.sections.get("grid", {}) else band
-    _check_oracle_work(pair, times, n_levels, band, phase)
     resolved["oracle.n_levels"] = n_levels
+    try:
+        oracle_run = single_particle_trajectory(pair, (b1, b2), times, n_levels=n_levels)
+    except OracleRequestError as exc:
+        band = _model_keys(spec, given, {}, "lambda_cutoff")
+        t_max = ", grid.t_max" if "t_max" in scenario.sections.get("grid", {}) else ""
+        keys = {"n_levels": "oracle.n_levels", "band": band, "phases": band + t_max,
+                "n_points": "grid.n_points", "t_max": "grid.t_max"}[exc.source]
+        raise ConfigError(f"{keys}: {exc}") from exc
     initial = SingleParticleState.from_amplitudes(b1, b2)
     reference = _master_trajectory(pair, initial, times, spec, given, scenario.sections)
-    oracle_run = single_particle_trajectory(pair, (b1, b2), times, n_levels=n_levels)
     err = np.abs(oracle_run.trajectory.sigma11 - reference.sigma11)
     columns = {
         "t": times,
@@ -759,10 +717,8 @@ def _sweep_axis(sections, axis_key, values_key):
         raise ConfigError(f"sweep.{values_key}: empty sweep axis")
     try:
         values = [float(item) for item in raw]
-    except ValueError:
-        raise ConfigError(
-            f"sweep.{values_key}: cannot parse {sec[values_key]!r} as floats"
-        ) from None
+    except ValueError as exc:
+        raise _unparsed(f"sweep.{values_key}", sec[values_key], "floats", exc) from None
     for value in values:
         if not math.isfinite(value):
             raise ConfigError(f"sweep.{values_key}: value must be finite, got {value}")

@@ -23,7 +23,11 @@ a :class:`Projection`: those rows at every time and the full state at the
 last time alone.  Both are fully deterministic, refuse the same starts and
 time grids, and check norm drift to one tolerance, ``_NORM_TOL``.
 :func:`single_particle_method` picks the propagator of a single-particle
-run from its dimension alone.
+run from its dimension alone.  Before anything is built, a single-particle
+run past the caps is refused (:class:`OracleRequestError`): ``_MAX_LEVELS``
+levels, a Chebyshev degree (about half-bandwidth x t_max) of
+``_MAX_CHEBYSHEV_DEGREE``, or ``_MAX_TABLE_ENTRIES`` entries of the dense
+run's (n_points x dim) phase factors or the (n_points x degree) Bessel table.
 
 A finite band is faithful only for a finite while: the discrete spectrum
 revives after the recurrence time ``2 pi / spacing``, and the band edges
@@ -47,6 +51,7 @@ from .dynamics import Trajectory
 from .model import ParallelWellPair, WellPair, derive
 
 __all__ = [
+    "OracleRequestError",
     "DiscretizedReservoir",
     "default_cutoff",
     "reservoir_couplings",
@@ -75,6 +80,9 @@ __all__ = [
 # evolve_exact refuses larger ones
 DENSE_MAX_DIM = 1500
 _MAX_FOCK_DIM = 250_000
+_MAX_LEVELS = 100_000
+_MAX_CHEBYSHEV_DEGREE = 100_000
+_MAX_TABLE_ENTRIES = 5_000_000
 # output times evolved per batched product in evolve_exact; bounds the
 # temporaries beyond the output to O(_TIME_BLOCK * dim)
 _TIME_BLOCK = 64
@@ -96,6 +104,15 @@ _log = logging.getLogger("darkwells")
 _SIGNS = np.array([1.0, -1.0])
 
 
+class OracleRequestError(ValueError):
+    """A request refused before anything is built; ``source``, what set the refused
+    quantity, is ``"n_levels"``, ``"band"``, ``"phases"``, ``"n_points"`` or ``"t_max"``."""
+
+    def __init__(self, source: str, message: str):
+        super().__init__(message)
+        self.source = source
+
+
 def default_cutoff(pair: WellPair) -> float:
     """Half-bandwidth wide enough for the wide-band limit to apply.
 
@@ -112,9 +129,10 @@ class DiscretizedReservoir:
 
     ``n_levels`` must be even so the grid ``-cutoff + (k + 1/2) * spacing``
     stays symmetric and never places a level at exactly zero energy, where
-    it would artificially pin the aligned-well resonance.  A spacing
-    ``2 cutoff / n_levels`` that is not finite, or so fine that the
-    recurrence time ``2 pi / spacing`` is not, raises ``ValueError``.
+    it would artificially pin the aligned-well resonance, from 10 up to
+    ``_MAX_LEVELS``.  A spacing ``2 cutoff / n_levels`` that is not finite,
+    or so fine that the recurrence time ``2 pi / spacing`` is not, raises
+    :class:`OracleRequestError` too.
     """
 
     n_levels: int
@@ -126,21 +144,25 @@ class DiscretizedReservoir:
     @classmethod
     def uniform(cls, n_levels: int, cutoff: float) -> "DiscretizedReservoir":
         if n_levels < 10:
-            raise ValueError(
-                f"n_levels = {n_levels} is too coarse to mean anything; need >= 10"
+            raise OracleRequestError(
+                "n_levels", f"n_levels = {n_levels} is too coarse to mean anything; need >= 10"
             )
         if n_levels % 2:
-            raise ValueError(
-                f"n_levels must be even to keep the grid symmetric, got {n_levels}"
+            raise OracleRequestError(
+                "n_levels", f"n_levels must be even to keep the grid symmetric, got {n_levels}"
+            )
+        if n_levels > _MAX_LEVELS:
+            raise OracleRequestError(
+                "n_levels", f"{n_levels} levels exceed the cap of {_MAX_LEVELS}"
             )
         if cutoff <= 0.0:
-            raise ValueError(f"cutoff must be positive, got {cutoff}")
+            raise OracleRequestError("band", f"cutoff must be positive, got {cutoff}")
         spacing = 2.0 * cutoff / n_levels
         # an infinite spacing makes the levels NaN, and one too fine leaves
         # the recurrence time infinite
         if not (0.0 < spacing < math.inf) or math.isinf(2.0 * math.pi / spacing):
-            raise ValueError(
-                f"the band spacing 2 * {cutoff!r} / {n_levels} = {spacing!r} "
+            raise OracleRequestError(
+                "band", f"the band spacing 2 * {cutoff!r} / {n_levels} = {spacing!r} "
                 "or its recurrence time 2 pi / spacing leaves the float range"
             )
         energies = -cutoff + spacing * (np.arange(n_levels) + 0.5)
@@ -566,17 +588,43 @@ def single_particle_trajectory(pair: WellPair, initial, times, n_levels: int) ->
     with nothing yet in the reservoir.  The band is
     :meth:`DiscretizedReservoir.for_pair`'s.  :func:`single_particle_method`
     picks the propagator from the dimension; either keeps only the two
-    well rows, with the norm checked at the last time.  Requesting times
-    past half the recurrence time logs a WARNING event on the ``darkwells``
-    logger (attributes ``t_max`` and ``recurrence_time``): beyond it the
-    discrete band begins to feed the wells back and no longer emulates a
-    continuum.
+    well rows, with the norm checked at the last time.  Phases ``t E`` past
+    the float range and runs past the caps, sized from
+    :func:`single_particle_bounds`, are refused before anything is built.
+    Requesting times past half the recurrence time logs a WARNING event on
+    the ``darkwells`` logger (attributes ``t_max`` and ``recurrence_time``):
+    beyond it the discrete band begins to feed the wells back and no longer
+    emulates a continuum.
     """
     res = DiscretizedReservoir.for_pair(pair, n_levels)
     times = np.asarray(times, dtype=float)
     c1, c2 = complex(initial[0]), complex(initial[1])
     if abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > 1e-9:
         raise ValueError("initial well amplitudes must be normalized")
+    # the bounds enclose the spectrum, so finite t * bounds mean finite phases
+    bounds = lo, hi = single_particle_bounds(pair, res)
+    t_max = float(times[-1]) if times.size else 0.0
+    if not (math.isfinite(t_max * lo) and math.isfinite(t_max * hi)):
+        raise OracleRequestError(
+            "phases", f"the phases t E of the band [{lo!r}, {hi!r}] overflow by t = {t_max!r}"
+        )
+    method = single_particle_method(n_levels)
+    degree = 0.5 * (hi - lo) * t_max
+    if method == "dense" and times.size * (n_levels + 2) > _MAX_TABLE_ENTRIES:
+        raise OracleRequestError(
+            "n_points", f"{times.size} points of dimension {n_levels + 2} exceed "
+            f"the cap of {_MAX_TABLE_ENTRIES} phase factors"
+        )
+    if method == "chebyshev" and degree > _MAX_CHEBYSHEV_DEGREE:
+        raise OracleRequestError(
+            "t_max", f"needs a Chebyshev degree of about {degree:.3g}, "
+            f"above the cap of {_MAX_CHEBYSHEV_DEGREE}"
+        )
+    if method == "chebyshev" and times.size * degree > _MAX_TABLE_ENTRIES:
+        raise OracleRequestError(
+            "t_max", f"{times.size} points at a Chebyshev degree of about {degree:.3g} "
+            f"exceed the cap of {_MAX_TABLE_ENTRIES} Bessel coefficients"
+        )
     recurrence_exceeded = bool(times.size and times.max() > 0.5 * res.recurrence_time)
     if recurrence_exceeded:
         _log.warning(
@@ -586,17 +634,13 @@ def single_particle_trajectory(pair: WellPair, initial, times, n_levels: int) ->
             extra={"t_max": float(times.max()), "recurrence_time": res.recurrence_time},
         )
     psi0 = np.zeros(n_levels + 2, dtype=complex)
-    psi0[0] = c1
-    psi0[1] = c2
-    method = single_particle_method(n_levels)
+    psi0[:2] = c1, c2
     if method == "dense":
         h = build_single_particle_hamiltonian(pair, res)
         run = evolve_exact(h, psi0, times, rows=[0, 1])
     else:
         h = build_single_particle_hamiltonian(pair, res, sparse=True)
-        run = chebyshev_propagate(
-            h, psi0, times, bounds=single_particle_bounds(pair, res), rows=[0, 1]
-        )
+        run = chebyshev_propagate(h, psi0, times, bounds=bounds, rows=[0, 1])
     b1, b2 = run.amplitudes[:, 0], run.amplitudes[:, 1]
     drift = abs(float(np.linalg.norm(run.final_state)) - 1.0) if times.size else 0.0
     s11 = np.abs(b1) ** 2

@@ -203,11 +203,14 @@ def test_float_range_refusals_name_their_keys(tmp_path, capsys, kind, text, mess
 def test_oracle_compare_refuses_an_overflowing_band_before_building(tmp_path, capsys, monkeypatch):
     # the spacing 2 cutoff / n_levels overflows; the run used to write
     # 200 nan cells and exit 0
+    import darkwells.oracle
+
     def fail(*args, **kwargs):
         raise AssertionError("nothing may be built")
 
-    monkeypatch.setattr(darkwells.cli, "single_particle_trajectory", fail)
     monkeypatch.setattr(darkwells.cli, "master_trajectory", fail)
+    for name in ("build_single_particle_hamiltonian", "evolve_exact", "chebyshev_propagate"):
+        monkeypatch.setattr(darkwells.oracle, name, fail)
     for cutoff in ("1.7e308", "1e308"):
         cfg = write_config(
             tmp_path, f"[model]\nlambda_cutoff = {cutoff}\n[oracle]\nn_levels = 40\n"
@@ -231,9 +234,9 @@ def test_oracle_compare_refuses_overflowing_phases_before_building(tmp_path, cap
     assert main(["oracle-compare", "--config", cfg, "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
     assert all(math.isfinite(float(cell)) for row in rows for cell in row)
-    monkeypatch.setattr(darkwells.cli, "single_particle_trajectory", fail)
     monkeypatch.setattr(darkwells.cli, "master_trajectory", fail)
-    monkeypatch.setattr(darkwells.oracle, "build_single_particle_hamiltonian", fail)
+    for name in ("build_single_particle_hamiltonian", "evolve_exact", "chebyshev_propagate"):
+        monkeypatch.setattr(darkwells.oracle, name, fail)
     for text, keys in (
         ("[model]\nlambda_cutoff = 5e307\n", "model.lambda_cutoff"),
         ("[model]\nlambda_cutoff = 1e300\n[grid]\nt_max = 1e10\n",
@@ -1116,7 +1119,7 @@ def test_oracle_reads_n_levels_only(tmp_path, capsys, monkeypatch):
         assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert f"config error: {key}: unknown key" in capsys.readouterr().err
     monkeypatch.undo()
-    # the CLI's caps and the run ask one function which propagator applies
+    # the oracle alone asks which propagator applies, once per run
     picked = []
 
     def pick(n_levels):
@@ -1130,7 +1133,7 @@ def test_oracle_reads_n_levels_only(tmp_path, capsys, monkeypatch):
     )
     assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
     report = json.loads((tmp_path / "x.csv.manifest.json").read_text())["oracle"]
-    assert picked == [64, 64]
+    assert picked == [64]
     assert report["method"] == "chebyshev" and report["chebyshev_degree"] > 0
 
 
@@ -1161,12 +1164,38 @@ def test_oversized_requests_are_refused_before_building(tmp_path, monkeypatch, k
 
     monkeypatch.setattr(darkwells.oracle, "build_single_particle_hamiltonian", refuse)
     config = text.format(
-        points=darkwells.cli._MAX_GRID_POINTS + 1, levels=darkwells.cli._MAX_ORACLE_LEVELS + 2
+        points=darkwells.cli._MAX_GRID_POINTS + 1, levels=darkwells.oracle._MAX_LEVELS + 2
     )
     cfg = write_config(tmp_path, "[model]\ngamma1 = 1.0\ngamma2 = 1.0\n" + config)
     scenario = build_scenario(kind, load_config(cfg), out=str(tmp_path / "x.csv"))
     with pytest.raises(ConfigError, match=key):
         render(scenario)
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("oracle-compare", "[oracle]\nn_levels = " + "9" * 5000,
+         f"oracle.n_levels: {'9' * 40!r}... (5000 characters) has more digits than "
+         "Python's int limit"),
+        ("bosons", "[bosons]\ny = 1/" + "7" * 4301,
+         f"bosons.y: {'1/' + '7' * 38!r}... (4303 characters) has more digits than "
+         "Python's int limit"),
+        ("sweep", "[sweep]\naxis = y\nvalues = 1, " + "x" * 5000,
+         f"sweep.values: cannot parse {'1, ' + 'x' * 37!r}... (5003 characters) as floats"),
+        ("evolve", "[grid]\nt_max = " + "9" * 5000,
+         f"grid.t_max: value must be finite, got {'9' * 40!r}... (5000 characters)"),
+    ],
+    ids=["int_limit", "ratio_int_limit", "sweep_values", "not_finite"],
+)
+def test_parse_refusals_quote_a_bounded_prefix(tmp_path, capsys, kind, text, message):
+    # these echoed the whole value, thousands of characters, and said
+    # "cannot parse" where Python's int-string limit was the cause
+    cfg = write_config(tmp_path, text + "\n")
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}"), err
+    assert len(err) < 200, err
 
 
 def test_benchmark_trace_hooks_name_real_attributes():

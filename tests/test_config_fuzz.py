@@ -4,9 +4,11 @@ Each drawn config is written as INI and run in process.  Every run must end
 in one of the documented ways: exit 2 with a message naming the
 ``section.key`` (or section) at fault, exit 1 only for a scenario that has
 no answer, or exit 0 with finite floats in every file written and a
-manifest that strict JSON reads.  Draws are derandomized with a fixed
-example count, and the value pools keep every accepted run cheap: counts
-of at most 30 bosons, at most 40 oracle levels and 200 grid points.
+manifest that strict JSON reads.  Every refusal is one short line.
+Draws are derandomized with a fixed example count, and the value pools keep
+every accepted run cheap: counts of at most 30 bosons, at most 40 oracle
+levels and 200 grid points.  Pinned examples reach the oracle's caps, which
+the pools never do, and a value past Python's int-string limit.
 """
 
 import contextlib
@@ -37,6 +39,7 @@ from darkwells.cli import (
 )
 from darkwells.dynamics import InfiniteDwellTimeError
 from darkwells.model import NoBoundStateError
+from darkwells.oracle import _MAX_LEVELS
 
 FUZZ = settings(max_examples=400, derandomize=True, database=None, deadline=None)
 
@@ -68,6 +71,8 @@ POOLS = {
 }
 for _key in ("n1", "n2", "n", "n_retained"):
     POOLS[f"bosons.{_key}"] = COUNTS
+# the longest refusal line, "config error: " included
+MAX_MESSAGE = 300
 # the keys a refusal may name: section.key, or a section alone
 NAME = re.compile(r"[a-z0-9_]+(\.[a-z0-9_]+)?")
 # the errors of a scenario that is valid to ask for but has no answer
@@ -154,6 +159,14 @@ def check_written(out, fmt):
 @example(drawn=("bosons", {"bosons": {"n1": "0", "n2": "0"}}))
 @example(drawn=("bosons", {"bosons": {"law": "retained_split", "n_retained": "2",
                                       "y": "1e308"}}))
+# requests past each cap of the oracle, and a level count past the digits
+# Python reads as an int
+@example(drawn=("oracle-compare", {"oracle": {"n_levels": str(_MAX_LEVELS + 2)}}))
+@example(drawn=("oracle-compare", {"grid": {"n_points": "30000"}, "oracle": {"n_levels": "200"}}))
+@example(drawn=("oracle-compare", {"grid": {"t_max": "1e4"}, "oracle": {"n_levels": "2000"}}))
+@example(drawn=("oracle-compare", {"grid": {"t_max": "1000", "n_points": "1000"},
+                                   "oracle": {"n_levels": "2000"}}))
+@example(drawn=("oracle-compare", {"oracle": {"n_levels": "9" * 5000}}))
 def test_every_config_ends_in_a_documented_way(drawn):
     kind, config = drawn
     text = "".join(
@@ -183,6 +196,7 @@ def test_every_config_ends_in_a_documented_way(drawn):
     assert code == 2, (text, lines)
     message = [line for line in lines if line.startswith("config error: ")]
     assert len(message) == 1, (text, lines)
+    assert len(message[0]) < MAX_MESSAGE, (text, message)
     names = message[0][len("config error: "):].split(": ")[0].split(", ")
     assert all(NAME.fullmatch(name) for name in names), (text, message)
     # a model key named but not given is one the config's style reads

@@ -9,9 +9,11 @@ from scipy.special import jv
 
 from darkwells.dynamics import analytic_sigma_symmetric
 from darkwells.model import ParallelWellPair, WellPair
+import darkwells.oracle
 from darkwells.oracle import (
     DENSE_MAX_DIM,
     DiscretizedReservoir,
+    OracleRequestError,
     Projection,
     _bessel_table,
     FockSpace,
@@ -567,6 +569,39 @@ def test_trajectory_method_selection():
     assert np.abs(dense.amplitudes[:, 0]) ** 2 == pytest.approx(small.trajectory.sigma11)
     with pytest.raises(ValueError, match="normalized"):
         single_particle_trajectory(pair, (1.0, 1.0), [0.5], n_levels=32)
+
+
+@pytest.mark.parametrize(
+    "cutoff, times, n_levels, source, message",
+    [
+        (None, [0.0, 1.0], 8, "n_levels", ">= 10"),
+        (None, [0.0, 1.0], 11, "n_levels", "even"),
+        (None, [0.0, 1.0], darkwells.oracle._MAX_LEVELS + 2, "n_levels", "exceed the cap"),
+        (1.7e308, [0.0, 1.0], 40, "band", "the band spacing"),
+        # the band edge 0.975 cutoff times t = 4 passes the float range
+        (5e307, [0.0, 4.0], 40, "phases", "the phases t E of the band"),
+        # 30 000 times 202 phase factors
+        (None, np.linspace(0.0, 1.0, 30_000), 200, "n_points", "phase factors"),
+        # half-bandwidth ~ 45 at gamma1 = gamma2 = 1: degree ~ 113 000
+        (None, [0.0, 2500.0], 2000, "t_max", "needs a Chebyshev degree"),
+        # 1000 times at degree ~ 45 000
+        (None, np.linspace(0.0, 1000.0, 1000), 2000, "t_max", "Bessel coefficients"),
+    ],
+    ids=["coarse", "odd", "levels", "band", "phases", "dense_table", "degree", "bessel_table"],
+)
+def test_single_particle_requests_are_refused_before_building(
+    monkeypatch, cutoff, times, n_levels, source, message
+):
+    # library callers meet the same refusals as the CLI, before H exists
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the request was checked")
+
+    for name in ("build_single_particle_hamiltonian", "evolve_exact", "chebyshev_propagate"):
+        monkeypatch.setattr(darkwells.oracle, name, refuse)
+    pair = WellPair.from_widths(1.0, 1.0, lambda_cutoff=cutoff)
+    with pytest.raises(OracleRequestError, match=message) as exc:
+        single_particle_trajectory(pair, (1.0, 0.0), times, n_levels=n_levels)
+    assert exc.value.source == source
 
 
 def test_fock_space_enumeration():
