@@ -130,9 +130,8 @@ class DiscretizedReservoir:
     ``n_levels`` must be even so the grid ``-cutoff + (k + 1/2) * spacing``
     stays symmetric and never places a level at exactly zero energy, where
     it would artificially pin the aligned-well resonance, from 10 up to
-    ``_MAX_LEVELS``.  A spacing ``2 cutoff / n_levels`` that is not finite,
-    or so fine that the recurrence time ``2 pi / spacing`` is not, raises
-    :class:`OracleRequestError` too.
+    ``_MAX_LEVELS``.  A spacing ``2 cutoff / n_levels`` not finite, or whose
+    recurrence time ``2 pi / spacing`` is not, raises :class:`OracleRequestError`.
     """
 
     n_levels: int
@@ -588,9 +587,9 @@ def single_particle_trajectory(pair: WellPair, initial, times, n_levels: int) ->
     with nothing yet in the reservoir.  The band is
     :meth:`DiscretizedReservoir.for_pair`'s.  :func:`single_particle_method`
     picks the propagator from the dimension; either keeps only the two
-    well rows, with the norm checked at the last time.  Phases ``t E`` past
-    the float range and runs past the caps, sized from
-    :func:`single_particle_bounds`, are refused before anything is built.
+    well rows, with the norm checked at the last time.  Bad grids, phases
+    ``t E`` past the float range and runs past the caps (sized from
+    :func:`single_particle_bounds`) are refused before anything is built.
     Requesting times past half the recurrence time logs a WARNING event on
     the ``darkwells`` logger (attributes ``t_max`` and ``recurrence_time``):
     beyond it the discrete band begins to feed the wells back and no longer
@@ -601,6 +600,9 @@ def single_particle_trajectory(pair: WellPair, initial, times, n_levels: int) ->
     c1, c2 = complex(initial[0]), complex(initial[1])
     if abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) > 1e-9:
         raise ValueError("initial well amplitudes must be normalized")
+    psi0 = np.zeros(n_levels + 2, dtype=complex)
+    psi0[:2] = c1, c2
+    _check_start(psi0, times, psi0.size)
     # the bounds enclose the spectrum, so finite t * bounds mean finite phases
     bounds = lo, hi = single_particle_bounds(pair, res)
     t_max = float(times[-1]) if times.size else 0.0
@@ -633,8 +635,6 @@ def single_particle_trajectory(pair: WellPair, initial, times, n_levels: int) ->
             times.max(), res.recurrence_time,
             extra={"t_max": float(times.max()), "recurrence_time": res.recurrence_time},
         )
-    psi0 = np.zeros(n_levels + 2, dtype=complex)
-    psi0[:2] = c1, c2
     if method == "dense":
         h = build_single_particle_hamiltonian(pair, res)
         run = evolve_exact(h, psi0, times, rows=[0, 1])

@@ -604,6 +604,20 @@ def test_single_particle_requests_are_refused_before_building(
     assert exc.value.source == source
 
 
+def test_single_particle_grid_is_refused_before_the_caps(monkeypatch):
+    # a NaN last time read as phases that overflow; a decreasing grid is
+    # refused before the Hamiltonian is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the grid was checked")
+
+    monkeypatch.setattr(darkwells.oracle, "build_single_particle_hamiltonian", refuse)
+    pair = WellPair.from_widths(1.0, 1.0)
+    for times, refusal in (([0.0, math.nan], "non-negative"), ([0.0, 1e4, 1.0], "non-decreasing")):
+        with pytest.raises(ValueError, match=refusal) as exc:
+            single_particle_trajectory(pair, (1.0, 0.0), times, n_levels=2000)
+        assert not isinstance(exc.value, OracleRequestError)
+
+
 def test_fock_space_enumeration():
     fermi = FockSpace(5, 2, "fermi")
     assert fermi.size == 10
