@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import NoBoundStateError
-
 __all__ = [
     "SurdAmplitude",
     "BosonFockState",
@@ -212,17 +210,13 @@ def rotate_fock(N1: int, N2: int, y, eta: int = 1) -> BosonFockState:
     return BosonFockState(total=N, basis="dark_bright", amplitudes=amps)
 
 
-def emission_distribution(state: BosonFockState, epsilon: float = 0.0) -> FockDistribution:
+def emission_distribution(state: BosonFockState) -> FockDistribution:
     """Reservoir-count distribution: every bright quantum is emitted.
 
-    Requires aligned wells (``epsilon = 0``); misaligned wells have no
-    dark mode, everything decays, and no stationary count distribution
+    Holds for aligned wells (``epsilon = 0``) only; misaligned wells have
+    no dark mode, everything decays, and no stationary count distribution
     over retained particles exists.
     """
-    if epsilon != 0.0:
-        raise NoBoundStateError(
-            "levels are misaligned (eps != 0): no bosons are retained"
-        )
     if state.basis != "dark_bright":
         raise ValueError("emission counting needs a (dark, bright) expansion")
     probs = {m: Fraction(0) for m in range(state.total + 1)}

@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,16 +78,6 @@ _MAX_BOSON_WORK = _MAX_BOSONS**4 * 2**3
 # this size however large sweep.max_points is.
 _SWEEP_BLOCK = 64
 
-KINDS = (
-    "evolve",
-    "asymptotic",
-    "dwell",
-    "oracle-compare",
-    "fermions",
-    "bosons",
-    "sweep",
-)
-
 FORMATS = ("csv", "json")
 
 # Each fermions.op and bosons.law, with the other keys of its section it
@@ -130,23 +121,15 @@ _ALLOWED_KEYS = {
     "bosons": {"law"}.union(*_BOSON_LAWS.values()),
     "sweep": {"axis", "values", "axis2", "values2", "report", "max_points", "t_max"},
 }
-# The sections each kind reads besides [scenario] and [output]; a kind
-# refuses any other section rather than ignore it.  fermions with
-# op = two_electron reads no [model].
-_KIND_SECTIONS = {
-    "evolve": {"model", "initial", "grid"},
-    "asymptotic": {"model", "initial"},
-    "dwell": {"model"},
-    "oracle-compare": {"model", "initial", "grid", "oracle"},
-    "fermions": {"fermions", "model"},
-    "bosons": {"bosons"},
-    "sweep": {"sweep", "model"},
-}
-
 _WIDTH_KEYS = ("gamma1", "gamma2", "y", "epsilon", "eta")
 # y and gamma2 both set the second width, so a sweep takes at most one of them
 _SWEEP_AXES = ("y", "epsilon", "gamma1", "gamma2")
 _SWEEP_REPORTS = ("sigma11_asymptotic", "p_trapped", "fitted_tau", "fitted_rate")
+# A decimal with an exponent, in the grammar Fraction reads: the mantissa,
+# its whole and fraction digits, and the exponent.
+_DECIMAL = re.compile(
+    r"([-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?)[eE]([-+]?\d+(?:_\d+)*)"
+)
 
 
 class ConfigError(ValueError):
@@ -168,7 +151,7 @@ class Scenario:
             raise ConfigError(f"scenario.kind: unknown kind {self.kind!r}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"output.format: unknown format {self.fmt!r}")
-        reads = {"scenario", "output"} | _KIND_SECTIONS[self.kind]
+        reads = {"scenario", "output"} | _KINDS[self.kind][1]
         reader = f"kind {self.kind}"
         op = self.sections.get("fermions", {}).get("op", "two_electron")
         if self.kind == "fermions" and op == "two_electron":
@@ -280,15 +263,35 @@ def _parse_eta(sections, section, key="eta"):
 def _parse_ratio(sections, section, key):
     """A ratio as written (``0.1`` is ``Fraction(1, 10)``), 1 by default, and its float.
 
-    The float, which the manifest records, must be finite and positive.
+    The ratio must be positive, and its float, which the manifest records,
+    neither infinite nor zero.
     """
-    raw = sections.get(section, {}).get(key, "1").strip()
+    name = f"{section}.{key}"
+    raw = text = sections.get(section, {}).get(key, "1").strip()
+    decimal = _DECIMAL.fullmatch(raw)
     try:
-        value = Fraction(raw)
+        if decimal:
+            # Fraction expands the exponent into an exact power of ten.  A
+            # nonzero mantissa overflows a float from 10^(309 + its fraction
+            # digits) on and rounds to zero below 10^(-325 - its whole
+            # digits), so the exponent is cut to those bounds: the verdict
+            # stays, without the cost.
+            mantissa, whole, fraction, exponent = decimal.groups()
+            exponent = min(max(int(exponent), -325 - len(whole)), 309 + len(fraction or ""))
+            text = f"{mantissa}e{exponent}"
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _unparsed(name, raw, "a finite ratio", exc) from None
+    try:
         approx = float(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise _unparsed(f"{section}.{key}", raw, "a finite ratio", exc) from None
-    return value, _require_positive(f"{section}.{key}", approx)
+    except OverflowError:
+        approx = math.inf if value > 0 else -math.inf
+    if value <= 0:
+        raise ConfigError(f"{name}: must be positive, got {approx}")
+    if approx in (0.0, math.inf):
+        side = "below" if approx == 0.0 else "above"
+        raise ConfigError(f"{name}: {_quote(raw)} lies {side} the float range")
+    return value, approx
 
 
 def _read_model(sections, parallel=False, sweep=False, band=False):
@@ -822,15 +825,20 @@ def _run_sweep(scenario):
     return columns, resolved, {}
 
 
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "asymptotic": _run_asymptotic,
-    "dwell": _run_dwell,
-    "oracle-compare": _run_oracle_compare,
-    "fermions": _run_fermions,
-    "bosons": _run_bosons,
-    "sweep": _run_sweep,
+# Each kind's runner and the sections it reads besides [scenario] and
+# [output]; a kind refuses any other section rather than ignore it.
+# fermions with op = two_electron reads no [model].  The order is the one
+# the command line lists the kinds in.
+_KINDS = {
+    "evolve": (_run_evolve, {"model", "initial", "grid"}),
+    "asymptotic": (_run_asymptotic, {"model", "initial"}),
+    "dwell": (_run_dwell, {"model"}),
+    "oracle-compare": (_run_oracle_compare, {"model", "initial", "grid", "oracle"}),
+    "fermions": (_run_fermions, {"fermions", "model"}),
+    "bosons": (_run_bosons, {"bosons"}),
+    "sweep": (_run_sweep, {"sweep", "model"}),
 }
+KINDS = tuple(_KINDS)
 
 
 def _json_safe(value):
@@ -890,9 +898,8 @@ def _render_table(fmt: str, digest: str, manifest, columns, extra) -> bytes:
 
 def render(scenario: Scenario) -> RunResult:
     """Compute a scenario's outputs in memory without touching the disk."""
-    runner = _RUNNERS[scenario.kind]
     try:
-        columns, resolved, extra = runner(scenario)
+        columns, resolved, extra = _KINDS[scenario.kind][0](scenario)
     except ConfigError:
         raise
     except (ValueError, RuntimeError) as exc:

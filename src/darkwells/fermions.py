@@ -116,33 +116,26 @@ class FermionAsymptoticState:
         return sum(next(iter(self.amplitudes)))
 
 
-def dark_vector(y: float, eta: int = 1, n_modes: int = 2, offset: int = 0) -> np.ndarray:
-    """Dark-mode vector ``(eta sqrt(y), -1)/sqrt(1+y)`` padded into n_modes."""
+def dark_vector(y: float, eta: int = 1) -> np.ndarray:
+    """Dark-mode vector ``(eta sqrt(y), -1)/sqrt(1+y)``."""
     if y < 0.0:
         raise ValueError("width ratio y must be non-negative")
     if eta not in (1, -1):
         raise ValueError(f"eta must be +1 or -1, got {eta!r}")
-    vec = np.zeros(n_modes)
     scale = 1.0 / math.sqrt(1.0 + y)
-    vec[offset] = eta * math.sqrt(y) * scale
-    vec[offset + 1] = -scale
-    return vec
+    return np.array([eta * math.sqrt(y) * scale, -scale])
 
 
-def two_electron_asymptotic(
-    y: float, eta: int = 1, epsilon: float = 0.0
-) -> list[FermionAsymptoticState]:
+def two_electron_asymptotic(y: float, eta: int = 1) -> list[FermionAsymptoticState]:
     """Long-time fate of one electron per well, separated wells, aligned.
 
     The initial determinant ``a1^dag a2^dag|0>`` equals (dark)(bright);
     the bright electron always leaves, the dark one never does, so the
     only branch is one emitted electron with the dark state retained:
-    its density matrix is ``(y, 1, -eta sqrt(y)) / (1+y)``.
+    its density matrix is ``(y, 1, -eta sqrt(y)) / (1+y)``.  Holds for
+    aligned wells (``epsilon = 0``) only: misaligned wells have no dark
+    mode and retain no electron.
     """
-    if epsilon != 0.0:
-        raise NoBoundStateError(
-            "levels are misaligned (eps != 0): no electron is retained"
-        )
     dark = dark_vector(y, eta)
     amplitudes = {(1, 0): complex(dark[0]), (0, 1): complex(dark[1])}
     return [

@@ -203,32 +203,23 @@ def build_single_particle_hamiltonian(
 
     Dense ndarray by default (the :func:`evolve_exact` contract); pass
     ``sparse=True`` for the CSR form used by the Chebyshev propagator at
-    large ``n``.
+    large ``n``.  Both are laid out from one (row, column, value) list: the
+    dense form keeps each value as it is, a ``-0.0`` energy included, and
+    the CSR form stores no zero entry.
     """
     n = res.n_levels
-    coup = reservoir_couplings(pair, res)
+    coup = reservoir_couplings(pair, res).T.ravel()
+    levels = np.arange(2, n + 2)
+    wells = np.repeat([0, 1], n)
+    rows = np.concatenate(([0, 1], levels, wells, np.tile(levels, 2)))
+    cols = np.concatenate(([0, 1], levels, np.tile(levels, 2), wells))
+    vals = np.concatenate(([pair.E1, pair.E2], res.energies, coup, coup))
     if sparse:
-        diag = np.concatenate(([pair.E1, pair.E2], res.energies))
-        rows = np.concatenate((np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)))
-        cols = np.concatenate((np.arange(2, n + 2), np.arange(2, n + 2)))
-        vals = np.concatenate((coup[:, 0], coup[:, 1]))
-        h = sp.coo_matrix(
-            (
-                np.concatenate((vals, vals)),
-                (np.concatenate((rows, cols)), np.concatenate((cols, rows))),
-            ),
-            shape=(n + 2, n + 2),
-        ).tocsr()
-        h += sp.diags(diag)
-        return h.tocsr()
+        h = sp.csr_matrix((vals, (rows, cols)), shape=(n + 2, n + 2))
+        h.eliminate_zeros()
+        return h
     h = np.zeros((n + 2, n + 2))
-    h[0, 0] = pair.E1
-    h[1, 1] = pair.E2
-    h[np.arange(2, n + 2), np.arange(2, n + 2)] = res.energies
-    h[0, 2:] = coup[:, 0]
-    h[2:, 0] = coup[:, 0]
-    h[1, 2:] = coup[:, 1]
-    h[2:, 1] = coup[:, 1]
+    h[rows, cols] = vals
     return h
 
 
@@ -855,12 +846,13 @@ def dot_mode_count(model: WellPair | ParallelWellPair) -> int:
 
 
 def _one_body_terms(model: WellPair | ParallelWellPair, res: DiscretizedReservoir):
-    """Mode energies, dot-reservoir amplitudes and the same-site mode pairs.
+    """The (n_modes x n_modes) one-body matrix and the same-site mode pairs.
 
     Mode layout: wells first (well1[, well1'], well2[, well2']), then the
-    reservoir levels in energy order.  The amplitude block is (n_dots,
-    n_levels).  In the parallel model a well's two levels share a site and
-    pay ``U`` when both are filled; those mode pairs come third.
+    reservoir levels in energy order.  The diagonal holds the mode
+    energies, and the only off-diagonal entries are the dot-reservoir
+    amplitudes.  In the parallel model a well's two levels share a site
+    and pay ``U`` when both are filled; those mode pairs come second.
     """
     if isinstance(model, ParallelWellPair):
         pair, scales, sites = model.base, (1.0, model.yprime), [(0, 1), (2, 3)]
@@ -869,7 +861,11 @@ def _one_body_terms(model: WellPair | ParallelWellPair, res: DiscretizedReservoi
     coup = reservoir_couplings(pair, res)
     wells = [energy for energy in (pair.E1, pair.E2) for _ in scales]
     block = np.array([s * coup[:, j] for j in (0, 1) for s in scales])
-    return np.concatenate((wells, res.energies)), block, sites
+    n_dots = len(wells)
+    one_body = np.diag(np.concatenate((wells, res.energies)))
+    one_body[:n_dots, n_dots:] = block
+    one_body[n_dots:, :n_dots] = block.T
+    return one_body, sites
 
 
 def build_fock_hamiltonian(
@@ -884,20 +880,15 @@ def build_fock_hamiltonian(
     this basis.  Fermionic signs follow the mode order of the basis
     rows.
     """
-    energies, block, sites = _one_body_terms(model, res)
-    if space.n_modes != energies.size:
-        raise ValueError(
-            f"space has {space.n_modes} modes, model needs {energies.size}"
-        )
+    t, sites = _one_body_terms(model, res)
+    if space.n_modes != len(t):
+        raise ValueError(f"space has {space.n_modes} modes, model needs {len(t)}")
     modes = space._modes
-    diag = energies[modes].sum(axis=1)
+    diag = t.diagonal()[modes].sum(axis=1)
     for a, b in sites:
         n_a, n_b = (np.count_nonzero(modes == m, axis=1) for m in (a, b))
         diag += model.U * n_a * n_b
-    n_dots = block.shape[0]
-    t = np.zeros((space.n_modes, space.n_modes))
-    t[:n_dots, n_dots:] = block
-    t[n_dots:, :n_dots] = block.T
+    np.fill_diagonal(t, 0.0)
     source, target, _, _, value = _hops(space, t)
     states = np.arange(space.size)
     h = sp.coo_matrix(
@@ -928,12 +919,7 @@ def fock_spectral_bounds(
     default), and at most ``min(N // 2, 2)`` for fermions, whose
     occupations are 0 or 1.  A relative margin covers rounding.
     """
-    energies, block, _ = _one_body_terms(model, res)
-    n_dots = block.shape[0]
-    one_body = np.diag(energies)
-    one_body[:n_dots, n_dots:] = block
-    one_body[n_dots:, :n_dots] = block.T
-    evals = np.linalg.eigvalsh(one_body)
+    evals = np.linalg.eigvalsh(_one_body_terms(model, res)[0])
     if statistics == "fermi":
         e_lo, e_hi = float(evals[:n_particles].sum()), float(evals[-n_particles:].sum())
         pair_cap = min(n_particles // 2, 2)

@@ -12,7 +12,8 @@ many-body Hamiltonian, its hops and reduced quantities, the earlier
 sort-and-rank Fock hop kernel, a row-list writer for the
 CLI's output files, and the sweep-point width rule applied axis by axis.
 Agreement between library and oracle then checks
-the physics, not a shared code path.
+the physics, not a shared code path.  One guard rides along:
+:func:`bounded_fraction`, a ``Fraction`` that fails a test on a slow parse.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -443,3 +445,18 @@ def sweep_point_widths_reference(model, point):
         widths[axis] = value
     gamma2 = widths["gamma2"] if "gamma2" in widths else widths["y"] * widths["gamma1"]
     return widths["gamma1"], gamma2, widths["eta"], widths["epsilon"]
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
+
+
+def bounded_fraction(*args):
+    """``Fraction``, but a string whose decimal exponent exceeds 400 in size is
+    an ``AssertionError``: ``Fraction`` expands the exponent into an exact
+    power of ten, whose cost grows faster than the exponent, so a slow parse
+    shows as a failure instead of a long run."""
+    if args and isinstance(args[0], str):
+        exponent = _EXPONENT.search(args[0])
+        if exponent and abs(int(exponent[1])) > 400:
+            raise AssertionError(f"Fraction({args[0][:40]!r}) expands a large exponent")
+    return Fraction(*args)

@@ -21,7 +21,7 @@ from darkwells.bosons import (
     rotate_fock,
 )
 from darkwells.fermions import two_electron_asymptotic
-from darkwells.model import NoBoundStateError, WellPair
+from darkwells.model import WellPair
 from darkwells.rotation import dark_state
 
 from oracles import boson_inner_product, boson_rotation_oracle
@@ -264,8 +264,6 @@ def test_rotation_argument_validation():
         rotate_fock(1, 0, 0)
     with pytest.raises(ValueError):
         rotate_fock(1, 0, 1, eta=2)
-    with pytest.raises(NoBoundStateError):
-        emission_distribution(rotate_fock(1, 1, 1), epsilon=0.2)
     wells = BosonFockState(
         total=1,
         basis="wells",

@@ -29,7 +29,7 @@ from darkwells.dynamics import (
 )
 from darkwells.model import WellPair
 
-from oracles import render_rows_reference, sweep_point_widths_reference
+from oracles import bounded_fraction, render_rows_reference, sweep_point_widths_reference
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -440,6 +440,40 @@ def test_bosons_ratio_is_read_as_written(tmp_path, monkeypatch, law, counts, nam
     assert outputs[1:] == outputs[:1] * 2
 
 
+@pytest.mark.parametrize("y", ["1e1000000", "1e99999999", "-1e99999999", "0e99999999"])
+def test_bosons_ratio_past_the_float_range_is_refused_without_expanding_it(
+        tmp_path, capsys, monkeypatch, y):
+    # Fraction expands a decimal exponent into an exact integer: 1e1000000
+    # took 0.13 s and 1e99999999 would take minutes before its refusal
+    monkeypatch.setattr(darkwells.cli, "Fraction", bounded_fraction)
+    cfg = write_config(tmp_path, f"[bosons]\ny = {y}\n")
+    assert main(["bosons", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: bosons.y: ")
+
+
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        # these read "must be positive, got 0.0" and "cannot parse ... as a
+        # finite ratio", though the values are positive and parse
+        ("1e-1000000", "'1e-1000000' lies below the float range"),
+        ("1e-400", "'1e-400' lies below the float range"),
+        ("1e400", "'1e400' lies above the float range"),
+        # positivity is read from the exact value
+        ("-1e-400", "must be positive, got -0.0"),
+        ("0", "must be positive, got 0.0"),
+        ("-1", "must be positive, got -1.0"),
+        ("nan", "cannot parse 'nan' as a finite ratio"),
+        ("inf", "cannot parse 'inf' as a finite ratio"),
+        ("text", "cannot parse 'text' as a finite ratio"),
+    ],
+)
+def test_bosons_ratio_refusal_says_why(tmp_path, capsys, y, message):
+    cfg = write_config(tmp_path, f"[bosons]\ny = {y}\n")
+    assert main(["bosons", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: bosons.y: {message}\n"
+
+
 def test_sweep_single_axis(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -503,13 +537,13 @@ def test_sweep_t_max_is_refused_where_unread(tmp_path, capsys, report):
 def test_output_path_problems_end_without_traceback(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "[model]\ngamma1 = 1.0\nepsilon = 0.3\n")
     calls = []
-    dwell = darkwells.cli._RUNNERS["dwell"]
+    dwell, sections = darkwells.cli._KINDS["dwell"]
 
     def record(scenario):
         calls.append(scenario)
         return dwell(scenario)
 
-    monkeypatch.setitem(darkwells.cli._RUNNERS, "dwell", record)
+    monkeypatch.setitem(darkwells.cli._KINDS, "dwell", (record, sections))
     # a missing directory is refused before anything is computed
     missing = tmp_path / "nodir" / "x.csv"
     assert main(["dwell", "--config", cfg, "--out", str(missing)]) == 2
@@ -1236,7 +1270,7 @@ def test_rendered_bytes_match_row_list_reference(tmp_path, kind, fmt):
     cfg = write_config(tmp_path, _RENDER_CASES[kind])
     scenario = build_scenario(kind, load_config(cfg), out=f"out.{fmt}", fmt=fmt)
     result = render(scenario)
-    columns, _, extra = darkwells.cli._RUNNERS[kind](scenario)
+    columns, _, extra = darkwells.cli._KINDS[kind][0](scenario)
     rows = list(zip(*(column.tolist() for column in columns.values())))
     assert rows
     want = render_rows_reference(
@@ -1301,7 +1335,7 @@ def test_sweep_blocks_match_single_point_evaluation(tmp_path, report):
         + ("t_max = 7.5\n" if report == "sigma11_asymptotic" else ""),
     )
     scenario = build_scenario("sweep", load_config(cfg), out="s.csv", fmt="csv")
-    columns, _, _ = darkwells.cli._RUNNERS["sweep"](scenario)
+    columns, _, _ = darkwells.cli._KINDS["sweep"][0](scenario)
     left = SingleParticleState.from_amplitudes(1.0, 0.0)
     for y, value in zip(ys, columns[report].tolist()):
         pair = WellPair.from_widths(1.3, y * 1.3, eta=-1, epsilon=-0.25)

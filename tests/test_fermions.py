@@ -80,9 +80,6 @@ def test_dark_vector_forms():
     np.testing.assert_allclose(
         dark_vector(4.0, eta=-1), np.array([-2.0, -1.0]) / math.sqrt(5.0), atol=1e-14
     )
-    padded = dark_vector(1.0, n_modes=4, offset=1)
-    assert padded[0] == 0.0 and padded[3] == 0.0
-    assert padded[1] == pytest.approx(1.0 / math.sqrt(2.0))
     with pytest.raises(ValueError):
         dark_vector(-1.0)
     with pytest.raises(ValueError):
@@ -102,8 +99,6 @@ def test_two_electron_separated_wells(y, eta):
     assert rdm[0, 0] == pytest.approx(y / denom)
     assert rdm[1, 1] == pytest.approx(1.0 / denom)
     assert rdm[0, 1].real == pytest.approx(-eta * math.sqrt(y) / denom)
-    with pytest.raises(NoBoundStateError):
-        two_electron_asymptotic(y, epsilon=0.3)
 
 
 def test_parallel_map_shifts_and_scales():

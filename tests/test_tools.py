@@ -324,3 +324,28 @@ def test_render_digests_compare_stops_quietly_when_the_reader_does(tmp_path):
     assert proc.wait(timeout=120) == 0
     assert first == f"{'s' * 200}0000 inf only-in-A\n".encode()
     assert err == b""
+
+
+def test_refusal_grid_runs_its_configs_with_the_work_stubbed(monkeypatch, capsys):
+    refusal_grid = load_tool("refusal_grid")
+    cases = {name: (kind, config) for name, kind, config in refusal_grid.grid()}
+    # 3 960 oracle-compare, 316 bosons and 70 section configs, each id once
+    assert len(cases) == 3960 + 316 + 70
+    want = {
+        # a dense run and 1000 bosons, each seconds of work without the stubs
+        "oracle-compare n_levels=1498 n_points=200 t_max=- lambda_cutoff=- gamma1=1": "run",
+        "bosons law=emission n1=1000 n2=0 y=1": "run",
+        "bosons law=one_well n=1 y=1e1000000":
+            "exit 2 bosons.y: '1e1000000' lies above the float range",
+        "oracle-compare n_levels=9 n_points=2 t_max=- lambda_cutoff=- gamma1=1":
+            "exit 2 oracle.n_levels: n_levels = 9 is too coarse to mean anything; need >= 10",
+        "sweep [oracle]": "exit 2 oracle: kind sweep does not read this section",
+        "sweep [sweep]": "exit 2 sweep.nonsense: unknown key",
+        "evolve [nonsense]": "exit 2 nonsense: unknown section",
+    }
+    monkeypatch.setattr(refusal_grid, "grid", lambda: [(name, *cases[name]) for name in want])
+    builder = refusal_grid.oracle.build_single_particle_hamiltonian
+    assert refusal_grid.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{name} {outcome}" for name, outcome in want.items()]
+    assert refusal_grid.oracle.build_single_particle_hamiltonian is builder
