@@ -271,11 +271,11 @@ def _parse_ratio(sections, section, key):
     decimal = _DECIMAL.fullmatch(raw)
     try:
         if decimal:
-            # Fraction expands the exponent into an exact power of ten.  A
-            # nonzero mantissa overflows a float from 10^(309 + its fraction
-            # digits) on and rounds to zero below 10^(-325 - its whole
-            # digits), so the exponent is cut to those bounds: the verdict
-            # stays, without the cost.
+            # Fraction expands the exponent into an exact power of ten.  With
+            # a nonzero mantissa, an exponent of 309 + its fraction digits or
+            # more overflows a float, and one of -325 - its whole digits or
+            # less rounds to zero; cut to those bounds, the exponent keeps
+            # the verdict without the cost.
             mantissa, whole, fraction, exponent = decimal.groups()
             exponent = min(max(int(exponent), -325 - len(whole)), 309 + len(fraction or ""))
             text = f"{mantissa}e{exponent}"

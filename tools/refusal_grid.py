@@ -120,7 +120,7 @@ def outcome(kind, config):
     return "run"
 
 
-def _projection(h, psi0, times, rows=None, **kwargs):
+def _projection(h, psi0, times, **kwargs):
     """A propagation that keeps the start: the wells' amplitudes zero at every time."""
     return oracle.Projection(np.zeros((len(times), 2), dtype=complex), psi0, None, None)
 
