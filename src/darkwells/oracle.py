@@ -93,6 +93,9 @@ _CHEBYSHEV_TOL = 1e-16
 # m < 5e7, so nothing overflows
 _BESSEL_RESCALE = 1e100
 _BESSEL_TINY = 1e-150
+# tables with at most this many columns past _BESSEL_TINY run the
+# recurrence per column in Python floats; a Fock run's table has two
+_BESSEL_SCALAR_COLUMNS = 16
 # relative padding of computed spectral enclosures against rounding in
 # eigvalsh and in the assembled matrix entries (both ~ n eps)
 _BOUNDS_MARGIN = 1e-10
@@ -382,7 +385,11 @@ def _bessel_table(a) -> np.ndarray:
     rescaled to 1 whenever it passes ``_BESSEL_RESCALE``, so small ``a``
     cannot overflow; the high orders this pushes to zero are negligible.
     Columns with ``a <= _BESSEL_TINY`` are ``J_0 = 1``, ``J_1 = a / 2`` to
-    double precision and zero beyond, and skip the recurrence.
+    double precision and zero beyond, and skip the recurrence.  Up to
+    ``_BESSEL_SCALAR_COLUMNS`` remaining columns run the recurrence one at a
+    time in Python floats (:func:`_miller_column`), more run it as one loop
+    of array operations; both take the same float64 operations in the same
+    order, so either gives the same bits.
     """
     a = np.asarray(a, dtype=float)
     a_max = float(a.max()) if a.size else 0.0
@@ -394,22 +401,42 @@ def _bessel_table(a) -> np.ndarray:
     live = np.flatnonzero(~small)
     if live.size:
         sub = np.zeros((m + 1, live.size))
-        two_over_a = 2.0 / a[live]
-        f_next = np.zeros(live.size)
-        f = sub[m] = np.ones(live.size)
-        for k in range(m, 0, -1):
-            f_prev = (k * two_over_a) * f - f_next
-            big = np.flatnonzero(np.abs(f_prev) > _BESSEL_RESCALE)
-            if big.size:
-                scale = np.abs(f_prev[big])
-                sub[k:, big] /= scale
-                f_prev[big] /= scale
-                f[big] /= scale
-            sub[k - 1] = f_prev
-            f_next, f = f, f_prev
+        if live.size <= _BESSEL_SCALAR_COLUMNS:
+            for j, a_j in enumerate(a[live].tolist()):
+                sub[:, j] = _miller_column(2.0 / a_j, m)
+        else:
+            two_over_a = 2.0 / a[live]
+            f_next = np.zeros(live.size)
+            f = sub[m] = np.ones(live.size)
+            for k in range(m, 0, -1):
+                f_prev = (k * two_over_a) * f - f_next
+                big = np.flatnonzero(np.abs(f_prev) > _BESSEL_RESCALE)
+                if big.size:
+                    scale = np.abs(f_prev[big])
+                    sub[k:, big] /= scale
+                    f_prev[big] /= scale
+                    f[big] /= scale
+                sub[k - 1] = f_prev
+                f_next, f = f, f_prev
         sub /= sub[0] + 2.0 * sub[2::2].sum(axis=0)
         table[:, live] = sub
     return table
+
+
+def _miller_column(two_over_a: float, m: int) -> list[float]:
+    """One column of :func:`_bessel_table`'s recurrence before normalization, orders 0 .. m."""
+    column = [1.0]  # orders m, m - 1, ... as they are reached
+    f_next, f = 0.0, 1.0
+    for k in range(m, 0, -1):
+        f_prev = (k * two_over_a) * f - f_next
+        if abs(f_prev) > _BESSEL_RESCALE:
+            scale = abs(f_prev)
+            column = [value / scale for value in column]
+            f_prev /= scale
+            f /= scale
+        column.append(f_prev)
+        f_next, f = f, f_prev
+    return column[::-1]
 
 
 def chebyshev_propagate(
@@ -712,7 +739,9 @@ class FockSpace:
         ``c`` is the slot that mode ``m`` takes at position ``k`` of a
         sorted row: ``m`` for fermions, ``m + k`` for bosons.  Ranks of
         basis states only read entries no larger than the size, so
-        clipping changes nothing they use and keeps the table in int64.
+        clipping changes nothing they use and keeps the table in int32,
+        the index dtype of the CSR matrices built from the ranks (a sum of
+        ``N`` entries stays below ``N x _MAX_FOCK_DIM``).
         """
         n, size, shift = self.n_particles, self.size, self.statistics == "bose"
         slot = self._slots - 1
@@ -720,7 +749,7 @@ class FockSpace:
             [min(math.comb(slot - m - k * shift, n - k), size) for m in range(self.n_modes)]
             for k in range(n)
         ]
-        return np.array(table, dtype=np.int64)
+        return np.array(table, dtype=np.int32)
 
     def _rank(self, columns) -> np.ndarray:
         """Basis index of the states whose ``k``-th sorted mode is ``columns[k]``.
@@ -788,7 +817,9 @@ def _hops(space: FockSpace, t: np.ndarray):
     min(rest[k], q))``; the target's rank is summed column by column.
     Fermion signs are ``(-1)^(pos + ins)``.  Boson factors are
     ``sqrt(n_p (n_q + 1))``, with each occupied mode hopping once however
-    many particles hold it.
+    many particles hold it.  ``source`` and ``target`` are int32, the
+    index dtype scipy gives a COO of any Fock dimension below the cap, so
+    a COO built from them takes them without a copy.
     """
     modes = np.ascontiguousarray(space._modes.T)  # modes[k]: slot k of every row
     columns = sp.csc_matrix(t)  # column p lists the q with t[q, p] != 0
@@ -808,9 +839,9 @@ def _hops_from(space: FockSpace, modes: np.ndarray, columns, pos: int):
     fermi = space.statistics == "fermi"
     n = space.n_particles
     if fermi or pos == 0:
-        rows = np.arange(space.size)
+        rows = np.arange(space.size, dtype=np.int32)
     else:
-        rows = np.flatnonzero(modes[pos] != modes[pos - 1])
+        rows = np.flatnonzero(modes[pos] != modes[pos - 1]).astype(np.int32)
     # a row whose slot pos holds p is copied once per entry of column p,
     # and its k-th copy reads entry k
     leaving = modes[pos][rows]
@@ -889,12 +920,15 @@ def build_fock_hamiltonian(
         n_a, n_b = (np.count_nonzero(modes == m, axis=1) for m in (a, b))
         diag += model.U * n_a * n_b
     np.fill_diagonal(t, 0.0)
-    source, target, _, _, value = _hops(space, t)
-    states = np.arange(space.size)
+    # t is real symmetric and a hop moves one particle, so the hop from
+    # target back to source has the same value: each hop with q > p is
+    # entered at both ends, and the COO holds every entry of H once
+    source, target, _, _, value = _hops(space, np.tril(t))
+    states = np.arange(space.size, dtype=np.int32)
     h = sp.coo_matrix(
         (
-            np.concatenate((diag, value)),
-            (np.concatenate((states, target)), np.concatenate((states, source))),
+            np.concatenate((diag, value, value)),
+            (np.concatenate((states, target, source)), np.concatenate((states, source, target))),
         ),
         shape=(space.size, space.size),
     )

@@ -259,7 +259,8 @@ def sort_and_rank_hops(modes, n_modes, statistics, t):
     and each target row is re-sorted with ``q`` and ranked by the
     combinatorial number system over all its columns at once.  This is the
     kernel the library used before it went column by column, kept to check
-    that the rewrite gives the same five arrays, dtypes and order included.
+    that the rewrite gives the same five arrays, values and order included;
+    its ``source`` and ``target`` are int64, where the library's are int32.
     """
     modes = np.asarray(modes)
     n_particles = modes.shape[1]
@@ -306,6 +307,36 @@ def sort_and_rank_hops(modes, n_modes, statistics, t):
         target = rank(np.sort(np.column_stack((rest, q)), axis=1))
         parts.append((source, target, p, q, value))
     return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def full_hop_fock_hamiltonian(one_body, sites, u_value, modes, statistics):
+    """The CSR Fock Hamiltonian from every hop in both directions, as a COO.
+
+    ``one_body`` is the (n_modes x n_modes) one-body matrix, ``sites`` the
+    mode pairs that pay ``u_value`` when both are filled and ``modes`` the
+    basis rows.  Every nonzero off-diagonal ``t[q, p]`` is run through
+    :func:`sort_and_rank_hops` (whose arrays the library kernel matches
+    value for value), and the hops and the diagonal go into one COO that
+    ``tocsr`` sums.  This is how the library built H before it ran the
+    kernel on the lower triangle and entered each hop at both ends, kept
+    to check that the mirrored build gives the same CSR bytes.
+    """
+    t = np.array(one_body, dtype=float)
+    diag = t.diagonal()[modes].sum(axis=1)
+    for a, b in sites:
+        n_a, n_b = (np.count_nonzero(modes == m, axis=1) for m in (a, b))
+        diag += u_value * n_a * n_b
+    np.fill_diagonal(t, 0.0)
+    source, target, _, _, value = sort_and_rank_hops(modes, len(t), statistics, t)
+    states = np.arange(len(modes))
+    h = sp.coo_matrix(
+        (
+            np.concatenate((diag, value)),
+            (np.concatenate((states, target)), np.concatenate((states, source))),
+        ),
+        shape=(len(modes), len(modes)),
+    )
+    return h.tocsr()
 
 
 def hop_reference(basis, t, statistics):

@@ -15,7 +15,9 @@ from darkwells.oracle import (
     DiscretizedReservoir,
     OracleRequestError,
     Projection,
+    _BESSEL_SCALAR_COLUMNS,
     _bessel_table,
+    _one_body_terms,
     FockSpace,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
@@ -36,7 +38,12 @@ from darkwells.oracle import (
     slater_reservoir_distribution,
 )
 from darkwells.rotation import check_constant_ratio, dark_state
-from oracles import expm_propagate, fock_hamiltonian_reference, fock_reduced_reference
+from oracles import (
+    expm_propagate,
+    fock_hamiltonian_reference,
+    fock_reduced_reference,
+    full_hop_fock_hamiltonian,
+)
 
 
 def test_reservoir_grid_geometry():
@@ -379,6 +386,25 @@ def test_bessel_table_matches_scipy():
     ref = jv(np.arange(table.shape[0])[:, None], a[None, :])
     np.testing.assert_allclose(table, ref, rtol=0, atol=1e-13)
     assert table[0, 0] == 1.0 and not np.any(table[1:, 0])
+
+
+@pytest.mark.parametrize("n_columns", range(1, _BESSEL_SCALAR_COLUMNS + 1))
+def test_few_column_bessel_table_has_the_vectorized_bits(monkeypatch, n_columns):
+    # a = 0 skips the recurrence, 1e-151 and 1e-8 rescale at every order or
+    # nearly, 2469 sets the deepest start; each draw holds one column of each
+    # kind once there are enough columns
+    values = [0.0, 1e-151, 1e-8, 0.3, 300.0, 2469.0]
+    rng = np.random.default_rng(n_columns)
+    draws = [values[:n_columns]] + [rng.choice(values, n_columns) for _ in range(3)]
+    for a in draws:
+        a = np.array(a)
+        few = _bessel_table(a)
+        with monkeypatch.context() as patch:
+            patch.setattr(darkwells.oracle, "_BESSEL_SCALAR_COLUMNS", 0)
+            vectorized = _bessel_table(a)
+        assert few.shape == vectorized.shape and few.tobytes() == vectorized.tobytes()
+        ref = jv(np.arange(few.shape[0])[:, None], a[None, :])
+        np.testing.assert_allclose(few, ref, rtol=0, atol=1e-13)
 
 
 def test_projected_chebyshev_matches_expm_reference(monkeypatch):
@@ -737,6 +763,37 @@ def test_fock_operators_match_second_quantization(parallel, n_particles, statist
     again = reduced_quantities(space, psi, n_dots)
     for first, second in zip(vars(red).values(), vars(again).values()):
         np.testing.assert_array_equal(second, first)
+
+
+@pytest.mark.parametrize(
+    "parallel, statistics, n_particles",
+    [(False, stat, n) for stat in ("fermi", "bose") for n in (1, 2, 3)]
+    + [(True, "fermi", 2), (True, "fermi", 3)],
+)
+def test_mirrored_fock_build_gives_the_full_hop_bytes(parallel, statistics, n_particles):
+    base = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    model = ParallelWellPair(base=base, yprime=0.7, U=1.5) if parallel else base
+    res = DiscretizedReservoir.uniform(12, 4.0)
+    space = FockSpace(dot_mode_count(model) + 12, n_particles, statistics)
+    h = build_fock_hamiltonian(model, res, space)
+    one_body, sites = _one_body_terms(model, res)
+    want = full_hop_fock_hamiltonian(
+        one_body, sites, model.U if parallel else 0.0, space._modes, statistics
+    )
+    assert h.nnz == want.nnz and h.has_canonical_format
+    for name in ("data", "indices", "indptr"):
+        got, ref = getattr(h, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_one_body_matrix_is_exactly_symmetric(parallel):
+    # build_fock_hamiltonian enters each hop at both ends on this alone
+    base = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    model = ParallelWellPair(base=base, yprime=0.7, U=1.5) if parallel else base
+    one_body, _ = _one_body_terms(model, DiscretizedReservoir.uniform(12, 4.0))
+    assert one_body.dtype == np.float64
+    assert one_body.tobytes() == one_body.T.copy().tobytes()
 
 
 def test_fock_spectral_bounds_enclose_spectrum():

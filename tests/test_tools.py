@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -246,6 +247,36 @@ def test_render_digests_dump_and_compare(monkeypatch, tmp_path, capsys):
     assert other_name == "dot_rdm" and float(other_diff) == pytest.approx(2.0 ** -45, rel=1e-2)
     os.remove(b / "oracle_7_warmup.npz")
     assert render_digests.compare_lines(str(a), str(b))[0] == "oracle_7_warmup inf only-in-A"
+
+
+def test_render_digests_ledger_lists_each_propagation(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    render_digests = load_tool("render_digests")
+    workloads, oracle = render_digests.workloads, render_digests.oracle
+    monkeypatch.setattr(workloads, "generate", lambda workload, seed: workloads.WARMUP[workload])
+    logger = logging.getLogger("darkwells")
+    handlers, level = list(logger.handlers), logger.level
+    assert render_digests.main(["--workload", "oracle", "--seed", "7", "--ledger"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the handler is gone and the level restored once the listing is made
+    assert (logger.handlers, logger.level) == (handlers, level)
+    cli_line, fock_line, *totals = lines
+    assert cli_line == "oracle:7:warmup dense eigh=402"
+    key, propagator, dim, nnz, degree, work = fock_line.split()
+    assert (key, propagator, dim) == ("oracle:7:warmup-fock", "chebyshev", "dim=861")
+    values = [int(field.split("=")[1]) for field in (nnz, degree, work)]
+    spec = workloads.WARMUP["oracle"][1]
+    model, pair = render_digests._fock_model(spec["model"])
+    res = oracle.DiscretizedReservoir.for_pair(pair, spec["n_levels"])
+    h = oracle.build_fock_hamiltonian(model, res, oracle.FockSpace(42, 2, "fermi"))
+    assert values[0] == h.nnz and values[1] > 0 and values[2] == values[0] * values[1]
+    assert totals == [
+        "total cli dense=1 eigh=402-402 expansions=0 degree=0 work=0",
+        f"total fock dense=0 eigh=- expansions=1 degree={values[1]} work={values[2]}",
+        f"total all dense=1 eigh=402-402 expansions=1 degree={values[1]} work={values[2]}",
+    ]
+    # no timings: a second listing is the same
+    assert render_digests.digest_lines("oracle", [7], ledger=True) == lines
 
 
 def test_render_digests_hash_config_files(monkeypatch, tmp_path, capsys):

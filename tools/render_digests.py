@@ -4,6 +4,7 @@
     python3 tools/render_digests.py --workload oracle --seed 1 --dump DIR
     python3 tools/render_digests.py --config runs/*.ini
     python3 tools/render_digests.py --compare DIR_A DIR_B
+    python3 tools/render_digests.py --workload oracle --seed 1 --ledger
 
 For each seed, the scenario cycle of ``perfbench/workloads.generate`` is
 built.  Each CLI scenario is rendered in process through
@@ -45,6 +46,20 @@ differs as ``name=difference``; a string that differs, a shape that
 differs, a NaN against a number or an array only one side has counts as
 ``inf``, and hides no finite difference.
 
+``--ledger`` prints the work of each scenario in place of its digests:
+the propagation events the program logs on the ``darkwells`` logger while
+it runs, one after another on the scenario's line (``none`` if it
+propagates nothing):
+
+    <key> chebyshev dim=<dim> nnz=<nnz of H> degree=<CSR products> work=<nnz x degree>
+    <key> dense eigh=<dimension of the eigendecomposition>
+
+followed by three totals, over the CLI scenarios, the Fock records and
+both: ``total <group> dense=<runs> eigh=<smallest>-<largest>
+expansions=<runs> degree=<sum> work=<sum>``.  The events carry no
+timings, so the listing is deterministic, and a ``diff`` of two checkouts'
+listings shows whether a change kept the work the same.
+
 A reader that closes the pipe early (``| head``) ends the listing
 quietly, with exit code 0.
 """
@@ -54,6 +69,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
@@ -173,42 +189,109 @@ def cli_arrays(data, manifest, fmt):
     return arrays
 
 
-def _lines(scenarios, dump=None):
-    """The sorted digest lines of ``(key, spec)`` scenarios, dumped as for :func:`digest_lines`."""
+class _Events(logging.Handler):
+    """Keeps the propagation events (the records that carry a ``dim``)."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.events = []
+
+    def emit(self, record):
+        if hasattr(record, "dim"):
+            self.events.append(record)
+
+
+def _ledger_fields(events):
+    """One scenario's propagation events as ledger fields."""
+    fields = []
+    for event in events:
+        if hasattr(event, "degree"):
+            fields += ["chebyshev", f"dim={event.dim}", f"nnz={event.nnz}",
+                       f"degree={event.degree}", f"work={event.nnz * event.degree}"]
+        else:
+            fields += ["dense", f"eigh={event.dim}"]
+    return fields or ["none"]
+
+
+def _ledger_totals(groups):
+    """The ledger's total lines over the CLI scenarios, the Fock records and both."""
+    groups["all"] = groups["cli"] + groups["fock"]
     lines = []
-    with tempfile.TemporaryDirectory() as tmp:
-        ini = os.path.join(tmp, "scenario.ini")
-        for key, spec in scenarios:
-            try:
-                if "kind" in spec:
-                    files = _cli_files(spec, ini)
-                    fields = [hashlib.sha256(raw).hexdigest() for raw in files]
-                    if dump:
-                        arrays = cli_arrays(*files, spec["fmt"])
-                else:
-                    arrays = fock_arrays(spec)
-                    fields = ["fock"] + fock_digests(spec, arrays)
-            except (ValueError, RuntimeError) as exc:
-                lines.append(f"{key} error {exc}")
-                continue
-            lines.append(" ".join([key] + fields))
-            if dump:
-                name = key.replace(":", "_").replace(os.sep, "_")
-                np.savez(os.path.join(dump, name + ".npz"), **arrays)
-    return sorted(lines)
+    for group in ("cli", "fock", "all"):
+        dense = [event.dim for event in groups[group] if not hasattr(event, "degree")]
+        expansions = [event for event in groups[group] if hasattr(event, "degree")]
+        span = f"{min(dense)}-{max(dense)}" if dense else "-"
+        lines.append(
+            f"total {group} dense={len(dense)} eigh={span} expansions={len(expansions)} "
+            f"degree={sum(event.degree for event in expansions)} "
+            f"work={sum(event.nnz * event.degree for event in expansions)}"
+        )
+    return lines
 
 
-def digest_lines(workload, seeds, dump=None):
+def _lines(scenarios, dump=None, ledger=False):
+    """The sorted digest lines of ``(key, spec)`` scenarios, dumped as for :func:`digest_lines`.
+
+    With ``ledger`` each line lists the scenario's propagation events in
+    place of its digests (and ends in ``error`` if the program refused
+    it), and the totals follow the lines.
+    """
+    lines = []
+    groups = {"cli": [], "fock": []}
+    logger = logging.getLogger("darkwells")
+    handler, level = _Events(), logger.level
+    if ledger:
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = os.path.join(tmp, "scenario.ini")
+            for key, spec in scenarios:
+                handler.events = []
+                fields, arrays = _digests(spec, ini, dump)
+                if ledger:
+                    groups["cli" if "kind" in spec else "fock"] += handler.events
+                    refused = fields[0] == "error"
+                    fields = _ledger_fields(handler.events) + ["error"] * refused
+                lines.append(" ".join([key] + fields))
+                if dump and arrays is not None:
+                    name = key.replace(":", "_").replace(os.sep, "_")
+                    np.savez(os.path.join(dump, name + ".npz"), **arrays)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return sorted(lines) + (_ledger_totals(groups) if ledger else [])
+
+
+def _digests(spec, ini, dump):
+    """One scenario's digest fields, and its arrays when they are to be dumped.
+
+    A scenario the program refuses gives ``["error", message]`` and no arrays.
+    """
+    try:
+        if "kind" in spec:
+            files = _cli_files(spec, ini)
+            fields = [hashlib.sha256(raw).hexdigest() for raw in files]
+            return fields, cli_arrays(*files, spec["fmt"]) if dump else None
+        arrays = fock_arrays(spec)
+        return ["fock"] + fock_digests(spec, arrays), arrays
+    except (ValueError, RuntimeError) as exc:
+        return ["error", str(exc)], None
+
+
+def digest_lines(workload, seeds, dump=None, ledger=False):
     """The sorted digest lines of every scenario of ``workload``'s seeds.
 
     With ``dump`` set to a directory, each scenario's hashed arrays are
-    also written there as ``<workload>_<seed>_<id>.npz``.
+    also written there as ``<workload>_<seed>_<id>.npz``.  With ``ledger``
+    the lines are the work ledger's.
     """
-    return _lines(
-        ((f"{workload}:{seed}:{spec['id']}", spec)
-         for seed in seeds for spec in workloads.generate(workload, seed)),
-        dump,
-    )
+    return _lines(_workload_scenarios(workload, seeds), dump, ledger)
+
+
+def _workload_scenarios(workload, seeds):
+    return [(f"{workload}:{seed}:{spec['id']}", spec)
+            for seed in seeds for spec in workloads.generate(workload, seed)]
 
 
 def config_spec(path):
@@ -232,8 +315,11 @@ def config_lines(paths, dump=None):
     ``dump`` each run's arrays are written as ``config_<path>.npz``, with
     the path's separators turned into ``_``.
     """
-    specs = [(f"config:{path}", config_spec(path)) for path in paths]
-    return _lines(specs, dump)
+    return _lines(_config_scenarios(paths), dump)
+
+
+def _config_scenarios(paths):
+    return [(f"config:{path}", config_spec(path)) for path in paths]
 
 
 def _difference(a, b):
@@ -285,6 +371,8 @@ def main(argv=None):
                         help="also write each scenario's hashed arrays to DIR")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="print the differing arrays of two --dump directories")
+    parser.add_argument("--ledger", action="store_true",
+                        help="print each scenario's propagation work instead of its digests")
     args = parser.parse_args(argv)
     if args.compare:
         lines = compare_lines(*args.compare)
@@ -292,12 +380,12 @@ def main(argv=None):
         if args.dump:
             os.makedirs(args.dump, exist_ok=True)
         try:
-            # config:... sorts before every workload name
-            lines = config_lines(args.config or (), args.dump)
+            scenarios = _config_scenarios(args.config or ())
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
         if args.workload:
-            lines += digest_lines(args.workload, args.seed, args.dump)
+            scenarios += _workload_scenarios(args.workload, args.seed)
+        lines = _lines(scenarios, args.dump, args.ledger)
     else:
         parser.error("give --workload and --seed, --config, or --compare")
     try:
