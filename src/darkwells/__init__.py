@@ -68,23 +68,30 @@ from .bosons import (
 
 __version__ = "0.1.0"
 
-# The brute-force oracle loads scipy.sparse; its names are imported on first
-# use (PEP 562) so the analytic tiers start without it.
+# The brute-force oracle loads scipy.sparse; its names (every name of its
+# __all__) are imported on first use (PEP 562) so the analytic tiers start
+# without it.
 _ORACLE_EXPORTS = frozenset((
     "DiscretizedReservoir",
     "FockSpace",
+    "OracleRequestError",
     "OracleRun",
+    "Projection",
     "ReducedQuantities",
     "build_fock_hamiltonian",
     "build_single_particle_hamiltonian",
     "chebyshev_propagate",
     "convergence_report",
     "default_cutoff",
+    "dot_mode_count",
     "evolve_exact",
     "evolve_fock",
     "fock_basis_state",
+    "fock_spectral_bounds",
     "reduced_quantities",
     "reservoir_couplings",
+    "single_particle_bounds",
+    "single_particle_method",
     "single_particle_trajectory",
     "slater_dot_rdm",
     "slater_reservoir_distribution",

@@ -23,11 +23,13 @@ a :class:`Projection`: those rows at every time and the full state at the
 last time alone.  Both are fully deterministic, refuse the same starts and
 time grids, and check norm drift to one tolerance, ``_NORM_TOL``.
 :func:`single_particle_method` picks the propagator of a single-particle
-run from its dimension alone.  Before anything is built, a single-particle
-run past the caps is refused (:class:`OracleRequestError`): ``_MAX_LEVELS``
-levels, a Chebyshev degree (about half-bandwidth x t_max) of
-``_MAX_CHEBYSHEV_DEGREE``, or ``_MAX_TABLE_ENTRIES`` entries of the dense
-run's (n_points x dim) phase factors or the (n_points x degree) Bessel table.
+run from its dimension alone.  Single-particle and Fock runs share one
+one-body Hamiltonian, :func:`build_single_particle_hamiltonian`.  Before
+anything is built, a run past the caps is refused (:class:`OracleRequestError`):
+``_MAX_LEVELS`` levels, ``_MAX_TABLE_ENTRIES`` of a dense run's (n_points x
+dim) phase factors, or for any expansion a Chebyshev degree (about
+half-bandwidth x t_max) of ``_MAX_CHEBYSHEV_DEGREE`` or ``_MAX_TABLE_ENTRIES``
+entries of its (n_points x degree) Bessel table.
 
 A finite band is faithful only for a finite while: the discrete spectrum
 revives after the recurrence time ``2 pi / spacing``, and the band edges
@@ -198,30 +200,35 @@ def reservoir_couplings(pair: WellPair, res: DiscretizedReservoir) -> np.ndarray
 
 
 def build_single_particle_hamiltonian(
-    pair: WellPair,
+    model: WellPair | ParallelWellPair,
     res: DiscretizedReservoir,
     sparse: bool = False,
 ):
-    """Full (2 + n) x (2 + n) Hamiltonian in the basis (well1, well2, levels).
+    """One-body Hamiltonian in the basis (wells, levels in energy order).
 
-    Dense ndarray by default (the :func:`evolve_exact` contract); pass
-    ``sparse=True`` for the CSR form used by the Chebyshev propagator at
-    large ``n``.  Both are laid out from one (row, column, value) list: the
-    dense form keeps each value as it is, a ``-0.0`` energy included, and
-    the CSR form stores no zero entry.
+    The wells are (well1, well2), or (well1, well1', well2, well2') for a
+    :class:`ParallelWellPair`, whose primed wells couple with ``yprime``
+    times the amplitudes.  Dense ndarray by default (the :func:`evolve_exact`
+    contract, and the Fock build's); ``sparse=True`` gives the CSR form the
+    expansion applies.  Both are laid out from one (row, column, value) list:
+    the dense form keeps each value as it is, a ``-0.0`` energy included,
+    and the CSR form stores no zero entry.
     """
-    n = res.n_levels
-    coup = reservoir_couplings(pair, res).T.ravel()
-    levels = np.arange(2, n + 2)
-    wells = np.repeat([0, 1], n)
-    rows = np.concatenate(([0, 1], levels, wells, np.tile(levels, 2)))
-    cols = np.concatenate(([0, 1], levels, np.tile(levels, 2), wells))
-    vals = np.concatenate(([pair.E1, pair.E2], res.energies, coup, coup))
+    parallel = isinstance(model, ParallelWellPair)
+    pair, scales = (model.base, (1.0, model.yprime)) if parallel else (model, (1.0,))
+    n_dots, n = 2 * len(scales), res.n_levels
+    coup = reservoir_couplings(pair, res)
+    block = np.concatenate([s * coup[:, j] for j in (0, 1) for s in scales])
+    dots, levels, dim = np.arange(n_dots), np.arange(n_dots, n_dots + n), n_dots + n
+    wells = np.repeat(dots, n)
+    rows = np.concatenate((dots, levels, wells, np.tile(levels, n_dots)))
+    cols = np.concatenate((dots, levels, np.tile(levels, n_dots), wells))
+    vals = np.concatenate((np.repeat([pair.E1, pair.E2], len(scales)), res.energies, block, block))
     if sparse:
-        h = sp.csr_matrix((vals, (rows, cols)), shape=(n + 2, n + 2))
+        h = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
         h.eliminate_zeros()
         return h
-    h = np.zeros((n + 2, n + 2))
+    h = np.zeros((dim, dim))
     h[rows, cols] = vals
     return h
 
@@ -366,15 +373,6 @@ def evolve_exact(h: np.ndarray, psi0: np.ndarray, times, rows) -> Projection:
     return Projection(out, final, None, None)
 
 
-def _hermitian_bounds(h) -> tuple[float, float]:
-    """Cheap rigorous spectral enclosure of a CSR ``h``: diagonal range +- off-diag norm."""
-    diag = h.diagonal().real
-    off = h - sp.diags(diag)
-    # Frobenius norm bounds the spectral norm of the off-diagonal part
-    off_norm = math.sqrt(float(abs(off.multiply(off.conj())).sum().real))
-    return float(diag.min()) - off_norm, float(diag.max()) + off_norm
-
-
 def _bessel_table(a) -> np.ndarray:
     """``J_k(a_j)`` for every ``a_j >= 0`` and ``k = 0 .. m``, shape (m + 1, len(a)).
 
@@ -443,7 +441,7 @@ def chebyshev_propagate(
     h,
     psi0: np.ndarray,
     times,
-    bounds: tuple[float, float] | None = None,
+    bounds: tuple[float, float],
     rows=None,
 ):
     """Propagate under a Hermitian ``h`` by one Chebyshev expansion.
@@ -460,8 +458,9 @@ def chebyshev_propagate(
     which multiplies each output time once at the end.  ``K`` is the last
     order at which some time's Bessel coefficient exceeds 1e-16; an
     earlier time stops at its own last such order.  ``bounds`` is an
-    (E_min, E_max) spectral enclosure; by default a rigorous
-    diagonal-plus-offdiagonal-norm bound is used.  A real ``h`` and a real
+    (E_min, E_max) spectral enclosure, required: the oracle reads it from
+    the model (:func:`single_particle_bounds`, :func:`fock_spectral_bounds`)
+    before ``h`` is built.  A real ``h`` and a real
     start run the recurrence in float64; each order's weight is then
     purely real or purely imaginary, so it adds into one float64 sum per
     time, and the result has the bits of the complex recurrence and sums.
@@ -490,8 +489,6 @@ def chebyshev_propagate(
         if rows is None:
             return out
         return Projection(out[:, rows], psi.copy(), 0, 0.0)
-    if bounds is None:
-        bounds = _hermitian_bounds(h)
     e_min, e_max = bounds
     if not e_max > e_min:
         e_max = e_min + 1.0
@@ -598,6 +595,23 @@ def single_particle_method(n_levels: int) -> str:
     return "dense" if n_levels + 2 <= DENSE_MAX_DIM else "chebyshev"
 
 
+def _check_expansion(bounds: tuple[float, float], times: np.ndarray) -> None:
+    """Refuse (``"t_max"``) an expansion whose degree, half-width of ``bounds`` times the
+    last time, or Bessel table (points x degree) passes its cap."""
+    lo, hi = bounds
+    degree = 0.5 * (hi - lo) * (float(times[-1]) if times.size else 0.0)
+    if degree > _MAX_CHEBYSHEV_DEGREE:
+        raise OracleRequestError(
+            "t_max", f"needs a Chebyshev degree of about {degree:.3g}, "
+            f"above the cap of {_MAX_CHEBYSHEV_DEGREE}"
+        )
+    if times.size * degree > _MAX_TABLE_ENTRIES:
+        raise OracleRequestError(
+            "t_max", f"{times.size} points at a Chebyshev degree of about {degree:.3g} "
+            f"exceed the cap of {_MAX_TABLE_ENTRIES} Bessel coefficients"
+        )
+
+
 def single_particle_trajectory(pair: WellPair, initial, times, n_levels: int) -> OracleRun:
     """Evolve one particle against the explicit reservoir.
 
@@ -629,22 +643,13 @@ def single_particle_trajectory(pair: WellPair, initial, times, n_levels: int) ->
             "phases", f"the phases t E of the band [{lo!r}, {hi!r}] overflow by t = {t_max!r}"
         )
     method = single_particle_method(n_levels)
-    degree = 0.5 * (hi - lo) * t_max
     if method == "dense" and times.size * (n_levels + 2) > _MAX_TABLE_ENTRIES:
         raise OracleRequestError(
             "n_points", f"{times.size} points of dimension {n_levels + 2} exceed "
             f"the cap of {_MAX_TABLE_ENTRIES} phase factors"
         )
-    if method == "chebyshev" and degree > _MAX_CHEBYSHEV_DEGREE:
-        raise OracleRequestError(
-            "t_max", f"needs a Chebyshev degree of about {degree:.3g}, "
-            f"above the cap of {_MAX_CHEBYSHEV_DEGREE}"
-        )
-    if method == "chebyshev" and times.size * degree > _MAX_TABLE_ENTRIES:
-        raise OracleRequestError(
-            "t_max", f"{times.size} points at a Chebyshev degree of about {degree:.3g} "
-            f"exceed the cap of {_MAX_TABLE_ENTRIES} Bessel coefficients"
-        )
+    if method == "chebyshev":
+        _check_expansion(bounds, times)
     recurrence_exceeded = bool(times.size and times.max() > 0.5 * res.recurrence_time)
     if recurrence_exceeded:
         _log.warning(
@@ -876,29 +881,6 @@ def dot_mode_count(model: WellPair | ParallelWellPair) -> int:
     return 4 if isinstance(model, ParallelWellPair) else 2
 
 
-def _one_body_terms(model: WellPair | ParallelWellPair, res: DiscretizedReservoir):
-    """The (n_modes x n_modes) one-body matrix and the same-site mode pairs.
-
-    Mode layout: wells first (well1[, well1'], well2[, well2']), then the
-    reservoir levels in energy order.  The diagonal holds the mode
-    energies, and the only off-diagonal entries are the dot-reservoir
-    amplitudes.  In the parallel model a well's two levels share a site
-    and pay ``U`` when both are filled; those mode pairs come second.
-    """
-    if isinstance(model, ParallelWellPair):
-        pair, scales, sites = model.base, (1.0, model.yprime), [(0, 1), (2, 3)]
-    else:
-        pair, scales, sites = model, (1.0,), []
-    coup = reservoir_couplings(pair, res)
-    wells = [energy for energy in (pair.E1, pair.E2) for _ in scales]
-    block = np.array([s * coup[:, j] for j in (0, 1) for s in scales])
-    n_dots = len(wells)
-    one_body = np.diag(np.concatenate((wells, res.energies)))
-    one_body[:n_dots, n_dots:] = block
-    one_body[n_dots:, :n_dots] = block.T
-    return one_body, sites
-
-
 def build_fock_hamiltonian(
     model: WellPair | ParallelWellPair,
     res: DiscretizedReservoir,
@@ -906,19 +888,22 @@ def build_fock_hamiltonian(
 ):
     """Sparse many-body Hamiltonian on a :class:`FockSpace`.
 
-    One-body part: mode energies plus dot-reservoir hops.  Two-body part
-    (parallel models only): ``U`` per doubly occupied well, diagonal in
-    this basis.  Fermionic signs follow the mode order of the basis
-    rows.
+    One-body part: the mode energies on the diagonal of
+    :func:`build_single_particle_hamiltonian`'s dense form, plus its
+    dot-reservoir hops.  Two-body part (parallel models only): ``U`` per
+    doubly occupied well, whose two levels (modes 0, 1 and 2, 3) share a
+    site; it is diagonal in this basis.  Fermionic signs follow the mode
+    order of the basis rows.
     """
-    t, sites = _one_body_terms(model, res)
+    t = build_single_particle_hamiltonian(model, res)
     if space.n_modes != len(t):
         raise ValueError(f"space has {space.n_modes} modes, model needs {len(t)}")
     modes = space._modes
     diag = t.diagonal()[modes].sum(axis=1)
-    for a, b in sites:
-        n_a, n_b = (np.count_nonzero(modes == m, axis=1) for m in (a, b))
-        diag += model.U * n_a * n_b
+    if isinstance(model, ParallelWellPair):
+        for a, b in ((0, 1), (2, 3)):
+            n_a, n_b = (np.count_nonzero(modes == m, axis=1) for m in (a, b))
+            diag += model.U * n_a * n_b
     np.fill_diagonal(t, 0.0)
     # t is real symmetric and a hop moves one particle, so the hop from
     # target back to source has the same value: each hop with q > p is
@@ -953,7 +938,7 @@ def fock_spectral_bounds(
     default), and at most ``min(N // 2, 2)`` for fermions, whose
     occupations are 0 or 1.  A relative margin covers rounding.
     """
-    evals = np.linalg.eigvalsh(_one_body_terms(model, res)[0])
+    evals = np.linalg.eigvalsh(build_single_particle_hamiltonian(model, res))
     if statistics == "fermi":
         e_lo, e_hi = float(evals[:n_particles].sum()), float(evals[-n_particles:].sum())
         pair_cap = min(n_particles // 2, 2)
@@ -989,9 +974,16 @@ def evolve_fock(
     psi0: np.ndarray,
     times,
 ) -> np.ndarray:
-    """Exact many-body evolution against the explicit reservoir."""
-    h = build_fock_hamiltonian(model, res, space)
+    """Exact many-body evolution against the explicit reservoir.
+
+    A start or grid :func:`chebyshev_propagate` refuses, and an expansion past
+    the Chebyshev caps, sized from :func:`fock_spectral_bounds`, are refused
+    before H is built."""
+    times = np.asarray(times, dtype=float)
+    _check_start(np.asarray(psi0), times, space.size)
     bounds = fock_spectral_bounds(model, res, space.n_particles, space.statistics)
+    _check_expansion(bounds, times)
+    h = build_fock_hamiltonian(model, res, space)
     return chebyshev_propagate(h, psi0, times, bounds=bounds)
 
 

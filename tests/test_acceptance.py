@@ -40,6 +40,7 @@ from darkwells.oracle import (
     fock_basis_state,
     reduced_quantities,
     reservoir_couplings,
+    single_particle_bounds,
     single_particle_trajectory,
     slater_dot_rdm,
     slater_reservoir_distribution,
@@ -270,7 +271,8 @@ def test_criterion_08_two_fermions_emit_exactly_one(capsys):
         orbitals[0, 0] = 1.0  # one particle per well
         orbitals[1, 1] = 1.0
         t = 50.0 / (1.0 + y)
-        evolved = chebyshev_propagate(h, orbitals, np.array([t]))[-1]
+        bounds = single_particle_bounds(pair, res)
+        evolved = chebyshev_propagate(h, orbitals, np.array([t]), bounds=bounds)[-1]
         probs = slater_reservoir_distribution(evolved, n_dot_modes=2)
         rdm = slater_dot_rdm(evolved, n_dot_modes=2)
         got = np.array([rdm[0, 0].real, rdm[1, 1].real, rdm[0, 1].real, rdm[0, 1].imag])

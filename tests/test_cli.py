@@ -1130,9 +1130,18 @@ def test_oracle_is_imported_lazily():
             [sys.executable, "-c", probe.format(module=module)],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
-        assert out.stdout.split("\n")[:2] == ["[]", "17 True"], (module, out.stdout)
+        assert out.stdout.split("\n")[:2] == ["[]", "23 True"], (module, out.stdout)
     with pytest.raises(AttributeError, match="no_such_name"):
         darkwells.no_such_name
+
+
+def test_package_serves_every_oracle_name():
+    # the lazy table is a hand-kept copy of oracle.__all__, and a name
+    # missing from it raises AttributeError as darkwells.<name>
+    import darkwells.oracle as oracle
+
+    assert darkwells._ORACLE_EXPORTS == frozenset(oracle.__all__)
+    assert darkwells.OracleRequestError is oracle.OracleRequestError
 
 
 def test_oracle_reads_n_levels_only(tmp_path, capsys, monkeypatch):

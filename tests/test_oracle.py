@@ -17,7 +17,6 @@ from darkwells.oracle import (
     Projection,
     _BESSEL_SCALAR_COLUMNS,
     _bessel_table,
-    _one_body_terms,
     FockSpace,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
@@ -144,7 +143,7 @@ def test_chebyshev_matches_dense_eigensolve():
     psi0[0] = 1.0
     times = np.array([0.0, 0.4, 1.3, 2.0])
     ref = evolve_exact(dense, psi0, times, rows=np.arange(50)).amplitudes
-    che = chebyshev_propagate(sparse, psi0, times)
+    che = chebyshev_propagate(sparse, psi0, times, bounds=single_particle_bounds(pair, res))
     np.testing.assert_allclose(che, ref, atol=1e-11)
     # dense input and explicit bounds take the same path
     che2 = chebyshev_propagate(dense, psi0, times, bounds=(-12.0, 12.0))
@@ -173,11 +172,12 @@ def test_propagators_match_expm_reference(complex_entries):
     psi0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi0 /= np.linalg.norm(psi0)
     ref = expm_propagate(h, psi0, _REFERENCE_TIMES)
+    bounds = np.linalg.eigvalsh(h)[[0, -1]]
     exact = evolve_exact(h, psi0, _REFERENCE_TIMES, rows=np.arange(dim)).amplitudes
     assert exact.shape == (_REFERENCE_TIMES.size, dim) and exact.flags.c_contiguous
     np.testing.assert_allclose(exact, ref, rtol=0, atol=1e-12)
     for h_in in (h, sp.csr_matrix(h)):
-        che = chebyshev_propagate(h_in, psi0, _REFERENCE_TIMES)
+        che = chebyshev_propagate(h_in, psi0, _REFERENCE_TIMES, bounds=bounds)
         np.testing.assert_allclose(che, ref, rtol=0, atol=1e-12)
 
 
@@ -189,7 +189,7 @@ def test_propagators_match_expm_reference_on_sparse_orbital_stack():
     rng = np.random.default_rng(5)
     stack, _ = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
     ref = expm_propagate(h, stack, _REFERENCE_TIMES)
-    che = chebyshev_propagate(h, stack, _REFERENCE_TIMES)
+    che = chebyshev_propagate(h, stack, _REFERENCE_TIMES, bounds=single_particle_bounds(pair, res))
     np.testing.assert_allclose(che, ref, rtol=0, atol=1e-12)
     for col in range(2):
         exact = evolve_exact(h.toarray(), stack[:, col], _REFERENCE_TIMES, np.arange(dim))
@@ -203,8 +203,9 @@ def test_propagators_empty_times_and_first_failing_time(monkeypatch):
     h = _random_hermitian(np.random.default_rng(2), 6, True)
     psi0 = np.zeros(6, dtype=complex)
     psi0[2] = 1.0
+    bounds = np.linalg.eigvalsh(h)[[0, -1]]
     assert evolve_exact(h, psi0, [], np.arange(6)).amplitudes.shape == (0, 6)
-    assert chebyshev_propagate(h, psi0, []).shape == (0, 6)
+    assert chebyshev_propagate(h, psi0, [], bounds=bounds).shape == (0, 6)
     # every time fails a negative tolerance; the first one checked is
     # reported: the dense run and a projection check only the last time
     times = [0.0, 0.5, 1.0]
@@ -212,9 +213,9 @@ def test_propagators_empty_times_and_first_failing_time(monkeypatch):
     with pytest.raises(RuntimeError, match=r"at t = 1\.0$"):
         evolve_exact(h, psi0, times, np.arange(6))
     with pytest.raises(RuntimeError, match=r"at t = 1\.0$"):
-        chebyshev_propagate(h, psi0, times, rows=[0, 1])
+        chebyshev_propagate(h, psi0, times, bounds=bounds, rows=[0, 1])
     with pytest.raises(RuntimeError, match=r"at t = 0\.0$"):
-        chebyshev_propagate(h, psi0, times)
+        chebyshev_propagate(h, psi0, times, bounds=bounds)
 
 
 def _unit(dim, k):
@@ -244,15 +245,16 @@ def test_propagators_refuse_the_same_bad_input(monkeypatch, case):
 
     h = _random_hermitian(np.random.default_rng(2), 6, True)
     psi0, times, refusal = _BAD_INPUTS[case]
+    bounds = np.linalg.eigvalsh(h)[[0, -1]]
     # every propagated state now fails its drift check, so a ValueError
     # means the input was refused before anything was propagated
     monkeypatch.setattr(oracle_module, "_NORM_TOL", -1.0)
     with pytest.raises(ValueError, match=refusal):
         evolve_exact(h, psi0, times, np.arange(6))
     with pytest.raises(ValueError, match=refusal):
-        chebyshev_propagate(h, psi0, times)
+        chebyshev_propagate(h, psi0, times, bounds=bounds)
     with pytest.raises(ValueError, match=refusal):
-        chebyshev_propagate(h, psi0, times, rows=[0, 1])
+        chebyshev_propagate(h, psi0, times, bounds=bounds, rows=[0, 1])
 
 
 def test_propagators_refuse_nan_in_h():
@@ -419,7 +421,7 @@ def test_projected_chebyshev_matches_expm_reference(monkeypatch):
     psi0 = np.zeros(42, dtype=complex)
     psi0[0], psi0[1] = 0.6, 0.8j
     ref = expm_propagate(h, psi0, _REFERENCE_TIMES)
-    run = chebyshev_propagate(h, psi0, _REFERENCE_TIMES, rows=[0, 1])
+    run = chebyshev_propagate(h, psi0, _REFERENCE_TIMES, bounds=(lo, hi), rows=[0, 1])
     assert run.amplitudes.shape == (_REFERENCE_TIMES.size, 2)
     np.testing.assert_allclose(run.amplitudes, ref[:, :2], rtol=0, atol=1e-12)
     np.testing.assert_allclose(run.final_state, ref[-1], rtol=0, atol=1e-12)
@@ -444,8 +446,8 @@ def test_projected_chebyshev_matches_expm_reference(monkeypatch):
     # only the last time's full state is checked, so that is where it fails
     monkeypatch.setattr(oracle_module, "_NORM_TOL", -1.0)
     with pytest.raises(RuntimeError, match=rf"at t = {_REFERENCE_TIMES[-1]}$"):
-        chebyshev_propagate(h, psi0, _REFERENCE_TIMES, rows=[0, 1])
-    empty = chebyshev_propagate(h, psi0, [], rows=[0, 1])
+        chebyshev_propagate(h, psi0, _REFERENCE_TIMES, bounds=(lo, hi), rows=[0, 1])
+    empty = chebyshev_propagate(h, psi0, [], bounds=(lo, hi), rows=[0, 1])
     assert empty.amplitudes.shape == (0, 2) and empty.degree == 0
 
 
@@ -455,8 +457,9 @@ def test_chebyshev_is_deterministic():
     h = build_single_particle_hamiltonian(pair, res, sparse=True)
     psi0 = np.zeros(34, dtype=complex)
     psi0[1] = 1.0
-    a = chebyshev_propagate(h, psi0, [1.7])
-    b = chebyshev_propagate(h, psi0, [1.7])
+    bounds = single_particle_bounds(pair, res)
+    a = chebyshev_propagate(h, psi0, [1.7], bounds=bounds)
+    b = chebyshev_propagate(h, psi0, [1.7], bounds=bounds)
     assert np.array_equal(a, b)
 
 
@@ -469,21 +472,25 @@ def test_chebyshev_propagates_orbital_stacks():
     stack[0, 0] = 1.0
     stack[1, 1] = 1.0
     times = [0.9, 1.8]
-    both = chebyshev_propagate(h, stack, times)
+    bounds = single_particle_bounds(pair, res)
+    both = chebyshev_propagate(h, stack, times, bounds=bounds)
     for col in range(2):
-        single = chebyshev_propagate(h, stack[:, col], times)
+        single = chebyshev_propagate(h, stack[:, col], times, bounds=bounds)
         np.testing.assert_allclose(both[:, :, col], single, atol=1e-12)
 
 
 def _real_hamiltonian(kind):
+    """A real H of the given kind, a real start and the model's enclosure of H."""
     pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
     res = DiscretizedReservoir.uniform(16, 6.0)
     if kind in ("fermi", "bose"):
         space = FockSpace(dot_mode_count(pair) + 16, 2, kind)
-        return build_fock_hamiltonian(pair, res, space), fock_basis_state(space, [0, 1])
+        h = build_fock_hamiltonian(pair, res, space)
+        return h, fock_basis_state(space, [0, 1]), fock_spectral_bounds(pair, res, 2, kind)
     psi0 = np.zeros(18)
     psi0[0] = 1.0
-    return build_single_particle_hamiltonian(pair, res, sparse=kind == "sparse"), psi0
+    h = build_single_particle_hamiltonian(pair, res, sparse=kind == "sparse")
+    return h, psi0, single_particle_bounds(pair, res)
 
 
 @pytest.mark.parametrize("kind", ["fermi", "bose", "dense", "sparse"])
@@ -492,7 +499,7 @@ def test_real_recurrence_gives_the_complex_bits(kind):
     # to complex forces the complex recurrence, which must give the same
     # bits (np.array_equal takes -0.0 == 0.0).  Dense h is applied as CSR,
     # so it gives the CSR bytes, signed zeros included.
-    h, psi0 = _real_hamiltonian(kind)
+    h, psi0, bounds = _real_hamiltonian(kind)
     assert h.dtype == np.float64
     csr = sp.csr_matrix(h)
     stack, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((psi0.size, 2)))
@@ -500,29 +507,30 @@ def test_real_recurrence_gives_the_complex_bits(kind):
     mixed = (stack[:, 0] + 1j * stack[:, 1]) / math.sqrt(2.0)
     times = [0.0, 0.7, 1.9]
     for start in (psi0, stack, mixed):
-        run = chebyshev_propagate(h, start, times)
-        ref = chebyshev_propagate(h.astype(complex), start, times)
+        run = chebyshev_propagate(h, start, times, bounds=bounds)
+        ref = chebyshev_propagate(h.astype(complex), start, times, bounds=bounds)
         assert run.dtype == complex and np.array_equal(run, ref)
-        assert run.tobytes() == chebyshev_propagate(csr, start, times).tobytes()
+        assert run.tobytes() == chebyshev_propagate(csr, start, times, bounds=bounds).tobytes()
         full = run
-        run = chebyshev_propagate(h, start, times, rows=[0, 1])
-        ref = chebyshev_propagate(h.astype(complex), start, times, rows=[0, 1])
+        run = chebyshev_propagate(h, start, times, bounds=bounds, rows=[0, 1])
+        ref = chebyshev_propagate(h.astype(complex), start, times, bounds=bounds, rows=[0, 1])
         assert run.amplitudes.dtype == run.final_state.dtype == complex
         assert np.array_equal(run.amplitudes, ref.amplitudes)
         assert np.array_equal(run.final_state, ref.final_state)
         assert (run.degree, run.truncation_bound) == (ref.degree, ref.truncation_bound)
         assert run.final_state.tobytes() == full[-1].tobytes()
-        sparse_run = chebyshev_propagate(csr, start, times, rows=[0, 1])
+        sparse_run = chebyshev_propagate(csr, start, times, bounds=bounds, rows=[0, 1])
         assert run.amplitudes.tobytes() == sparse_run.amplitudes.tobytes()
         assert run.final_state.tobytes() == sparse_run.final_state.tobytes()
 
 
 def test_chebyshev_time_grid_validation():
     h = np.eye(2)
+    bounds = np.linalg.eigvalsh(h)[[0, -1]]
     with pytest.raises(ValueError, match="non-decreasing"):
-        chebyshev_propagate(h, np.array([1.0, 0.0]), [1.0, 0.5])
+        chebyshev_propagate(h, np.array([1.0, 0.0]), [1.0, 0.5], bounds=bounds)
     with pytest.raises(ValueError, match="non-decreasing"):
-        chebyshev_propagate(h, np.array([1.0, 0.0]), [-1.0])
+        chebyshev_propagate(h, np.array([1.0, 0.0]), [-1.0], bounds=bounds)
 
 
 def test_dark_state_survives_finite_discretization():
@@ -776,7 +784,8 @@ def test_mirrored_fock_build_gives_the_full_hop_bytes(parallel, statistics, n_pa
     res = DiscretizedReservoir.uniform(12, 4.0)
     space = FockSpace(dot_mode_count(model) + 12, n_particles, statistics)
     h = build_fock_hamiltonian(model, res, space)
-    one_body, sites = _one_body_terms(model, res)
+    one_body = build_single_particle_hamiltonian(model, res)
+    sites = [(0, 1), (2, 3)] if parallel else []
     want = full_hop_fock_hamiltonian(
         one_body, sites, model.U if parallel else 0.0, space._modes, statistics
     )
@@ -791,9 +800,25 @@ def test_one_body_matrix_is_exactly_symmetric(parallel):
     # build_fock_hamiltonian enters each hop at both ends on this alone
     base = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
     model = ParallelWellPair(base=base, yprime=0.7, U=1.5) if parallel else base
-    one_body, _ = _one_body_terms(model, DiscretizedReservoir.uniform(12, 4.0))
+    one_body = build_single_particle_hamiltonian(model, DiscretizedReservoir.uniform(12, 4.0))
     assert one_body.dtype == np.float64
     assert one_body.tobytes() == one_body.T.copy().tobytes()
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_single_particle_hamiltonian_is_the_one_particle_fock_hamiltonian(parallel):
+    # the literal second-quantized H of one particle, rows in mode order,
+    # is the one-body matrix of either model
+    base = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    model = ParallelWellPair(base=base, yprime=0.7, U=1.5) if parallel else base
+    res = DiscretizedReservoir.uniform(12, 4.0)
+    h = build_single_particle_hamiltonian(model, res)
+    basis, ref = fock_hamiltonian_reference(model, res, 1, "fermi")
+    order = np.argsort([occ.index(1) for occ in basis])
+    assert h.shape == (dot_mode_count(model) + 12,) * 2
+    np.testing.assert_allclose(h, ref[np.ix_(order, order)], rtol=0, atol=1e-14)
+    sparse = build_single_particle_hamiltonian(model, res, sparse=True)
+    assert np.array_equal(sparse.toarray(), h)
 
 
 def test_fock_spectral_bounds_enclose_spectrum():
@@ -854,6 +879,54 @@ def test_tight_fock_bounds_enclose_reference_spectrum(u_value, n_particles, stat
     # the default, bosonic enclosure holds for either statistics
     lo_any, hi_any = fock_spectral_bounds(model, res, n_particles)
     assert lo_any <= lo and hi <= hi_any
+
+
+@pytest.mark.parametrize(
+    "reach, n_points, message",
+    [(1.01, 2, "needs a Chebyshev degree"), (0.5, 1000, "Bessel coefficients")],
+    ids=["degree", "bessel_table"],
+)
+def test_fock_expansions_are_refused_before_building(monkeypatch, reach, n_points, message):
+    # the single-particle caps hold for a Fock run too, read from the
+    # model's enclosure before H or the Bessel table exists
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the request was checked")
+
+    for name in ("build_fock_hamiltonian", "chebyshev_propagate"):
+        monkeypatch.setattr(darkwells.oracle, name, refuse)
+    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    res = DiscretizedReservoir.uniform(12, 4.0)
+    space = FockSpace(dot_mode_count(pair) + 12, 2, "fermi")
+    lo, hi = fock_spectral_bounds(pair, res, 2, "fermi")
+    # reach is the last time's degree as a share of the degree cap
+    t_max = reach * darkwells.oracle._MAX_CHEBYSHEV_DEGREE / (0.5 * (hi - lo))
+    times = np.linspace(0.0, t_max, n_points)
+    with pytest.raises(OracleRequestError, match=message) as exc:
+        evolve_fock(pair, res, space, fock_basis_state(space, [0, 1]), times)
+    assert exc.value.source == "t_max"
+
+
+@pytest.mark.parametrize(
+    "scale, times, message",
+    [
+        (2.0, [1.0], "norm 2"),
+        (1.0, [1e6, 0.0], "non-decreasing"),
+        (1.0, [math.nan], "non-negative"),
+    ],
+    ids=["norm", "decreasing", "nan"],
+)
+def test_fock_start_and_grid_are_refused_before_building(monkeypatch, scale, times, message):
+    # the caps read the last time alone, so a grid is checked whole first;
+    # nothing is built for a request the propagator would refuse
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the request was checked")
+
+    monkeypatch.setattr(darkwells.oracle, "build_fock_hamiltonian", refuse)
+    pair = WellPair.from_widths(1.0, 2.0, eta=-1, epsilon=0.3)
+    res = DiscretizedReservoir.uniform(12, 4.0)
+    space = FockSpace(dot_mode_count(pair) + 12, 2, "fermi")
+    with pytest.raises(ValueError, match=message):
+        evolve_fock(pair, res, space, scale * fock_basis_state(space, [0, 1]), times)
 
 
 def test_two_fermion_evolution_matches_determinant_formalism():

@@ -11,7 +11,8 @@ built.  Each CLI scenario is rendered in process through
 ``darkwells.cli.load_config``, ``build_scenario`` and ``render``, with the
 fixed output name ``out.csv`` or ``out.json``.  Each Fock record (the
 ``oracle`` workload's many-body runs, which bypass the CLI) is run through
-the public ``darkwells.oracle`` API, as the benchmark client runs it.
+the public ``darkwells.oracle`` API, as the benchmark client runs it, on
+the model that the client's own ``_fock_model`` reads from the record.
 Each config file given with ``--config`` (with or without a workload) is
 run the same way, as the kind its ``[scenario] kind`` names; a file the
 CLI cannot read, or one that names no kind, ends the script with exit 2.
@@ -81,19 +82,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
+from client import _fock_model  # noqa: E402
 from darkwells import cli, oracle  # noqa: E402
-from darkwells.model import ParallelWellPair, WellPair  # noqa: E402
-
-
-def _fock_model(spec):
-    """The many-body model of a Fock record and its single well pair."""
-    if spec["kind"] == "parallel":
-        base = WellPair(E1=spec["e1"], E2=spec["e2"], omega1=spec["omega1"],
-                        omega2=spec["omega2"], lambda_cutoff=spec["lambda_cutoff"])
-        return ParallelWellPair(base=base, yprime=spec["yprime"], U=spec["u"]), base
-    pair = WellPair.from_widths(spec["gamma1"], spec["gamma2"], eta=spec["eta"],
-                                epsilon=spec["epsilon"])
-    return pair, pair
 
 
 # the arrays of fock_arrays each Fock digest hashes, in line order
