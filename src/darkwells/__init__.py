@@ -4,12 +4,10 @@ import importlib
 
 from .model import (
     DegenerateSystemError,
-    DerivedParams,
     NoBoundStateError,
     ParallelWellPair,
     WellPair,
     WidthOverflowError,
-    derive,
     wide_band_self_energy,
 )
 from .rotation import (

@@ -4,9 +4,10 @@ N1 + N2 bosons split between two wells rotate into the (dark, bright)
 mode pair; every bright quantum eventually leaves while dark quanta stay
 forever, so the reservoir count distribution is read directly off the
 rotated expansion.  Everything here is exact integer/rational
-combinatorics: each amplitude is kept as its sign and its exact rational
-square and only converted to floating point at the very end, so oracle
-comparisons can demand exact equality instead of tolerances.
+combinatorics: each amplitude is a :class:`SurdAmplitude`, its sign and
+its exact rational square, only converted to floating point at the very
+end, so oracle comparisons can demand exact equality instead of
+tolerances.
 """
 
 from __future__ import annotations
@@ -32,64 +33,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SurdAmplitude:
-    """Exact real amplitude, built as ``coef * sqrt(radicand)``.
+    """Exact real amplitude ``sign * sqrt(square)``.
 
-    ``coef`` is a rational of either sign, ``radicand`` a non-negative
-    rational.  Every factorization of one value is stored in the same
-    canonical form: ``coef`` holds the sign (-1, 0 or 1) and ``radicand``
-    the exact square ``coef^2 radicand``, so equal values have equal fields
-    and hashes.
+    ``sign`` is -1, 0 or 1 and ``square`` the exact rational square, 0 with
+    the sign 0, so equal values have equal fields and hashes.
     """
 
-    coef: Fraction
-    radicand: Fraction
-
-    def __post_init__(self) -> None:
-        coef = Fraction(self.coef)
-        radicand = Fraction(self.radicand)
-        if radicand < 0:
-            raise ValueError("radicand must be non-negative")
-        square = coef * coef * radicand
-        object.__setattr__(self, "coef", (coef > 0) - (coef < 0) if square else 0)
-        object.__setattr__(self, "radicand", square)
-
-    @property
-    def sign(self) -> int:
-        return self.coef
-
-    def square(self) -> Fraction:
-        return self.radicand
+    sign: int
+    square: Fraction
 
     def __float__(self) -> float:
         # the root from the integers, as the square can be too small for a
         # normal float: 2^k scales it to 55 bits or more, and an odd last bit
         # stands for the rest of an inexact root, so the division rounds it
-        n, d = self.radicand.numerator, self.radicand.denominator
+        n, d = self.square.numerator, self.square.denominator
         k = max(0, 56 + (d.bit_length() - n.bit_length()) // 2)
         root = math.isqrt((n << 2 * k) // d)
         inexact = root * root * d != n << 2 * k
-        return self.coef * (2 * root + inexact) / (2 << k)
+        return self.sign * (2 * root + inexact) / (2 << k)
 
 
-ZERO_AMPLITUDE = SurdAmplitude(Fraction(0), Fraction(0))
+ZERO_AMPLITUDE = SurdAmplitude(0, Fraction(0))
 
 
 @dataclass(frozen=True)
 class BosonFockState:
-    """Exact two-mode Fock expansion with a fixed total particle number.
+    """Exact (dark, bright) Fock expansion with a fixed total particle number.
 
-    ``amplitudes`` maps occupation pairs to SurdAmplitude values; the
-    ``basis`` tag says whether the pair means (n_dark, n_bright) or
-    (n_well1, n_well2).
+    ``amplitudes`` maps occupation pairs ``(n_dark, n_bright)`` to
+    SurdAmplitude values.
     """
 
     total: int
-    basis: str
     amplitudes: dict
 
     def __post_init__(self) -> None:
-        if self.basis not in ("dark_bright", "wells"):
-            raise ValueError(f"unknown basis {self.basis!r}")
         if self.total < 1:
             raise ValueError("need at least one particle")
         norm = Fraction(0)
@@ -97,7 +75,7 @@ class BosonFockState:
             n1, n2 = key
             if n1 < 0 or n2 < 0 or n1 + n2 != self.total:
                 raise ValueError(f"occupation {key} inconsistent with N={self.total}")
-            norm += amp.square()
+            norm += amp.square
         if norm != 1:
             raise ValueError(f"state norm^2 = {norm} != 1")
 
@@ -207,7 +185,7 @@ def rotate_fock(N1: int, N2: int, y, eta: int = 1) -> BosonFockState:
         )
         sign = ((coeff > 0) - (coeff < 0)) * eta ** (a % 2)
         amps[(n1, N - n1)] = SurdAmplitude(sign, square)
-    return BosonFockState(total=N, basis="dark_bright", amplitudes=amps)
+    return BosonFockState(total=N, amplitudes=amps)
 
 
 def emission_distribution(state: BosonFockState) -> FockDistribution:
@@ -217,11 +195,9 @@ def emission_distribution(state: BosonFockState) -> FockDistribution:
     no dark mode, everything decays, and no stationary count distribution
     over retained particles exists.
     """
-    if state.basis != "dark_bright":
-        raise ValueError("emission counting needs a (dark, bright) expansion")
     probs = {m: Fraction(0) for m in range(state.total + 1)}
     for (n_dark, n_bright), amp in state.amplitudes.items():
-        probs[n_bright] += amp.square()
+        probs[n_bright] += amp.square
     return FockDistribution(probabilities=probs)
 
 

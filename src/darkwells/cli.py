@@ -584,7 +584,7 @@ def _run_oracle_compare(scenario):
     (b1, b2), res_init = _resolve_initial(scenario.sections)
     times, res_grid = _resolve_grid(
         scenario.sections,
-        8.0 / (pair.gamma1 + pair.gamma2),
+        8.0 / (pair.gamma1 + pair.gamma2) if pair.gamma1 + pair.gamma2 else math.inf,
         _model_keys(spec, given, {}, "gamma1", "gamma2"),
     )
     resolved.update(res_init)
@@ -623,8 +623,18 @@ def _run_fermions(scenario):
         resolved.update({"fermions.y": y, "fermions.eta": eta})
         branches = two_electron_asymptotic(y, eta=eta)
     else:
-        model, res_model = _build_model(*_read_model(scenario.sections, parallel=True))
+        spec, given = _read_model(scenario.sections, parallel=True)
+        model, res_model = _build_model(spec, given)
         resolved.update(res_model)
+        base = model.base
+        # the coupled sector's dark mode needs both widths; three electrons
+        # on misaligned wells keep no state whatever the widths, as
+        # three_electron_asymptotic reports first
+        if not 0.0 < base.y < math.inf and (op == "two_electron_parallel" or base.epsilon == 0.0):
+            raise ConfigError(
+                f"{_model_keys(spec, given, {}, 'omega1', 'omega2')}: both wells must couple "
+                f"to the reservoir, got gamma1 = {base.gamma1!r}, gamma2 = {base.gamma2!r}"
+            )
         if op == "two_electron_parallel":
             branches = two_electron_parallel_asymptotic(model)
         else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NoBoundStateError, ParallelWellPair, WellPair, derive
+from .model import NoBoundStateError, ParallelWellPair, WellPair
 
 __all__ = [
     "FermionAsymptoticState",
@@ -199,16 +199,16 @@ def _d_vectors(model: ParallelWellPair) -> dict:
 def _coupled_dark(model: ParallelWellPair):
     """``(y, vectors, dark)``: the coupled-sector dark vector and its inputs.
 
-    ``vectors`` are :func:`_d_vectors`; ``dark`` is ``(eta12 sqrt(y) d1c -
+    ``vectors`` are :func:`_d_vectors`; ``dark`` is ``(eta sqrt(y) d1c -
     d2c) / sqrt(1 + y)``, the dark mode of the two coupled levels.  Both
     wells must couple to the reservoir.
     """
-    d = derive(model.base)
-    if d.eta12 is None or d.y_infinite or d.y == 0.0:
+    y = model.base.y
+    if not 0.0 < y < math.inf:
         raise ValueError("both wells must couple to the reservoir")
     vecs = _d_vectors(model)
-    dark = (d.eta12 * math.sqrt(d.y) * vecs["d1c"] - vecs["d2c"]) / math.sqrt(1.0 + d.y)
-    return d.y, vecs, dark
+    dark = (model.base.eta * math.sqrt(y) * vecs["d1c"] - vecs["d2c"]) / math.sqrt(1.0 + y)
+    return y, vecs, dark
 
 
 def _resonant(model: ParallelWellPair) -> bool:

@@ -3,14 +3,15 @@
 A :class:`WellPair` holds the bare parameters of two localized levels
 (energies ``E1``, ``E2``) tunnel-coupled to one continuum of band states
 with constant density of states ``rho`` and energy-independent hopping
-amplitudes ``omega1``, ``omega2``.  All derived quantities used elsewhere
-(level widths, relative sign of the couplings, width ratio) come from
-:func:`derive`, and the wide-band-limit self-energy of the two-level
-subsystem from :func:`wide_band_self_energy`.
+amplitudes ``omega1``, ``omega2``.  The pair also owns the quantities
+derived from them: the level widths ``gamma1``, ``gamma2``, the detuning
+``epsilon``, the relative sign ``eta`` of the couplings and the width
+ratio ``y``.  The wide-band-limit self-energy of the two-level subsystem
+comes from :func:`wide_band_self_energy`.
 
 Sign convention: the hopping amplitudes are real and may be negative; the
-product sign ``eta = sign(omega1 * omega2)`` is what the dynamics depends
-on, never the individual signs.
+relative sign ``eta = sign(omega1) sign(omega2)`` is what the dynamics
+depends on, never the individual signs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ TWO_PI = 2.0 * math.pi
 
 
 class DegenerateSystemError(ValueError):
-    """Both wells decouple from the reservoir (omega1 = omega2 = 0)."""
+    """Both wells decouple from the reservoir (omega1 = omega2 = 0), or the
+    couplings are too small to rotate: ``hypot(omega1, omega2)^2`` underflows."""
 
 
 class NoBoundStateError(ValueError):
@@ -70,7 +72,8 @@ class WellPair:
         Level energies of the first and second well.
     omega1, omega2 : float
         Real hopping amplitudes to the reservoir band states.  At most one
-        may vanish; both vanishing is rejected as degenerate.
+        may vanish; both vanishing, or ``hypot(omega1, omega2)^2``
+        underflowing to zero, is rejected as degenerate.
     rho : float
         Density of reservoir states, constant across the band (wide-band
         limit).  Must be positive, and the widths ``2 pi omega_j^2 rho``
@@ -91,9 +94,14 @@ class WellPair:
         for name in ("E1", "E2", "omega1", "omega2"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         object.__setattr__(self, "rho", _require_positive("rho", self.rho))
-        if self.omega1 == 0.0 and self.omega2 == 0.0:
+        # the rotation divides by hypot(omega1, omega2)^2
+        hypot = math.hypot(self.omega1, self.omega2)
+        if hypot * hypot == 0.0:
             raise DegenerateSystemError(
                 "degenerate system: both couplings vanish, nothing decays"
+                if hypot == 0.0
+                else f"degenerate system: hypot(omega1, omega2)^2 underflows at "
+                f"omega1 = {self.omega1!r}, omega2 = {self.omega2!r}"
             )
         if self.lambda_cutoff is not None:
             cut = _require_positive("lambda_cutoff", self.lambda_cutoff)
@@ -162,35 +170,18 @@ class WellPair:
         """Level detuning E1 - E2."""
         return self.E1 - self.E2
 
+    @property
+    def eta(self) -> int:
+        """Relative sign ``sign(omega1) sign(omega2)`` of the couplings, 0 when
+        one vanishes; taken from each coupling, so no product underflows."""
+        if self.omega1 == 0.0 or self.omega2 == 0.0:
+            return 0
+        return 1 if (self.omega1 > 0.0) == (self.omega2 > 0.0) else -1
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Width/sign/ratio record computed from a :class:`WellPair`.
-
-    ``eta12`` is ``None`` when either coupling vanishes (the relative sign
-    is then undefined); ``y = gamma2 / gamma1`` is ``math.inf`` with
-    ``y_infinite`` set when the first well decouples.
-    """
-
-    gamma1: float
-    gamma2: float
-    epsilon: float
-    eta12: int | None
-    y: float
-    y_infinite: bool = False
-
-
-def derive(pair: WellPair) -> DerivedParams:
-    """Compute widths ``gamma_j = 2 pi omega_j^2 rho``, sign, and ratio."""
-    g1 = pair.gamma1
-    g2 = pair.gamma2
-    if pair.omega1 == 0.0 or pair.omega2 == 0.0:
-        eta: int | None = None
-    else:
-        eta = 1 if pair.omega1 * pair.omega2 > 0.0 else -1
-    if g1 > 0.0:
-        return DerivedParams(g1, g2, pair.epsilon, eta, g2 / g1)
-    return DerivedParams(g1, g2, pair.epsilon, eta, math.inf, y_infinite=True)
+    @property
+    def y(self) -> float:
+        """Width ratio ``gamma2 / gamma1``, ``math.inf`` when ``gamma1`` is 0."""
+        return self.gamma2 / self.gamma1 if self.gamma1 else math.inf
 
 
 def wide_band_self_energy(pair: WellPair, j: int, jp: int) -> complex:
@@ -201,19 +192,14 @@ def wide_band_self_energy(pair: WellPair, j: int, jp: int) -> complex:
 
         F_{j,jp} = -i * eta_{j,jp} * sqrt(gamma_j * gamma_jp) / 2,
 
-    with ``eta_{jj} = +1`` and ``eta_{12} = eta_{21} = sign(omega1*omega2)``.
-    A vanishing coupling makes the off-diagonal element zero, so the
-    undefined sign never matters there.
+    with ``eta_{jj} = +1`` and ``eta_{12} = eta_{21} = pair.eta``, which is
+    0 when a coupling vanishes.
     """
     if j not in (1, 2) or jp not in (1, 2):
         raise ValueError(f"well indices must be 1 or 2, got ({j}, {jp})")
     gj = pair.gamma1 if j == 1 else pair.gamma2
     gjp = pair.gamma1 if jp == 1 else pair.gamma2
-    if j == jp:
-        eta = 1.0
-    else:
-        prod = pair.omega1 * pair.omega2
-        eta = math.copysign(1.0, prod) if prod != 0.0 else 0.0
+    eta = 1.0 if j == jp else pair.eta
     return complex(0.0, -0.5 * eta * math.sqrt(gj * gjp))
 
 

@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import Trajectory
-from .model import ParallelWellPair, WellPair, derive
+from .model import ParallelWellPair, WellPair
 
 __all__ = [
     "OracleRequestError",
@@ -124,8 +124,7 @@ def default_cutoff(pair: WellPair) -> float:
     ``20 * max(gamma1 + gamma2, |eps|)``: twenty total widths (or
     detunings, if larger) between the physics and the band edges.
     """
-    d = derive(pair)
-    return 20.0 * max(d.gamma1 + d.gamma2, abs(d.epsilon))
+    return 20.0 * max(pair.gamma1 + pair.gamma2, abs(pair.epsilon))
 
 
 @dataclass(frozen=True, eq=False)

@@ -196,8 +196,8 @@ def boson_rotation_oracle(N1, N2, y, eta=1):
 
 
 def boson_inner_product(a, b) -> float:
-    """``<a|b>`` of two boson expansions over the same (basis, total) modes."""
-    assert (a.basis, a.total) == (b.basis, b.total)
+    """``<a|b>`` of two (dark, bright) boson expansions of the same total."""
+    assert a.total == b.total
     fa, fb = a.float_amplitudes(), b.float_amplitudes()
     return math.fsum(fa[key] * fb[key] for key in sorted(fa.keys() & fb.keys()))
 

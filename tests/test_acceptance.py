@@ -30,7 +30,7 @@ from darkwells.dynamics import (
     slow_decay_rate,
 )
 from darkwells.fermions import creation_product, dark_vector
-from darkwells.model import WellPair, ParallelWellPair, derive
+from darkwells.model import WellPair, ParallelWellPair
 from darkwells.oracle import (
     DiscretizedReservoir,
     FockSpace,
@@ -362,8 +362,8 @@ def test_criterion_11_boson_combinatorics_exact(capsys):
                     for n_dark, (sign, square) in want.items():
                         amp = state.amplitude(n_dark, n1 + n2 - n_dark)
                         assert amp.sign == sign, (n1, n2, y, eta, n_dark)
-                        assert amp.square() == square, (n1, n2, y, eta, n_dark)
-                    total = sum(a.square() for a in state.amplitudes.values())
+                        assert amp.square == square, (n1, n2, y, eta, n_dark)
+                    total = sum(a.square for a in state.amplitudes.values())
                     assert total == 1
                     checked += 1
     ok = checked == 8 * 27
@@ -422,10 +422,9 @@ def test_criterion_12_randomized_invariants(capsys):
             # the rotated basis really decouples one mode and keeps traces
             pair = random_pair()
             rb = rotate(pair)
-            d = derive(pair)
             err = max(
                 abs(rb.g1),
-                abs(rb.gamma2_prime - (d.gamma1 + d.gamma2)),
+                abs(rb.gamma2_prime - (pair.gamma1 + pair.gamma2)),
                 abs(rb.E1_prime + rb.E2_prime - (pair.E1 + pair.E2)),
                 abs(float(np.dot(dark_state(pair), bright_state(pair)))),
                 abs(float(np.linalg.norm(dark_state(pair))) - 1.0),
@@ -449,8 +448,7 @@ def test_criterion_12_randomized_invariants(capsys):
             amp = dark[0] * b[0] + dark[1] * b[1]
             err = abs(p_trapped - abs(amp) ** 2)
             assert abs(p_trapped + p_emitted - 1.0) < 1e-12
-            d = derive(pair)
-            t_long = 80.0 / (d.gamma1 + d.gamma2)
+            t_long = 80.0 / (pair.gamma1 + pair.gamma2)
             state = evolve_master(pair, SingleParticleState.from_amplitudes(*b), t_long)
             err = max(
                 err,
@@ -491,7 +489,7 @@ def test_criterion_12_randomized_invariants(capsys):
             y = Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
             eta = int(rng.choice((1, -1)))
             state = rotate_fock(n1, n2, y, eta=eta)
-            assert sum(a.square() for a in state.amplitudes.values()) == 1
+            assert sum(a.square for a in state.amplitudes.values()) == 1
             law = emission_distribution(state)
             assert sum(law.probabilities.values()) == 1
             if n2 == 0:
@@ -507,10 +505,10 @@ def test_criterion_12_randomized_invariants(capsys):
             table = reservoir_couplings(pair, res)
             ok_ratio, rel = check_constant_ratio(table)
             assert ok_ratio and rel == 0.0
-            d = derive(pair)
             widths = 2.0 * math.pi * table**2 / res.spacing
-            assert float(np.abs(widths[:, 0] - d.gamma1).max()) < 1e-12 * max(d.gamma1, 1.0)
-            assert float(np.abs(widths[:, 1] - d.gamma2).max()) < 1e-12 * max(d.gamma2, 1.0)
+            g1, g2 = pair.gamma1, pair.gamma2
+            assert float(np.abs(widths[:, 0] - g1).max()) < 1e-12 * max(g1, 1.0)
+            assert float(np.abs(widths[:, 1] - g2).max()) < 1e-12 * max(g2, 1.0)
     elapsed = time.perf_counter() - start
     ok = elapsed < 60.0
     _report(

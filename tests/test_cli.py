@@ -184,12 +184,25 @@ def test_dwell_scenario(tmp_path):
          "model.gamma1: the default grid.t_max is not finite"),
         ("evolve", "[model]\ngamma1 = 1e-320\n",
          "model.gamma1: the default grid.t_max is not finite"),
+        # hypot(omega1, omega2)^2 underflows, and the rotation divided by it:
+        # each was a ZeroDivisionError traceback
+        ("asymptotic", "[model]\nomega1 = 1e-200\nomega2 = 1e-200\n",
+         "model.omega1, model.omega2: degenerate system: hypot(omega1, omega2)^2 underflows"),
+        ("dwell", "[model]\nomega1 = 1e-200\nomega2 = 1e-200\ne1 = 1\n",
+         "model.omega1, model.omega2: degenerate system: hypot(omega1, omega2)^2 underflows"),
+        ("dwell", "[model]\nomega1 = 1e-162\nomega2 = 1e-162\nrho = 1e300\ne1 = 1\n",
+         "model.omega1, model.omega2: degenerate system: hypot(omega1, omega2)^2 underflows"),
+        # both widths underflow: the default grid 8 / (gamma1 + gamma2) was a
+        # ZeroDivisionError traceback
+        ("oracle-compare", "[model]\nomega1 = 1e-150\nomega2 = 1e-150\nrho = 1e-30\n",
+         "model.omega1, model.rho, model.omega2: the default grid.t_max is not finite"),
     ],
     ids=["dwell_underflow", "dwell_mixing", "sweep_mixing", "rho_only", "rho_and_width",
          "coupling_dwell", "coupling_mixing", "default_cutoff", "empty_window",
          "empty_window_model", "evolve_phase", "evolve_t_max", "sweep_phase", "sweep_t_max",
          "oracle_reference", "infinite_rho_and_width", "fine_band", "zero_width_grid",
-         "tiny_width_grid"],
+         "tiny_width_grid", "tiny_couplings", "tiny_couplings_dwell", "tiny_couplings_rho",
+         "oracle_zero_widths"],
 )
 def test_float_range_refusals_name_their_keys(tmp_path, capsys, kind, text, message):
     cfg = write_config(tmp_path, text)
@@ -311,6 +324,28 @@ def test_width_style_rejects_level_energies(tmp_path, capsys):
     code = main(["fermions", "--config", cfg, "--out", str(out), "--format", "json"])
     assert code == 2
     assert "model.e2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "op, model, message",
+    [
+        ("two_electron_parallel", "omega1 = 0\nomega2 = 1\n",
+         "config error: model.omega1, model.omega2: both wells must couple to the reservoir"),
+        ("three_electron", "gamma1 = 1\ny = 0\n",
+         "config error: model.gamma1, model.y: both wells must couple to the reservoir"),
+        # misaligned wells keep no three-electron state, whatever the widths
+        ("three_electron", "gamma1 = 1\ny = 0\nepsilon = 1\n",
+         "error: scenario 'fermions': bright-sector levels are misaligned"),
+    ],
+)
+def test_parallel_fermion_ops_refuse_a_vanishing_width(tmp_path, capsys, op, model, message):
+    # the first two ended in exit 1, naming no key
+    cfg = write_config(tmp_path, f"[fermions]\nop = {op}\n[model]\n{model}yprime = 0.5\n")
+    out = tmp_path / "fermi.csv"
+    code = main(["fermions", "--config", cfg, "--out", str(out)])
+    assert code == (1 if message.startswith("error") else 2)
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
 
 
 def test_fermions_parallel_width_style_resonance(tmp_path):

@@ -172,6 +172,18 @@ def check_written(out, fmt):
 @example(drawn=("oracle-compare", {"grid": {"t_max": "1000", "n_points": "1000"},
                                    "oracle": {"n_levels": "2000"}}))
 @example(drawn=("oracle-compare", {"oracle": {"n_levels": "9" * 5000}}))
+# couplings too small to square or to give a width, and a vanishing width
+# in the parallel fermion ops
+@example(drawn=("asymptotic", {"model": {"omega1": "1e-200", "omega2": "1e-200"}}))
+@example(drawn=("dwell", {"model": {"omega1": "1e-200", "omega2": "1e-200", "e1": "1"}}))
+@example(drawn=("dwell", {"model": {"omega1": "1e-162", "omega2": "1e-162", "rho": "1e300",
+                                    "e1": "1"}}))
+@example(drawn=("oracle-compare", {"model": {"omega1": "1e-150", "omega2": "1e-150",
+                                             "rho": "1e-30"}}))
+@example(drawn=("fermions", {"fermions": {"op": "two_electron_parallel"},
+                             "model": {"omega1": "0", "omega2": "1", "yprime": "0.5"}}))
+@example(drawn=("fermions", {"fermions": {"op": "three_electron"},
+                             "model": {"gamma1": "1", "y": "0", "yprime": "0.5"}}))
 def test_every_config_ends_in_a_documented_way(drawn):
     kind, config = drawn
     text = "".join(

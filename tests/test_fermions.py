@@ -219,21 +219,6 @@ def test_retained_pair_is_one_determinant_for_all_ratios():
     assert schmidt[2] < 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the retained pair at equal ratios is still one determinant; "
-    "a non-product verdict here would contradict the pairing-spectrum "
-    "definition this function is specified by",
-)
-def test_retained_pair_claimed_entangled_at_equal_ratios():
-    model = make_parallel(1.0, 1.0, U=2.0, E2=2.0)
-    retained = {
-        br.reservoir_count: br for br in two_electron_parallel_asymptotic(model)
-    }[0]
-    flag, _ = is_product_state(retained)
-    assert not flag
-
-
 def test_is_product_state_detects_two_determinants():
     amps = {
         (1, 1, 0, 0): complex(1.0 / math.sqrt(2.0)),

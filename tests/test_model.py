@@ -8,7 +8,6 @@ from darkwells.model import (
     ParallelWellPair,
     WellPair,
     WidthOverflowError,
-    derive,
     wide_band_self_energy,
 )
 
@@ -32,17 +31,31 @@ def test_width_definition_matches_golden_rule():
 def test_eta_encoded_in_coupling_sign():
     plus = WellPair.from_widths(1.0, 4.0, eta=1)
     minus = WellPair.from_widths(1.0, 4.0, eta=-1)
-    assert derive(plus).eta12 == 1
-    assert derive(minus).eta12 == -1
+    assert plus.eta == 1
+    assert minus.eta == -1
     assert minus.omega2 < 0 < plus.omega2
-    assert derive(plus).y == pytest.approx(4.0, rel=1e-14)
+    assert plus.y == pytest.approx(4.0, rel=1e-14)
+    assert WellPair(E1=0.0, E2=0.0, omega1=-0.5, omega2=-2.0).eta == 1
 
 
-def test_derive_one_sided_couplings():
-    d1 = derive(WellPair(E1=0.0, E2=0.0, omega1=1.0, omega2=0.0))
-    assert d1.y == 0.0 and d1.eta12 is None and not d1.y_infinite
-    d2 = derive(WellPair(E1=0.0, E2=0.0, omega1=0.0, omega2=1.0))
-    assert d2.y_infinite and d2.eta12 is None
+def test_eta_and_y_of_one_sided_couplings():
+    right = WellPair(E1=0.0, E2=0.0, omega1=1.0, omega2=0.0)
+    assert right.y == 0.0 and right.eta == 0
+    left = WellPair(E1=0.0, E2=0.0, omega1=0.0, omega2=1.0)
+    assert left.y == math.inf and left.eta == 0
+    assert WellPair(E1=0.0, E2=0.0, omega1=-0.0, omega2=1.0).eta == 0
+
+
+def test_eta_and_cross_self_energy_survive_an_underflowing_product():
+    # each width is about 1e-23, but omega1 * omega2 underflows to 0, which
+    # once gave eta = -1 and a cross self-energy of -0j
+    pair = WellPair(E1=0.0, E2=0.0, omega1=1.2e-162, omega2=1.2e-162, rho=1e300)
+    assert pair.omega1 * pair.omega2 == 0.0 and pair.gamma1 > 1e-24
+    assert pair.eta == 1
+    f12 = complex(0.0, -0.5 * math.sqrt(pair.gamma1 * pair.gamma2))
+    assert f12.imag < 0
+    assert wide_band_self_energy(pair, 1, 2) == f12
+    assert wide_band_self_energy(pair, 2, 1) == f12
 
 
 def test_self_energy_wide_band_values():
@@ -67,6 +80,10 @@ def test_self_energy_vanishes_with_coupling():
     "kwargs",
     [
         dict(E1=0.0, E2=0.0, omega1=0.0, omega2=0.0),
+        # hypot(omega1, omega2)^2 underflows, and the rotation divides by it
+        dict(E1=0.0, E2=0.0, omega1=1e-200, omega2=-1e-200),
+        dict(E1=1.0, E2=0.0, omega1=1e-162, omega2=1e-162, rho=1e300),
+        dict(E1=0.0, E2=0.0, omega1=0.0, omega2=1e-170),
     ],
 )
 def test_degenerate_system_rejected(kwargs):

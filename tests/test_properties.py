@@ -162,7 +162,7 @@ def test_integer_laws_match_independent_expansions(case):
     state = rotate_fock(n1, n2, y, eta=eta)
     for n_dark, (sign, square) in boson_rotation_oracle(n1, n2, y, eta=eta).items():
         amp = state.amplitude(n_dark, n1 + n2 - n_dark)
-        assert (amp.sign, amp.square()) == (sign, square)
+        assert (amp.sign, amp.square) == (sign, square)
     assert sum(emission_distribution(state).probabilities.values(), Fraction(0)) == 1
     # each boson lands in the bright mode with probability 1 / (1 + y)
     n = n1 + n2

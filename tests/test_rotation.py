@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from darkwells.dynamics import SingleParticleState
-from darkwells.model import WellPair, derive
+from darkwells.model import WellPair
 from darkwells.rotation import (
     NullResultError,
     bright_state,
@@ -137,10 +137,9 @@ def test_null_projection_sigma_state():
         null_measurement_project(empty)
 
 
-def test_derived_ratio_consistent_with_rotation():
+def test_width_ratio_consistent_with_rotation():
     pair = WellPair.from_widths(1.0, 4.0, eta=-1)
-    d = derive(pair)
     vec = dark_state(pair)
     # occupancy split of the dark mode follows the width ratio
-    assert vec[0] ** 2 == pytest.approx(d.y / (1 + d.y), rel=1e-13)
-    assert vec[1] ** 2 == pytest.approx(1 / (1 + d.y), rel=1e-13)
+    assert vec[0] ** 2 == pytest.approx(pair.y / (1 + pair.y), rel=1e-13)
+    assert vec[1] ** 2 == pytest.approx(1 / (1 + pair.y), rel=1e-13)

@@ -360,8 +360,8 @@ def test_render_digests_compare_stops_quietly_when_the_reader_does(tmp_path):
 def test_refusal_grid_runs_its_configs_with_the_work_stubbed(monkeypatch, capsys):
     refusal_grid = load_tool("refusal_grid")
     cases = {name: (kind, config) for name, kind, config in refusal_grid.grid()}
-    # 3 960 oracle-compare, 316 bosons and 70 section configs, each id once
-    assert len(cases) == 3960 + 316 + 70
+    # 3 960 oracle-compare, 316 bosons, 70 section and 7 model configs, each id once
+    assert len(cases) == 3960 + 316 + 70 + 7
     want = {
         # a dense run and 1000 bosons, each seconds of work without the stubs
         "oracle-compare n_levels=1498 n_points=200 t_max=- lambda_cutoff=- gamma1=1": "run",
@@ -373,6 +373,12 @@ def test_refusal_grid_runs_its_configs_with_the_work_stubbed(monkeypatch, capsys
         "sweep [oracle]": "exit 2 oracle: kind sweep does not read this section",
         "sweep [sweep]": "exit 2 sweep.nonsense: unknown key",
         "evolve [nonsense]": "exit 2 nonsense: unknown section",
+        "dwell omega1=1e-162 omega2=1e-162 rho=1e300 e1=1":
+            "exit 2 model.omega1, model.omega2: degenerate system: hypot(omega1, omega2)^2 "
+            "underflows at omega1 = 1e-162, omega2 = 1e-162",
+        "fermions op=two_electron_parallel omega1=0 omega2=1 yprime=0.5":
+            "exit 2 model.omega1, model.omega2: both wells must couple to the reservoir, "
+            "got gamma1 = 0.0, gamma2 = 1.0",
     }
     monkeypatch.setattr(refusal_grid, "grid", lambda: [(name, *cases[name]) for name in want])
     builder = refusal_grid.oracle.build_single_particle_hamiltonian
@@ -380,3 +386,15 @@ def test_refusal_grid_runs_its_configs_with_the_work_stubbed(monkeypatch, capsys
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{name} {outcome}" for name, outcome in want.items()]
     assert refusal_grid.oracle.build_single_particle_hamiltonian is builder
+
+
+def test_refusal_grid_lists_an_escaping_exception(monkeypatch):
+    # main lets it escape as a traceback; the listing names it and goes on
+    refusal_grid = load_tool("refusal_grid")
+
+    def fail(scenario):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(refusal_grid.cli, "render", fail)
+    assert (refusal_grid.outcome("dwell", {})
+            == "traceback ZeroDivisionError: float division by zero")

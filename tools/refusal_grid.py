@@ -7,9 +7,11 @@ One line per config, in grid order:
     <id> run
     <id> exit 2 <message>
     <id> exit 1 <message>
+    <id> traceback <exception type>: <message>
 
 where a refusal's message is the ``ConfigError`` text after ``config
-error:``, which starts with the keys it names.  Run the script in two
+error:``, which starts with the keys it names, and a traceback is an
+exception that ``main`` lets escape.  Run the script in two
 checkouts and ``diff`` the listings to see which configs changed how they
 end.  The grid is:
 
@@ -21,7 +23,9 @@ end.  The grid is:
   ``RATIOS``;
 - each kind with one section of each name, and one unknown section, that
   holds one unknown key: each case is refused as a section the kind does
-  not read, as an unknown section or as an unknown key.
+  not read, as an unknown section or as an unknown key;
+- the models of ``MODEL_ROWS``: couplings too small to square, and a
+  vanishing width in the parallel fermion ops.
 
 Each config is rendered in process through ``darkwells.cli.build_scenario``
 and ``render``; nothing is written.  The work a run would do past its
@@ -72,6 +76,21 @@ LAW_COUNTS = {
 SECTIONS = ("scenario", "model", "initial", "grid", "output", "oracle", "fermions", "bosons",
             "sweep", "nonsense")
 KINDS = ("evolve", "asymptotic", "dwell", "oracle-compare", "fermions", "bosons", "sweep")
+# couplings whose hypot^2 or widths underflow, and one vanishing width
+# where the parallel fermion ops need both (a misaligned three-electron
+# case has no bound state first)
+MODEL_ROWS = (
+    ("asymptotic", {"model": {"omega1": "1e-200", "omega2": "1e-200"}}),
+    ("dwell", {"model": {"omega1": "1e-200", "omega2": "1e-200", "e1": "1"}}),
+    ("dwell", {"model": {"omega1": "1e-162", "omega2": "1e-162", "rho": "1e300", "e1": "1"}}),
+    ("oracle-compare", {"model": {"omega1": "1e-150", "omega2": "1e-150", "rho": "1e-30"}}),
+    ("fermions", {"fermions": {"op": "two_electron_parallel"},
+                  "model": {"omega1": "0", "omega2": "1", "yprime": "0.5"}}),
+    ("fermions", {"fermions": {"op": "three_electron"},
+                  "model": {"gamma1": "1", "y": "0", "yprime": "0.5"}}),
+    ("fermions", {"fermions": {"op": "three_electron"},
+                  "model": {"gamma1": "1", "y": "0", "epsilon": "1", "yprime": "0.5"}}),
+)
 
 
 def _label(value):
@@ -107,16 +126,23 @@ def grid():
     for kind in KINDS:
         for section in SECTIONS:
             yield f"{kind} [{section}]", kind, {section: {"nonsense": "1"}}
+    for kind, config in MODEL_ROWS:
+        name = " ".join(f"{key}={value}" for keys in config.values()
+                        for key, value in keys.items())
+        yield f"{kind} {name}", kind, config
 
 
 def outcome(kind, config):
-    """``run``, or ``exit <code> <message>`` as ``cli.main`` would end."""
+    """``run``, ``exit <code> <message>`` as ``cli.main`` would end, or the
+    exception that would escape it."""
     try:
         cli.render(cli.build_scenario(kind, config, out="out.csv"))
     except cli.ConfigError as exc:
         return f"exit 2 {exc}"
     except (ValueError, RuntimeError) as exc:
         return f"exit 1 {exc}"
+    except Exception as exc:
+        return f"traceback {type(exc).__name__}: {exc}"
     return "run"
 
 
@@ -130,8 +156,8 @@ def _one_boson(*args, **kwargs):
 
 
 def _one_dark_boson(*args, **kwargs):
-    amplitude = bosons.SurdAmplitude(Fraction(1), Fraction(1))
-    return bosons.BosonFockState(total=1, basis="dark_bright", amplitudes={(1, 0): amplitude})
+    amplitude = bosons.SurdAmplitude(1, Fraction(1))
+    return bosons.BosonFockState(total=1, amplitudes={(1, 0): amplitude})
 
 
 STUBS = (
