@@ -11,14 +11,8 @@ from .model import (
     wide_band_self_energy,
 )
 from .rotation import (
-    NullResultError,
     RotatedBasis,
-    bright_state,
-    check_constant_ratio,
     dark_state,
-    dot_from_rotated,
-    dot_to_rotated,
-    null_measurement_project,
     rotate,
 )
 from .dynamics import (
@@ -26,27 +20,17 @@ from .dynamics import (
     PropagatorOverflowError,
     SingleParticleState,
     Trajectory,
-    amplitude_trajectory,
-    analytic_sigma_symmetric,
     asymptotic_probs,
-    asymptotic_sigma_left_start,
     dwell_time,
     effective_hamiltonian,
-    evolve_amplitudes,
     evolve_master,
     fit_decay_rate,
-    master_rhs,
     master_trajectory,
-    slow_decay_rate,
 )
 from .fermions import (
-    EffectiveSingleParticle,
     FermionAsymptoticState,
-    branch_rdm,
     branches_to_json,
     creation_product,
-    is_product_state,
-    parallel_map,
     three_electron_asymptotic,
     two_electron_asymptotic,
     two_electron_parallel_asymptotic,
@@ -57,8 +41,6 @@ from .bosons import (
     SurdAmplitude,
     emission_distribution,
     equal_fill_even_distribution,
-    flat_approximation,
-    gaussian_approximation,
     one_well_distribution,
     retained_state_split,
     rotate_fock,

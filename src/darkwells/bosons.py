@@ -25,8 +25,6 @@ __all__ = [
     "equal_fill_even_distribution",
     "one_well_distribution",
     "retained_state_split",
-    "gaussian_approximation",
-    "flat_approximation",
     "distribution_rows",
 ]
 
@@ -247,44 +245,6 @@ def retained_state_split(n_retained: int, y) -> FockDistribution:
         k: Fraction(term, denom) for k, term in enumerate(_binomial_row(n_retained, q, p))
     }
     return FockDistribution(probabilities=probs)
-
-
-def gaussian_approximation(N: int, y, m: int) -> tuple[float, float]:
-    """Stirling/Gaussian estimate of the one-well binomial law P(m).
-
-    Approximates P(m) ~ 2^(N+1/2) y^(N-m) / ((1+y)^N sqrt(pi N))
-    * exp(-(N-2m)^2 / (2N)), evaluated in log space, and returns
-    (approximation, relative error versus the exact distribution).
-    Useful for N >= 20; the exact operation is always the reference.
-    """
-    if not 0 <= m <= N:
-        raise ValueError("need 0 <= m <= N")
-    yf = float(y)
-    if yf <= 0.0:
-        raise ValueError("width ratio y must be positive")
-    log_approx = (
-        (N + 0.5) * math.log(2.0)
-        + (N - m) * math.log(yf)
-        - N * math.log1p(yf)
-        - 0.5 * math.log(math.pi * N)
-        - (N - 2 * m) ** 2 / (2.0 * N)
-    )
-    approx = math.exp(log_approx)
-    exact = float(one_well_distribution(N, y).probability(m))
-    return approx, abs(approx - exact) / exact
-
-
-def flat_approximation(N: int, m: int) -> tuple[float, float]:
-    """Flat estimate of the equal-fill law: P(2m) ~ 1 / (pi sqrt((N-m) m)).
-
-    Valid away from the edges (0 < m < N); returns (approximation,
-    relative error versus the exact equal-fill distribution).
-    """
-    if not 0 < m < N:
-        raise ValueError("flat form needs an interior count 0 < m < N")
-    approx = 1.0 / (math.pi * math.sqrt((N - m) * m))
-    exact = float(equal_fill_even_distribution(N).probability(2 * m))
-    return approx, abs(approx - exact) / exact
 
 
 def distribution_rows(dist: FockDistribution) -> list:

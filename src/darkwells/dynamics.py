@@ -6,13 +6,13 @@ for the well amplitudes and a closed linear master equation for the
 reduced density matrix ``sigma``.  The convention for the coherence is
 ``sigma12 = b1 * conj(b2)``.
 
-One closed-form propagator ``U(t) = exp(-i H_eff t)``, vectorized over
-a stack of pairs and their times, drives both the amplitudes
-(``b(t) = U b(0)``) and the reduced state, whose master equation has the
-exact solution ``sigma(t) = U sigma(0) U^dagger`` for pure and mixed
-starts alike.  The module also provides the fully analytic solution for
-the symmetric case, trapped-fraction asymptotics, and the dwell time of
-the long-lived superposition for slightly misaligned levels.
+One closed-form propagator ``U(t) = exp(-i H_eff t)`` of the well
+amplitudes, vectorized over a stack of pairs and their times, drives the
+reduced state, whose master equation has the exact solution
+``sigma(t) = U sigma(0) U^dagger`` for pure and mixed starts alike.  The
+module also provides the trapped-fraction asymptotics, the dwell time of
+the long-lived superposition for slightly misaligned levels, and the
+exponential-rate fit that sweeps read it back with.
 """
 
 from __future__ import annotations
@@ -32,16 +32,10 @@ __all__ = [
     "SingleParticleState",
     "Trajectory",
     "effective_hamiltonian",
-    "evolve_amplitudes",
-    "amplitude_trajectory",
-    "master_rhs",
     "evolve_master",
     "master_trajectory",
-    "analytic_sigma_symmetric",
     "asymptotic_probs",
-    "asymptotic_sigma_left_start",
     "dwell_time",
-    "slow_decay_rate",
     "fit_decay_rate",
 ]
 
@@ -223,54 +217,6 @@ def _propagators(pairs, times) -> np.ndarray:
     return u
 
 
-def _check_times(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.size and times.min() < 0.0:
-        raise ValueError("backward evolution of a decaying system is not supported")
-    return times
-
-
-def _check_unit_norm(c1: complex, c2: complex) -> None:
-    norm = abs(c1) ** 2 + abs(c2) ** 2
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(
-            f"initial amplitudes have norm {norm}; normalize explicitly, "
-            "no silent renormalization is done"
-        )
-
-
-def evolve_amplitudes(pair: WellPair, initial, t: float) -> np.ndarray:
-    """Exact well amplitudes at time ``t`` for a normalized initial pair.
-
-    Returns ``(b1(t), b2(t))``.  The lost norm is the emission probability;
-    nothing ever returns from the wide-band reservoir.
-    """
-    return amplitude_trajectory(pair, initial, [t])[0]
-
-
-def amplitude_trajectory(pair: WellPair, initial, times) -> np.ndarray:
-    """Stack of ``evolve_amplitudes`` results, shape (len(times), 2)."""
-    c1, c2 = complex(initial[0]), complex(initial[1])
-    _check_unit_norm(c1, c2)
-    return _propagators([pair], _check_times(times)[None])[0] @ np.array([c1, c2])
-
-
-def master_rhs(pair: WellPair, sigma) -> tuple[float, float, complex]:
-    """Right-hand side of the reduced master equation.
-
-    Nothing in the package integrates it: it states the equation whose
-    exact solution ``U sigma U^dagger`` the wide-band propagator gives.
-    ``sigma`` is ``(sigma11, sigma22, sigma12)``; returns the derivatives
-    ``-i (H_eff sigma - sigma H_eff^dagger)`` in the same layout.  The
-    emitted weight needs no equation of its own:
-    ``sigma00 = 1 - sigma11 - sigma22`` always.
-    """
-    h = effective_hamiltonian(pair)
-    s = _sigma_matrix(sigma)
-    ds = -1j * (h @ s - s @ h.conj().T)
-    return float(ds[0, 0].real), float(ds[1, 1].real), complex(ds[0, 1])
-
-
 def _sigma_matrix(initial) -> np.ndarray:
     if isinstance(initial, SingleParticleState):
         s11, s22, s12 = initial.sigma11, initial.sigma22, initial.sigma12
@@ -289,7 +235,9 @@ def _evolve_sigma(pairs, initial, times):
     checks applied to the whole stack at once; the first failing point, in
     pair-then-time order, raises that method's own error.
     """
-    times = _check_times(times)
+    times = np.asarray(times, dtype=float)
+    if times.size and times.min() < 0.0:
+        raise ValueError("backward evolution of a decaying system is not supported")
     u = _propagators(pairs, times)
     sigma = u @ _sigma_matrix(initial) @ u.conj().swapaxes(-1, -2)
     s11 = sigma[..., 0, 0].real
@@ -350,46 +298,6 @@ def master_trajectory(pair: WellPair, initial, times) -> Trajectory:
     )
 
 
-def analytic_sigma_symmetric(gamma: float, eps: float, t):
-    """Exact reduced state for equal widths and positive coupling sign.
-
-    Valid for ``gamma1 = gamma2 = gamma``, ``eta = +1``, particle starting
-    in the first well.  ``t`` may be a scalar or an array; returns
-    ``(sigma11, sigma22, sigma12)`` with matching shape.  The negative-sign
-    case follows by flipping the sign of ``sigma12`` (covered by the
-    propagator, not by this formula).
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    ts = np.asarray(t, dtype=float)
-    om = cmath.sqrt(gamma * gamma - eps * eps)
-    e0 = np.exp(-gamma * ts)
-    s22 = np.empty(ts.shape)
-    s12 = np.empty(ts.shape, dtype=complex)
-    series = np.abs(om * ts) < 1e-5
-    # series in (om t)^2; exact at om = 0 (critical alignment eps = gamma)
-    tq, eq = ts[series], e0[series]
-    z2 = (om * tq) ** 2
-    s22[series] = (0.25 * gamma * gamma * eq * tq * tq * (1.0 + z2 / 12.0)).real
-    s12[series] = 0.5 * gamma * eq * (
-        0.5j * eps * tq * tq * (1.0 + z2 / 12.0) - tq * (1.0 + z2 / 6.0)
-    )
-    tq, eq = ts[~series], e0[~series]
-    e_minus = np.exp(-(gamma - om) * tq)
-    e_plus = np.exp(-(gamma + om) * tq)
-    om2 = om * om
-    s22[~series] = (gamma * gamma * (e_minus + e_plus - 2.0 * eq) / (4.0 * om2)).real
-    s12[~series] = -gamma * (
-        1j * eps * eq
-        - 0.5j * eps * (e_minus + e_plus)
-        + 0.5 * om * (e_minus - e_plus)
-    ) / (2.0 * om2)
-    s11 = s22 + e0
-    if ts.ndim == 0:
-        return float(s11), float(s22), complex(s12)
-    return s11, s22, s12
-
-
 def asymptotic_probs(pair: WellPair, initial) -> tuple[float, float]:
     """Trapped and emitted probabilities at t -> infinity for aligned levels.
 
@@ -404,33 +312,16 @@ def asymptotic_probs(pair: WellPair, initial) -> tuple[float, float]:
             "see dwell_time for the decay scale"
         )
     c1, c2 = complex(initial[0]), complex(initial[1])
-    _check_unit_norm(c1, c2)
+    norm = abs(c1) ** 2 + abs(c2) ** 2
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise ValueError(
+            f"initial amplitudes have norm {norm}; normalize explicitly, "
+            "no silent renormalization is done"
+        )
     dark = dark_state(pair)
     p0 = abs(dark[0] * c1 + dark[1] * c2) ** 2
     p0 = min(1.0, float(p0))
     return p0, 1.0 - p0
-
-
-def asymptotic_sigma_left_start(y: float, eta: int = 1) -> SingleParticleState:
-    """Long-time reduced state for a particle started in the first well.
-
-    For aligned levels and width ratio ``y = gamma2/gamma1`` the survivor
-    is the dark mode, giving
-    ``sigma_bar = (y^2, y, -eta y^(3/2)) / (1+y)^2`` and emitted weight
-    ``1/(1+y)``.
-    """
-    if y < 0.0:
-        raise ValueError("width ratio y must be non-negative")
-    if eta not in (1, -1):
-        raise ValueError(f"eta must be +1 or -1, got {eta!r}")
-    denom = (1.0 + y) ** 2
-    return SingleParticleState.from_sigma(
-        y * y / denom,
-        y / denom,
-        complex(-eta * y ** 1.5 / denom, 0.0),
-        sigma00=1.0 / (1.0 + y),
-        t=math.inf,
-    )
 
 
 def dwell_time(pair: WellPair) -> float:
@@ -463,16 +354,6 @@ def dwell_time(pair: WellPair) -> float:
     if not 0.0 < tau < math.inf:
         raise ValueError(f"the dwell time {tau!r} leaves the positive float range")
     return tau
-
-
-def slow_decay_rate(gamma: float, eps: float) -> float:
-    """Slow pole of the symmetric two-well system.
-
-    ``gamma - Re sqrt(gamma^2 - eps^2)``: for small misalignment this is
-    ``~ eps^2 / (2 gamma)``, and for ``|eps| > gamma`` both poles decay at
-    the full rate ``gamma``.
-    """
-    return gamma - cmath.sqrt(gamma * gamma - eps * eps).real
 
 
 def fit_decay_rate(times, values):

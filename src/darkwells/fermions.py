@@ -22,20 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NoBoundStateError, ParallelWellPair, WellPair
+from .model import NoBoundStateError, ParallelWellPair
 
 __all__ = [
     "FermionAsymptoticState",
-    "EffectiveSingleParticle",
     "apply_creation",
     "creation_product",
     "dark_vector",
     "two_electron_asymptotic",
-    "parallel_map",
     "two_electron_parallel_asymptotic",
     "three_electron_asymptotic",
-    "is_product_state",
-    "branch_rdm",
     "branches_to_json",
 ]
 
@@ -145,45 +141,6 @@ def two_electron_asymptotic(y: float, eta: int = 1) -> list[FermionAsymptoticSta
     ]
 
 
-@dataclass(frozen=True)
-class EffectiveSingleParticle:
-    """Coupled-sector single-particle problem with frozen dark spectators.
-
-    ``pair`` describes one mobile electron in the per-well coupled modes;
-    ``dark_occupancy`` records which local dark modes hold a spectator
-    electron (they shift the coupled level by ``U`` each, nothing else).
-    """
-
-    pair: WellPair
-    dark_occupancy: tuple[int, int]
-
-
-def parallel_map(
-    model: ParallelWellPair, occupancy: tuple[int, int]
-) -> EffectiveSingleParticle:
-    """Reduce the parallel-level model to an effective two-well problem.
-
-    With a spectator electron frozen in the local dark mode of well ``j``
-    (``occupancy[j] = 1``), the mobile electron in the coupled mode sees
-    ``E_j + U * occupancy[j]`` and coupling enhanced by
-    ``sqrt(1 + yprime^2)``, i.e. widths scaled by ``(1 + yprime^2)``.
-    """
-    n1, n2 = occupancy
-    if n1 not in (0, 1) or n2 not in (0, 1):
-        raise ValueError(f"dark-mode occupancies must be 0 or 1, got {occupancy}")
-    base = model.base
-    scale = math.sqrt(1.0 + model.yprime**2)
-    pair = WellPair(
-        E1=base.E1 + model.U * n1,
-        E2=base.E2 + model.U * n2,
-        omega1=scale * base.omega1,
-        omega2=scale * base.omega2,
-        rho=base.rho,
-        lambda_cutoff=base.lambda_cutoff,
-    )
-    return EffectiveSingleParticle(pair=pair, dark_occupancy=(n1, n2))
-
-
 def _d_vectors(model: ParallelWellPair) -> dict:
     """Local dark/coupled creation vectors over (w1, w1', w2, w2')."""
     yp = model.yprime
@@ -284,80 +241,6 @@ def three_electron_asymptotic(model: ParallelWellPair) -> FermionAsymptoticState
     return FermionAsymptoticState(
         reservoir_count=1, probability=1.0, amplitudes=amplitudes
     )
-
-
-def _coefficient_matrix(state) -> np.ndarray:
-    """Antisymmetric coefficient matrix of a two-fermion state."""
-    if isinstance(state, FermionAsymptoticState):
-        state = state.amplitudes
-    if isinstance(state, dict):
-        first = next(iter(state))
-        if not set(first) <= {0, 1}:
-            raise ValueError("amplitude table must use 0/1 occupation vectors")
-        n = len(first)
-        mat = np.zeros((n, n), dtype=complex)
-        for occ, amp in state.items():
-            idx = [m for m, bit in enumerate(occ) if bit]
-            if len(occ) != n or len(idx) != 2 or sum(occ) != 2:
-                raise ValueError("need a two-particle state")
-            i, j = idx
-            mat[i, j] = amp
-            mat[j, i] = -amp
-        return mat
-    mat = np.asarray(state, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("coefficient matrix must be square")
-    scale = float(np.abs(mat).max())
-    if scale == 0.0:
-        raise ValueError("zero state")
-    if float(np.abs(mat + mat.T).max()) > 1e-12 * scale:
-        raise ValueError("coefficient matrix is not antisymmetric")
-    return mat
-
-
-def is_product_state(state, tol: float = 1e-9) -> tuple[bool, np.ndarray]:
-    """Single-determinant test for a two-fermion state.
-
-    Any antisymmetric coefficient matrix has doubly degenerate singular
-    values; the distinct values (the pairing spectrum, descending) count
-    how many determinants the state needs.  Exactly one nonzero pairing
-    value means the state is a product ``u^dag v^dag|0>`` of two orbitals.
-    Returns ``(is_product, pairing_spectrum)``; the number of spectrum
-    entries above ``tol`` is the Slater-number proxy.
-    """
-    mat = _coefficient_matrix(state)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    spectrum = svals[::2].copy()
-    total = math.sqrt(float(np.sum(spectrum**2)))
-    if total == 0.0:
-        raise ValueError("zero state")
-    rest = spectrum[1:] / total
-    return bool(np.all(rest < tol)), spectrum
-
-
-def branch_rdm(branch: FermionAsymptoticState) -> np.ndarray:
-    """One-body density matrix ``rdm[p, q] = <a_q^dag a_p>`` of a branch."""
-    first = next(iter(branch.amplitudes))
-    n_modes = len(first)
-    rdm = np.zeros((n_modes, n_modes), dtype=complex)
-    index = {}
-    for occ, amp in branch.amplitudes.items():
-        key = tuple(m for m, bit in enumerate(occ) if bit)
-        index[key] = amp
-    for key, amp in index.items():
-        for pos, q in enumerate(key):
-            rdm[q, q] += abs(amp) ** 2
-            rest = key[:pos] + key[pos + 1 :]
-            for p in range(n_modes):
-                if p == q or p in key:
-                    continue
-                ins = bisect_left(rest, p)
-                target = rest[:ins] + (p,) + rest[ins:]
-                if target not in index:
-                    continue
-                sign = -1.0 if (pos + ins) % 2 else 1.0
-                rdm[q, p] += sign * np.conj(index[target]) * amp
-    return rdm
 
 
 def branches_to_json(branches) -> list[dict]:

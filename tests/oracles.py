@@ -4,20 +4,27 @@ Each oracle recomputes a result through a different algorithm and, where
 possible, different arithmetic than the library code: a literal stage-by-
 stage RK4 integrator with its own right-hand side, ``expm`` of the literal
 4x4 master-equation generator, ``expm`` of the literal 2x2 effective
-Hamiltonian, ``expm`` of a whole Hamiltonian at each output time for the
-oracle's propagators, determinant-based fermionic expansions, an
-iterated-operator polynomial expansion over Z[sqrt(y)] for the boson
-rotations, literal second quantization on occupation vectors for the
-many-body Hamiltonian, its hops and reduced quantities, the earlier
-sort-and-rank Fock hop kernel, a row-list writer for the
-CLI's output files, and the sweep-point width rule applied axis by axis.
-Agreement between library and oracle then checks
-the physics, not a shared code path.  One guard rides along:
-:func:`bounded_fraction`, a ``Fraction`` that fails a test on a slow parse.
+Hamiltonian, closed forms for the wide-band dynamics (the equal-width
+solution :func:`analytic_sigma_symmetric`, its slow pole
+:func:`slow_decay_rate` and the long-time state
+:func:`asymptotic_sigma_left_start`), ``expm`` of a whole Hamiltonian at
+each output time for the oracle's propagators, the exact coupling-ratio
+audit :func:`check_constant_ratio` of a discretized band,
+determinant-based fermionic expansions and the pairing-spectrum
+product-state test :func:`is_product_state`, an iterated-operator
+polynomial expansion over Z[sqrt(y)] for the boson rotations, literal
+second quantization on occupation vectors for the many-body Hamiltonian,
+its hops and reduced quantities, the earlier sort-and-rank Fock hop
+kernel, a row-list writer for the CLI's output files, and the sweep-point
+width rule applied axis by axis.  No module here imports ``darkwells``,
+so agreement between library and oracle checks the physics, not a shared
+code path.  One guard rides along: :func:`bounded_fraction`, a
+``Fraction`` that fails a test on a slow parse.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -103,6 +110,76 @@ def effective_hamiltonian_sigma(gamma1, gamma2, eta, eps, amplitudes, t):
     return abs(a1) ** 2, abs(a2) ** 2, complex(a1 * np.conj(a2))
 
 
+def analytic_sigma_symmetric(gamma: float, eps: float, t):
+    """Exact reduced state for equal widths and positive coupling sign.
+
+    Valid for ``gamma1 = gamma2 = gamma``, ``eta = +1``, particle starting
+    in the first well.  ``t`` may be a scalar or an array; returns
+    ``(sigma11, sigma22, sigma12)`` with matching shape.  The negative-sign
+    case follows by flipping the sign of ``sigma12``.
+    """
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    ts = np.asarray(t, dtype=float)
+    om = cmath.sqrt(gamma * gamma - eps * eps)
+    e0 = np.exp(-gamma * ts)
+    s22 = np.empty(ts.shape)
+    s12 = np.empty(ts.shape, dtype=complex)
+    series = np.abs(om * ts) < 1e-5
+    # series in (om t)^2; exact at om = 0 (critical alignment eps = gamma)
+    tq, eq = ts[series], e0[series]
+    z2 = (om * tq) ** 2
+    s22[series] = (0.25 * gamma * gamma * eq * tq * tq * (1.0 + z2 / 12.0)).real
+    s12[series] = 0.5 * gamma * eq * (
+        0.5j * eps * tq * tq * (1.0 + z2 / 12.0) - tq * (1.0 + z2 / 6.0)
+    )
+    tq, eq = ts[~series], e0[~series]
+    e_minus = np.exp(-(gamma - om) * tq)
+    e_plus = np.exp(-(gamma + om) * tq)
+    om2 = om * om
+    s22[~series] = (gamma * gamma * (e_minus + e_plus - 2.0 * eq) / (4.0 * om2)).real
+    s12[~series] = -gamma * (
+        1j * eps * eq
+        - 0.5j * eps * (e_minus + e_plus)
+        + 0.5 * om * (e_minus - e_plus)
+    ) / (2.0 * om2)
+    s11 = s22 + e0
+    if ts.ndim == 0:
+        return float(s11), float(s22), complex(s12)
+    return s11, s22, s12
+
+
+def slow_decay_rate(gamma: float, eps: float) -> float:
+    """Slow pole of the symmetric two-well system.
+
+    ``gamma - Re sqrt(gamma^2 - eps^2)``: for small misalignment this is
+    ``~ eps^2 / (2 gamma)``, and for ``|eps| > gamma`` both poles decay at
+    the full rate ``gamma``.
+    """
+    return gamma - cmath.sqrt(gamma * gamma - eps * eps).real
+
+
+def asymptotic_sigma_left_start(y: float, eta: int = 1):
+    """Long-time reduced state for a particle started in the first well.
+
+    For aligned levels and width ratio ``y = gamma2/gamma1`` the survivor
+    is the dark mode: returns ``(sigma11, sigma22, sigma12, sigma00) =
+    (y^2, y, -eta y^(3/2), (1+y)) / (1+y)^2``, the last entry being the
+    emitted weight ``1/(1+y)``.
+    """
+    if y < 0.0:
+        raise ValueError("width ratio y must be non-negative")
+    if eta not in (1, -1):
+        raise ValueError(f"eta must be +1 or -1, got {eta!r}")
+    denom = (1.0 + y) ** 2
+    return (
+        y * y / denom,
+        y / denom,
+        complex(-eta * y ** 1.5 / denom, 0.0),
+        1.0 / (1.0 + y),
+    )
+
+
 def expm_propagate(h, psi0, times):
     """States ``expm(-i h t) @ psi0`` at each time, one ``expm`` per time.
 
@@ -116,6 +193,36 @@ def expm_propagate(h, psi0, times):
     for k, t in enumerate(times):
         out[k] = expm(-1j * t * h) @ psi0
     return out
+
+
+def check_constant_ratio(table, rel_tol: float = 1e-9) -> tuple[bool, float]:
+    """Test whether per-state couplings share one amplitude ratio.
+
+    The dark mode survives beyond the strict wide-band limit whenever the
+    ratio ``omega2(E_r) / omega1(E_r)`` is the same for every reservoir
+    state ``r``.  ``table`` is an (n, 2) array-like of per-state couplings.
+    Returns ``(ok, worst)`` where ``worst`` is the largest deviation of a
+    row's ratio from the first row's, relative to the first row's ratio.
+
+    Rows with a vanishing first-column coupling have no finite ratio and
+    are rejected.
+    """
+    arr = np.asarray(table, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
+        raise ValueError(f"expected a non-empty (n, 2) table, got shape {arr.shape}")
+    zero_rows = np.flatnonzero(arr[:, 0] == 0.0)
+    if zero_rows.size:
+        raise ValueError(
+            f"rows {zero_rows.tolist()} have omega1 = 0; ratio undefined"
+        )
+    ratios = arr[:, 1] / arr[:, 0]
+    ref = ratios[0]
+    if ref != 0.0:
+        rel = np.abs(ratios - ref) / abs(ref)
+    else:
+        rel = np.where(ratios == 0.0, 0.0, math.inf)
+    worst = float(np.max(rel))
+    return worst <= rel_tol, worst
 
 
 def fermion_expansion_oracle(vectors, n_modes):
@@ -139,6 +246,55 @@ def fermion_expansion_oracle(vectors, n_modes):
         occ = tuple(1 if m in idx else 0 for m in range(n_modes))
         out[occ] = a / norm
     return out
+
+
+def _coefficient_matrix(state) -> np.ndarray:
+    """Antisymmetric coefficient matrix of a two-fermion state."""
+    if isinstance(state, dict):
+        first = next(iter(state))
+        if not set(first) <= {0, 1}:
+            raise ValueError("amplitude table must use 0/1 occupation vectors")
+        n = len(first)
+        mat = np.zeros((n, n), dtype=complex)
+        for occ, amp in state.items():
+            idx = [m for m, bit in enumerate(occ) if bit]
+            if len(occ) != n or len(idx) != 2 or sum(occ) != 2:
+                raise ValueError("need a two-particle state")
+            i, j = idx
+            mat[i, j] = amp
+            mat[j, i] = -amp
+        return mat
+    mat = np.asarray(state, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("coefficient matrix must be square")
+    scale = float(np.abs(mat).max())
+    if scale == 0.0:
+        raise ValueError("zero state")
+    if float(np.abs(mat + mat.T).max()) > 1e-12 * scale:
+        raise ValueError("coefficient matrix is not antisymmetric")
+    return mat
+
+
+def is_product_state(state, tol: float = 1e-9) -> tuple[bool, np.ndarray]:
+    """Single-determinant test for a two-fermion state.
+
+    ``state`` is an amplitude table over 0/1 occupation vectors or an
+    antisymmetric coefficient matrix.  Any antisymmetric coefficient matrix
+    has doubly degenerate singular values; the distinct values (the pairing
+    spectrum, descending) count how many determinants the state needs.
+    Exactly one nonzero pairing value means the state is a product
+    ``u^dag v^dag|0>`` of two orbitals.  Returns ``(is_product,
+    pairing_spectrum)``; the number of spectrum entries above ``tol`` is the
+    Slater-number proxy.
+    """
+    mat = _coefficient_matrix(state)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    spectrum = svals[::2].copy()
+    total = math.sqrt(float(np.sum(spectrum**2)))
+    if total == 0.0:
+        raise ValueError("zero state")
+    rest = spectrum[1:] / total
+    return bool(np.all(rest < tol)), spectrum
 
 
 def boson_rotation_oracle(N1, N2, y, eta=1):

@@ -14,8 +14,6 @@ from darkwells.bosons import (
     distribution_rows,
     emission_distribution,
     equal_fill_even_distribution,
-    flat_approximation,
-    gaussian_approximation,
     one_well_distribution,
     retained_state_split,
     rotate_fock,
@@ -170,28 +168,6 @@ def test_rotated_states_are_orthonormal():
         for j, b in enumerate(states):
             want = 1.0 if i == j else 0.0
             assert boson_inner_product(a, b) == pytest.approx(want, abs=1e-12)
-
-
-def test_gaussian_approximation_quality():
-    approx, rel = gaussian_approximation(50, 1.0, 25)
-    assert rel < 0.05
-    assert approx == pytest.approx(
-        float(one_well_distribution(50, 1).probability(25)), rel=0.05
-    )
-    with pytest.raises(ValueError):
-        gaussian_approximation(50, 1.0, 51)
-    with pytest.raises(ValueError):
-        gaussian_approximation(50, 0.0, 25)
-
-
-def test_flat_approximation_quality():
-    approx, rel = flat_approximation(100, 50)
-    assert approx == pytest.approx(1.0 / (50.0 * math.pi), rel=1e-12)
-    assert rel < 0.05
-    with pytest.raises(ValueError):
-        flat_approximation(100, 0)
-    with pytest.raises(ValueError):
-        flat_approximation(100, 100)
 
 
 def test_state_validation():

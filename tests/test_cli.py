@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import runpy
 import shutil
 import subprocess
@@ -1142,6 +1143,50 @@ def test_exported_names_resolve():
             for alias in node.names:
                 assert hasattr(module, alias.name), f"darkwells.{node.module}: {alias.name}"
                 assert hasattr(darkwells, alias.asname or alias.name)
+
+
+# slater_dot_rdm has no caller in the program; it stays beside
+# slater_reservoir_distribution, which perfbench/checks.py imports, so the
+# two Slater shortcuts stay or move together
+_EXPORTS_WITHOUT_CALLER = ["oracle.slater_dot_rdm"]
+
+
+def test_every_exported_name_has_a_caller():
+    # a public name that only tests call belongs in tests/oracles.py or
+    # nowhere: every __all__ name needs a word match in src/, tools/ or
+    # perfbench/ outside its own definition, its __all__ entry and the
+    # package's re-exports
+    root = Path(__file__).resolve().parents[1]
+    package = Path(darkwells.__file__).resolve().parent
+    sources = {
+        path: path.read_text()
+        for folder in ("src", "tools", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+        if path != package / "__init__.py"
+    }
+    uncalled = []
+    for path, text in sources.items():
+        if path.parent != package:
+            continue
+        spans, exported, all_span = {}, [], None
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                spans[node.name] = (first, node.end_lineno)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = ast.literal_eval(node.value)
+                all_span = (node.lineno, node.end_lineno)
+        for name in exported:
+            own = text.splitlines()
+            for first, last in (all_span, spans.get(name, all_span)):
+                own[first - 1 : last] = [""] * (last - first + 1)
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            others = (t for other, t in sources.items() if other != path)
+            if not any(word.search(t) for t in ("\n".join(own), *others)):
+                uncalled.append(f"{path.stem}.{name}")
+    assert uncalled == _EXPORTS_WITHOUT_CALLER
 
 
 def test_oracle_is_imported_lazily():

@@ -9,24 +9,31 @@ from darkwells.dynamics import (
     InfiniteDwellTimeError,
     PropagatorOverflowError,
     SingleParticleState,
-    amplitude_trajectory,
-    analytic_sigma_symmetric,
     asymptotic_probs,
-    asymptotic_sigma_left_start,
     dwell_time,
-    evolve_amplitudes,
+    effective_hamiltonian,
     evolve_master,
     fit_decay_rate,
-    master_rhs,
     master_trajectory,
-    slow_decay_rate,
 )
 from darkwells.model import NoBoundStateError, WellPair
 from darkwells.rotation import dark_state
 
-from oracles import master_generator_sigma, master_rhs_reference, rk4_literal
+from oracles import (
+    analytic_sigma_symmetric,
+    asymptotic_sigma_left_start,
+    master_generator_sigma,
+    master_rhs_reference,
+    rk4_literal,
+    slow_decay_rate,
+)
 
 LEFT = (1.0, 0.0)
+
+
+def evolve_amplitudes(pair, initial, t):
+    """Well amplitudes ``U(t) b(0)`` from the propagator the CLI runs."""
+    return dynamics._propagators([pair], [[t]])[0, 0] @ np.asarray(initial, dtype=complex)
 
 
 def sigma_from_amplitudes(pair, initial, t):
@@ -35,19 +42,21 @@ def sigma_from_amplitudes(pair, initial, t):
 
 
 def test_master_rhs_matches_reference_on_random_states():
+    # H_eff generates the reduced master equation written from the rates
     rng = np.random.default_rng(11)
     for _ in range(50):
         g1, g2 = rng.uniform(0.1, 3.0, size=2)
         eps = rng.uniform(-2.0, 2.0)
         eta = int(rng.choice([1, -1]))
-        pair = WellPair.from_widths(g1, g2, eta=eta, epsilon=eps)
+        h = effective_hamiltonian(WellPair.from_widths(g1, g2, eta=eta, epsilon=eps))
         s11, s22 = rng.uniform(0.0, 0.5, size=2)
         s12 = complex(*rng.uniform(-0.3, 0.3, size=2))
-        got = master_rhs(pair, (s11, s22, s12))
+        sigma = np.array([[s11, s12], [s12.conjugate(), s22]])
+        got = -1j * (h @ sigma - sigma @ h.conj().T)
         want = master_rhs_reference(g1, g2, eta, eps, s11, s22, s12)
-        assert got[0] == pytest.approx(want[0], abs=1e-13)
-        assert got[1] == pytest.approx(want[1], abs=1e-13)
-        assert got[2] == pytest.approx(want[2], abs=1e-13)
+        assert got[0, 0] == pytest.approx(want[0], abs=1e-13)
+        assert got[1, 1] == pytest.approx(want[1], abs=1e-13)
+        assert got[0, 1] == pytest.approx(want[2], abs=1e-13)
 
 
 def _sigma_gap(state, ref):
@@ -174,6 +183,8 @@ def test_asymptotic_probs_left_start():
         assert p_trap + p_out == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(NoBoundStateError):
         asymptotic_probs(WellPair.from_widths(1.0, 1.0, epsilon=0.1), LEFT)
+    with pytest.raises(ValueError, match="normalize"):
+        asymptotic_probs(WellPair.from_widths(1.0, 1.0), (1.0, 1.0))
 
 
 def test_asymptotic_probs_dark_and_bright_edges():
@@ -190,12 +201,12 @@ def test_long_time_master_state_matches_asymptotic_formula(y, eta):
     pair = WellPair.from_widths(1.0, y, eta=eta)
     t_long = 60.0 / (1.0 + y)
     got = evolve_master(pair, (1.0, 0.0, 0.0), t_long)
-    want = asymptotic_sigma_left_start(y, eta=eta)
-    assert got.sigma11 == pytest.approx(want.sigma11, abs=1e-10)
-    assert got.sigma22 == pytest.approx(want.sigma22, abs=1e-10)
-    assert got.sigma12 == pytest.approx(want.sigma12, abs=1e-10)
-    assert got.sigma00 == pytest.approx(want.sigma00, abs=1e-10)
-    assert want.sigma00 == pytest.approx(1.0 / (1.0 + y), rel=1e-13)
+    s11, s22, s12, s00 = asymptotic_sigma_left_start(y, eta=eta)
+    assert got.sigma11 == pytest.approx(s11, abs=1e-10)
+    assert got.sigma22 == pytest.approx(s22, abs=1e-10)
+    assert got.sigma12 == pytest.approx(s12, abs=1e-10)
+    assert got.sigma00 == pytest.approx(s00, abs=1e-10)
+    assert s11 + s22 + s00 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_asymptotic_sigma_validation():
@@ -345,16 +356,6 @@ def test_evolve_master_guards():
         evolve_master(pair, (1.0, 0.0, 0.0), -1.0)
 
 
-def test_evolve_amplitudes_guards():
-    pair = WellPair.from_widths(1.0, 1.0)
-    with pytest.raises(ValueError, match="normalize"):
-        evolve_amplitudes(pair, (1.0, 1.0), 1.0)
-    with pytest.raises(ValueError):
-        evolve_amplitudes(pair, LEFT, -0.5)
-    with pytest.raises(ValueError):
-        amplitude_trajectory(pair, LEFT, [0.0, -1.0])
-
-
 def test_large_time_propagation_stays_finite():
     pair = WellPair.from_widths(1.0, 1.0, epsilon=0.5)
     for t in (500.0, 5000.0):
@@ -372,9 +373,6 @@ def test_trajectory_bookkeeping():
         traj.sigma00, 1.0 - traj.sigma11 - traj.sigma22, atol=1e-12
     )
     np.testing.assert_allclose(traj.occupation, traj.sigma11 + traj.sigma22)
-    amp = amplitude_trajectory(pair, LEFT, times)
-    assert amp.shape == (7, 2)
-    assert amp[0, 0] == 1.0 + 0j
 
 
 def test_state_validation():

@@ -6,19 +6,16 @@ import pytest
 from darkwells.fermions import (
     FermionAsymptoticState,
     apply_creation,
-    branch_rdm,
     branches_to_json,
     creation_product,
     dark_vector,
-    is_product_state,
-    parallel_map,
     three_electron_asymptotic,
     two_electron_asymptotic,
     two_electron_parallel_asymptotic,
 )
 from darkwells.model import NoBoundStateError, ParallelWellPair, WellPair
 
-from oracles import fermion_expansion_oracle
+from oracles import fermion_expansion_oracle, is_product_state
 
 
 def make_parallel(y, yprime, U=0.0, E2=None, eta=1):
@@ -94,23 +91,12 @@ def test_two_electron_separated_wells(y, eta):
     br = branches[0]
     assert br.reservoir_count == 1 and br.n_retained == 1
     assert br.probability == pytest.approx(1.0)
-    rdm = branch_rdm(br)
-    denom = 1.0 + y
-    assert rdm[0, 0] == pytest.approx(y / denom)
-    assert rdm[1, 1] == pytest.approx(1.0 / denom)
-    assert rdm[0, 1].real == pytest.approx(-eta * math.sqrt(y) / denom)
-
-
-def test_parallel_map_shifts_and_scales():
-    model = make_parallel(2.0, 0.5, U=1.3)
-    eff = parallel_map(model, (1, 0))
-    assert eff.pair.E1 == pytest.approx(1.3)
-    assert eff.pair.E2 == pytest.approx(0.0)
-    assert eff.pair.gamma1 == pytest.approx((1 + 0.25) * 1.0, rel=1e-12)
-    assert eff.pair.gamma2 == pytest.approx((1 + 0.25) * 2.0, rel=1e-12)
-    assert eff.dark_occupancy == (1, 0)
-    with pytest.raises(ValueError):
-        parallel_map(model, (2, 0))
+    # the survivor is the dark mode (eta sqrt(y), -1) / sqrt(1 + y)
+    root = math.sqrt(1.0 + y)
+    assert br.amplitudes == {
+        (1, 0): pytest.approx(eta * math.sqrt(y) / root),
+        (0, 1): pytest.approx(-1.0 / root),
+    }
 
 
 @pytest.mark.parametrize("y", [1.0, 4.0])
@@ -190,11 +176,6 @@ def test_three_electron_matches_oracle_general_ratios():
     assert set(state.amplitudes) == set(want)
     for occ, amp in state.amplitudes.items():
         assert amp == pytest.approx(want[occ], abs=1e-12)
-    rdm = branch_rdm(state)
-    # determinant of orthonormal orbitals: rdm is the orbital projector
-    want_rdm = sum(np.outer(v, v) for v in (d1, mobile, d2))
-    np.testing.assert_allclose(rdm, want_rdm, atol=1e-12)
-    assert np.trace(rdm).real == pytest.approx(3.0, abs=1e-12)
 
 
 def test_retained_pair_is_one_determinant_for_all_ratios():
@@ -205,7 +186,7 @@ def test_retained_pair_is_one_determinant_for_all_ratios():
     retained = {
         br.reservoir_count: br for br in two_electron_parallel_asymptotic(model)
     }[0]
-    flag, spectrum = is_product_state(retained)
+    flag, spectrum = is_product_state(retained.amplitudes)
     assert flag
     assert spectrum[0] == pytest.approx(1.0, abs=1e-12)
     assert spectrum[1] < 1e-12
@@ -234,12 +215,12 @@ def test_is_product_state_limit_ratios():
     retained = {
         br.reservoir_count: br for br in two_electron_parallel_asymptotic(big)
     }[0]
-    assert is_product_state(retained)[0]
+    assert is_product_state(retained.amplitudes)[0]
     thin = make_parallel(1.0, 1e-6, U=2.0, E2=2.0)
     retained = {
         br.reservoir_count: br for br in two_electron_parallel_asymptotic(thin)
     }[0]
-    assert is_product_state(retained)[0]
+    assert is_product_state(retained.amplitudes)[0]
 
 
 def test_is_product_state_matrix_input_and_validation():

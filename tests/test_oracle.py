@@ -1,13 +1,14 @@
+import ast
 import logging
 import math
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.special import jv
 
-from darkwells.dynamics import analytic_sigma_symmetric
 from darkwells.model import ParallelWellPair, WellPair
 import darkwells.oracle
 from darkwells.oracle import (
@@ -36,13 +37,41 @@ from darkwells.oracle import (
     slater_dot_rdm,
     slater_reservoir_distribution,
 )
-from darkwells.rotation import check_constant_ratio, dark_state
+from darkwells.rotation import dark_state
 from oracles import (
+    analytic_sigma_symmetric,
+    check_constant_ratio,
     expm_propagate,
     fock_hamiltonian_reference,
     fock_reduced_reference,
     full_hop_fock_hamiltonian,
 )
+
+
+def _package_imports(path):
+    """``(module, names)`` of every import of a ``darkwells`` module in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "darkwells":
+                found.append((module, sorted(alias.name for alias in node.names)))
+        elif isinstance(node, ast.Import):
+            found += [
+                (alias.name, []) for alias in node.names if alias.name.split(".")[0] == "darkwells"
+            ]
+    return sorted(found)
+
+
+def test_oracle_shares_no_algorithm_with_the_code_it_checks():
+    # the oracle checks the closed forms independently: from the package it
+    # takes the model containers and the Trajectory record, nothing from
+    # rotation, fermions or bosons, and the test references take nothing
+    assert _package_imports(Path(darkwells.oracle.__file__)) == [
+        ("dynamics", ["Trajectory"]),
+        ("model", ["ParallelWellPair", "WellPair"]),
+    ]
+    assert _package_imports(Path(__file__).resolve().parent / "oracles.py") == []
 
 
 def test_reservoir_grid_geometry():

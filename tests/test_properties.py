@@ -8,7 +8,7 @@ same cases.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd
+from math import comb, exp, gcd, hypot
 
 import numpy as np
 import pytest
@@ -22,9 +22,17 @@ from darkwells.bosons import (
     retained_state_split,
     rotate_fock,
 )
-from darkwells.dynamics import amplitude_trajectory, asymptotic_probs, master_trajectory
+from darkwells import dynamics
+from darkwells.dynamics import asymptotic_probs, master_trajectory
 from darkwells.model import WellPair
-from darkwells.oracle import FockSpace, _hops, chebyshev_propagate
+from darkwells.oracle import (
+    DiscretizedReservoir,
+    FockSpace,
+    _hops,
+    chebyshev_propagate,
+    single_particle_method,
+    single_particle_trajectory,
+)
 from darkwells.rotation import dark_state
 from oracles import (
     _occupation_vectors,
@@ -69,7 +77,8 @@ def triple(sigma):
 
 
 def occupation(pair, a, times):
-    return np.sum(np.abs(amplitude_trajectory(pair, a, times)) ** 2, axis=1)
+    amplitudes = dynamics._propagators([pair], np.asarray(times)[None])[0] @ a
+    return np.sum(np.abs(amplitudes) ** 2, axis=1)
 
 
 @PROPERTY
@@ -87,6 +96,28 @@ def test_master_trace_positivity_and_monotone_emission(pair, a, b, w, times):
     np.testing.assert_allclose(traj.occupation, kept, rtol=0.0, atol=TOL)
     assert np.all(np.abs(traj.sigma12) ** 2 <= traj.sigma11 * traj.sigma22 + TOL)
     assert np.all(np.diff(traj.sigma00) >= -TOL)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(
+    log_gamma1=st.floats(-1.0, 1.0),
+    log_y=st.floats(-1.5, 1.5),
+    eta=signs,
+    dense_levels=st.integers(20, 100).map(lambda k: 2 * k),
+)
+def test_oracle_keeps_the_dark_state_on_both_propagators(log_gamma1, log_y, eta, dense_levels):
+    # the band's couplings keep the two columns exactly proportional, so the
+    # dark vector, built here from the couplings alone, never leaves the wells
+    gamma1 = exp(log_gamma1)
+    pair = WellPair.from_widths(gamma1, gamma1 * exp(log_y), eta=eta)
+    norm = hypot(pair.omega1, pair.omega2)
+    dark = (pair.omega2 / norm, -pair.omega1 / norm)
+    for n_levels, method in ((dense_levels, "dense"), (1600, "chebyshev")):
+        assert single_particle_method(n_levels) == method
+        res = DiscretizedReservoir.for_pair(pair, n_levels)
+        times = np.linspace(0.0, 0.45 * res.recurrence_time, 41)
+        occupation = single_particle_trajectory(pair, dark, times, n_levels).trajectory.occupation
+        assert np.abs(occupation - 1.0).max() <= TOL
 
 
 @PROPERTY
