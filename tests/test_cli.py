@@ -1168,19 +1168,20 @@ def test_every_exported_name_has_a_caller():
     for path, text in sources.items():
         if path.parent != package:
             continue
-        spans, exported, all_span = {}, [], None
+        spans, exported = {}, []
         for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 first = min([node.lineno] + [d.lineno for d in node.decorator_list])
                 spans[node.name] = (first, node.end_lineno)
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                exported = ast.literal_eval(node.value)
-                all_span = (node.lineno, node.end_lineno)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        spans[target.id] = (node.lineno, node.end_lineno)
+                        if target.id == "__all__":
+                            exported = ast.literal_eval(node.value)
         for name in exported:
             own = text.splitlines()
-            for first, last in (all_span, spans.get(name, all_span)):
+            for first, last in (spans["__all__"], spans.get(name, spans["__all__"])):
                 own[first - 1 : last] = [""] * (last - first + 1)
             word = re.compile(rf"\b{re.escape(name)}\b")
             others = (t for other, t in sources.items() if other != path)

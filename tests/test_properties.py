@@ -1,6 +1,7 @@
 """Property tests of the exact wide-band propagator, the boson laws (and
-their integer rows against independent expansions), the oracle's real
-Chebyshev recurrence and its Fock hop kernel.
+their integer rows against independent expansions), the oracle's dark
+state on both single-particle propagators, its real Chebyshev recurrence
+and its Fock hop kernel.
 
 Draws are derandomized with a fixed example count, so every run checks the
 same cases.
