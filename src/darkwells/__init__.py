@@ -10,11 +10,7 @@ from .model import (
     WidthOverflowError,
     wide_band_self_energy,
 )
-from .rotation import (
-    RotatedBasis,
-    dark_state,
-    rotate,
-)
+from .rotation import dark_state
 from .dynamics import (
     InfiniteDwellTimeError,
     PropagatorOverflowError,

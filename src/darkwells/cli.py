@@ -409,11 +409,10 @@ def _build_model(spec, given, **axes):
 
     A sweep point passes its axis values as ``axes``, in axis order: each
     replaces the parsed value, and ``y`` replaces a parsed ``gamma2`` too.
-    Two vanishing couplings fail jointly, so that refusal names the keys
-    that set both.  A width that overflows, as the one a coupling needs or
-    as ``2 pi omega^2 rho`` of the coupling, names the keys that set it.
-    Both name ``model.rho`` too when the config gives it, except for
-    vanishing couplings given as ``omega1`` and ``omega2``.
+    Two vanishing widths fail jointly, so that refusal names the keys that
+    set both.  A width that overflows, as the one a coupling needs or as
+    ``2 pi omega^2 rho`` of the coupling, names the keys that set it.  Both
+    name ``model.rho`` too when the config gives it.
     """
     coupling = "omega1" in spec
     kwargs = {**spec, **axes}
@@ -426,9 +425,9 @@ def _build_model(spec, given, **axes):
         pair = WellPair(**kwargs) if coupling else WellPair.from_widths(**kwargs)
         model = pair if yprime is None else ParallelWellPair(base=pair, yprime=yprime, U=u)
     except DegenerateSystemError as exc:
-        # given omegas vanish by themselves; width-style couplings
-        # sqrt(gamma / (2 pi rho)) also vanish under a large rho
-        keys = _model_keys(spec, given, axes, "omega1", "omega2")
+        # couplings too small for a width, or width-style couplings
+        # sqrt(gamma / (2 pi rho)) that vanish under a large rho
+        keys = _model_keys(spec, given, axes, "gamma1", "gamma2", "rho")
         raise ConfigError(f"{keys}: {exc}") from exc
     except WidthOverflowError as exc:
         keys = _model_keys(spec, given, axes, f"gamma{exc.well}", "rho")
@@ -584,7 +583,7 @@ def _run_oracle_compare(scenario):
     (b1, b2), res_init = _resolve_initial(scenario.sections)
     times, res_grid = _resolve_grid(
         scenario.sections,
-        8.0 / (pair.gamma1 + pair.gamma2) if pair.gamma1 + pair.gamma2 else math.inf,
+        8.0 / (pair.gamma1 + pair.gamma2),
         _model_keys(spec, given, {}, "gamma1", "gamma2"),
     )
     resolved.update(res_init)

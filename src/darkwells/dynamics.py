@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NoBoundStateError, WellPair, wide_band_self_energy
-from .rotation import dark_state, rotate
+from .rotation import dark_state, unit
 
 __all__ = [
     "InfiniteDwellTimeError",
@@ -327,30 +327,34 @@ def asymptotic_probs(pair: WellPair, initial) -> tuple[float, float]:
 def dwell_time(pair: WellPair) -> float:
     """Lifetime of the long-lived superposition for misaligned levels.
 
-    Golden rule through the lossy bright mode:
-    ``tau = gamma2_prime / (4 g12^2)``, equal to
-    ``(1/gamma1) (1+y)^3 / (4 y) * (gamma1/eps)^2``.  Requires the
-    detuning-induced mixing to exist: aligned levels (or a fully decoupled
-    well) make tau infinite and raise instead of returning a float.  A
-    mixing whose square underflows to zero, or a tau outside the positive
-    float range (``epsilon = 1e308`` at ``rho = 0.1`` gives 0.0), raises
+    Golden rule through the lossy bright mode of width ``gamma1 + gamma2``:
+    ``tau = (gamma1 + gamma2) / (4 g12^2)`` with the dark-bright mixing
+    ``g12 = epsilon sin(a) cos(a)`` of :func:`~darkwells.rotation.dark_state`'s
+    angle, equal to ``(1/gamma1) (1+y)^3 / (4 y) * (gamma1/eps)^2``.  It
+    reads only the ratio of the couplings and the widths, so it does not
+    depend on their overall scale.  Aligned levels, or a decoupled well
+    (``eta = 0``), make tau infinite and raise
+    :class:`InfiniteDwellTimeError` instead of returning a float.  A mixing
+    whose square underflows to zero, or a tau outside the positive float
+    range (``epsilon = 1e308`` at ``rho = 0.1`` gives 0.0), raises
     ``ValueError``.
     """
     if pair.epsilon == 0.0:
         raise InfiniteDwellTimeError(
             "aligned levels (eps = 0) support a bound state: infinite dwell time"
         )
-    rb = rotate(pair)
-    if rb.g12 == 0.0:
+    if pair.eta == 0:
         raise InfiniteDwellTimeError(
             "dark-bright mixing vanishes (a well is decoupled): infinite dwell time"
         )
-    mixing = 4.0 * rb.g12 * rb.g12
+    cos_a, sin_a = unit(pair.omega2, pair.omega1)
+    g12 = pair.epsilon * sin_a * cos_a
+    mixing = 4.0 * g12 * g12
     if mixing == 0.0:
         raise ValueError(
-            f"dark-bright mixing g12 = {rb.g12!r} squares to zero: the dwell time overflows"
+            f"dark-bright mixing g12 = {g12!r} squares to zero: the dwell time overflows"
         )
-    tau = rb.gamma2_prime / mixing
+    tau = (pair.gamma1 + pair.gamma2) / mixing
     if not 0.0 < tau < math.inf:
         raise ValueError(f"the dwell time {tau!r} leaves the positive float range")
     return tau

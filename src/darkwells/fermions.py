@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NoBoundStateError, ParallelWellPair
+from .rotation import unit
 
 __all__ = [
     "FermionAsymptoticState",
@@ -118,8 +119,7 @@ def dark_vector(y: float, eta: int = 1) -> np.ndarray:
         raise ValueError("width ratio y must be non-negative")
     if eta not in (1, -1):
         raise ValueError(f"eta must be +1 or -1, got {eta!r}")
-    scale = 1.0 / math.sqrt(1.0 + y)
-    return np.array([eta * math.sqrt(y) * scale, -scale])
+    return np.array(unit(eta * math.sqrt(y), -1.0))
 
 
 def two_electron_asymptotic(y: float, eta: int = 1) -> list[FermionAsymptoticState]:
@@ -143,20 +143,20 @@ def two_electron_asymptotic(y: float, eta: int = 1) -> list[FermionAsymptoticSta
 
 def _d_vectors(model: ParallelWellPair) -> dict:
     """Local dark/coupled creation vectors over (w1, w1', w2, w2')."""
-    yp = model.yprime
-    scale = 1.0 / math.sqrt(1.0 + yp * yp)
+    cos_b, sin_b = unit(model.yprime, 1.0)
     return {
-        "d1": np.array([yp, -1.0, 0.0, 0.0]) * scale,
-        "d1c": np.array([1.0, yp, 0.0, 0.0]) * scale,
-        "d2": np.array([0.0, 0.0, yp, -1.0]) * scale,
-        "d2c": np.array([0.0, 0.0, 1.0, yp]) * scale,
+        "d1": np.array([cos_b, -sin_b, 0.0, 0.0]),
+        "d1c": np.array([sin_b, cos_b, 0.0, 0.0]),
+        "d2": np.array([0.0, 0.0, cos_b, -sin_b]),
+        "d2c": np.array([0.0, 0.0, sin_b, cos_b]),
     }
 
 
 def _coupled_dark(model: ParallelWellPair):
     """``(y, vectors, dark)``: the coupled-sector dark vector and its inputs.
 
-    ``vectors`` are :func:`_d_vectors`; ``dark`` is ``(eta sqrt(y) d1c -
+    ``vectors`` are :func:`_d_vectors`; ``dark`` combines ``d1c`` and
+    ``d2c`` with the entries of :func:`dark_vector`, ``(eta sqrt(y) d1c -
     d2c) / sqrt(1 + y)``, the dark mode of the two coupled levels.  Both
     wells must couple to the reservoir.
     """
@@ -164,8 +164,8 @@ def _coupled_dark(model: ParallelWellPair):
     if not 0.0 < y < math.inf:
         raise ValueError("both wells must couple to the reservoir")
     vecs = _d_vectors(model)
-    dark = (model.base.eta * math.sqrt(y) * vecs["d1c"] - vecs["d2c"]) / math.sqrt(1.0 + y)
-    return y, vecs, dark
+    c1, c2 = dark_vector(y, model.base.eta)
+    return y, vecs, c1 * vecs["d1c"] + c2 * vecs["d2c"]
 
 
 def _resonant(model: ParallelWellPair) -> bool:

@@ -23,8 +23,8 @@ TWO_PI = 2.0 * math.pi
 
 
 class DegenerateSystemError(ValueError):
-    """Both wells decouple from the reservoir (omega1 = omega2 = 0), or the
-    couplings are too small to rotate: ``hypot(omega1, omega2)^2`` underflows."""
+    """Both widths ``2 pi omega^2 rho`` are zero: both couplings vanish, or
+    they are too small for a width in the float range."""
 
 
 class NoBoundStateError(ValueError):
@@ -62,6 +62,18 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _width(omega: float, rho: float) -> float:
+    """``2 pi omega^2 rho`` on the mantissas of ``omega`` and ``rho``, scaled once:
+    the bits of ``TWO_PI * omega * omega * rho`` wherever its products stay
+    normal, and only the last step can round to a subnormal, 0 or ``inf``."""
+    m, e = math.frexp(omega)
+    r, f = math.frexp(rho)
+    try:
+        return math.ldexp(TWO_PI * m * m * r, 2 * e + f)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class WellPair:
     """Two levels coupled to one wide-band reservoir.
@@ -71,9 +83,9 @@ class WellPair:
     E1, E2 : float
         Level energies of the first and second well.
     omega1, omega2 : float
-        Real hopping amplitudes to the reservoir band states.  At most one
-        may vanish; both vanishing, or ``hypot(omega1, omega2)^2``
-        underflowing to zero, is rejected as degenerate.
+        Real hopping amplitudes to the reservoir band states.  Both widths
+        vanishing (both couplings zero, or too small for a nonzero width)
+        is rejected as degenerate (:class:`DegenerateSystemError`).
     rho : float
         Density of reservoir states, constant across the band (wide-band
         limit).  Must be positive, and the widths ``2 pi omega_j^2 rho``
@@ -94,14 +106,12 @@ class WellPair:
         for name in ("E1", "E2", "omega1", "omega2"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         object.__setattr__(self, "rho", _require_positive("rho", self.rho))
-        # the rotation divides by hypot(omega1, omega2)^2
-        hypot = math.hypot(self.omega1, self.omega2)
-        if hypot * hypot == 0.0:
+        if self.gamma1 == self.gamma2 == 0.0:
             raise DegenerateSystemError(
                 "degenerate system: both couplings vanish, nothing decays"
-                if hypot == 0.0
-                else f"degenerate system: hypot(omega1, omega2)^2 underflows at "
-                f"omega1 = {self.omega1!r}, omega2 = {self.omega2!r}"
+                if self.omega1 == self.omega2 == 0.0
+                else f"degenerate system: both widths 2 pi omega^2 rho underflow at "
+                f"omega1 = {self.omega1!r}, omega2 = {self.omega2!r}, rho = {self.rho!r}"
             )
         if self.lambda_cutoff is not None:
             cut = _require_positive("lambda_cutoff", self.lambda_cutoff)
@@ -159,11 +169,11 @@ class WellPair:
 
     @property
     def gamma1(self) -> float:
-        return TWO_PI * self.omega1 * self.omega1 * self.rho
+        return _width(self.omega1, self.rho)
 
     @property
     def gamma2(self) -> float:
-        return TWO_PI * self.omega2 * self.omega2 * self.rho
+        return _width(self.omega2, self.rho)
 
     @property
     def epsilon(self) -> float:

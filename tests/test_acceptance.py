@@ -43,7 +43,7 @@ from darkwells.oracle import (
     slater_dot_rdm,
     slater_reservoir_distribution,
 )
-from darkwells.rotation import dark_state, rotate
+from darkwells.rotation import dark_state
 
 from oracles import (
     analytic_sigma_symmetric,
@@ -416,14 +416,13 @@ def test_criterion_12_randomized_invariants(capsys):
             assert later.occupation <= mixed.occupation + 1e-9
             assert abs(mixed.sigma12) ** 2 <= mixed.sigma11 * mixed.sigma22 + 1e-9
         elif family == 1:
-            # the rotated basis really decouples one mode and keeps traces
+            # the dark vector is a unit vector orthogonal to the couplings
             pair = random_pair()
-            rb = rotate(pair)
+            dark = dark_state(pair)
             err = max(
-                abs(rb.g1),
-                abs(rb.gamma2_prime - (pair.gamma1 + pair.gamma2)),
-                abs(rb.E1_prime + rb.E2_prime - (pair.E1 + pair.E2)),
-                abs(float(np.linalg.norm(dark_state(pair))) - 1.0),
+                abs(dark[0] * pair.omega1 + dark[1] * pair.omega2)
+                / math.hypot(pair.omega1, pair.omega2),
+                abs(float(np.linalg.norm(dark)) - 1.0),
             )
             random_unit_pair()  # drawn so later draws stay as they were
             worst["rotation"] = max(worst["rotation"], err)

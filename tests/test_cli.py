@@ -185,25 +185,31 @@ def test_dwell_scenario(tmp_path):
          "model.gamma1: the default grid.t_max is not finite"),
         ("evolve", "[model]\ngamma1 = 1e-320\n",
          "model.gamma1: the default grid.t_max is not finite"),
-        # hypot(omega1, omega2)^2 underflows, and the rotation divided by it:
-        # each was a ZeroDivisionError traceback
+        # both widths 2 pi omega^2 rho underflow: once refused as a hypot^2
+        # that the rotation divided by, each a ZeroDivisionError traceback
         ("asymptotic", "[model]\nomega1 = 1e-200\nomega2 = 1e-200\n",
-         "model.omega1, model.omega2: degenerate system: hypot(omega1, omega2)^2 underflows"),
+         "model.omega1, model.omega2: degenerate system: both widths 2 pi omega^2 rho underflow"),
         ("dwell", "[model]\nomega1 = 1e-200\nomega2 = 1e-200\ne1 = 1\n",
-         "model.omega1, model.omega2: degenerate system: hypot(omega1, omega2)^2 underflows"),
-        ("dwell", "[model]\nomega1 = 1e-162\nomega2 = 1e-162\nrho = 1e300\ne1 = 1\n",
-         "model.omega1, model.omega2: degenerate system: hypot(omega1, omega2)^2 underflows"),
-        # both widths underflow: the default grid 8 / (gamma1 + gamma2) was a
-        # ZeroDivisionError traceback
+         "model.omega1, model.omega2: degenerate system: both widths 2 pi omega^2 rho underflow"),
+        # both widths underflow with a normal hypot^2: the default grid
+        # 8 / (gamma1 + gamma2) was a ZeroDivisionError traceback, then a
+        # refusal of the default grid.t_max
         ("oracle-compare", "[model]\nomega1 = 1e-150\nomega2 = 1e-150\nrho = 1e-30\n",
-         "model.omega1, model.rho, model.omega2: the default grid.t_max is not finite"),
+         "model.omega1, model.rho, model.omega2: degenerate system: both widths"),
+        # g12 = epsilon sin cos underflows on two coupled wells; this ended
+        # in exit 1 as "a well is decoupled"
+        ("dwell", "[model]\ngamma1 = 1\ngamma2 = 1e-300\nepsilon = 1e-300\n",
+         "model.epsilon, model.gamma1, model.gamma2: dark-bright mixing g12 = 0.0 squares"),
+        # a finite width whose left-to-right product 2 pi omega omega rho
+        # overflowed: the model accepts it, the propagator refuses it
+        ("evolve", "[model]\ngamma1 = 1.7e308\n", "model.gamma1: exp(-i H_eff t) leaves"),
     ],
     ids=["dwell_underflow", "dwell_mixing", "sweep_mixing", "rho_only", "rho_and_width",
          "coupling_dwell", "coupling_mixing", "default_cutoff", "empty_window",
          "empty_window_model", "evolve_phase", "evolve_t_max", "sweep_phase", "sweep_t_max",
          "oracle_reference", "infinite_rho_and_width", "fine_band", "zero_width_grid",
-         "tiny_width_grid", "tiny_couplings", "tiny_couplings_dwell", "tiny_couplings_rho",
-         "oracle_zero_widths"],
+         "tiny_width_grid", "tiny_couplings", "tiny_couplings_dwell", "oracle_zero_widths",
+         "coupled_mixing_underflow", "largest_width"],
 )
 def test_float_range_refusals_name_their_keys(tmp_path, capsys, kind, text, message):
     cfg = write_config(tmp_path, text)
@@ -290,11 +296,151 @@ def test_coupling_style_refusals_name_rho_where_it_sets_a_width(tmp_path, capsys
     assert err.startswith(
         "config error: model.e1, model.omega1, model.rho, model.omega2: the dwell time inf"
     ), err
-    # ... but two vanishing omegas vanish whatever rho is
+    # ... and so it sets the two vanishing widths of a degenerate system
     cfg = write_config(tmp_path, "[model]\nomega1 = 0\nomega2 = 0\nrho = 5\n")
     assert main(["asymptotic", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: model.omega1, model.omega2: degenerate system"), err
+    assert err.startswith(
+        "config error: model.omega1, model.rho, model.omega2: degenerate system"
+    ), err
+
+
+def _tau_reference(omega, rho, e1):
+    """``2 gamma / eps^2``, the dwell time of two equal couplings ``omega``
+    and detuning ``e1``, from the exact product ``gamma = 2 pi omega^2 rho``
+    of the floats, rounded once."""
+    gamma = 2 * Fraction(math.pi) * Fraction(float(omega)) ** 2 * Fraction(float(rho))
+    return float(2 * gamma / Fraction(float(e1)) ** 2), float(gamma)
+
+
+@pytest.mark.parametrize(
+    "omega, rho, e1",
+    [("1.2e-150", "1e276", "1e-23"), ("1.2e-162", "1e300", "1e-23"), ("1e-162", "1e300", "1")],
+    ids=["tiny_products", "subnormal_products", "tiny_couplings_rho"],
+)
+def test_dwell_of_tiny_couplings_is_the_closed_form(tmp_path, omega, rho, e1):
+    # widths near 1e-23 whose couplings' products leave the normal range:
+    # tau was 5.6% low at 1.2e-150, and the two others ended in exit 1 ("a
+    # well is decoupled") and exit 2 (hypot(omega1, omega2)^2 underflows)
+    cfg = write_config(
+        tmp_path, f"[model]\nomega1 = {omega}\nomega2 = {omega}\nrho = {rho}\ne1 = {e1}\n"
+    )
+    out = tmp_path / "x.csv"
+    assert main(["dwell", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    tau, _ = _tau_reference(omega, rho, e1)
+    assert float(rows[0][0]) == pytest.approx(tau, rel=1e-14)
+
+
+def test_evolve_records_the_width_of_tiny_couplings(tmp_path):
+    # 2 pi omega omega rho left to right passes through a subnormal, which
+    # recorded (and evolved with) gamma1 = 9.881e-24 for 9.048e-24
+    cfg = write_config(
+        tmp_path, "[model]\nomega1 = 1.2e-162\nomega2 = 1.2e-162\nrho = 1e300\ne1 = 1e-23\n"
+    )
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    parameters = json.loads(Path(f"{out}.manifest.json").read_text())["parameters"]
+    _, gamma = _tau_reference("1.2e-162", "1e300", "1")
+    assert parameters["model.gamma1"] == pytest.approx(gamma, rel=1e-15, abs=0.0)
+    assert parameters["model.gamma2"] == parameters["model.gamma1"]
+
+
+@pytest.mark.parametrize("op", ["two_electron_parallel", "three_electron"])
+def test_parallel_fermions_at_a_large_yprime(tmp_path, op):
+    # 1 / sqrt(1 + yprime^2) was 0 past yprime = 1.4e154, and both ops ended
+    # in exit 1 ("vectors are linearly dependent"); the leading amplitudes
+    # are those of yprime = 1e100, where nothing left the float range
+    def amplitudes(yprime):
+        cfg = write_config(tmp_path, f"[fermions]\nop = {op}\n[model]\nyprime = {yprime}\n")
+        out = tmp_path / f"{yprime}.csv"
+        assert main(["fermions", "--config", cfg, "--out", str(out)]) == 0
+        return {(row[0], row[2]): (float(row[1]), float(row[3])) for row in read_csv(out)[2]}
+
+    reference = amplitudes("1e100")
+    for yprime in ("1e160", "1e308"):
+        table = amplitudes(yprime)
+        for key, (probability, amplitude) in reference.items():
+            if abs(amplitude) > 1e-50:
+                assert table[key] == pytest.approx((probability, amplitude), abs=1e-15)
+        for count in {count for count, _ in table}:
+            norm = sum(a * a for (c, _), (_, a) in table.items() if c == count)
+            assert norm == pytest.approx(1.0, abs=1e-15)
+
+
+# Coupling-style models (omega1, omega2, e1, e2, rho) away from the float
+# range's edges: misaligned, aligned, and resonant for the parallel ops;
+# in the last, a small rho lets the couplings' squares reach subnormals.
+_SCALE_BASES = [
+    (0.9, -0.35, 0.4, -0.1, 0.3),
+    (0.21, 0.77, 1e-3, 0.0, 0.05),
+    (1.3, 1.1, 0.25, 0.25, 0.7),
+    (0.05, -0.04, 0.2, 0.2, 0.002),
+]
+
+
+def _scaled_configs(base, k):
+    """Each kind's config of ``base`` with the couplings times ``2^k`` and
+    ``rho`` times ``4^-k``, or none where a scaled value is not normal."""
+    o1, o2, e1, e2, rho = base
+    scaled = [(o1, k), (o2, k), (rho, -2 * k)]
+    if not all(-1018 < math.frexp(m)[1] + e < 1018 for m, e in scaled):
+        return {}
+    omega1, omega2, rho_k = (math.ldexp(m, e) for m, e in scaled)
+    # a sweep gives its widths, and from_widths forms each coupling as
+    # sqrt(gamma / (2 pi rho)), so there the squares must be normal too
+    sweeps = all(1e-307 < omega * omega < 1e307 for omega in (omega1, omega2))
+    model = {"omega1": repr(omega1), "omega2": repr(omega2), "e1": repr(e1), "e2": repr(e2),
+             "rho": repr(rho_k)}
+    gamma1 = WellPair(E1=e1, E2=e2, omega1=o1, omega2=o2, rho=rho).gamma1
+    widths = {"gamma1": repr(gamma1), "y": repr((o2 / o1) ** 2),
+              "eta": "1" if o1 * o2 > 0 else "-1", "rho": repr(rho_k)}
+    configs = {
+        "evolve": {"model": model, "grid": {"n_points": "7"},
+                   "initial": {"b1": "0.6", "b2": "0.8j"}},
+        "two_electron_parallel": {"model": {**model, "yprime": "0.7", "u": repr(e2 - e1)},
+                                  "fermions": {"op": "two_electron_parallel"}},
+    }
+    if e1 == e2:
+        configs["asymptotic"] = {"model": model, "initial": {"b1": "0.6", "b2": "0.8"}}
+        configs["three_electron"] = {"model": {**model, "yprime": "0.7"},
+                                     "fermions": {"op": "three_electron"}}
+    else:
+        configs["dwell"] = {"model": model}
+    if sweeps and e1 == e2:
+        configs["sweep_p_trapped"] = {"model": {k: v for k, v in widths.items() if k != "y"},
+                                      "sweep": {"axis": "y", "values": "0.5, 1, 3",
+                                                "report": "p_trapped"}}
+        configs["sweep_sigma11"] = {"model": widths,
+                                    "sweep": {"axis": "gamma1", "values": repr(gamma1) + ", 2"}}
+    elif sweeps:
+        configs["sweep_fitted_tau"] = {"model": widths,
+                                       "sweep": {"axis": "epsilon", "values": "0.05, 0.1",
+                                                 "report": "fitted_tau"}}
+    return configs
+
+
+def _data_rows(name, config):
+    kind = "fermions" if "fermions" in config else name.partition("_")[0]
+    result = render(build_scenario(kind, config, out="x.csv"))
+    # the first line is the manifest's digest, which records the scaled inputs
+    return result.files["x.csv"].split(b"\n", 1)[1]
+
+
+@pytest.mark.parametrize("base", _SCALE_BASES)
+def test_closed_forms_keep_their_bits_under_an_exact_coupling_scale(base):
+    # Couplings times s = 2^k and rho times 1/s^2 keep the widths 2 pi
+    # omega^2 rho and the couplings' ratio, so every closed form the CLI
+    # runs must keep its bits; a square of a coupling or a product of both
+    # leaves the float range at some k where none of the inputs does.
+    reference = {name: _data_rows(name, config)
+                 for name, config in _scaled_configs(base, 0).items()}
+    checked = 0
+    for k in itertools.chain(range(-540, 541, 30), range(-520, -400, 7), range(400, 540, 7)):
+        for name, config in _scaled_configs(base, k).items():
+            assert _data_rows(name, config) == reference[name], (name, k)
+            checked += 1
+    assert checked > 150
 
 
 def test_fermions_two_electron_csv(tmp_path):
@@ -736,7 +882,6 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
          "model.omega1"),
         ("asymptotic", "[model]\nomega1 = 1\nomega2 = 1e150\nrho = 1e10\n",
          "model.omega2, model.rho"),
-        ("evolve", "[model]\ngamma1 = 1.7e308\n", "model.gamma1"),
     ):
         cfg = write_config(tmp_path, text, name="overflow.ini")
         err = run_expecting(2, [kind, "--config", cfg, "--out", str(tmp_path / "x.csv")])
@@ -1155,21 +1300,24 @@ def test_every_exported_name_has_a_caller():
     # a public name that only tests call belongs in tests/oracles.py or
     # nowhere: every __all__ name needs a word match in src/, tools/ or
     # perfbench/ outside its own definition, its __all__ entry and the
-    # package's re-exports
+    # package's re-exports.  Names that only mention each other have no
+    # caller either, so a match counts only outside the definitions of the
+    # names not yet found: every exported definition starts blanked, and
+    # each name found brings its definition back, until nothing changes.
     root = Path(__file__).resolve().parents[1]
     package = Path(darkwells.__file__).resolve().parent
     sources = {
-        path: path.read_text()
+        path: path.read_text().splitlines()
         for folder in ("src", "tools", "perfbench")
         for path in sorted((root / folder).rglob("*.py"))
         if path != package / "__init__.py"
     }
-    uncalled = []
-    for path, text in sources.items():
+    definitions = {}  # (path, name) -> the lines of its definition
+    for path, lines in sources.items():
         if path.parent != package:
             continue
         spans, exported = {}, []
-        for node in ast.parse(text).body:
+        for node in ast.parse("\n".join(lines)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 first = min([node.lineno] + [d.lineno for d in node.decorator_list])
                 spans[node.name] = (first, node.end_lineno)
@@ -1179,14 +1327,24 @@ def test_every_exported_name_has_a_caller():
                         spans[target.id] = (node.lineno, node.end_lineno)
                         if target.id == "__all__":
                             exported = ast.literal_eval(node.value)
+        if not exported:
+            continue  # __main__ exports nothing
+        first, last = spans["__all__"]
+        lines[first - 1 : last] = [""] * (last - first + 1)
         for name in exported:
-            own = text.splitlines()
-            for first, last in (spans["__all__"], spans.get(name, spans["__all__"])):
-                own[first - 1 : last] = [""] * (last - first + 1)
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            others = (t for other, t in sources.items() if other != path)
-            if not any(word.search(t) for t in ("\n".join(own), *others)):
-                uncalled.append(f"{path.stem}.{name}")
+            first, last = spans.get(name, spans["__all__"])
+            definitions[path, name] = (first, lines[first - 1 : last])
+            lines[first - 1 : last] = [""] * (last - first + 1)
+    unfound = dict(definitions)
+    while True:
+        text = "\n".join(line for lines in sources.values() for line in lines)
+        found = [key for key in unfound if re.search(rf"\b{re.escape(key[1])}\b", text)]
+        if not found:
+            break
+        for path, name in found:
+            first, body = unfound.pop((path, name))
+            sources[path][first - 1 : first - 1 + len(body)] = body
+    uncalled = sorted(f"{path.stem}.{name}" for path, name in unfound)
     assert uncalled == _EXPORTS_WITHOUT_CALLER
 
 

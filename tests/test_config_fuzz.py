@@ -172,12 +172,26 @@ def check_written(out, fmt):
 @example(drawn=("oracle-compare", {"grid": {"t_max": "1000", "n_points": "1000"},
                                    "oracle": {"n_levels": "2000"}}))
 @example(drawn=("oracle-compare", {"oracle": {"n_levels": "9" * 5000}}))
-# couplings too small to square or to give a width, and a vanishing width
-# in the parallel fermion ops
+# couplings too small to give a width, widths near 1e-23 whose couplings'
+# products leave the normal range, a mixing that underflows on coupled
+# wells, a large yprime and a vanishing width in the parallel fermion ops
 @example(drawn=("asymptotic", {"model": {"omega1": "1e-200", "omega2": "1e-200"}}))
 @example(drawn=("dwell", {"model": {"omega1": "1e-200", "omega2": "1e-200", "e1": "1"}}))
 @example(drawn=("dwell", {"model": {"omega1": "1e-162", "omega2": "1e-162", "rho": "1e300",
                                     "e1": "1"}}))
+@example(drawn=("dwell", {"model": {"omega1": "1.2e-150", "omega2": "1.2e-150", "rho": "1e276",
+                                    "e1": "1e-23"}}))
+@example(drawn=("dwell", {"model": {"omega1": "1.2e-162", "omega2": "1.2e-162", "rho": "1e300",
+                                    "e1": "1e-23"}}))
+@example(drawn=("evolve", {"model": {"omega1": "1.2e-162", "omega2": "1.2e-162", "rho": "1e300",
+                                     "e1": "1e-23"}}))
+@example(drawn=("dwell", {"model": {"gamma1": "1", "gamma2": "1e-300", "epsilon": "1e-300"}}))
+@example(drawn=("fermions", {"fermions": {"op": "two_electron_parallel"},
+                             "model": {"yprime": "1e160"}}))
+@example(drawn=("fermions", {"fermions": {"op": "two_electron_parallel"},
+                             "model": {"yprime": "1e308"}}))
+@example(drawn=("fermions", {"fermions": {"op": "three_electron"}, "model": {"yprime": "1e160"}}))
+@example(drawn=("fermions", {"fermions": {"op": "three_electron"}, "model": {"yprime": "1e308"}}))
 @example(drawn=("oracle-compare", {"model": {"omega1": "1e-150", "omega2": "1e-150",
                                              "rho": "1e-30"}}))
 @example(drawn=("fermions", {"fermions": {"op": "two_electron_parallel"},

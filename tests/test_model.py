@@ -80,9 +80,9 @@ def test_self_energy_vanishes_with_coupling():
     "kwargs",
     [
         dict(E1=0.0, E2=0.0, omega1=0.0, omega2=0.0),
-        # hypot(omega1, omega2)^2 underflows, and the rotation divides by it
+        # both widths 2 pi omega^2 rho underflow, with or without hypot^2
         dict(E1=0.0, E2=0.0, omega1=1e-200, omega2=-1e-200),
-        dict(E1=1.0, E2=0.0, omega1=1e-162, omega2=1e-162, rho=1e300),
+        dict(E1=1.0, E2=0.0, omega1=1e-150, omega2=1e-150, rho=1e-30),
         dict(E1=0.0, E2=0.0, omega1=0.0, omega2=1e-170),
     ],
 )
@@ -131,7 +131,8 @@ def test_parallel_pair_validation():
 @pytest.mark.parametrize(
     "make, well",
     [
-        (lambda: WellPair.from_widths(1.7e308, 1.0), 1),
+        # the largest width, whose coupling squares back past the float range
+        (lambda: WellPair.from_widths(1.7976931348623157e308, 1.0, rho=0.3), 1),
         (lambda: WellPair(E1=0.0, E2=0.0, omega1=1e155, omega2=1.0), 1),
         (lambda: WellPair(E1=0.0, E2=0.0, omega1=1.0, omega2=-1e155), 2),
         (lambda: WellPair(E1=0.0, E2=0.0, omega1=1.0, omega2=1e100, rho=1e120), 2),
@@ -164,3 +165,5 @@ def test_large_finite_widths_kept():
     pair = WellPair.from_widths(1e300, 1e-300)
     assert pair.gamma1 == pytest.approx(1e300, rel=1e-14)
     assert pair.gamma2 == pytest.approx(1e-300, rel=1e-14)
+    # 2 pi omega1 * omega1, left to right, overflows before rho scales it down
+    assert WellPair.from_widths(1.7e308, 1.0).gamma1 == pytest.approx(1.7e308, rel=1e-14)

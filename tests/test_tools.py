@@ -360,8 +360,8 @@ def test_render_digests_compare_stops_quietly_when_the_reader_does(tmp_path):
 def test_refusal_grid_runs_its_configs_with_the_work_stubbed(monkeypatch, capsys):
     refusal_grid = load_tool("refusal_grid")
     cases = {name: (kind, config) for name, kind, config in refusal_grid.grid()}
-    # 3 960 oracle-compare, 316 bosons, 70 section and 7 model configs, each id once
-    assert len(cases) == 3960 + 316 + 70 + 7
+    # 3 960 oracle-compare, 316 bosons, 70 section and 15 model configs, each id once
+    assert len(cases) == 3960 + 316 + 70 + 15
     want = {
         # a dense run and 1000 bosons, each seconds of work without the stubs
         "oracle-compare n_levels=1498 n_points=200 t_max=- lambda_cutoff=- gamma1=1": "run",
@@ -373,9 +373,12 @@ def test_refusal_grid_runs_its_configs_with_the_work_stubbed(monkeypatch, capsys
         "sweep [oracle]": "exit 2 oracle: kind sweep does not read this section",
         "sweep [sweep]": "exit 2 sweep.nonsense: unknown key",
         "evolve [nonsense]": "exit 2 nonsense: unknown section",
-        "dwell omega1=1e-162 omega2=1e-162 rho=1e300 e1=1":
-            "exit 2 model.omega1, model.omega2: degenerate system: hypot(omega1, omega2)^2 "
-            "underflows at omega1 = 1e-162, omega2 = 1e-162",
+        # widths about 1e-23 whose couplings' products underflow
+        "dwell omega1=1e-162 omega2=1e-162 rho=1e300 e1=1": "run",
+        "dwell omega1=1e-200 omega2=1e-200 e1=1":
+            "exit 2 model.omega1, model.omega2: degenerate system: both widths 2 pi omega^2 rho "
+            "underflow at omega1 = 1e-200, omega2 = 1e-200, rho = 0.15915494309189535",
+        "fermions op=three_electron yprime=1e308": "run",
         "fermions op=two_electron_parallel omega1=0 omega2=1 yprime=0.5":
             "exit 2 model.omega1, model.omega2: both wells must couple to the reservoir, "
             "got gamma1 = 0.0, gamma2 = 1.0",

@@ -24,8 +24,9 @@ end.  The grid is:
 - each kind with one section of each name, and one unknown section, that
   holds one unknown key: each case is refused as a section the kind does
   not read, as an unknown section or as an unknown key;
-- the models of ``MODEL_ROWS``: couplings too small to square, and a
-  vanishing width in the parallel fermion ops.
+- the models of ``MODEL_ROWS``: couplings at the edges of the float
+  range, a large ``yprime``, and a vanishing width in the parallel fermion
+  ops.
 
 Each config is rendered in process through ``darkwells.cli.build_scenario``
 and ``render``; nothing is written.  The work a run would do past its
@@ -76,14 +77,25 @@ LAW_COUNTS = {
 SECTIONS = ("scenario", "model", "initial", "grid", "output", "oracle", "fermions", "bosons",
             "sweep", "nonsense")
 KINDS = ("evolve", "asymptotic", "dwell", "oracle-compare", "fermions", "bosons", "sweep")
-# couplings whose hypot^2 or widths underflow, and one vanishing width
-# where the parallel fermion ops need both (a misaligned three-electron
-# case has no bound state first)
+# couplings whose widths underflow or whose products once did (widths
+# about 1e-23 from couplings near 1e-150 and 1e-162), a mixing that
+# underflows on two coupled wells, a large yprime in the parallel fermion
+# ops, and one vanishing width where those ops need both (a misaligned
+# three-electron case has no bound state first)
 MODEL_ROWS = (
     ("asymptotic", {"model": {"omega1": "1e-200", "omega2": "1e-200"}}),
     ("dwell", {"model": {"omega1": "1e-200", "omega2": "1e-200", "e1": "1"}}),
     ("dwell", {"model": {"omega1": "1e-162", "omega2": "1e-162", "rho": "1e300", "e1": "1"}}),
+    ("dwell", {"model": {"omega1": "1.2e-150", "omega2": "1.2e-150", "rho": "1e276",
+                         "e1": "1e-23"}}),
+    ("dwell", {"model": {"omega1": "1.2e-162", "omega2": "1.2e-162", "rho": "1e300",
+                         "e1": "1e-23"}}),
+    ("evolve", {"model": {"omega1": "1.2e-162", "omega2": "1.2e-162", "rho": "1e300",
+                          "e1": "1e-23"}}),
+    ("dwell", {"model": {"gamma1": "1", "gamma2": "1e-300", "epsilon": "1e-300"}}),
     ("oracle-compare", {"model": {"omega1": "1e-150", "omega2": "1e-150", "rho": "1e-30"}}),
+    *(("fermions", {"fermions": {"op": op}, "model": {"yprime": yprime}})
+      for op in ("two_electron_parallel", "three_electron") for yprime in ("1e160", "1e308")),
     ("fermions", {"fermions": {"op": "two_electron_parallel"},
                   "model": {"omega1": "0", "omega2": "1", "yprime": "0.5"}}),
     ("fermions", {"fermions": {"op": "three_electron"},
