@@ -408,7 +408,8 @@ def _scaled_configs(base, k):
     else:
         configs["dwell"] = {"model": model}
     if sweeps and e1 == e2:
-        configs["sweep_p_trapped"] = {"model": {k: v for k, v in widths.items() if k != "y"},
+        given = {key: value for key, value in widths.items() if key != "y"}
+        configs["sweep_p_trapped"] = {"model": given,
                                       "sweep": {"axis": "y", "values": "0.5, 1, 3",
                                                 "report": "p_trapped"}}
         configs["sweep_sigma11"] = {"model": widths,
