@@ -8,7 +8,6 @@ from .model import (
     ParallelWellPair,
     WellPair,
     WidthOverflowError,
-    wide_band_self_energy,
 )
 from .rotation import dark_state
 from .dynamics import (

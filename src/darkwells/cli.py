@@ -759,6 +759,10 @@ def _run_sweep(scenario):
             raise ConfigError("sweep.axis2: both axes set the same parameter")
     report = _parse_choice(sections, "sweep", "report", _SWEEP_REPORTS, "sigma11_asymptotic")
     max_points = _parse_number(sections, "sweep", "max_points", default=64, kind=int)
+    if max_points > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"sweep.max_points: {max_points} exceeds the cap of {_MAX_GRID_POINTS}"
+        )
     n_points = len(values1) * (len(values2) if values2 else 1)
     if n_points > max_points:
         raise ConfigError(

@@ -9,7 +9,10 @@ reduced density matrix ``sigma``.  The convention for the coherence is
 One closed-form propagator ``U(t) = exp(-i H_eff t)`` of the well
 amplitudes, vectorized over a stack of pairs and their times, drives the
 reduced state, whose master equation has the exact solution
-``sigma(t) = U sigma(0) U^dagger`` for pure and mixed starts alike.  The
+``sigma(t) = U sigma(0) U^dagger`` for pure and mixed starts alike.
+Widths are multiplied, and ``H_eff``'s entries squared, only on
+power-of-two-scaled mantissas, so scaling every energy and width by an
+exact ``2^k`` and every time by ``2^-k`` keeps every output bit.  The
 module also provides the trapped-fraction asymptotics, the dwell time of
 the long-lived superposition for slightly misaligned levels, and the
 exponential-rate fit that sweeps read it back with.
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NoBoundStateError, WellPair, wide_band_self_energy
+from .model import NoBoundStateError, WellPair
 from .rotation import dark_state, unit
 
 __all__ = [
@@ -57,6 +60,30 @@ class PropagatorOverflowError(ValueError):
         self.index = index
 
 
+def _reduced_states(s11, s22, s12, s00) -> np.ndarray:
+    """``sigma00`` of the states ``(sigma11, sigma22, sigma12, sigma00)``, arrays of
+    one shape, clamped to 0 within ``_NORM_TOL`` below it.  The first point in C
+    order that is not a state raises ``ValueError`` for the first check it fails:
+    probabilities in [0, 1] that sum to 1, and ``|sigma12|^2 <= sigma11 sigma22``."""
+    s11, s22, s12, s00 = (np.asarray(x) for x in (s11, s22, s12, s00))
+    s00 = np.where((s00 >= -_NORM_TOL) & (s00 < 0.0), 0.0, s00)
+    total = s11 + s22 + s00
+    bound = s11 * s22
+    checks = [
+        (~((p >= -_NORM_TOL) & (p <= 1.0 + _NORM_TOL)), p, name + " = {} is not a probability")
+        for name, p in (("sigma11", s11), ("sigma22", s22), ("sigma00", s00))
+    ]
+    checks.append((np.abs(total - 1.0) > 1e-8, total, "probabilities sum to {}, expected 1"))
+    checks.append((np.abs(s12) ** 2 > bound + 1e-9 * (bound + 1.0), s12,
+                   "coherence violates |sigma12|^2 <= sigma11*sigma22"))
+    bad = checks[0][0] | checks[1][0] | checks[2][0] | checks[3][0] | checks[4][0]
+    if bad.any():
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        _, value, message = next(check for check in checks if check[0][k])
+        raise ValueError(message.format(value[k]))
+    return s00
+
+
 @dataclass(frozen=True)
 class SingleParticleState:
     """Reduced state of the two-well subsystem at one instant.
@@ -77,16 +104,8 @@ class SingleParticleState:
     b2: complex | None = None
 
     def __post_init__(self) -> None:
-        for name in ("sigma11", "sigma22", "sigma00"):
-            val = getattr(self, name)
-            if not (-_NORM_TOL <= val <= 1.0 + _NORM_TOL):
-                raise ValueError(f"{name} = {val} is not a probability")
-        total = self.sigma11 + self.sigma22 + self.sigma00
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        bound = self.sigma11 * self.sigma22
-        if abs(self.sigma12) ** 2 > bound + 1e-9 * (bound + 1.0):
-            raise ValueError("coherence violates |sigma12|^2 <= sigma11*sigma22")
+        sigma00 = _reduced_states(self.sigma11, self.sigma22, self.sigma12, self.sigma00)
+        object.__setattr__(self, "sigma00", float(sigma00))
 
     @classmethod
     def from_amplitudes(
@@ -118,8 +137,6 @@ class SingleParticleState:
     ) -> "SingleParticleState":
         if sigma00 is None:
             sigma00 = 1.0 - sigma11 - sigma22
-        if -_NORM_TOL <= sigma00 < 0.0:
-            sigma00 = 0.0
         return cls(
             sigma11=float(sigma11),
             sigma22=float(sigma22),
@@ -135,16 +152,17 @@ class SingleParticleState:
 
 
 def effective_hamiltonian(pair: WellPair) -> np.ndarray:
-    """Non-Hermitian 2x2 generator of the well amplitudes.
-
-    ``H_eff = diag(E1, E2) + F`` with the wide-band self-energy ``F``; the
-    amplitudes obey ``i db/dt = H_eff b``.
-    """
-    f = wide_band_self_energy
+    """``H_eff = diag(E1, E2) - (i/2) [[gamma1, eta r], [eta r, gamma2]]``, the generator
+    of ``i db/dt = H_eff b``, with ``r = sqrt(gamma1 gamma2)`` taken on mantissas."""
+    gamma1, gamma2, eta = pair.gamma1, pair.gamma2, pair.eta
+    m1, e1 = math.frexp(gamma1)
+    m2, e2 = math.frexp(gamma2)
+    root = math.ldexp(math.sqrt(math.ldexp(m1 * m2, (e1 + e2) & 1)), (e1 + e2) >> 1)
+    cross = complex(0.0, -0.5 * eta * root)
     return np.array(
         [
-            [pair.E1 + f(pair, 1, 1), f(pair, 1, 2)],
-            [f(pair, 2, 1), pair.E2 + f(pair, 2, 2)],
+            [pair.E1 + complex(0.0, -0.5 * gamma1), cross],
+            [cross, pair.E2 + complex(0.0, -0.5 * gamma2)],
         ],
         dtype=complex,
     )
@@ -172,14 +190,19 @@ def _propagators(pairs, times) -> np.ndarray:
         h = effective_hamiltonian(pair)
         half_tr = 0.5 * (h[0, 0] + h[1, 1])
         m[k] = h - half_tr * np.eye(2)
-        # cmath, not numpy: the complex square root must match to the last bit
-        mu = cmath.sqrt(m[k, 0, 0] * m[k, 0, 0] + m[k, 0, 1] * m[k, 1, 0])
-        if not cmath.isfinite(mu):
-            # the squares overflowed: take the root of the entries scaled down
-            a, b, c = m[k, 0, 0], m[k, 0, 1], m[k, 1, 0]
-            s = max(abs(a), abs(b), abs(c))
-            mu = s * cmath.sqrt((a / s) * (a / s) + (b / s) * (c / s))
-        abs_mu[k] = abs(mu)
+        # the root of the entries scaled by 2^-e, scaled back by 2^e: exact,
+        # so no square leaves the float range; cmath, not numpy, so the
+        # complex square root matches to the last bit
+        (a, b), (c, _) = m[k].tolist()
+        e = math.frexp(max(map(abs, (a.real, a.imag, b.real, b.imag, c.real, c.imag))))[1]
+        a, b, c = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (a, b, c)]
+        root = cmath.sqrt(a * a + b * c)
+        try:
+            mu = complex(math.ldexp(root.real, e), math.ldexp(root.imag, e))
+            abs_mu[k] = abs(mu)
+        except OverflowError:
+            # |mu| past the float range: a propagator that is not finite, refused below
+            mu, abs_mu[k] = complex(math.inf, math.inf), math.inf
         coef[:, k] = (
             mu,
             2.0 * mu,
@@ -231,9 +254,9 @@ def _evolve_sigma(pairs, initial, times):
 
     ``times`` is laid out as for :func:`_propagators`.  Returns the arrays
     ``(sigma11, sigma22, sigma12, sigma00)`` of shape ``times.shape``, with
-    :meth:`SingleParticleState.from_sigma`'s clamp of ``sigma00`` and its
-    checks applied to the whole stack at once; the first failing point, in
-    pair-then-time order, raises that method's own error.
+    the clamp of ``sigma00`` and the checks of a :class:`SingleParticleState`
+    applied to the whole stack at once; the first failing point, in
+    pair-then-time order, raises the error a state of it would.
     """
     times = np.asarray(times, dtype=float)
     if times.size and times.min() < 0.0:
@@ -243,21 +266,7 @@ def _evolve_sigma(pairs, initial, times):
     s11 = sigma[..., 0, 0].real
     s22 = sigma[..., 1, 1].real
     s12 = sigma[..., 0, 1]
-    s00 = 1.0 - s11 - s22
-    s00[(s00 >= -_NORM_TOL) & (s00 < 0.0)] = 0.0
-    bad = np.zeros(times.shape, dtype=bool)
-    for p in (s11, s22, s00):
-        bad |= ~((p >= -_NORM_TOL) & (p <= 1.0 + _NORM_TOL))
-    bad |= np.abs(s11 + s22 + s00 - 1.0) > 1e-8
-    bound = s11 * s22
-    bad |= np.abs(s12) ** 2 > bound + 1e-9 * (bound + 1.0)
-    if bad.any():
-        k = np.unravel_index(np.argmax(bad), bad.shape)
-        SingleParticleState.from_sigma(
-            float(s11[k]), float(s22[k]), complex(s12[k]), t=float(times[k])
-        )
-        raise ValueError(f"invalid reduced state at t = {float(times[k])}")
-    return s11, s22, s12, s00
+    return s11, s22, s12, _reduced_states(s11, s22, s12, 1.0 - s11 - s22)
 
 
 def evolve_master(pair: WellPair, initial, t: float) -> SingleParticleState:
@@ -386,8 +395,12 @@ def fit_decay_rate(times, values):
     if not ((values > 0.0) & (values < math.inf)).all():
         raise ValueError("decay fit requires finite, strictly positive values")
     dt = times - times.mean(axis=-1, keepdims=True)
+    # each row's dt scaled by 2^-e of its largest |dt|, and the rate back by
+    # 2^-e: exact, so no square leaves the float range
+    _, e = np.frexp(np.abs(dt).max(axis=-1, keepdims=True))
+    dt = np.ldexp(dt, -e)
     spread = np.sum(dt * dt, axis=-1)
     if not spread.all():
         raise ValueError("decay fit requires times that are not all equal")
-    rate = -np.sum(dt * np.log(values), axis=-1) / spread
+    rate = np.ldexp(-np.sum(dt * np.log(values), axis=-1) / spread, -e[..., 0])
     return float(rate) if rate.ndim == 0 else rate

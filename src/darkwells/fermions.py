@@ -171,7 +171,7 @@ def _coupled_dark(model: ParallelWellPair):
 def _resonant(model: ParallelWellPair) -> bool:
     base = model.base
     gap = abs(base.E2 - base.E1 - model.U)
-    scale = max(1.0, abs(base.E1), abs(base.E2), abs(model.U))
+    scale = max(abs(base.E1), abs(base.E2), abs(model.U))
     return gap <= 1e-9 * scale
 
 

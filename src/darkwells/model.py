@@ -6,8 +6,8 @@ with constant density of states ``rho`` and energy-independent hopping
 amplitudes ``omega1``, ``omega2``.  The pair also owns the quantities
 derived from them: the level widths ``gamma1``, ``gamma2``, the detuning
 ``epsilon``, the relative sign ``eta`` of the couplings and the width
-ratio ``y``.  The wide-band-limit self-energy of the two-level subsystem
-comes from :func:`wide_band_self_energy`.
+ratio ``y``; :func:`darkwells.dynamics.effective_hamiltonian` forms the
+wide-band-limit self-energy of the two-level subsystem from them.
 
 Sign convention: the hopping amplitudes are real and may be negative; the
 relative sign ``eta = sign(omega1) sign(omega2)`` is what the dynamics
@@ -192,25 +192,6 @@ class WellPair:
     def y(self) -> float:
         """Width ratio ``gamma2 / gamma1``, ``math.inf`` when ``gamma1`` is 0."""
         return self.gamma2 / self.gamma1 if self.gamma1 else math.inf
-
-
-def wide_band_self_energy(pair: WellPair, j: int, jp: int) -> complex:
-    """Self-energy matrix element F_{j,jp} of the two-level subsystem.
-
-    Tracing out a wide flat band leaves a purely imaginary, energy
-    independent self-energy
-
-        F_{j,jp} = -i * eta_{j,jp} * sqrt(gamma_j * gamma_jp) / 2,
-
-    with ``eta_{jj} = +1`` and ``eta_{12} = eta_{21} = pair.eta``, which is
-    0 when a coupling vanishes.
-    """
-    if j not in (1, 2) or jp not in (1, 2):
-        raise ValueError(f"well indices must be 1 or 2, got ({j}, {jp})")
-    gj = pair.gamma1 if j == 1 else pair.gamma2
-    gjp = pair.gamma1 if jp == 1 else pair.gamma2
-    eta = 1.0 if j == jp else pair.eta
-    return complex(0.0, -0.5 * eta * math.sqrt(gj * gjp))
 
 
 @dataclass(frozen=True)

@@ -169,9 +169,6 @@ def test_dwell_scenario(tmp_path):
          "sweep.values: exp(-i H_eff t) leaves the float range at t = 30.0"),
         ("sweep", "[model]\nepsilon = 10\n[sweep]\naxis = y\nvalues = 1\nt_max = 1.7e308\n",
          "model.epsilon, sweep.values, sweep.t_max: exp(-i H_eff t) leaves"),
-        ("oracle-compare", "[model]\nlambda_cutoff = 1\ngamma1 = 1e300\n[grid]\nt_max = 1e10\n"
-                           "[oracle]\nn_levels = 40\n",
-         "model.gamma1, grid.t_max: exp(-i H_eff t) leaves"),
         # gamma2 = y * gamma1 and 2 pi rho both overflow: the model's own
         # check sees inf / inf = nan
         ("asymptotic", "[model]\ngamma1 = 1e308\ny = 1.7e308\nrho = 1e308\n",
@@ -196,20 +193,21 @@ def test_dwell_scenario(tmp_path):
         # refusal of the default grid.t_max
         ("oracle-compare", "[model]\nomega1 = 1e-150\nomega2 = 1e-150\nrho = 1e-30\n",
          "model.omega1, model.rho, model.omega2: degenerate system: both widths"),
+        # |mu| past the float range with finite entries: |E1 - E2| / 2 near
+        # the largest float and a width beside it
+        ("evolve", "[model]\ne1 = 1.79e308\ne2 = -1.79e308\nomega1 = 1.2e154\nomega2 = 0\n",
+         "model.e1, model.e2, model.omega1, model.omega2: exp(-i H_eff t) leaves"),
         # g12 = epsilon sin cos underflows on two coupled wells; this ended
         # in exit 1 as "a well is decoupled"
         ("dwell", "[model]\ngamma1 = 1\ngamma2 = 1e-300\nepsilon = 1e-300\n",
          "model.epsilon, model.gamma1, model.gamma2: dark-bright mixing g12 = 0.0 squares"),
-        # a finite width whose left-to-right product 2 pi omega omega rho
-        # overflowed: the model accepts it, the propagator refuses it
-        ("evolve", "[model]\ngamma1 = 1.7e308\n", "model.gamma1: exp(-i H_eff t) leaves"),
     ],
     ids=["dwell_underflow", "dwell_mixing", "sweep_mixing", "rho_only", "rho_and_width",
          "coupling_dwell", "coupling_mixing", "default_cutoff", "empty_window",
          "empty_window_model", "evolve_phase", "evolve_t_max", "sweep_phase", "sweep_t_max",
-         "oracle_reference", "infinite_rho_and_width", "fine_band", "zero_width_grid",
-         "tiny_width_grid", "tiny_couplings", "tiny_couplings_dwell", "oracle_zero_widths",
-         "coupled_mixing_underflow", "largest_width"],
+         "infinite_rho_and_width", "fine_band", "zero_width_grid", "tiny_width_grid",
+         "tiny_couplings", "tiny_couplings_dwell", "oracle_zero_widths", "largest_root",
+         "coupled_mixing_underflow"],
 )
 def test_float_range_refusals_name_their_keys(tmp_path, capsys, kind, text, message):
     cfg = write_config(tmp_path, text)
@@ -218,6 +216,39 @@ def test_float_range_refusals_name_their_keys(tmp_path, capsys, kind, text, mess
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}"), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, text, column",
+    [
+        # squares of H_eff's entries overflowed: both were refused as
+        # "exp(-i H_eff t) leaves the float range"
+        ("oracle-compare", "[model]\nlambda_cutoff = 1\ngamma1 = 1e300\n[grid]\nt_max = 1e10\n"
+                           "[oracle]\nn_levels = 40\n", "sigma11_reference"),
+        ("evolve", "[model]\ngamma1 = 1.7e308\n", "sigma11"),
+        # the self-energy's product gamma1 * gamma2 underflowed, and nothing
+        # decayed: sigma11 stayed 1
+        ("evolve", "[model]\ngamma1 = 1e-170\n", "sigma11"),
+        ("evolve", "[model]\ngamma1 = 1e-300\n", "sigma11"),
+        # the fit's sum of squared times overflowed: tau = inf, and exit 0
+        ("sweep", "[model]\nepsilon = 0.3\n[sweep]\naxis = gamma1\nvalues = 1e100\n"
+                  "report = fitted_tau\n", "fitted_tau"),
+    ],
+    ids=["oracle_reference", "largest_width", "tiny_width", "tiniest_width", "fit_window"],
+)
+def test_float_range_edges_run(tmp_path, kind, text, column):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    value = float(rows[-1][header.index(column)])
+    if column == "fitted_tau":
+        assert 0.0 < value < math.inf
+    else:
+        # equal widths trap half of a left start, a quarter in each well
+        assert value == pytest.approx(0.25, abs=1e-4)
 
 
 def test_oracle_compare_refuses_an_overflowing_band_before_building(tmp_path, capsys, monkeypatch):
@@ -442,6 +473,97 @@ def test_closed_forms_keep_their_bits_under_an_exact_coupling_scale(base):
             assert _data_rows(name, config) == reference[name], (name, k)
             checked += 1
     assert checked > 150
+
+
+# Width-style models (gamma1, y, epsilon, eta): misaligned with eta = -1,
+# aligned, misaligned the other way, and a detuning far below the widths.
+_TIME_SCALE_BASES = [(1.0, 2.0, 0.4, -1), (1.5, 0.5, 0.0, 1), (0.7, 3.0, -1.3, 1),
+                     (2.0, 2.0, 1e-3, -1)]
+# the power of 2^k each scaled column carries; any other column keeps its text
+_TIME_COLUMNS = {"t": -1, "tau": -1, "fitted_tau": -1, "rate": 1, "fitted_rate": 1,
+                 "gamma1": 1, "epsilon": 1}
+
+
+def _time_scaled_configs(base, k):
+    """Each kind's config of ``base`` with widths, detuning and ``u`` times
+    ``2^k`` and every ``t_max`` times ``2^-k``, for an even ``k`` in [-1000,
+    1000]: a width-style coupling is the root ``sqrt(gamma / (2 pi rho))``,
+    which keeps its bits under ``4^j``."""
+    gamma1, y, epsilon, eta = base
+
+    def s(value, sign=1):
+        return repr(math.ldexp(value, sign * k))
+
+    model = {"gamma1": s(gamma1), "y": repr(y), "epsilon": s(epsilon), "eta": str(eta)}
+    configs = {
+        "evolve": {"model": model, "grid": {"t_max": s(30.0, -1), "n_points": "7"},
+                   "initial": {"b1": "0.6", "b2": "0.8j"}},
+        "two_electron_parallel_resonant": {
+            "model": {**model, "yprime": "0.7", "u": s(-epsilon)},
+            "fermions": {"op": "two_electron_parallel"}},
+        "two_electron_parallel_detuned": {
+            "model": {**model, "yprime": "0.8", "u": s(0.7)},
+            "fermions": {"op": "two_electron_parallel"}},
+    }
+    if epsilon == 0.0:
+        configs["asymptotic"] = {"model": model, "initial": {"b1": "0.6", "b2": "0.8"}}
+        configs["three_electron"] = {"model": {**model, "yprime": "0.7"},
+                                     "fermions": {"op": "three_electron"}}
+        gamma1s = {"axis": "gamma1", "values": f"{s(gamma1)}, {s(2.0)}"}
+        configs["sweep_sigma11"] = {"model": model, "sweep": gamma1s}
+        configs["sweep_sigma11_t_max"] = {"model": model,
+                                          "sweep": {**gamma1s, "t_max": s(5.0, -1)}}
+        configs["sweep_p_trapped"] = {
+            "model": {key: value for key, value in model.items() if key != "y"},
+            "sweep": {"axis": "y", "values": "0.5, 1, 3", "report": "p_trapped"}}
+    else:
+        # the dwell time (gamma1 + gamma2) / (4 g12^2) and the fits it
+        # windows keep their bits while the mixing's square stays normal
+        g12 = epsilon * math.sqrt(y) / (1.0 + y)
+        if not -1000 <= 2 * k + math.frexp(4.0 * g12 * g12)[1] <= 1000:
+            return configs
+        configs["dwell"] = {"model": model}
+        configs["sweep_fitted_tau"] = {"model": model,
+                                       "sweep": {"axis": "epsilon",
+                                                 "values": f"{s(epsilon)}, {s(0.25)}",
+                                                 "report": "fitted_tau"}}
+        configs["sweep_fitted_rate"] = {"model": model,
+                                        "sweep": {"axis": "gamma1",
+                                                  "values": f"{s(gamma1)}, {s(0.5)}",
+                                                  "report": "fitted_rate"}}
+    return configs
+
+
+def _scaled_rows(rows, k):
+    """CSV data ``rows`` (header first) with each column of ``_TIME_COLUMNS``
+    times its power of ``2^k``, every float spelled as ``float.hex``."""
+    header, *lines = rows.decode().splitlines()
+    names = header.split(",")
+    out = []
+    for line in lines:
+        cells = []
+        for name, cell in zip(names, line.split(",")):
+            power = _TIME_COLUMNS.get(name)
+            cells.append(cell if power is None else math.ldexp(float(cell), power * k).hex())
+        out.append(cells)
+    return out
+
+
+@pytest.mark.parametrize("base", _TIME_SCALE_BASES)
+def test_outputs_keep_their_bits_under_an_exact_time_scale(base):
+    # Energies and widths times 2^k with times 2^-k leave every dimensionless
+    # output as it is, and scale every time by 2^-k and every rate by 2^k;
+    # squares of widths or of H_eff's entries, and the fit's sum of squared
+    # times, leave the float range at some k where none of the inputs does.
+    reference = {name: _scaled_rows(_data_rows(name, config), 0)
+                 for name, config in _time_scaled_configs(base, 0).items()}
+    checked = 0
+    for k in itertools.chain(range(-1000, 1001, 40), range(-1000, -900, 6),
+                             range(900, 1001, 6), range(-560, -440, 6), range(440, 560, 6)):
+        for name, config in _time_scaled_configs(base, k).items():
+            assert _scaled_rows(_data_rows(name, config), -k) == reference[name], (name, k)
+            checked += 1
+    assert checked > 300
 
 
 def test_fermions_two_electron_csv(tmp_path):
@@ -1424,6 +1546,9 @@ def test_oracle_reads_n_levels_only(tmp_path, capsys, monkeypatch):
     "kind, text, key",
     [
         ("evolve", "[grid]\nn_points = {points}\n", "grid.n_points"),
+        # a small grid under a cap past evolve's: the grid list is never built
+        ("sweep", "[sweep]\naxis = y\nvalues = 1, 2\nmax_points = {points}\n",
+         "sweep.max_points"),
         ("oracle-compare", "[oracle]\nn_levels = {levels}\n", "oracle.n_levels"),
         # dense output: 30 000 points of dimension 202
         ("oracle-compare", "[grid]\nn_points = 30000\n[oracle]\nn_levels = 200\n",
@@ -1437,7 +1562,8 @@ def test_oracle_reads_n_levels_only(tmp_path, capsys, monkeypatch):
          "[grid]\nt_max = 1000.0\nn_points = 1000\n[oracle]\nn_levels = 2000\n",
          "grid.t_max: .* Bessel coefficients"),
     ],
-    ids=["grid_points", "oracle_levels", "dense_output", "chebyshev_degree", "bessel_table"],
+    ids=["grid_points", "sweep_max_points", "oracle_levels", "dense_output", "chebyshev_degree",
+         "bessel_table"],
 )
 def test_oversized_requests_are_refused_before_building(tmp_path, monkeypatch, kind, text, key):
     import darkwells.oracle

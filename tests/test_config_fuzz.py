@@ -198,6 +198,17 @@ def check_written(out, fmt):
                              "model": {"omega1": "0", "omega2": "1", "yprime": "0.5"}}))
 @example(drawn=("fermions", {"fermions": {"op": "three_electron"},
                              "model": {"gamma1": "1", "y": "0", "yprime": "0.5"}}))
+# widths whose squares underflow, a fit window whose squared times overflow,
+# a parallel pair detuned by u = 0.7 at the scale 2^-40, and a sweep cap
+# past the grid cap
+@example(drawn=("evolve", {"model": {"gamma1": "1e-170"}}))
+@example(drawn=("sweep", {"model": {"epsilon": "0.3"},
+                          "sweep": {"axis": "gamma1", "values": "1e100",
+                                    "report": "fitted_tau"}}))
+@example(drawn=("fermions", {"fermions": {"op": "two_electron_parallel"},
+                             "model": {"gamma1": "9.094947017729282e-13", "y": "2",
+                                       "yprime": "0.8", "u": "6.366462912410497e-13"}}))
+@example(drawn=("sweep", {"sweep": {"axis": "y", "values": "1, 2", "max_points": "100001"}}))
 def test_every_config_ends_in_a_documented_way(drawn):
     kind, config = drawn
     text = "".join(

@@ -2,13 +2,13 @@ import math
 
 import pytest
 
+from darkwells.dynamics import effective_hamiltonian
 from darkwells.model import (
     TWO_PI,
     DegenerateSystemError,
     ParallelWellPair,
     WellPair,
     WidthOverflowError,
-    wide_band_self_energy,
 )
 
 
@@ -54,26 +54,27 @@ def test_eta_and_cross_self_energy_survive_an_underflowing_product():
     assert pair.eta == 1
     f12 = complex(0.0, -0.5 * math.sqrt(pair.gamma1 * pair.gamma2))
     assert f12.imag < 0
-    assert wide_band_self_energy(pair, 1, 2) == f12
-    assert wide_band_self_energy(pair, 2, 1) == f12
+    h = effective_hamiltonian(pair)
+    assert h[0, 1] == f12
+    assert h[1, 0] == f12
 
 
 def test_self_energy_wide_band_values():
+    # the levels sit at 0, so H_eff is the self-energy F
     pair = WellPair.from_widths(2.0, 0.5, eta=-1)
-    f11 = wide_band_self_energy(pair, 1, 1)
-    f22 = wide_band_self_energy(pair, 2, 2)
-    f12 = wide_band_self_energy(pair, 1, 2)
-    assert f11 == pytest.approx(-1j * 2.0 / 2, rel=1e-12)
-    assert f22 == pytest.approx(-1j * 0.5 / 2, rel=1e-12)
+    h = effective_hamiltonian(pair)
+    assert h[0, 0] == pytest.approx(-1j * 2.0 / 2, rel=1e-12)
+    assert h[1, 1] == pytest.approx(-1j * 0.5 / 2, rel=1e-12)
     # off-diagonal carries the relative sign eta
-    assert f12 == pytest.approx(+1j * math.sqrt(2.0 * 0.5) / 2, rel=1e-12)
-    assert wide_band_self_energy(pair, 2, 1) == f12
+    assert h[0, 1] == pytest.approx(+1j * math.sqrt(2.0 * 0.5) / 2, rel=1e-12)
+    assert h[1, 0] == h[0, 1]
 
 
 def test_self_energy_vanishes_with_coupling():
     pair = WellPair(E1=0.0, E2=0.0, omega1=1.0, omega2=0.0)
-    assert wide_band_self_energy(pair, 1, 2) == 0.0
-    assert wide_band_self_energy(pair, 2, 2) == 0.0
+    h = effective_hamiltonian(pair)
+    assert h[0, 1] == 0.0
+    assert h[1, 1] == 0.0
 
 
 @pytest.mark.parametrize(

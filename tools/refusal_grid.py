@@ -24,9 +24,10 @@ end.  The grid is:
 - each kind with one section of each name, and one unknown section, that
   holds one unknown key: each case is refused as a section the kind does
   not read, as an unknown section or as an unknown key;
-- the models of ``MODEL_ROWS``: couplings at the edges of the float
-  range, a large ``yprime``, and a vanishing width in the parallel fermion
-  ops.
+- the models of ``MODEL_ROWS``: couplings and widths at the edges of the
+  float range, a large ``yprime``, a vanishing width in the parallel
+  fermion ops, a fit window past 1e154, a small detuned parallel pair, and
+  a ``sweep.max_points`` above its cap.
 
 Each config is rendered in process through ``darkwells.cli.build_scenario``
 and ``render``; nothing is written.  The work a run would do past its
@@ -81,7 +82,10 @@ KINDS = ("evolve", "asymptotic", "dwell", "oracle-compare", "fermions", "bosons"
 # about 1e-23 from couplings near 1e-150 and 1e-162), a mixing that
 # underflows on two coupled wells, a large yprime in the parallel fermion
 # ops, and one vanishing width where those ops need both (a misaligned
-# three-electron case has no bound state first)
+# three-electron case has no bound state first); then widths whose squares
+# underflow, a fitted tau whose squared fit times overflow, the
+# two_electron_parallel pair gamma1 = 1, u = 0.7 scaled by 2^-40, which
+# stays off resonance, and sweep.max_points past the grid cap of 100 000
 MODEL_ROWS = (
     ("asymptotic", {"model": {"omega1": "1e-200", "omega2": "1e-200"}}),
     ("dwell", {"model": {"omega1": "1e-200", "omega2": "1e-200", "e1": "1"}}),
@@ -102,6 +106,13 @@ MODEL_ROWS = (
                   "model": {"gamma1": "1", "y": "0", "yprime": "0.5"}}),
     ("fermions", {"fermions": {"op": "three_electron"},
                   "model": {"gamma1": "1", "y": "0", "epsilon": "1", "yprime": "0.5"}}),
+    ("evolve", {"model": {"gamma1": "1e-170"}}),
+    ("sweep", {"model": {"epsilon": "0.3"},
+               "sweep": {"axis": "gamma1", "values": "1e100", "report": "fitted_tau"}}),
+    ("fermions", {"fermions": {"op": "two_electron_parallel"},
+                  "model": {"gamma1": "9.094947017729282e-13", "y": "2", "yprime": "0.8",
+                            "u": "6.366462912410497e-13"}}),
+    ("sweep", {"sweep": {"axis": "y", "values": "1, 2", "max_points": "100001"}}),
 )
 
 
