@@ -13,7 +13,6 @@ from .rotation import dark_state
 from .dynamics import (
     InfiniteDwellTimeError,
     PropagatorOverflowError,
-    SingleParticleState,
     Trajectory,
     asymptotic_probs,
     dwell_time,

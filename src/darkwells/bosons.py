@@ -80,9 +80,6 @@ class BosonFockState:
     def amplitude(self, n1: int, n2: int) -> SurdAmplitude:
         return self.amplitudes.get((n1, n2), ZERO_AMPLITUDE)
 
-    def float_amplitudes(self) -> dict:
-        return {key: float(a) for key, a in self.amplitudes.items() if a.sign != 0}
-
 
 @dataclass(frozen=True)
 class FockDistribution:
@@ -103,13 +100,6 @@ class FockDistribution:
 
     def probability(self, m: int) -> Fraction:
         return self.probabilities.get(m, Fraction(0))
-
-    @property
-    def max_count(self) -> int:
-        return max(self.probabilities)
-
-    def as_floats(self) -> dict:
-        return {m: float(p) for m, p in sorted(self.probabilities.items())}
 
 
 def _ratio(y) -> tuple[int, int]:

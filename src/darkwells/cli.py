@@ -44,8 +44,8 @@ from .bosons import (
 from .dynamics import (
     InfiniteDwellTimeError,
     PropagatorOverflowError,
-    SingleParticleState,
     _evolve_sigma,
+    _sigma_matrix,
     asymptotic_probs,
     dwell_time,
     evolve_master,  # not called here; perfbench/tracing.py wraps it by name
@@ -463,6 +463,12 @@ def _resolve_initial(sections):
     return (b1, b2), resolved
 
 
+def _pure_start(b1, b2):
+    """The start ``(|b1|^2, |b2|^2, b1 conj(b2))`` of the well amplitudes ``(b1, b2)``."""
+    b1, b2 = complex(b1), complex(b2)
+    return abs(b1) ** 2, abs(b2) ** 2, b1 * b2.conjugate()
+
+
 def _resolve_grid(sections, default_t_max, default_keys):
     """The time grid; ``default_keys`` name what sets ``default_t_max``."""
     t_max = _parse_number(sections, "grid", "t_max", default=default_t_max)
@@ -504,8 +510,7 @@ def _run_evolve(scenario):
     )
     resolved.update(res_init)
     resolved.update(res_grid)
-    initial = SingleParticleState.from_amplitudes(b1, b2)
-    traj = _master_trajectory(pair, initial, times, spec, given, scenario.sections)
+    traj = _master_trajectory(pair, _pure_start(b1, b2), times, spec, given, scenario.sections)
     columns = {
         "t": traj.times,
         "sigma11": traj.sigma11,
@@ -524,17 +529,17 @@ def _run_asymptotic(scenario):
     p0, p1 = asymptotic_probs(pair, (b1, b2))
     dark = dark_state(pair)
     overlap = dark[0] * b1 + dark[1] * b2
-    state = SingleParticleState.from_amplitudes(
-        overlap * dark[0], overlap * dark[1], t=math.inf
-    )
+    trapped = _pure_start(overlap * dark[0], overlap * dark[1])
+    _sigma_matrix(trapped)  # the state check every start gets
+    s11, s22, s12 = trapped
     columns = {
         "p_trapped": np.array([p0]),
         "p_emitted": np.array([p1]),
-        "sigma11": np.array([state.sigma11]),
-        "sigma22": np.array([state.sigma22]),
-        "re_sigma12": np.array([state.sigma12.real]),
-        "im_sigma12": np.array([state.sigma12.imag]),
-        "sigma00": np.array([state.sigma00]),
+        "sigma11": np.array([s11]),
+        "sigma22": np.array([s22]),
+        "re_sigma12": np.array([s12.real]),
+        "im_sigma12": np.array([s12.imag]),
+        "sigma00": np.array([max(0.0, 1.0 - (s11 + s22))]),
     }
     return columns, resolved, {}
 
@@ -598,8 +603,9 @@ def _run_oracle_compare(scenario):
         keys = {"n_levels": "oracle.n_levels", "band": band, "phases": band + t_max,
                 "n_points": "grid.n_points", "t_max": "grid.t_max"}[exc.source]
         raise ConfigError(f"{keys}: {exc}") from exc
-    initial = SingleParticleState.from_amplitudes(b1, b2)
-    reference = _master_trajectory(pair, initial, times, spec, given, scenario.sections)
+    reference = _master_trajectory(
+        pair, _pure_start(b1, b2), times, spec, given, scenario.sections
+    )
     err = np.abs(oracle_run.trajectory.sigma11 - reference.sigma11)
     columns = {
         "t": times,
@@ -759,6 +765,8 @@ def _run_sweep(scenario):
             raise ConfigError("sweep.axis2: both axes set the same parameter")
     report = _parse_choice(sections, "sweep", "report", _SWEEP_REPORTS, "sigma11_asymptotic")
     max_points = _parse_number(sections, "sweep", "max_points", default=64, kind=int)
+    if max_points < 1:
+        raise ConfigError(f"sweep.max_points: need at least 1 point, got {max_points}")
     if max_points > _MAX_GRID_POINTS:
         raise ConfigError(
             f"sweep.max_points: {max_points} exceeds the cap of {_MAX_GRID_POINTS}"
@@ -821,11 +829,10 @@ def _run_sweep(scenario):
                     f"{keys}: the fit window 2 tau = {2.0 * taus[k]!r} vanishes "
                     f"next to its start t = {float(t0s[k])!r}"
                 )
-        left = SingleParticleState.from_amplitudes(1.0, 0.0)
         try:
             for start in range(0, len(pairs), _SWEEP_BLOCK):
                 block = slice(start, start + _SWEEP_BLOCK)
-                values += _sweep_block(pairs[block], report, times[block], left)
+                values += _sweep_block(pairs[block], report, times[block], (1.0, 0.0, 0.0))
         except PropagatorOverflowError as exc:
             point = points[start + exc.index]
             keys = _model_keys(spec, given, point, "epsilon", "gamma1", "gamma2")

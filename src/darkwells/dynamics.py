@@ -9,7 +9,10 @@ reduced density matrix ``sigma``.  The convention for the coherence is
 One closed-form propagator ``U(t) = exp(-i H_eff t)`` of the well
 amplitudes, vectorized over a stack of pairs and their times, drives the
 reduced state, whose master equation has the exact solution
-``sigma(t) = U sigma(0) U^dagger`` for pure and mixed starts alike.
+``sigma(t) = U sigma(0) U^dagger`` for pure and mixed starts alike.  A
+start is one triple ``(sigma11, sigma22, sigma12)``, checked as a state
+before it evolves, and the one record of reduced states is a
+:class:`Trajectory` of arrays over its times.
 Widths are multiplied, and ``H_eff``'s entries squared, only on
 power-of-two-scaled mantissas, so scaling every energy and width by an
 exact ``2^k`` and every time by ``2^-k`` keeps every output bit.  The
@@ -32,7 +35,6 @@ from .rotation import dark_state, unit
 __all__ = [
     "InfiniteDwellTimeError",
     "PropagatorOverflowError",
-    "SingleParticleState",
     "Trajectory",
     "effective_hamiltonian",
     "evolve_master",
@@ -82,73 +84,6 @@ def _reduced_states(s11, s22, s12, s00) -> np.ndarray:
         _, value, message = next(check for check in checks if check[0][k])
         raise ValueError(message.format(value[k]))
     return s00
-
-
-@dataclass(frozen=True)
-class SingleParticleState:
-    """Reduced state of the two-well subsystem at one instant.
-
-    ``sigma11``/``sigma22`` are the well occupations, ``sigma12`` the
-    coherence ``b1 * conj(b2)``, and ``sigma00`` the probability already
-    emitted into the reservoir.  ``b1``/``b2`` keep the underlying
-    amplitudes when the state was built from a pure wavefunction and are
-    ``None`` for genuinely mixed states.
-    """
-
-    sigma11: float
-    sigma22: float
-    sigma12: complex
-    sigma00: float
-    t: float = 0.0
-    b1: complex | None = None
-    b2: complex | None = None
-
-    def __post_init__(self) -> None:
-        sigma00 = _reduced_states(self.sigma11, self.sigma22, self.sigma12, self.sigma00)
-        object.__setattr__(self, "sigma00", float(sigma00))
-
-    @classmethod
-    def from_amplitudes(
-        cls, b1: complex, b2: complex, t: float = 0.0
-    ) -> "SingleParticleState":
-        b1 = complex(b1)
-        b2 = complex(b2)
-        w = abs(b1) ** 2 + abs(b2) ** 2
-        if w > 1.0 + _NORM_TOL:
-            raise ValueError(f"dot amplitudes carry weight {w} > 1")
-        return cls(
-            sigma11=abs(b1) ** 2,
-            sigma22=abs(b2) ** 2,
-            sigma12=b1 * b2.conjugate(),
-            sigma00=max(0.0, 1.0 - w),
-            t=float(t),
-            b1=b1,
-            b2=b2,
-        )
-
-    @classmethod
-    def from_sigma(
-        cls,
-        sigma11: float,
-        sigma22: float,
-        sigma12: complex,
-        sigma00: float | None = None,
-        t: float = 0.0,
-    ) -> "SingleParticleState":
-        if sigma00 is None:
-            sigma00 = 1.0 - sigma11 - sigma22
-        return cls(
-            sigma11=float(sigma11),
-            sigma22=float(sigma22),
-            sigma12=complex(sigma12),
-            sigma00=float(sigma00),
-            t=float(t),
-        )
-
-    @property
-    def occupation(self) -> float:
-        """Probability of still finding the particle in either well."""
-        return self.sigma11 + self.sigma22
 
 
 def effective_hamiltonian(pair: WellPair) -> np.ndarray:
@@ -241,46 +176,34 @@ def _propagators(pairs, times) -> np.ndarray:
 
 
 def _sigma_matrix(initial) -> np.ndarray:
-    if isinstance(initial, SingleParticleState):
-        s11, s22, s12 = initial.sigma11, initial.sigma22, initial.sigma12
-    else:
-        s11, s22, s12 = initial
-    s12 = complex(s12)
-    return np.array([[float(s11), s12], [s12.conjugate(), float(s22)]])
+    """``sigma(0)`` of the start ``(sigma11, sigma22, sigma12)``; a start that is not
+    a state raises the ``ValueError`` of :func:`_reduced_states`."""
+    s11, s22, s12 = initial
+    s11, s22, s12 = float(s11), float(s22), complex(s12)
+    _reduced_states(s11, s22, s12, 1.0 - s11 - s22)
+    return np.array([[s11, s12], [s12.conjugate(), s22]])
 
 
 def _evolve_sigma(pairs, initial, times):
     """``U sigma0 U^dagger`` for every pair and time, validated as states.
 
-    ``times`` is laid out as for :func:`_propagators`.  Returns the arrays
-    ``(sigma11, sigma22, sigma12, sigma00)`` of shape ``times.shape``, with
-    the clamp of ``sigma00`` and the checks of a :class:`SingleParticleState`
-    applied to the whole stack at once; the first failing point, in
-    pair-then-time order, raises the error a state of it would.
+    ``initial`` is the start ``(sigma11, sigma22, sigma12)``, refused before
+    anything evolves if it is not a state; ``times`` is laid out as for
+    :func:`_propagators`.  Returns the arrays ``(sigma11, sigma22, sigma12,
+    sigma00)`` of shape ``times.shape``, with the clamp and the checks of
+    :func:`_reduced_states` applied to the whole stack at once; the first
+    failing point, in pair-then-time order, raises its error.
     """
     times = np.asarray(times, dtype=float)
     if times.size and times.min() < 0.0:
         raise ValueError("backward evolution of a decaying system is not supported")
+    sigma0 = _sigma_matrix(initial)
     u = _propagators(pairs, times)
-    sigma = u @ _sigma_matrix(initial) @ u.conj().swapaxes(-1, -2)
+    sigma = u @ sigma0 @ u.conj().swapaxes(-1, -2)
     s11 = sigma[..., 0, 0].real
     s22 = sigma[..., 1, 1].real
     s12 = sigma[..., 0, 1]
     return s11, s22, s12, _reduced_states(s11, s22, s12, 1.0 - s11 - s22)
-
-
-def evolve_master(pair: WellPair, initial, t: float) -> SingleParticleState:
-    """Exact reduced state at time ``t``: ``sigma(t) = U sigma(0) U^dagger``.
-
-    ``U = exp(-i H_eff t)`` is the closed-form amplitude propagator, so
-    genuinely mixed states evolve exactly as well.  ``initial`` is a
-    :class:`SingleParticleState` or a ``(sigma11, sigma22, sigma12)``
-    triple.
-    """
-    s11, s22, s12, _ = _evolve_sigma([pair], initial, [[t]])
-    return SingleParticleState.from_sigma(
-        float(s11[0, 0]), float(s22[0, 0]), complex(s12[0, 0]), t=float(t)
-    )
 
 
 @dataclass(frozen=True)
@@ -299,12 +222,28 @@ class Trajectory:
 
 
 def master_trajectory(pair: WellPair, initial, times) -> Trajectory:
-    """Sample :func:`evolve_master` on a grid of times (each from t = 0)."""
+    """Exact reduced state on a grid of times (each from t = 0).
+
+    ``sigma(t) = U sigma(0) U^dagger`` with the closed-form amplitude
+    propagator ``U = exp(-i H_eff t)``, so genuinely mixed states evolve
+    exactly as well.  ``initial`` is the start ``(sigma11, sigma22,
+    sigma12)``; one that is not a state raises ``ValueError``, whatever the
+    grid.
+    """
     times = np.asarray(times, dtype=float)
     s11, s22, s12, s00 = _evolve_sigma([pair], initial, times[None])
     return Trajectory(
         times=times, sigma11=s11[0], sigma22=s22[0], sigma12=s12[0], sigma00=s00[0]
     )
+
+
+def evolve_master(pair: WellPair, initial, t: float) -> Trajectory:
+    """:func:`master_trajectory` at the one time ``t``: a one-point :class:`Trajectory`.
+
+    No program calls it; it stays because ``perfbench/tracing.py`` times the
+    CLI's ``evolve_master`` by name.
+    """
+    return master_trajectory(pair, initial, [t])
 
 
 def asymptotic_probs(pair: WellPair, initial) -> tuple[float, float]:

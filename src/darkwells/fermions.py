@@ -108,10 +108,6 @@ class FermionAsymptoticState:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"branch state norm {norm} != 1")
 
-    @property
-    def n_retained(self) -> int:
-        return sum(next(iter(self.amplitudes)))
-
 
 def dark_vector(y: float, eta: int = 1) -> np.ndarray:
     """Dark-mode vector ``(eta sqrt(y), -1)/sqrt(1+y)``."""

@@ -354,7 +354,8 @@ def boson_rotation_oracle(N1, N2, y, eta=1):
 def boson_inner_product(a, b) -> float:
     """``<a|b>`` of two (dark, bright) boson expansions of the same total."""
     assert a.total == b.total
-    fa, fb = a.float_amplitudes(), b.float_amplitudes()
+    fa, fb = ({key: float(amp) for key, amp in s.amplitudes.items() if amp.sign != 0}
+              for s in (a, b))
     return math.fsum(fa[key] * fb[key] for key in sorted(fa.keys() & fb.keys()))
 
 

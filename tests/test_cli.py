@@ -22,7 +22,6 @@ import pytest
 import darkwells.cli
 from darkwells.cli import ConfigError, Scenario, build_scenario, load_config, main, render
 from darkwells.dynamics import (
-    SingleParticleState,
     dwell_time,
     evolve_master,
     fit_decay_rate,
@@ -72,8 +71,8 @@ def test_evolve_csv_and_manifest(tmp_path, capsys):
     # first row is the initial condition, later rows match the integrator
     assert float(rows[0][1]) == 1.0
     pair = WellPair.from_widths(1.0, 1.0)
-    state = evolve_master(pair, SingleParticleState.from_amplitudes(1.0, 0.0), 5.0)
-    assert float(rows[-1][1]) == pytest.approx(state.sigma11, abs=1e-14)
+    state = evolve_master(pair, (1.0, 0.0, 0.0), 5.0)
+    assert float(rows[-1][1]) == pytest.approx(state.sigma11[0], abs=1e-14)
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -904,6 +903,14 @@ def test_config_error_paths(tmp_path, capsys, monkeypatch):
     err = run_expecting(2, ["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert "exceed" in err
 
+    # a cap below 1 is refused as itself, not as the grid it caps
+    for points in ("0", "-5"):
+        cfg = write_config(
+            tmp_path, f"[sweep]\naxis = y\nvalues = 1\nmax_points = {points}\n", name="cap.ini"
+        )
+        err = run_expecting(2, ["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert f"config error: sweep.max_points: need at least 1 point, got {points}" in err
+
     cfg = write_config(tmp_path, "[sweep]\naxis = y\nvalues = ,\n", name="empty.ini")
     err = run_expecting(2, ["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert "sweep.values" in err
@@ -1711,11 +1718,11 @@ def test_sweep_blocks_match_single_point_evaluation(tmp_path, report):
     )
     scenario = build_scenario("sweep", load_config(cfg), out="s.csv", fmt="csv")
     columns, _, _ = darkwells.cli._KINDS["sweep"][0](scenario)
-    left = SingleParticleState.from_amplitudes(1.0, 0.0)
+    left = (1.0, 0.0, 0.0)
     for y, value in zip(ys, columns[report].tolist()):
         pair = WellPair.from_widths(1.3, y * 1.3, eta=-1, epsilon=-0.25)
         if report == "sigma11_asymptotic":
-            assert value == evolve_master(pair, left, 7.5).sigma11
+            assert value == evolve_master(pair, left, 7.5).sigma11[0]
             continue
         t0 = 12.0 / (pair.gamma1 + pair.gamma2)
         times = np.linspace(t0, t0 + 2.0 * dwell_time(pair), 48)

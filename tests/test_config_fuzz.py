@@ -200,7 +200,7 @@ def check_written(out, fmt):
                              "model": {"gamma1": "1", "y": "0", "yprime": "0.5"}}))
 # widths whose squares underflow, a fit window whose squared times overflow,
 # a parallel pair detuned by u = 0.7 at the scale 2^-40, and a sweep cap
-# past the grid cap
+# past the grid cap and one below 1
 @example(drawn=("evolve", {"model": {"gamma1": "1e-170"}}))
 @example(drawn=("sweep", {"model": {"epsilon": "0.3"},
                           "sweep": {"axis": "gamma1", "values": "1e100",
@@ -209,6 +209,7 @@ def check_written(out, fmt):
                              "model": {"gamma1": "9.094947017729282e-13", "y": "2",
                                        "yprime": "0.8", "u": "6.366462912410497e-13"}}))
 @example(drawn=("sweep", {"sweep": {"axis": "y", "values": "1, 2", "max_points": "100001"}}))
+@example(drawn=("sweep", {"sweep": {"axis": "y", "values": "1", "max_points": "0"}}))
 def test_every_config_ends_in_a_documented_way(drawn):
     kind, config = drawn
     text = "".join(

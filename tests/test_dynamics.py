@@ -8,7 +8,6 @@ from darkwells import dynamics
 from darkwells.dynamics import (
     InfiniteDwellTimeError,
     PropagatorOverflowError,
-    SingleParticleState,
     asymptotic_probs,
     dwell_time,
     effective_hamiltonian,
@@ -76,11 +75,11 @@ def test_evolve_master_reproduces_literal_rk4_loop():
         for k, t in enumerate(times):
             ref = master_generator_sigma(*args, t)
             got = evolve_master(pair, sigma0, t)
-            assert _sigma_gap((got.sigma11, got.sigma22, got.sigma12), ref) < 1e-12
+            assert _sigma_gap((got.sigma11[0], got.sigma22[0], got.sigma12[0]), ref) < 1e-12
             point = (traj.sigma11[k], traj.sigma22[k], traj.sigma12[k])
             assert _sigma_gap(point, ref) < 1e-12
         exact = evolve_master(pair, sigma0, 5.0)
-        exact = (exact.sigma11, exact.sigma22, exact.sigma12)
+        exact = (exact.sigma11[0], exact.sigma22[0], exact.sigma12[0])
         coarse = _sigma_gap(exact, rk4_literal(*args, 5.0, 50))
         fine = _sigma_gap(exact, rk4_literal(*args, 5.0, 100))
         assert coarse > 12.0 * fine
@@ -141,9 +140,9 @@ def test_master_agrees_with_amplitudes_for_pure_states():
     for t in (0.5, 2.0, 8.0):
         b11, b22, b12 = sigma_from_amplitudes(pair, init, t)
         state = evolve_master(pair, (0.36, 0.64, 0.6 * (-0.8j)), t)
-        assert state.sigma11 == pytest.approx(b11, abs=1e-12)
-        assert state.sigma22 == pytest.approx(b22, abs=1e-12)
-        assert state.sigma12 == pytest.approx(b12, abs=1e-12)
+        assert state.sigma11[0] == pytest.approx(b11, abs=1e-12)
+        assert state.sigma22[0] == pytest.approx(b22, abs=1e-12)
+        assert state.sigma12[0] == pytest.approx(b12, abs=1e-12)
 
 
 def test_dark_state_is_stationary_for_aligned_levels():
@@ -153,7 +152,7 @@ def test_dark_state_is_stationary_for_aligned_levels():
         b1, b2 = evolve_amplitudes(pair, d, 50.0)
         assert abs(b1 - d[0]) < 1e-10 and abs(b2 - d[1]) < 1e-10
         state = evolve_master(pair, (d[0] ** 2, d[1] ** 2, d[0] * d[1]), 50.0)
-        assert state.occupation == pytest.approx(1.0, abs=1e-9)
+        assert state.occupation[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bright_state_empties_at_total_width():
@@ -170,9 +169,9 @@ def test_coupling_sign_flips_coherence_only():
     minus = WellPair.from_widths(1.0, 2.0, eta=-1)
     sp = evolve_master(plus, (1.0, 0.0, 0.0), 3.0)
     sm = evolve_master(minus, (1.0, 0.0, 0.0), 3.0)
-    assert sp.sigma11 == pytest.approx(sm.sigma11, abs=1e-12)
-    assert sp.sigma22 == pytest.approx(sm.sigma22, abs=1e-12)
-    assert sp.sigma12 == pytest.approx(-sm.sigma12, abs=1e-12)
+    assert sp.sigma11[0] == pytest.approx(sm.sigma11[0], abs=1e-12)
+    assert sp.sigma22[0] == pytest.approx(sm.sigma22[0], abs=1e-12)
+    assert sp.sigma12[0] == pytest.approx(-sm.sigma12[0], abs=1e-12)
 
 
 def test_asymptotic_probs_left_start():
@@ -202,10 +201,11 @@ def test_long_time_master_state_matches_asymptotic_formula(y, eta):
     t_long = 60.0 / (1.0 + y)
     got = evolve_master(pair, (1.0, 0.0, 0.0), t_long)
     s11, s22, s12, s00 = asymptotic_sigma_left_start(y, eta=eta)
-    assert got.sigma11 == pytest.approx(s11, abs=1e-10)
-    assert got.sigma22 == pytest.approx(s22, abs=1e-10)
-    assert got.sigma12 == pytest.approx(s12, abs=1e-10)
-    assert got.sigma00 == pytest.approx(s00, abs=1e-10)
+    assert got.times.tolist() == [t_long]
+    assert got.sigma11[0] == pytest.approx(s11, abs=1e-10)
+    assert got.sigma22[0] == pytest.approx(s22, abs=1e-10)
+    assert got.sigma12[0] == pytest.approx(s12, abs=1e-10)
+    assert got.sigma00[0] == pytest.approx(s00, abs=1e-10)
     assert s11 + s22 + s00 == pytest.approx(1.0, abs=1e-15)
 
 
@@ -377,17 +377,13 @@ def test_trajectory_bookkeeping():
 
 def test_state_validation():
     with pytest.raises(ValueError, match="not a probability"):
-        SingleParticleState(sigma11=1.2, sigma22=0.0, sigma12=0.0, sigma00=-0.2)
+        dynamics._reduced_states(1.2, 0.0, 0.0, -0.2)
     with pytest.raises(ValueError, match="sum"):
-        SingleParticleState(sigma11=0.5, sigma22=0.0, sigma12=0.0, sigma00=0.2)
+        dynamics._reduced_states(0.5, 0.0, 0.0, 0.2)
     with pytest.raises(ValueError, match="coherence"):
-        SingleParticleState(sigma11=0.5, sigma22=0.0, sigma12=0.4, sigma00=0.5)
-    with pytest.raises(ValueError, match="weight"):
-        SingleParticleState.from_amplitudes(1.0, 1.0)
-    state = SingleParticleState.from_amplitudes(0.6, 0.8j, t=1.5)
-    assert state.occupation == pytest.approx(1.0)
-    assert state.sigma12 == pytest.approx(0.6 * (-0.8j))
-    assert state.b1 == 0.6 and state.t == 1.5
+        dynamics._reduced_states(0.5, 0.0, 0.4, 0.5)
+    # sigma00 just below 0 is clamped to 0
+    assert dynamics._reduced_states(0.36, 0.64, 0.48, -1e-12) == 0.0
 
 
 def _scaled_propagators(monkeypatch, scale):
@@ -404,13 +400,12 @@ def _scaled_propagators(monkeypatch, scale):
 
 
 def _scalar_error(pair, initial, t, factor):
-    """The message ``from_sigma`` gives for ``factor * U`` at one time."""
+    """The message the state check gives for ``factor * U`` at one time."""
     u = factor * dynamics._propagators([pair], [[t]])[0, 0]
     sigma = u @ np.array(initial, dtype=complex) @ u.conj().T
+    s11, s22 = sigma[0, 0].real, sigma[1, 1].real
     with pytest.raises(ValueError) as info:
-        SingleParticleState.from_sigma(
-            sigma[0, 0].real, sigma[1, 1].real, sigma[0, 1], t=t
-        )
+        dynamics._reduced_states(s11, s22, sigma[0, 1], 1.0 - s11 - s22)
     return str(info.value)
 
 
@@ -440,16 +435,22 @@ def test_master_trajectory_raises_at_first_bad_time(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "start", [(0.3, 0.3, 0.5), (1.2, 0.0, 0.0), (0.7, 0.5, 0.0), (0.5, -0.1, 0.0)],
-    ids=["coherence", "sigma11", "sigma00", "sigma22"],
+    "start",
+    [(0.3, 0.3, 0.5), (1.2, 0.0, 0.0), (0.7, 0.5, 0.0), (0.5, -0.1, 0.0), (0.9, 0.9, 0.0)],
+    ids=["coherence", "sigma11", "sigma00", "sigma22", "overfull"],
 )
 def test_invalid_start_raises_the_scalar_message(start):
-    # U = 1 at t = 0 hands the start back, so each state check fires
+    # the start is checked before it evolves, so each state check fires on
+    # any grid, also one with no t = 0 to hand the start back
     pair = WellPair.from_widths(1.0, 2.0, epsilon=0.3)
     with pytest.raises(ValueError) as want:
-        SingleParticleState.from_sigma(start[0], start[1], start[2], t=0.0)
+        dynamics._reduced_states(start[0], start[1], start[2], 1.0 - start[0] - start[1])
+    for times in ([0.0, 1.0], [5.0]):
+        with pytest.raises(ValueError) as got:
+            master_trajectory(pair, start, times)
+        assert str(got.value) == str(want.value)
     with pytest.raises(ValueError) as got:
-        master_trajectory(pair, start, [0.0, 1.0])
+        evolve_master(pair, start, 3.0)
     assert str(got.value) == str(want.value)
 
 

@@ -89,7 +89,7 @@ def test_two_electron_separated_wells(y, eta):
     branches = two_electron_asymptotic(y, eta=eta)
     assert len(branches) == 1
     br = branches[0]
-    assert br.reservoir_count == 1 and br.n_retained == 1
+    assert br.reservoir_count == 1 and {sum(occ) for occ in br.amplitudes} == {1}
     assert br.probability == pytest.approx(1.0)
     # the survivor is the dark mode (eta sqrt(y), -1) / sqrt(1 + y)
     root = math.sqrt(1.0 + y)
@@ -107,8 +107,8 @@ def test_two_electron_parallel_on_resonance(y):
     assert set(by_count) == {0, 1}
     assert by_count[0].probability == pytest.approx(y / (1 + y), rel=1e-12)
     assert by_count[1].probability == pytest.approx(1 / (1 + y), rel=1e-12)
-    assert by_count[0].n_retained == 2
-    assert by_count[1].n_retained == 1
+    assert {sum(occ) for occ in by_count[0].amplitudes} == {2}
+    assert {sum(occ) for occ in by_count[1].amplitudes} == {1}
 
 
 def test_two_electron_parallel_retained_state_matches_oracle():
@@ -152,7 +152,7 @@ def test_parallel_requires_both_wells_coupled():
 
 def test_three_electron_retained_state_sign_pattern():
     state = three_electron_asymptotic(make_parallel(1.0, 1.0, U=0.7))
-    assert state.reservoir_count == 1 and state.n_retained == 3
+    assert state.reservoir_count == 1 and {sum(occ) for occ in state.amplitudes} == {3}
     amps = state.amplitudes
     assert amps[(1, 1, 1, 0)] == pytest.approx(0.5)
     assert amps[(1, 1, 0, 1)] == pytest.approx(-0.5)

@@ -14,7 +14,7 @@ from math import comb, exp, gcd, hypot
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from darkwells.bosons import (
     emission_distribution,
@@ -99,7 +99,10 @@ def test_master_trace_positivity_and_monotone_emission(pair, a, b, w, times):
     assert np.all(np.diff(traj.sigma00) >= -TOL)
 
 
-@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+# no shrink phase: each oracle run takes about a second, so minimising a
+# failing example would take minutes before the failure is reported
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(
     log_gamma1=st.floats(-1.0, 1.0),
     log_y=st.floats(-1.5, 1.5),

@@ -360,8 +360,8 @@ def test_render_digests_compare_stops_quietly_when_the_reader_does(tmp_path):
 def test_refusal_grid_runs_its_configs_with_the_work_stubbed(monkeypatch, capsys):
     refusal_grid = load_tool("refusal_grid")
     cases = {name: (kind, config) for name, kind, config in refusal_grid.grid()}
-    # 3 960 oracle-compare, 316 bosons, 70 section and 19 model configs, each id once
-    assert len(cases) == 3960 + 316 + 70 + 19
+    # 3 960 oracle-compare, 316 bosons, 70 section and 21 model configs, each id once
+    assert len(cases) == 3960 + 316 + 70 + 21
     want = {
         # a dense run and 1000 bosons, each seconds of work without the stubs
         "oracle-compare n_levels=1498 n_points=200 t_max=- lambda_cutoff=- gamma1=1": "run",
@@ -384,6 +384,8 @@ def test_refusal_grid_runs_its_configs_with_the_work_stubbed(monkeypatch, capsys
             "got gamma1 = 0.0, gamma2 = 1.0",
         "sweep axis=y values=1, 2 max_points=100001":
             "exit 2 sweep.max_points: 100001 exceeds the cap of 100000",
+        "sweep axis=y values=1 max_points=0":
+            "exit 2 sweep.max_points: need at least 1 point, got 0",
     }
     monkeypatch.setattr(refusal_grid, "grid", lambda: [(name, *cases[name]) for name in want])
     builder = refusal_grid.oracle.build_single_particle_hamiltonian

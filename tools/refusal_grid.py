@@ -27,7 +27,7 @@ end.  The grid is:
 - the models of ``MODEL_ROWS``: couplings and widths at the edges of the
   float range, a large ``yprime``, a vanishing width in the parallel
   fermion ops, a fit window past 1e154, a small detuned parallel pair, and
-  a ``sweep.max_points`` above its cap.
+  a ``sweep.max_points`` above its cap and below 1.
 
 Each config is rendered in process through ``darkwells.cli.build_scenario``
 and ``render``; nothing is written.  The work a run would do past its
@@ -85,7 +85,8 @@ KINDS = ("evolve", "asymptotic", "dwell", "oracle-compare", "fermions", "bosons"
 # three-electron case has no bound state first); then widths whose squares
 # underflow, a fitted tau whose squared fit times overflow, the
 # two_electron_parallel pair gamma1 = 1, u = 0.7 scaled by 2^-40, which
-# stays off resonance, and sweep.max_points past the grid cap of 100 000
+# stays off resonance, and sweep.max_points past the grid cap of 100 000 and
+# below 1
 MODEL_ROWS = (
     ("asymptotic", {"model": {"omega1": "1e-200", "omega2": "1e-200"}}),
     ("dwell", {"model": {"omega1": "1e-200", "omega2": "1e-200", "e1": "1"}}),
@@ -113,6 +114,8 @@ MODEL_ROWS = (
                   "model": {"gamma1": "9.094947017729282e-13", "y": "2", "yprime": "0.8",
                             "u": "6.366462912410497e-13"}}),
     ("sweep", {"sweep": {"axis": "y", "values": "1, 2", "max_points": "100001"}}),
+    *(("sweep", {"sweep": {"axis": "y", "values": "1", "max_points": points}})
+      for points in ("0", "-5")),
 )
 
 
