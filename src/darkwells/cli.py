@@ -45,7 +45,7 @@ from .dynamics import (
     InfiniteDwellTimeError,
     PropagatorOverflowError,
     _evolve_sigma,
-    _sigma_matrix,
+    _sigma_start,
     asymptotic_probs,
     dwell_time,
     evolve_master,  # not called here; perfbench/tracing.py wraps it by name
@@ -530,8 +530,7 @@ def _run_asymptotic(scenario):
     dark = dark_state(pair)
     overlap = dark[0] * b1 + dark[1] * b2
     trapped = _pure_start(overlap * dark[0], overlap * dark[1])
-    _sigma_matrix(trapped)  # the state check every start gets
-    s11, s22, s12 = trapped
+    s11, s22, s12 = _sigma_start(trapped)  # the state check every start gets
     columns = {
         "p_trapped": np.array([p0]),
         "p_emitted": np.array([p1]),

@@ -9,13 +9,17 @@ reduced density matrix ``sigma``.  The convention for the coherence is
 One closed-form propagator ``U(t) = exp(-i H_eff t)`` of the well
 amplitudes, vectorized over a stack of pairs and their times, drives the
 reduced state, whose master equation has the exact solution
-``sigma(t) = U sigma(0) U^dagger`` for pure and mixed starts alike.  A
-start is one triple ``(sigma11, sigma22, sigma12)``, checked as a state
-before it evolves, and the one record of reduced states is a
-:class:`Trajectory` of arrays over its times.
-Widths are multiplied, and ``H_eff``'s entries squared, only on
-power-of-two-scaled mantissas, so scaling every energy and width by an
-exact ``2^k`` and every time by ``2^-k`` keeps every output bit.  The
+``sigma(t) = U sigma(0) U^dagger`` for pure and mixed starts alike.  Each
+pair's set-up is scalar: its eigenvalues ``tr/2 -+ mu``, the slow one as
+``det(H_eff) / lambda_fast`` so that it does not cancel when the widths
+differ by many orders.  Over the stack of times, ``U`` and the sandwich
+are written entrywise, with no 2x2 matrix products.  A start is one
+triple ``(sigma11, sigma22, sigma12)``, checked as a state before it
+evolves, and the one record of reduced states is a :class:`Trajectory` of
+arrays over its times.
+Widths are multiplied, and ``H_eff``'s entries squared or multiplied,
+only on power-of-two-scaled mantissas, so scaling every energy and width
+by an exact ``2^k`` and every time by ``2^-k`` keeps every output bit.  The
 module also provides the trapped-fraction asymptotics, the dwell time of
 the long-lived superposition for slightly misaligned levels, and the
 exponential-rate fit that sweeps read it back with.
@@ -86,21 +90,70 @@ def _reduced_states(s11, s22, s12, s00) -> np.ndarray:
     return s00
 
 
-def effective_hamiltonian(pair: WellPair) -> np.ndarray:
-    """``H_eff = diag(E1, E2) - (i/2) [[gamma1, eta r], [eta r, gamma2]]``, the generator
-    of ``i db/dt = H_eff b``, with ``r = sqrt(gamma1 gamma2)`` taken on mantissas."""
+def _effective_entries(pair: WellPair) -> tuple[complex, complex, complex]:
+    """``H_eff``'s entries ``(h11, h12, h22)``, with ``h21 = h12``, as Python complex
+    numbers: ``h_jj = E_j - (i/2) gamma_j`` and ``h12 = -(i/2) eta r``, with ``r =
+    sqrt(gamma1 gamma2)`` taken on mantissas."""
     gamma1, gamma2, eta = pair.gamma1, pair.gamma2, pair.eta
     m1, e1 = math.frexp(gamma1)
     m2, e2 = math.frexp(gamma2)
     root = math.ldexp(math.sqrt(math.ldexp(m1 * m2, (e1 + e2) & 1)), (e1 + e2) >> 1)
-    cross = complex(0.0, -0.5 * eta * root)
-    return np.array(
-        [
-            [pair.E1 + complex(0.0, -0.5 * gamma1), cross],
-            [cross, pair.E2 + complex(0.0, -0.5 * gamma2)],
-        ],
-        dtype=complex,
+    return (
+        pair.E1 + complex(0.0, -0.5 * gamma1),
+        complex(0.0, -0.5 * eta * root),
+        pair.E2 + complex(0.0, -0.5 * gamma2),
     )
+
+
+def effective_hamiltonian(pair: WellPair) -> np.ndarray:
+    """``H_eff = diag(E1, E2) - (i/2) [[gamma1, eta r], [eta r, gamma2]]``, the generator
+    of ``i db/dt = H_eff b``, with ``r = sqrt(gamma1 gamma2)`` taken on mantissas."""
+    h11, h12, h22 = _effective_entries(pair)
+    return np.array([[h11, h12], [h12, h22]], dtype=complex)
+
+
+def _scaled(z: complex, e: int) -> complex:
+    """``z * 2^e`` part by part, exact unless a part rounds to a subnormal;
+    ``OverflowError`` past the float range."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
+def _pair_terms(pair: WellPair) -> tuple:
+    """One pair's scalars for :func:`_propagators`: ``|mu|``, ``mu``, ``2 mu``, the
+    exponents ``-i tr/2`` and ``-i (tr/2 -+ mu)``, and the entries ``m11, m12, m22``
+    of ``m = H_eff - tr/2``, where ``mu^2 = m11^2 + m12^2``."""
+    h11, h12, h22 = _effective_entries(pair)
+    half_tr = 0.5 * (h11 + h22)
+    a, b = h11 - half_tr, h12
+    # the root of the entries scaled by 2^-e, scaled back by 2^e: exact, so
+    # no square leaves the float range; cmath, not numpy, so the complex
+    # square root matches to the last bit
+    e = math.frexp(max(map(abs, (a.real, a.imag, b.real, b.imag))))[1]
+    a_e, b_e = _scaled(a, -e), _scaled(b, -e)
+    root = cmath.sqrt(a_e * a_e + b_e * b_e)
+    try:
+        mu = _scaled(root, e)
+        abs_mu = abs(mu)
+    except OverflowError:
+        # |mu| past the float range: a propagator that is not finite, refused later
+        mu, abs_mu = complex(math.inf, math.inf), math.inf
+    # The eigenvalues tr/2 -+ mu: the one of larger modulus as that sum, the
+    # other as det(H_eff) over it, which does not cancel when the widths
+    # differ by many orders.  det = E1 E2 - (i/2) (E1 gamma2 + E2 gamma1),
+    # the gamma1 gamma2 / 4 terms cancelling in closed form, is taken on
+    # the diagonal scaled by 2^-f, and so is the choice of root.
+    f = math.frexp(max(map(abs, (h11.real, h11.imag, h22.real, h22.imag))))[1]
+    d1, d2, half_tr_f, mu_f = (_scaled(z, -f) for z in (h11, h22, half_tr, mu))
+    det = complex(d1.real * d2.real, d1.real * d2.imag + d2.real * d1.imag)
+    plus_is_fast = half_tr_f.real * mu_f.real + half_tr_f.imag * mu_f.imag >= 0.0
+    fast = half_tr + mu if plus_is_fast else half_tr - mu
+    try:
+        slow = _scaled(det / _scaled(fast, -f), f)
+    except OverflowError:
+        slow = complex(math.inf, math.inf)
+    minus, plus = (slow, fast) if plus_is_fast else (fast, slow)
+    return (abs_mu, mu, 2.0 * mu, -1j * half_tr, -1j * minus, -1j * plus,
+            a, b, h22 - half_tr)
 
 
 # an overflow shows as a propagator that is not finite, refused at the end
@@ -109,50 +162,26 @@ def _propagators(pairs, times) -> np.ndarray:
     """Closed-form exp(-i H_eff t) for a stack of pairs, each on its own times.
 
     ``times`` has one leading entry per pair (``times[k]`` is the grid of
-    ``pairs[k]``); the result has shape ``times.shape + (2, 2)``.  Written
-    in terms of the two eigen-exponentials exp(-i lambda_pm t), which decay
-    for any passive system, so no intermediate cosh blowup occurs at large
-    t.  Where the arithmetic leaves the float range, as a phase ``lambda t``
-    does at ``|eps| t ~ 1e308``, the first pair and time whose propagator is
-    not finite raise :class:`PropagatorOverflowError`.
+    ``pairs[k]``); the result has shape ``times.shape + (2, 2)``.  Each
+    pair's scalars are Python numbers (:func:`_pair_terms`; the slow
+    eigenvalue is ``det(H_eff) / lambda_fast``), laid out as one array per
+    quantity; ``U = cos_term - sin_term m`` is then written entry by entry
+    over the stack.  Written in terms of the two eigen-exponentials
+    exp(-i lambda_pm t), which decay for any passive system, so no
+    intermediate cosh blowup occurs at large t.  Where the arithmetic leaves
+    the float range, as a phase ``lambda t`` does at ``|eps| t ~ 1e308``, the
+    first pair and time whose propagator is not finite raise
+    :class:`PropagatorOverflowError`.
     """
     times = np.asarray(times, dtype=float)
-    # per pair: |mu|, mu, 2 mu, and the exponents -i tr/2, -i (tr/2 -+ mu)
-    abs_mu = np.empty(len(pairs))
-    coef = np.empty((5, len(pairs)), dtype=complex)
-    m = np.empty((len(pairs), 2, 2), dtype=complex)
-    for k, pair in enumerate(pairs):
-        h = effective_hamiltonian(pair)
-        half_tr = 0.5 * (h[0, 0] + h[1, 1])
-        m[k] = h - half_tr * np.eye(2)
-        # the root of the entries scaled by 2^-e, scaled back by 2^e: exact,
-        # so no square leaves the float range; cmath, not numpy, so the
-        # complex square root matches to the last bit
-        (a, b), (c, _) = m[k].tolist()
-        e = math.frexp(max(map(abs, (a.real, a.imag, b.real, b.imag, c.real, c.imag))))[1]
-        a, b, c = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (a, b, c)]
-        root = cmath.sqrt(a * a + b * c)
-        try:
-            mu = complex(math.ldexp(root.real, e), math.ldexp(root.imag, e))
-            abs_mu[k] = abs(mu)
-        except OverflowError:
-            # |mu| past the float range: a propagator that is not finite, refused below
-            mu, abs_mu[k] = complex(math.inf, math.inf), math.inf
-        coef[:, k] = (
-            mu,
-            2.0 * mu,
-            -1j * half_tr,
-            -1j * (half_tr - mu),
-            -1j * (half_tr + mu),
-        )
     per_pair = (slice(None),) + (None,) * (times.ndim - 1)
-    mu, two_mu, decay, minus, plus = (
-        np.broadcast_to(c[per_pair], times.shape) for c in coef
+    abs_mu, *terms = (np.array(column)[per_pair] for column in zip(*map(_pair_terms, pairs)))
+    mu, two_mu, decay, minus, plus, m11, m12, m22 = (
+        np.broadcast_to(term, times.shape) for term in terms
     )
-    # U = cos_term * 1 - sin_term * m
     cos_term = np.empty(times.shape, dtype=complex)
     sin_term = np.empty(times.shape, dtype=complex)
-    series = abs_mu[per_pair] * times < 1e-6
+    series = abs_mu * times < 1e-6
     # series in (mu t); the overall decay sits in exp(-i tr t / 2)
     ts = times[series]
     z2 = (mu[series] * ts) ** 2
@@ -165,23 +194,30 @@ def _propagators(pairs, times) -> np.ndarray:
     e_plus = np.exp(plus[rest] * ts)
     cos_term[rest] = 0.5 * (e_minus + e_plus)
     sin_term[rest] = (e_minus - e_plus) / two_mu[rest]
-    m = m[per_pair]
-    u = cos_term[..., None, None] * np.eye(2) - sin_term[..., None, None] * m
-    if not np.isfinite(u).all():
-        bad = np.argwhere(~np.isfinite(u).all(axis=(-2, -1)))[0]
+    # U's entries, each contiguous, seen as times.shape + (2, 2)
+    u = np.empty((2, 2) + times.shape, dtype=complex)
+    off = -sin_term * m12
+    u[0, 0] = cos_term - sin_term * m11
+    u[0, 1] = off
+    u[1, 0] = off
+    u[1, 1] = cos_term - sin_term * m22
+    u = np.moveaxis(u, (0, 1), (-2, -1))
+    finite = np.isfinite(u).all(axis=(-2, -1))
+    if not finite.all():
+        bad = np.argwhere(~finite)[0]
         raise PropagatorOverflowError(
             int(bad[0]), f"exp(-i H_eff t) leaves the float range at t = {float(times[tuple(bad)])!r}"
         )
     return u
 
 
-def _sigma_matrix(initial) -> np.ndarray:
-    """``sigma(0)`` of the start ``(sigma11, sigma22, sigma12)``; a start that is not
-    a state raises the ``ValueError`` of :func:`_reduced_states`."""
+def _sigma_start(initial) -> tuple[float, float, complex]:
+    """The start ``(sigma11, sigma22, sigma12)`` as numbers; one that is not a state
+    raises the ``ValueError`` of :func:`_reduced_states`."""
     s11, s22, s12 = initial
     s11, s22, s12 = float(s11), float(s22), complex(s12)
     _reduced_states(s11, s22, s12, 1.0 - s11 - s22)
-    return np.array([[s11, s12], [s12.conjugate(), s22]])
+    return s11, s22, s12
 
 
 def _evolve_sigma(pairs, initial, times):
@@ -189,7 +225,9 @@ def _evolve_sigma(pairs, initial, times):
 
     ``initial`` is the start ``(sigma11, sigma22, sigma12)``, refused before
     anything evolves if it is not a state; ``times`` is laid out as for
-    :func:`_propagators`.  Returns the arrays ``(sigma11, sigma22, sigma12,
+    :func:`_propagators`.  The sandwich is written entrywise, from ``U``'s
+    four entries and the start's three numbers, as ``(U sigma0)
+    U^dagger``.  Returns the arrays ``(sigma11, sigma22, sigma12,
     sigma00)`` of shape ``times.shape``, with the clamp and the checks of
     :func:`_reduced_states` applied to the whole stack at once; the first
     failing point, in pair-then-time order, raises its error.
@@ -197,12 +235,17 @@ def _evolve_sigma(pairs, initial, times):
     times = np.asarray(times, dtype=float)
     if times.size and times.min() < 0.0:
         raise ValueError("backward evolution of a decaying system is not supported")
-    sigma0 = _sigma_matrix(initial)
+    x, z, w = _sigma_start(initial)
     u = _propagators(pairs, times)
-    sigma = u @ sigma0 @ u.conj().swapaxes(-1, -2)
-    s11 = sigma[..., 0, 0].real
-    s22 = sigma[..., 1, 1].real
-    s12 = sigma[..., 0, 1]
+    u11, u12, u21, u22 = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    # the rows of U sigma0
+    a1, a2 = u11 * x + u12 * w.conjugate(), u11 * w + u12 * z
+    b1, b2 = u21 * x + u22 * w.conjugate(), u21 * w + u22 * z
+    u21c, u22c = u21.conj(), u22.conj()
+    # each sum ends in + 0.0, so a zero is +0.0, as a product summed from 0 gives
+    s11 = (a1 * u11.conj() + a2 * u12.conj()).real + 0.0
+    s22 = (b1 * u21c + b2 * u22c).real + 0.0
+    s12 = a1 * u21c + a2 * u22c + 0.0
     return s11, s22, s12, _reduced_states(s11, s22, s12, 1.0 - s11 - s22)
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -480,3 +481,81 @@ def test_batched_evolution_equals_single_pair_calls():
             )
             assert _sigma_gap([got[k, j] for got in batched[:3]], ref) < 1e-12
 
+
+
+def _sandwich_pairs(rng, n):
+    """``n`` width-style pairs: widths over four decades, one in five with a
+    decoupled well (``gamma2 = 0``, so ``U`` has exact zeros off the
+    diagonal), aligned and misaligned levels, both signs ``eta``."""
+    pairs = []
+    for k in range(n):
+        gamma1 = 10.0 ** rng.uniform(-2.0, 2.0)
+        gamma2 = 0.0 if k % 5 == 4 else gamma1 * 10.0 ** rng.uniform(-2.0, 2.0)
+        epsilon = 0.0 if k % 3 == 0 else gamma1 * rng.normal()
+        pairs.append(WellPair.from_widths(gamma1, gamma2, eta=(-1) ** k, epsilon=epsilon))
+    return pairs
+
+
+def _pure(b1, b2):
+    norm = math.sqrt(abs(b1) ** 2 + abs(b2) ** 2)
+    b1, b2 = b1 / norm, b2 / norm
+    return abs(b1) ** 2, abs(b2) ** 2, b1 * b2.conjugate()
+
+
+@pytest.mark.parametrize("shape", [(1, 2000), (64, 1), (64, 48)])
+def test_entrywise_sandwich_matches_the_explicit_product(shape):
+    # _evolve_sigma writes U sigma0 U^dagger entry by entry; it must agree
+    # with the product of the matrices, and keep every zero +0.0, as a sum
+    # of products taken from 0 does
+    rng = np.random.default_rng(sum(shape))
+    pairs = _sandwich_pairs(rng, shape[0])
+    times = np.sort(rng.uniform(0.0, 40.0, size=shape), axis=1)
+    times[::2, 0] = 0.0
+    times[1::4, -1] = 1e4  # every amplitude underflows to 0
+    u = dynamics._propagators(pairs, times)
+    s11, s22 = rng.uniform(0.0, 0.5, size=2)
+    phase = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    starts = [
+        _pure(complex(*rng.normal(size=2)), complex(*rng.normal(size=2))),
+        _pure(0.6, 0.8j),
+        (s11, s22, 0.7 * math.sqrt(s11 * s22) * phase),
+        (1.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0),
+        (1.0, -0.0, complex(-0.0, -0.0)),
+        (0.5, 0.5, 0.0),
+        (0.4, 0.0, 0.0),
+        (0.0, 0.0, 0.0),
+    ]
+    zeros = 0
+    for start in starts:
+        x, z, w = start
+        sigma0 = np.array([[x, w], [np.conj(w), z]], dtype=complex)
+        product = u @ sigma0 @ u.conj().swapaxes(-1, -2)
+        summed = np.zeros_like(product)
+        for i, j, k, l in itertools.product(range(2), repeat=4):
+            summed[..., i, j] += u[..., i, k] * sigma0[k, l] * u[..., j, l].conj()
+        got11, got22, got12, got00 = dynamics._evolve_sigma(pairs, start, times)
+        for got, want, exact in (
+            (got11, product[..., 0, 0].real, summed[..., 0, 0].real),
+            (got22, product[..., 1, 1].real, summed[..., 1, 1].real),
+            (got12.real, product[..., 0, 1].real, summed[..., 0, 1].real),
+            (got12.imag, product[..., 0, 1].imag, summed[..., 0, 1].imag),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+            assert not np.signbit(got[got == 0.0]).any()
+            assert (got[exact == 0.0] == 0.0).all()
+            zeros += np.count_nonzero(exact == 0.0)
+        np.testing.assert_array_equal(got00, np.maximum(1.0 - got11 - got22, 0.0))
+    assert zeros > shape[0] * shape[1]
+
+
+@pytest.mark.parametrize("gamma1", [1e4, 1e8])
+def test_slow_decay_keeps_the_dwell_rate_when_the_widths_differ_by_many_orders(gamma1):
+    # the slow eigenvalue is det(H_eff) over the fast one; as tr/2 - mu it
+    # cancelled, and the slope read 0.9999862 at 1e4 and -0.0 at 1e8
+    pair = WellPair.from_widths(gamma1, 1.0, epsilon=0.3)
+    tau = dwell_time(pair)
+    times = np.array([0.5, 1.5]) * tau
+    occupation = master_trajectory(pair, (1.0, 0.0, 0.0), times).occupation
+    slope = (math.log(occupation[0]) - math.log(occupation[1])) / (times[1] - times[0])
+    assert abs(slope * tau - 1.0) < 1e-6

@@ -226,27 +226,34 @@ def test_render_digests_dump_and_compare(monkeypatch, tmp_path, capsys):
         assert cli_dump["manifest.oracle.method"].tolist() == ["dense"]
     shutil.copytree(a, b)
     assert render_digests.compare_lines(str(a), str(b)) == [
-        "oracle_7_warmup 0 -", "oracle_7_warmup-fock 0 -",
+        "oracle_7_warmup 0 0 -", "oracle_7_warmup-fock 0 0 -",
     ]
-    # the largest change is reported with its array; a changed string, or
-    # a scenario one side lacks, counts as inf
+    # the largest change is reported with its array, and the largest
+    # relative change |a - b| / max(|a|, |b|) beside it; a changed string,
+    # or a scenario one side lacks, counts as inf
     arrays = dict(np.load(a / "oracle_7_warmup-fock.npz"))
+    old = arrays["state"][1, 0], arrays["dot_rdm"][0, 0, 0]
     arrays["state"][1, 0] += 2.0 ** -40
     arrays["dot_rdm"][0, 0, 0] += 2.0 ** -45
+    new = arrays["state"][1, 0], arrays["dot_rdm"][0, 0, 0]
+    rel = [abs(y - x) / max(abs(x), abs(y)) for x, y in zip(old, new)]
     np.savez(b / "oracle_7_warmup-fock.npz", **arrays)
     arrays = dict(np.load(a / "oracle_7_warmup.npz"))
     arrays["manifest.oracle.method"] = np.array(["chebyshev"])
     np.savez(b / "oracle_7_warmup.npz", **arrays)
     assert render_digests.main(["--compare", str(a), str(b)]) == 0
     cli_line, fock_line = capsys.readouterr().out.splitlines()
-    assert cli_line == "oracle_7_warmup inf manifest.oracle.method"
-    key, diff, name, other = fock_line.split()
+    assert cli_line == "oracle_7_warmup inf inf manifest.oracle.method"
+    key, diff, largest, name, other = fock_line.split()
     assert (key, name) == ("oracle_7_warmup-fock", "state")
     assert float(diff) == pytest.approx(2.0 ** -40, rel=1e-2)
+    assert float(largest) == pytest.approx(max(rel), rel=1e-2)
     other_name, other_diff = other.split("=")
-    assert other_name == "dot_rdm" and float(other_diff) == pytest.approx(2.0 ** -45, rel=1e-2)
+    other_abs, other_rel = map(float, other_diff.split("/"))
+    assert other_name == "dot_rdm" and other_abs == pytest.approx(2.0 ** -45, rel=1e-2)
+    assert other_rel == pytest.approx(rel[1], rel=1e-2)
     os.remove(b / "oracle_7_warmup.npz")
-    assert render_digests.compare_lines(str(a), str(b))[0] == "oracle_7_warmup inf only-in-A"
+    assert render_digests.compare_lines(str(a), str(b))[0] == "oracle_7_warmup inf inf only-in-A"
 
 
 def test_render_digests_ledger_lists_each_propagation(monkeypatch, capsys):
@@ -319,7 +326,8 @@ def test_render_digests_hash_config_files(monkeypatch, tmp_path, capsys):
 
 def test_render_digests_compare_lists_every_differing_array(monkeypatch, tmp_path):
     # an array one side lacks is the worst difference, and the finite
-    # differences behind it still show, each with its array
+    # differences behind it still show, each with its array, absolute then
+    # relative: 0.5 against 1.5 is 1/3, and -2^-50 against 0 is 1
     monkeypatch.setattr(sys, "path", list(sys.path))
     render_digests = load_tool("render_digests")
     a, b = tmp_path / "a", tmp_path / "b"
@@ -330,9 +338,15 @@ def test_render_digests_compare_lists_every_differing_array(monkeypatch, tmp_pat
     np.savez(b / "s.npz", **{"x": same + [0.0, 0.5, 0.0], "y": same, "z": same - 2.0 ** -50,
                              "w": [1.0]})
     line = render_digests.compare_lines(str(a), str(b))
-    assert line == ["s inf gone w=inf x=0.5 z=8.88e-16"]
+    assert line == ["s inf inf gone w=inf/inf x=0.5/0.333 z=8.88e-16/1"]
     np.savez(b / "s.npz", **{"x": same, "y": same, "z": same, "gone": same, "w": [np.nan]})
-    assert render_digests.compare_lines(str(a), str(b)) == ["s 0 -"]
+    assert render_digests.compare_lines(str(a), str(b)) == ["s 0 0 -"]
+    # a last-bit change on a large value shows only as a relative one
+    np.savez(b / "s.npz", **{"x": same, "y": same, "z": same, "gone": same,
+                             "w": [np.nan], "tau": [2.0 ** 60 + 2.0 ** 8]})
+    np.savez(a / "s.npz", **{"x": same, "y": same, "z": same, "gone": same,
+                             "w": [np.nan], "tau": [2.0 ** 60]})
+    assert render_digests.compare_lines(str(a), str(b)) == ["s 256 2.22e-16 tau"]
 
 
 def test_render_digests_compare_stops_quietly_when_the_reader_does(tmp_path):
@@ -353,7 +367,7 @@ def test_render_digests_compare_stops_quietly_when_the_reader_does(tmp_path):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
-    assert first == f"{'s' * 200}0000 inf only-in-A\n".encode()
+    assert first == f"{'s' * 200}0000 inf inf only-in-A\n".encode()
     assert err == b""
 
 

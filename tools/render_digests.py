@@ -42,8 +42,10 @@ data columns as ``data.<column>`` and every value of its manifest (and of
 a JSON payload's other keys) as ``manifest.<path>`` (``data.<path>``),
 read back from the rendered files.  ``--compare A B`` reads two such
 directories and prints, per scenario, the largest absolute difference
-over its arrays and the array that holds it, then each other array that
-differs as ``name=difference``; a string that differs, a shape that
+over its arrays, the largest relative difference ``|a - b| / max(|a|,
+|b|)`` (which bounds a last-bit change on large values such as ``tau``)
+and the array that holds the absolute one, then each other array that
+differs as ``name=absolute/relative``; a string that differs, a shape that
 differs, a NaN against a number or an array only one side has counts as
 ``inf``, and hides no finite difference.
 
@@ -313,40 +315,49 @@ def _config_scenarios(paths):
 
 
 def _difference(a, b):
-    """Largest absolute difference of two arrays; ``inf`` if they cannot be compared."""
+    """Largest absolute and relative difference of two arrays, the relative one
+    ``|a - b| / max(|a|, |b|)``; ``(inf, inf)`` if they cannot be compared."""
     if a.shape != b.shape:
-        return math.inf
+        return math.inf, math.inf
     if a.dtype.kind not in "iufc" or b.dtype.kind not in "iufc":
-        return 0.0 if np.array_equal(a, b) else math.inf
+        return (0.0, 0.0) if np.array_equal(a, b) else (math.inf, math.inf)
     # equal entries (infinities included) and NaN against NaN differ by 0,
     # NaN against a number by inf
     same = (a == b) | (np.isnan(a) & np.isnan(b))
-    diff = np.where(same, 0.0, np.abs(a - b))
-    return float(np.where(np.isnan(diff), math.inf, diff).max(initial=0.0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = np.where(same, 0.0, np.abs(a - b))
+        rel = np.where(same, 0.0, diff / np.maximum(np.abs(a), np.abs(b)))
+    return tuple(float(np.where(np.isnan(d), math.inf, d).max(initial=0.0)) for d in (diff, rel))
 
 
 def compare_lines(dir_a, dir_b):
-    """Per scenario of either dump: the largest difference, its array, then the others.
+    """Per scenario of either dump: the largest absolute and relative differences,
+    the array of the absolute one, then the others.
 
-    Each other array that differs follows as ``name=difference``, in name order.
+    Each other array that differs follows as ``name=absolute/relative``, in
+    name order.
     """
     lines = []
     names = {name[:-4] for d in (dir_a, dir_b) for name in os.listdir(d) if name.endswith(".npz")}
     for name in sorted(names):
         paths = [os.path.join(d, name + ".npz") for d in (dir_a, dir_b)]
         if not all(os.path.exists(path) for path in paths):
-            lines.append(f"{name} inf only-in-{'A' if os.path.exists(paths[0]) else 'B'}")
+            lines.append(f"{name} inf inf only-in-{'A' if os.path.exists(paths[0]) else 'B'}")
             continue
         with np.load(paths[0]) as a, np.load(paths[1]) as b:
             diffs = {
                 array: (_difference(a[array], b[array])
-                        if array in a.files and array in b.files else math.inf)
+                        if array in a.files and array in b.files else (math.inf, math.inf))
                 for array in sorted(set(a.files) | set(b.files))
             }
-        differing = {array: diff for array, diff in diffs.items() if diff > 0.0}
-        where = max(differing, key=differing.get, default="-")
-        others = [f"{array}={diff:.3g}" for array, diff in differing.items() if array != where]
-        lines.append(" ".join([name, f"{differing.get(where, 0.0):.3g}", where] + others))
+        differing = {array: diff for array, diff in diffs.items() if diff[0] > 0.0}
+        where = max(differing, key=lambda array: differing[array][0], default="-")
+        largest = max(differing.values(), key=lambda diff: diff[1], default=(0.0, 0.0))[1]
+        others = [f"{array}={diff[0]:.3g}/{diff[1]:.3g}"
+                  for array, diff in differing.items() if array != where]
+        lines.append(" ".join(
+            [name, f"{differing.get(where, (0.0,))[0]:.3g}", f"{largest:.3g}", where] + others
+        ))
     return lines
 
 
