@@ -482,7 +482,6 @@ def test_batched_evolution_equals_single_pair_calls():
             assert _sigma_gap([got[k, j] for got in batched[:3]], ref) < 1e-12
 
 
-
 def _sandwich_pairs(rng, n):
     """``n`` width-style pairs: widths over four decades, one in five with a
     decoupled well (``gamma2 = 0``, so ``U`` has exact zeros off the
@@ -551,8 +550,8 @@ def test_entrywise_sandwich_matches_the_explicit_product(shape):
 
 @pytest.mark.parametrize("gamma1", [1e4, 1e8])
 def test_slow_decay_keeps_the_dwell_rate_when_the_widths_differ_by_many_orders(gamma1):
-    # the slow eigenvalue is det(H_eff) over the fast one; as tr/2 - mu it
-    # cancelled, and the slope read 0.9999862 at 1e4 and -0.0 at 1e8
+    # the slow eigenvalue is det(H_eff) over the fast one: tr/2 - mu would
+    # cancel at these width ratios, down to a zero rate at 1e8
     pair = WellPair.from_widths(gamma1, 1.0, epsilon=0.3)
     tau = dwell_time(pair)
     times = np.array([0.5, 1.5]) * tau
